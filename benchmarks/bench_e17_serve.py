@@ -231,7 +231,7 @@ def test_bench_serve_loopback_requests(benchmark, smoke, bench_artifact):
     """Requests/s through live TCP serving, verified per session.
 
     Each shard count runs under both wire protocols — v1 JSON frames
-    and v2 binary lane frames (interned + deflated, pipelined) — so the
+    and v2 binary raw lane frames (deflated, pipelined) — so the
     table shows what protocol v2 buys in bytes-on-wire and server
     decode CPU at identical, oracle-verified answers.  Acceptance: v2
     puts at most half of v1's request bytes on the wire.
@@ -331,5 +331,5 @@ def test_bench_serve_loopback_requests(benchmark, smoke, bench_artifact):
         rows,
         title=f"E17: loopback serving, {clients} clients, "
               f"chunk={chunk} (costs verified vs single hub; "
-              f"v2 = binary interned frames, pipelined)",
+              f"v2 = binary raw+deflate frames, pipelined)",
     ))

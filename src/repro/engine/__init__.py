@@ -36,13 +36,6 @@ Quickstart::
 
 from repro.engine.batch import BatchEngine, SolveTimeout
 from repro.engine.cache import MISS, CacheStats, ResultCache
-from repro.engine.intern import (
-    InternStats,
-    InternedSeq,
-    MaskTable,
-    intern_chunk,
-    restore_chunk,
-)
 from repro.engine.metrics import EngineMetrics, LatencyStats
 from repro.engine.registry import (
     TAG_PACKED,

@@ -48,7 +48,6 @@ import numpy as np
 
 from repro.core.packed import PackedProblem
 from repro.engine.cache import MISS, ResultCache
-from repro.engine.intern import intern_chunk, restore_chunk
 from repro.engine.metrics import EngineMetrics
 from repro.engine.registry import (
     TAG_META,
@@ -244,17 +243,8 @@ def _solve_chunk(payload):
     materialized here as a zero-copy view of the parent's
     shared-memory segment (mapped once per chunk, closed after the
     chunk's last solve; solver results never alias the segment).
-
-    A four-element payload carries a mask-interned chunk (see
-    :mod:`repro.engine.intern`): the trailing element is the chunk's
-    mask table, and the requests are restored — bit-identically —
-    before any solver runs.
     """
-    if len(payload) == 4:
-        items, timeout, registry, table_masks = payload
-        items = restore_chunk(items, table_masks)
-    else:
-        items, timeout, registry = payload
+    items, timeout, registry = payload
     if registry is None:
         registry = default_registry()
     out = []
@@ -309,13 +299,6 @@ class BatchEngine:
         shares matrices of at least :data:`SHARED_LANES_MIN_BYTES`.
         Results are byte-identical either way; only serialization
         bytes change (reported by the metrics).
-    intern_masks:
-        Canonical mask interning for worker chunk payloads (see
-        :mod:`repro.engine.intern`): requirement sequences ship as
-        uint32 rows into one per-chunk table of distinct masks instead
-        of re-pickling every mask per request.  Results are
-        bit-identical; the ``mask interning`` metrics row reports the
-        payload bytes saved.  ``False`` ships raw requests.
     tracer:
         Optional :class:`~repro.obs.trace.TraceRecorder`; one ``solve``
         span per solved request (solver name, latency, error flag).
@@ -344,7 +327,6 @@ class BatchEngine:
         metrics: EngineMetrics | None = None,
         packed_cache_size: int = 128,
         shared_lanes: bool | None = None,
-        intern_masks: bool = True,
         tracer=None,
         portfolio_learn: bool = True,
         portfolio_state=None,
@@ -363,7 +345,6 @@ class BatchEngine:
         self.metrics = metrics if metrics is not None else EngineMetrics()
         self.tracer = tracer
         self.shared_lanes = shared_lanes
-        self.intern_masks = intern_masks
         self.portfolio_learn = portfolio_learn
         self.portfolio_state = portfolio_state
         # Lane-packed compiles, keyed on the problem structure (solver
@@ -661,36 +642,12 @@ class BatchEngine:
         ship, segments, shared_bytes = self._publish_packed(packed)
         payloads = []
         payload_sizes: dict[int, int] = {}  # id(obj) -> pickled bytes
-        seq_sizes: dict[int, int] = {}  # id(seq) -> pickled masks bytes
         shipped_bytes = 0
-        # Under fork, workers inherit every global-arena row interned
-        # before the pool spawns (all payloads are built right here,
-        # before Pool creation), so arena chunks ship ids and *no*
-        # table.  Spawn-start platforms fall back to the per-chunk
-        # table, which is self-contained.
-        use_arena = multiprocessing.get_start_method() == "fork"
         for lo in range(0, len(indices), chunk):
             items = [
                 (i, requests[i], ship[i]) for i in indices[lo : lo + chunk]
             ]
-            interned = None
-            if self.intern_masks:
-                interned, table_masks, intern_stats = intern_chunk(
-                    items, size_cache=seq_sizes, arena=use_arena
-                )
-                # Interning only ships when it actually shrinks the
-                # payload: a chunk of mostly-distinct masks (random
-                # workloads) would pay the index overhead for nothing.
-                if intern_stats.bytes_saved <= 0:
-                    interned = None
-            if interned is not None:
-                self.metrics.record_interning(intern_stats)
-                items = interned
-                payloads.append(
-                    (items, self.timeout, registry_arg, table_masks)
-                )
-            else:
-                payloads.append((items, self.timeout, registry_arg))
+            payloads.append((items, self.timeout, registry_arg))
             # Per-chunk serialization cost of the packed payloads: each
             # distinct object pickles once per chunk (pickle memoizes
             # repeats within one payload).

@@ -76,8 +76,6 @@ _SCALAR_COUNTERS: tuple[str, ...] = (
     "wall_time", "delta_applies", "delta_full_evals",
     "packed_compiles", "packed_reuses",
     "packed_bytes_shipped", "packed_bytes_shared",
-    "intern_masks_total", "intern_masks_unique",
-    "intern_bytes_before", "intern_bytes_after",
     "stream_sessions", "stream_closed", "stream_steps", "stream_hypers",
     "stream_time", "stream_fused", "stream_fused_fallback",
     "stream_replay_epochs", "stream_replay_triggers",
@@ -143,10 +141,6 @@ class EngineMetrics:
         self.packed_reuses = 0
         self.packed_bytes_shipped = 0
         self.packed_bytes_shared = 0
-        self.intern_masks_total = 0
-        self.intern_masks_unique = 0
-        self.intern_bytes_before = 0
-        self.intern_bytes_after = 0
         self.stream_sessions = 0
         self.stream_closed = 0
         self.stream_steps = 0
@@ -154,8 +148,8 @@ class EngineMetrics:
         self.stream_time = 0.0
         # Fused multi-session sweep accounting: session-chunks that
         # completed inside the epoch-synchronous fused kernel vs
-        # ineligible ones (mask iterables, foreign-universe interned
-        # chunks, non-batched cursors) served on the per-session path.
+        # ineligible ones (mask iterables, empty chunks, non-batched
+        # cursors) served on the per-session path.
         self.stream_fused = 0
         self.stream_fused_fallback = 0
         # Batched trigger replay: epochs the fused kernel iterated and
@@ -280,20 +274,6 @@ class EngineMetrics:
             with self._lock:
                 self.packed_bytes_shipped += int(shipped)
                 self.packed_bytes_shared += int(shared)
-
-    def record_interning(self, stats) -> None:
-        """Count one mask-interned worker chunk payload.
-
-        ``stats`` is an :class:`~repro.engine.intern.InternStats`:
-        total vs distinct masks in the chunk, and the pickled bytes the
-        sequences would have shipped vs what the table + index rows
-        did — the ``mask interning`` report row derives the savings.
-        """
-        with self._lock:
-            self.intern_masks_total += stats.masks_total
-            self.intern_masks_unique += stats.masks_unique
-            self.intern_bytes_before += stats.bytes_before
-            self.intern_bytes_after += stats.bytes_after
 
     def record_stream_open(self) -> None:
         """Count one streaming session opened on a hub."""
@@ -585,15 +565,6 @@ class EngineMetrics:
                     "bytes_shipped": self.packed_bytes_shipped,
                     "bytes_shared": self.packed_bytes_shared,
                 },
-                "intern": {
-                    "masks": self.intern_masks_total,
-                    "unique_masks": self.intern_masks_unique,
-                    "bytes_before": self.intern_bytes_before,
-                    "bytes_after": self.intern_bytes_after,
-                    "bytes_saved": (
-                        self.intern_bytes_before - self.intern_bytes_after
-                    ),
-                },
                 "stream": {
                     "sessions": self.stream_sessions,
                     "closed": self.stream_closed,
@@ -680,13 +651,6 @@ class EngineMetrics:
                 ["fan-out payload",
                  f"{packed['bytes_shipped']} B pickled / "
                  f"{packed['bytes_shared']} B shared"]
-            )
-        intern = snap["intern"]
-        if intern["masks"]:
-            rows.append(
-                ["mask interning",
-                 f"{intern['masks']} masks → {intern['unique_masks']} "
-                 f"unique, {intern['bytes_saved']} B saved"]
             )
         stream = snap["stream"]
         if stream["steps"]:

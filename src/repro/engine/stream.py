@@ -50,7 +50,6 @@ from repro.core.cost_single import switch_cost
 from repro.core.packed import lanes_to_masks, masks_to_lanes
 from repro.core.schedule import SingleTaskSchedule
 from repro.core.switches import SwitchUniverse
-from repro.engine.intern import InternedChunk
 from repro.engine.metrics import EngineMetrics
 from repro.solvers.online import OnlineRun
 
@@ -244,13 +243,8 @@ class StreamSession:
             cumulative_cost=self._cost,
         )
 
-    def _apply_lanes(self, lanes: np.ndarray, *, log=None) -> StreamBatch:
-        """Advance the batched cursor by a pre-validated lane chunk.
-
-        ``log`` substitutes what lands in the requirement log (an
-        :class:`~repro.engine.intern.InternedChunk` keeps ids instead
-        of the gathered lane matrix — same masks at :meth:`finish`,
-        a fraction of the resident bytes)."""
+    def _apply_lanes(self, lanes: np.ndarray) -> StreamBatch:
+        """Advance the batched cursor by a pre-validated lane chunk."""
         start = self._n
         batch = self._batched.step_many(lanes)
         C = batch.steps
@@ -261,7 +255,7 @@ class StreamSession:
         cum = np.cumsum(np.concatenate(([self._cost], step_costs)))
         chunk_cost = float(cum[-1] - self._cost)
         self._cost = float(cum[-1])
-        self._chunks.append(lanes if log is None else log)
+        self._chunks.append(lanes)
         self._n += C
         flagged = np.flatnonzero(batch.hyper)
         if flagged.size:
@@ -326,24 +320,12 @@ class StreamSession:
         ``masks`` is an iterable of int masks, a
         :class:`~repro.core.context.RequirementSequence`, an already
         lane-packed ``(C, L)`` uint64 array (fast path; lanes are
-        trusted to fit the universe), or an
-        :class:`~repro.engine.intern.InternedChunk` of global-arena ids
-        (the serve ingest path) — resolved here, logged as ids.  The
-        session keeps its own copy of the chunk, so callers may reuse
-        one preallocated buffer across feeds.
+        trusted to fit the universe).  The session keeps its own copy of
+        the chunk, so callers may reuse one preallocated buffer across
+        feeds.
         """
         if self._finished:
             raise RuntimeError("session already finished")
-        if isinstance(masks, InternedChunk):
-            if masks.width != self.universe.size:
-                raise ValueError(
-                    f"interned chunk is for a {masks.width}-switch "
-                    f"universe, session runs {self.universe.size}"
-                )
-            lanes = masks.resolve()
-            if self._batched is not None:
-                return self._apply_lanes(lanes, log=masks)
-            masks = lanes_to_masks(lanes) if lanes.shape[0] else []
         if isinstance(masks, np.ndarray) and masks.ndim == 2:
             lanes = np.ascontiguousarray(masks, dtype=np.uint64)
             if np.shares_memory(lanes, masks):
@@ -394,11 +376,7 @@ class StreamSession:
         if self._batched is None:
             return self._scalar_masks
         out: list[int] = []
-        for chunk in self._chunks:
-            lanes = (
-                chunk.resolve() if isinstance(chunk, InternedChunk)
-                else chunk
-            )
+        for lanes in self._chunks:
             if lanes.shape[0]:
                 out.extend(lanes_to_masks(lanes))
         return out
@@ -626,37 +604,30 @@ class StreamHub:
         completes inside the epoch-synchronous ``sweep_many`` kernel —
         triggering sessions included — and the hub books the whole
         group with one seeded cost cumsum and one flat installed-mask
-        conversion.  Only ineligible traffic — mask iterables, interned
-        chunks for the wrong universe, empty chunks, non-batched
-        cursors — takes the per-session path.  Returns
-        (fused, fallback, group sizes, replay epochs, triggers);
+        conversion.  Only ineligible traffic — mask iterables, empty
+        chunks, non-batched cursors — takes the per-session path.
+        Returns (fused, fallback, group sizes, replay epochs, triggers);
         per-session batches land in ``out``.
         """
-        groups: dict[tuple, list[tuple[str, np.ndarray, object]]] = {}
+        groups: dict[tuple, list[tuple[str, np.ndarray]]] = {}
         plain: list[str] = []
-        for sid, masks in chunks.items():
+        for sid, lanes in chunks.items():
             session = sessions[sid]
             key = session._fuse_key
-            lanes = None
-            log = None
-            if key is not None and not session._finished:
-                if isinstance(masks, np.ndarray):
-                    # No ascontiguousarray here: the stacked group
-                    # block copies the rows into owned storage anyway.
-                    if masks.ndim == 2 and masks.dtype == np.uint64:
-                        lanes = masks
-                elif isinstance(masks, InternedChunk):
-                    if masks.width == session.universe.size:
-                        lanes = masks.resolve()
-                        log = masks
+            # No ascontiguousarray here: the stacked group block copies
+            # the rows into owned storage anyway.
             if (
-                lanes is None
+                key is None
+                or session._finished
+                or not isinstance(lanes, np.ndarray)
+                or lanes.ndim != 2
+                or lanes.dtype != np.uint64
                 or lanes.shape[0] == 0
                 or lanes.shape[1] != key[1]
             ):
                 plain.append(sid)
                 continue
-            groups.setdefault(key, []).append((sid, lanes, log))
+            groups.setdefault(key, []).append((sid, lanes))
         for sid in plain:
             out[sid] = sessions[sid].feed_many(chunks[sid])
         fused = len(chunks) - len(plain)
@@ -665,21 +636,21 @@ class StreamHub:
         epochs = triggers = 0
         for (cursor_cls, L, _hist), members in groups.items():
             lengths = np.fromiter(
-                (lanes.shape[0] for _sid, lanes, _log in members),
+                (lanes.shape[0] for _sid, lanes in members),
                 count=len(members),
                 dtype=np.int64,
             )
             Cmax = int(lengths.max())
             if int(lengths.min()) == Cmax:
-                block = np.stack([lanes for _sid, lanes, _log in members])
+                block = np.stack([lanes for _sid, lanes in members])
             else:
                 block = np.zeros(
                     (len(members), Cmax, L), dtype=np.uint64
                 )
-                for s, (_sid, lanes, _log) in enumerate(members):
+                for s, (_sid, lanes) in enumerate(members):
                     block[s, : lanes.shape[0]] = lanes
             cursors = [
-                sessions[sid]._batched for sid, _lanes, _log in members
+                sessions[sid]._batched for sid, _lanes in members
             ]
             sweep = cursor_cls.sweep_many(cursors, block, lengths=lengths)
             epochs += sweep.epochs
@@ -692,12 +663,12 @@ class StreamHub:
             # slices off the shared arrays.
             S = len(members)
             w_vec = np.fromiter(
-                (sessions[sid].w for sid, _lanes, _log in members),
+                (sessions[sid].w for sid, _lanes in members),
                 count=S,
                 dtype=np.float64,
             )
             costs = np.empty((S, Cmax + 1), dtype=np.float64)
-            costs[:, 0] = [sessions[sid]._cost for sid, _l, _g in members]
+            costs[:, 0] = [sessions[sid]._cost for sid, _lanes in members]
             costs[:, 1:] = sweep.sizes + np.where(
                 sweep.hyper, w_vec[:, None], 0.0
             )
@@ -711,11 +682,11 @@ class StreamHub:
                 lanes_to_masks(sweep.installed) if sweep.triggers else []
             )
             step_list = np.nonzero(sweep.hyper)[1].tolist()
-            for s, (sid, lanes, log) in enumerate(members):
+            for s, (sid, _lanes) in enumerate(members):
                 n_s = int(lengths[s])
                 o0, o1 = offs[s], offs[s + 1]
                 out[sid] = sessions[sid]._commit_fused(
-                    log if log is not None else block[s, :n_s],
+                    block[s, :n_s],
                     n_s,
                     sweep.hyper[s, :n_s],
                     sweep.sizes[s, :n_s],

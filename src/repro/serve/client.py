@@ -19,11 +19,6 @@ Wire protocol negotiation (``proto=``):
 * ``"json"`` — classic v1 JSON frames only.
 * ``"bin"`` — require v2; raise :class:`ServeError` if the server
   declines.
-
-Binary feeds intern repeated masks into a per-``(connection, width)``
-:class:`~repro.serve.protocol.ClientArena` mirrored by the server; an
-error reply to a binary feed poisons that width's arena (the id maps
-can no longer be trusted to agree) and later chunks go raw.
 """
 
 from __future__ import annotations
@@ -35,7 +30,6 @@ from repro.serve.protocol import (
     MAX_FRAME_BYTES,
     PROTO_BIN,
     PROTO_JSON,
-    ClientArena,
     _as_lanes,
     decode_frame,
     encode_feed_bin,
@@ -126,8 +120,6 @@ class ServeClient:
         self._sock = socket.create_connection((host, port), timeout=timeout)
         self._recv = bytearray()
         self._widths: dict[str, int] = {}
-        #: width -> ClientArena, or None once poisoned (raw-only).
-        self._arenas: dict[int, ClientArena | None] = {}
         self._closed = False
         self.bytes_sent = 0
         self.bytes_received = 0
@@ -243,17 +235,6 @@ class ServeClient:
                 f"session {session_id!r} was not opened by this client"
             ) from None
 
-    def _arena(self, width: int) -> ClientArena | None:
-        if width not in self._arenas:
-            self._arenas[width] = ClientArena(width)
-        return self._arenas[width]
-
-    def _poison_arenas(self) -> None:
-        """After an error reply to a binary feed the server's id maps
-        may have diverged from ours; stop interning, go raw."""
-        for width in self._arenas:
-            self._arenas[width] = None
-
     def _encode_feed(
         self, session_id: str, masks, *, trace: str | None
     ) -> bytes:
@@ -271,7 +252,6 @@ class ServeClient:
                 session_id,
                 _as_lanes(masks, width),
                 width,
-                arena=self._arena(width),
                 deflate=self._deflate,
             )
         blob = encode_mask_chunk(masks, width, encoding=self._encoding)
@@ -291,12 +271,7 @@ class ServeClient:
     ) -> FeedResult:
         """Serve a chunk of requirements on one session."""
         self._send(self._encode_feed(session_id, masks, trace=trace))
-        try:
-            reply = self._reply_ok()
-        except ServeError:
-            self._poison_arenas()
-            raise
-        return _feed_result(session_id, reply)
+        return _feed_result(session_id, self._reply_ok())
 
     def feed_pipelined(
         self, batch: list[tuple[str, object]]
@@ -327,7 +302,6 @@ class ServeClient:
                     reply.get("error", "unspecified server error")
                 )
         if failure is not None:
-            self._poison_arenas()
             raise failure
         return results
 

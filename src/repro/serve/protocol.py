@@ -48,20 +48,15 @@ A v2 frame is an 8-byte header followed by the payload::
     0       1     magic 0xA7 (never a printable JSON first byte)
     1       1     version (2)
     2       1     opcode (1 = feed)
-    3       1     flags (bit0 INTERNED, bit1 DEFLATE)
+    3       1     flags (bit1 DEFLATE; bit0 and bits 2-7 are reserved
+                  and rejected)
     4       4     payload length, u32 little-endian
 
-Feed payload: ``u8 session-length | session utf-8 | u32 count``,
-then either the **raw** section — ``count · L`` uint64 lanes,
-little-endian row-major — or (INTERNED) ``u32 base_epoch | u32
-new_rows`` followed by ``new_rows · L`` lanes and ``count`` row ids in
-the narrowest dtype ``base_epoch + new_rows`` allows.  DEFLATE marks
-the section (only) as zlib-compressed; the receiver knows the exact
-inflated size, so decompression is strictly bounded.  Ids are indices
-into the *connection's* intern table (:class:`ClientArena` client-side,
-an id-map onto the global :class:`~repro.engine.intern.MaskArena`
-server-side); ``base_epoch`` must equal the table's current size, so a
-desynced client is rejected loudly, never served wrong lanes.
+Feed payload: ``u8 session-length | session utf-8 | u32 count``, then
+the lane section — ``count · L`` uint64 lanes, little-endian
+row-major.  DEFLATE marks the section (only) as zlib-compressed; the
+receiver knows the exact inflated size, so decompression is strictly
+bounded.
 
 Version negotiation rides the JSON ``open`` frame: a v2 client sends
 ``"proto": 2`` and switches to binary feeds only when the reply echoes
@@ -84,17 +79,12 @@ import numpy as np
 from repro.core.packed import lane_count
 
 __all__ = [
-    "ARENA_MAX_DISTINCT",
-    "ARENA_PROBE_ROWS",
     "BIN_FLAG_DEFLATE",
-    "BIN_FLAG_INTERNED",
     "BIN_HEADER",
     "BIN_MAGIC",
     "BIN_OP_FEED",
     "BIN_VERSION",
     "BinFeedFrame",
-    "ClientArena",
-    "MAX_CLIENT_ARENA",
     "MAX_FRAME_BYTES",
     "PROTO_BIN",
     "PROTO_JSON",
@@ -132,28 +122,12 @@ PROTO_BIN = 2
 BIN_MAGIC = 0xA7
 BIN_VERSION = 2
 BIN_OP_FEED = 1
-BIN_FLAG_INTERNED = 0x01
 BIN_FLAG_DEFLATE = 0x02
-_BIN_KNOWN_FLAGS = BIN_FLAG_INTERNED | BIN_FLAG_DEFLATE
 
 #: magic, version, opcode, flags, payload length.
 BIN_HEADER = struct.Struct("<BBBBI")
 
-#: Per-connection intern tables stay u16-indexable: above this many
-#: distinct rows a client falls back to raw frames (the table already
-#: failed to converge — interning was the wrong tool for that stream).
-MAX_CLIENT_ARENA = 1 << 16
-
-#: Adaptive interning probe: once a client arena has seen this many
-#: rows, a distinct fraction above :data:`ARENA_MAX_DISTINCT` means the
-#: stream barely repeats itself — interning then costs table CPU on
-#: both ends for almost no byte savings (deflate already carries the
-#: compression), so the arena gives up and the chunks go raw.
-ARENA_PROBE_ROWS = 1024
-ARENA_MAX_DISTINCT = 0.5
-
 _U32 = struct.Struct("<I")
-_U32x2 = struct.Struct("<II")
 
 
 class ProtocolError(ValueError):
@@ -341,98 +315,6 @@ def lanes_from_bytes(raw: bytes, count: int, width: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _id_dtype(table_size: int) -> str:
-    """Narrowest unsigned dtype indexing a table of ``table_size`` rows."""
-    if table_size <= 1 << 8:
-        return "<u1"
-    if table_size <= 1 << 16:
-        return "<u2"
-    return "<u4"
-
-
-class ClientArena:
-    """Client-side intern table of one ``(connection, width)`` pair.
-
-    Mirrors the server's per-connection id map: both sides append the
-    same rows in the same frame order, so the table *size* is the
-    shared epoch — it rides every interned frame as ``base_epoch`` and
-    any drift is detected before a single wrong lane is served.  Ids
-    are connection-local (the server translates them onto its global
-    :class:`~repro.engine.intern.MaskArena`).  At :data:`MAX_CLIENT_ARENA`
-    distinct rows the table stops growing and :meth:`intern` signals
-    the caller to send raw frames instead.
-
-    Interning is also *adaptive*: after :data:`ARENA_PROBE_ROWS` rows,
-    a stream whose distinct fraction exceeds :data:`ARENA_MAX_DISTINCT`
-    permanently stops interning — shipping mostly-fresh rows through
-    the table costs intern CPU on both ends of the wire for almost no
-    byte savings over deflated raw frames.
-    """
-
-    __slots__ = ("width", "lanes_per_row", "_ids", "cap", "rows_seen",
-                 "_given_up")
-
-    def __init__(self, width: int, *, cap: int = MAX_CLIENT_ARENA):
-        self.width = int(width)
-        self.lanes_per_row = lane_count(width)
-        self._ids: dict[bytes, int] = {}
-        self.cap = int(cap)
-        self.rows_seen = 0
-        self._given_up = False
-
-    @property
-    def epoch(self) -> int:
-        return len(self._ids)
-
-    @property
-    def active(self) -> bool:
-        """False once the arena stopped interning (full or divergent)."""
-        return not self._given_up
-
-    def intern(self, lanes: np.ndarray):
-        """Intern one chunk's rows; ``None`` when the chunk must go raw
-        instead (table overflow or a stream that does not repeat itself
-        — either way nothing is committed).
-
-        Returns ``(base_epoch, new_lanes, ids)``: the table size before
-        this chunk, the ``(k, L)`` matrix of first-seen rows in id
-        order, and the ``(C,)`` id row of every step.
-        """
-        if self._given_up:
-            return None
-        base = len(self._ids)
-        fresh: dict[bytes, int] = {}
-        ids = np.empty(lanes.shape[0], dtype=np.uint32)
-        for j in range(lanes.shape[0]):
-            key = lanes[j].tobytes()
-            idx = self._ids.get(key)
-            if idx is None:
-                idx = fresh.get(key)
-                if idx is None:
-                    idx = base + len(fresh)
-                    fresh[key] = idx
-            ids[j] = idx
-        self.rows_seen += lanes.shape[0]
-        distinct = base + len(fresh)
-        if distinct > self.cap:
-            self._given_up = True
-            return None
-        if (
-            self.rows_seen >= ARENA_PROBE_ROWS
-            and distinct > ARENA_MAX_DISTINCT * self.rows_seen
-        ):
-            self._given_up = True
-            return None
-        self._ids.update(fresh)
-        if fresh:
-            new_lanes = np.frombuffer(
-                b"".join(fresh), dtype="<u8"
-            ).reshape(len(fresh), self.lanes_per_row)
-        else:
-            new_lanes = np.empty((0, self.lanes_per_row), dtype="<u8")
-        return base, new_lanes, ids
-
-
 def _deflate_maybe(section: bytes, deflate: bool | None):
     """Compress when asked (or when it wins); returns (bytes, flag)."""
     if deflate is False:
@@ -448,14 +330,11 @@ def encode_feed_bin(
     lanes: np.ndarray,
     width: int,
     *,
-    arena: ClientArena | None = None,
     deflate: bool | None = None,
 ) -> bytes:
     """Encode one v2 binary feed frame.
 
-    ``lanes`` is the chunk's ``(C, L)`` uint64 matrix.  With ``arena``,
-    the chunk ships interned — first-seen rows once plus per-step ids —
-    unless the table is full (silent raw fallback).  ``deflate=None``
+    ``lanes`` is the chunk's ``(C, L)`` uint64 matrix.  ``deflate=None``
     compresses the section only when that actually wins; ``True``/
     ``False`` force it (golden fixtures pin the uncompressed form).
     """
@@ -474,24 +353,8 @@ def encode_feed_bin(
         raise ProtocolError(
             "binary feed session ids must be 1..255 UTF-8 bytes"
         )
-    flags = 0
-    interned = arena.intern(lanes) if arena is not None else None
-    if interned is not None:
-        base, new_lanes, ids = interned
-        flags |= BIN_FLAG_INTERNED
-        id_blob = ids.astype(
-            _id_dtype(base + new_lanes.shape[0]), copy=False
-        ).tobytes()
-        section = new_lanes.tobytes() + id_blob
-        section, deflated = _deflate_maybe(section, deflate)
-        head = _U32x2.pack(base, new_lanes.shape[0])
-    else:
-        section, deflated = _deflate_maybe(lanes.tobytes(), deflate)
-        head = b""
-    flags |= deflated
-    payload = (
-        bytes((len(sid),)) + sid + _U32.pack(count) + head + section
-    )
+    section, flags = _deflate_maybe(lanes.tobytes(), deflate)
+    payload = bytes((len(sid),)) + sid + _U32.pack(count) + section
     if len(payload) > MAX_FRAME_BYTES:
         raise ProtocolError(f"frame exceeds {MAX_FRAME_BYTES} bytes")
     return BIN_HEADER.pack(
@@ -504,21 +367,19 @@ class BinFeedFrame:
     """Parsed v2 binary ``feed`` request.
 
     ``section`` stays encoded (possibly deflated) until the server
-    knows the session's width: :meth:`raw_lanes` /
-    :meth:`interned_parts` inflate, length-check and bit-validate —
-    raw resolution runs in the drain executor, off the event loop.
+    knows the session's width: :meth:`raw_lanes` inflates,
+    length-checks and bit-validates it in the drain executor, off the
+    event loop.
     """
 
     session: str
     count: int
-    interned: bool
     deflated: bool
-    base_epoch: int
-    new_rows: int
     section: bytes
 
-    def _section_bytes(self, expected: int) -> bytes:
-        """The section at its exact expected inflated size, or raise."""
+    def raw_lanes(self, width: int) -> np.ndarray:
+        """Resolve the section into validated ``(count, L)`` lanes."""
+        expected = self.count * lane_count(width) * 8
         data = self.section
         if self.deflated:
             try:
@@ -538,37 +399,7 @@ class BinFeedFrame:
                 f"feed section holds {len(data)} bytes, "
                 f"expected {expected}"
             )
-        return data
-
-    def raw_lanes(self, width: int) -> np.ndarray:
-        """Resolve a raw frame into validated ``(count, L)`` lanes."""
-        L = lane_count(width)
-        raw = self._section_bytes(self.count * L * 8)
-        return lanes_from_bytes(raw, self.count, width)
-
-    def interned_parts(self, width: int):
-        """Resolve an interned frame into ``(new_lanes, ids)``.
-
-        ``new_lanes`` is the validated ``(new_rows, L)`` matrix of
-        first-seen rows, ``ids`` the ``(count,)`` connection-local id
-        row (each below ``base_epoch + new_rows``).
-        """
-        L = lane_count(width)
-        dtype = _id_dtype(self.base_epoch + self.new_rows)
-        lane_bytes = self.new_rows * L * 8
-        id_bytes = self.count * int(dtype[-1])
-        data = self._section_bytes(lane_bytes + id_bytes)
-        new_lanes = lanes_from_bytes(
-            data[:lane_bytes], self.new_rows, width
-        )
-        ids = np.frombuffer(data[lane_bytes:], dtype=dtype)
-        top = self.base_epoch + self.new_rows
-        if ids.size and int(ids.max()) >= top:
-            raise ProtocolError(
-                f"interned feed references id {int(ids.max())}, table "
-                f"holds {top}"
-            )
-        return new_lanes, ids
+        return lanes_from_bytes(data, self.count, width)
 
 
 def parse_bin_feed(
@@ -587,10 +418,8 @@ def parse_bin_feed(
     """
     if opcode != BIN_OP_FEED:
         raise ProtocolError(f"unknown binary opcode {opcode}")
-    if flags & ~_BIN_KNOWN_FLAGS:
+    if flags & ~BIN_FLAG_DEFLATE:
         raise ProtocolError(f"unknown binary flags {flags:#04x}")
-    interned = bool(flags & BIN_FLAG_INTERNED)
-    deflated = bool(flags & BIN_FLAG_DEFLATE)
     head = 1
     if len(payload) < head:
         raise ProtocolError("binary feed payload is truncated")
@@ -615,27 +444,10 @@ def parse_bin_feed(
             f"feed.count {count} exceeds the server chunk limit "
             f"{max_chunk_steps}"
         )
-    base_epoch = new_rows = 0
-    if interned:
-        if len(payload) < head + 8:
-            raise ProtocolError("binary feed payload is truncated")
-        base_epoch, new_rows = _U32x2.unpack_from(payload, head)
-        head += 8
-        if base_epoch + new_rows > MAX_CLIENT_ARENA:
-            raise ProtocolError(
-                f"interned table would exceed {MAX_CLIENT_ARENA} rows"
-            )
-        if new_rows > count:
-            raise ProtocolError(
-                "interned feed declares more new rows than steps"
-            )
     return BinFeedFrame(
         session=session,
         count=int(count),
-        interned=interned,
-        deflated=deflated,
-        base_epoch=int(base_epoch),
-        new_rows=int(new_rows),
+        deflated=bool(flags & BIN_FLAG_DEFLATE),
         section=payload[head:],
     )
 

@@ -38,6 +38,7 @@ import asyncio
 import sys
 import threading
 import time
+import traceback
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -45,7 +46,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.switches import SwitchUniverse
-from repro.engine.intern import InternedChunk, arena_for
 from repro.obs.expo import MetricsHTTPServer, render_exposition
 from repro.obs.trace import TraceRecorder
 from repro.serve.protocol import (
@@ -165,57 +165,6 @@ class _EncodedChunk:
 
     def resolve(self) -> np.ndarray:
         return self._resolve()
-
-
-class _IdMap:
-    """Connection-local arena ids -> global arena ids, one width.
-
-    A client numbers its interned rows 0, 1, 2, ... in send order; the
-    server appends each frame's first-seen rows to the process-global
-    :class:`~repro.engine.intern.MaskArena` and records the resulting
-    global ids here, so later frames' id rows translate with one
-    fancy-indexed gather.  ``len`` is the replicated client epoch —
-    every interned frame must arrive with exactly this base epoch.
-    """
-
-    __slots__ = ("_map", "_n")
-
-    def __init__(self):
-        self._map = np.empty(256, dtype=np.uint32)
-        self._n = 0
-
-    def __len__(self) -> int:
-        return self._n
-
-    def extend(self, global_ids: np.ndarray) -> None:
-        need = self._n + global_ids.shape[0]
-        if need > self._map.shape[0]:
-            grown = np.empty(
-                max(need, 2 * self._map.shape[0]), dtype=np.uint32
-            )
-            grown[: self._n] = self._map[: self._n]
-            self._map = grown
-        self._map[self._n : need] = global_ids
-        self._n = need
-
-    def translate(self, ids: np.ndarray) -> np.ndarray:
-        return np.ascontiguousarray(self._map[: self._n][ids])
-
-
-class _ConnState:
-    """Per-connection wire state: one client-arena id map per width."""
-
-    __slots__ = ("idmaps",)
-
-    def __init__(self):
-        self.idmaps: dict[int, _IdMap] = {}
-
-    def idmap(self, width: int) -> _IdMap:
-        try:
-            return self.idmaps[width]
-        except KeyError:
-            self.idmaps[width] = made = _IdMap()
-            return made
 
 
 @dataclass
@@ -418,10 +367,11 @@ class StreamServer:
         return host, port
 
     @property
-    def metrics_address(self) -> tuple[str, int]:
-        """The bound (host, port) of the ``GET /metrics`` endpoint."""
+    def metrics_address(self) -> tuple[str, int] | None:
+        """The bound (host, port) of the ``GET /metrics`` endpoint, or
+        ``None`` when the telemetry plane is off."""
         if self._metrics_http is None:
-            raise RuntimeError("metrics endpoint is not enabled")
+            return None
         return self._metrics_http.address
 
     async def stop(self) -> None:
@@ -542,9 +492,6 @@ class StreamServer:
         failed: dict[str, Exception] = {}
         decode: dict[str, float] = {}
         for sid, payload in chunks.items():
-            if not isinstance(payload, _EncodedChunk):
-                resolved[sid] = payload
-                continue
             t0 = time.perf_counter()
             try:
                 resolved[sid] = payload.resolve()
@@ -634,7 +581,6 @@ class StreamServer:
         and TCP flow control carries the backpressure home.
         """
         loop = asyncio.get_running_loop()
-        conn = _ConnState()
         replies: asyncio.Queue = asyncio.Queue(maxsize=self.config.pipeline)
         sender = loop.create_task(self._reply_sender(replies, send))
         try:
@@ -652,14 +598,9 @@ class StreamServer:
                 self.counters.bump("frames")
                 proto = "bin" if kind == "bin" else "json"
                 try:
-                    finish = await self._stage(conn, kind, payload)
-                except ProtocolError as exc:
-                    self.counters.bump("protocol_errors")
-                    finish = _ready(error_frame(str(exc)))
-                except (KeyError, ValueError, RuntimeError) as exc:
-                    self.counters.bump("errors")
-                    message = exc.args[0] if exc.args else str(exc)
-                    finish = _ready(error_frame(str(message)))
+                    finish = await self._stage(kind, payload)
+                except Exception as exc:  # noqa: BLE001 - reply, don't die
+                    finish = _ready(self._error_reply(exc))
                 await replies.put((proto, finish))
         finally:
             await replies.put(None)
@@ -681,13 +622,8 @@ class StreamServer:
             proto, finish = item
             try:
                 reply = await finish
-            except ProtocolError as exc:
-                self.counters.bump("protocol_errors")
-                reply = error_frame(str(exc))
-            except (KeyError, ValueError, RuntimeError) as exc:
-                self.counters.bump("errors")
-                message = exc.args[0] if exc.args else str(exc)
-                reply = error_frame(str(message))
+            except Exception as exc:  # noqa: BLE001 - reply, don't die
+                reply = self._error_reply(exc)
             if broken:
                 continue
             data = encode_frame(reply)
@@ -698,6 +634,26 @@ class StreamServer:
             else:
                 self.pool.metrics.record_wire(proto, bytes_out=len(data))
 
+    def _error_reply(self, exc: Exception) -> dict:
+        """Count a failed request and build its error reply.
+
+        Protocol violations count as ``protocol_errors``; anything else
+        — unknown sessions, bad parameters, an unexpected exception out
+        of a shard — counts as ``errors``.  Either way the connection
+        gets a reply and keeps serving; an exception of a type no
+        request path raises on purpose also logs its traceback.
+        """
+        if isinstance(exc, ProtocolError):
+            self.counters.bump("protocol_errors")
+            return error_frame(str(exc))
+        self.counters.bump("errors")
+        if not isinstance(exc, (KeyError, ValueError, RuntimeError)):
+            print("[repro.serve] unexpected error in a request:",
+                  file=sys.stderr)
+            traceback.print_exception(exc, file=sys.stderr)
+        message = exc.args[0] if exc.args else type(exc).__name__
+        return error_frame(str(message))
+
     async def _read_frame(self, reader):
         """One frame off the wire.
 
@@ -707,48 +663,47 @@ class StreamServer:
         their magic byte — 0xA7 can never open a JSON line — so both
         protocol generations share one socket.
         """
-        try:
-            first = await reader.readexactly(1)
-        except (asyncio.IncompleteReadError, ConnectionResetError):
-            return None
-        if first[0] == BIN_MAGIC:
+        while True:
             try:
-                header = first + await reader.readexactly(
-                    BIN_HEADER.size - 1
-                )
-            except asyncio.IncompleteReadError:
+                first = await reader.readexactly(1)
+            except (asyncio.IncompleteReadError, ConnectionResetError):
                 return None
-            _magic, version, opcode, flags, length = BIN_HEADER.unpack(
-                header
-            )
-            if version != BIN_VERSION:
-                return "fatal", (
-                    f"unsupported binary protocol version {version}"
-                )
-            if length > MAX_FRAME_BYTES:
+            if first[0] == BIN_MAGIC:
+                return await self._read_bin_frame(reader, first)
+            if first == b"\n":
+                continue
+            try:
+                line = first + await reader.readline()
+            except (asyncio.LimitOverrunError, ValueError):
                 return "fatal", f"frame exceeds {MAX_FRAME_BYTES} bytes"
-            try:
-                payload = await reader.readexactly(length)
-            except asyncio.IncompleteReadError:
-                return None
-            self.pool.metrics.record_wire(
-                "bin", frames_in=1, bytes_in=BIN_HEADER.size + length
-            )
-            return "bin", (opcode, flags, payload)
-        if first == b"\n":
-            return await self._read_frame(reader)
-        try:
-            line = first + await reader.readline()
-        except (asyncio.LimitOverrunError, ValueError):
-            return "fatal", f"frame exceeds {MAX_FRAME_BYTES} bytes"
-        if not line.strip():
-            return await self._read_frame(reader)
+            if line.strip():
+                break
         self.pool.metrics.record_wire(
             "json", frames_in=1, bytes_in=len(line)
         )
         return "json", line
 
-    async def _stage(self, conn: _ConnState, kind: str, payload):
+    async def _read_bin_frame(self, reader, first: bytes):
+        """The rest of a binary frame whose magic byte was ``first``."""
+        try:
+            header = first + await reader.readexactly(BIN_HEADER.size - 1)
+        except asyncio.IncompleteReadError:
+            return None
+        _magic, version, opcode, flags, length = BIN_HEADER.unpack(header)
+        if version != BIN_VERSION:
+            return "fatal", f"unsupported binary protocol version {version}"
+        if length > MAX_FRAME_BYTES:
+            return "fatal", f"frame exceeds {MAX_FRAME_BYTES} bytes"
+        try:
+            payload = await reader.readexactly(length)
+        except asyncio.IncompleteReadError:
+            return None
+        self.pool.metrics.record_wire(
+            "bin", frames_in=1, bytes_in=BIN_HEADER.size + length
+        )
+        return "bin", (opcode, flags, payload)
+
+    async def _stage(self, kind: str, payload):
         """Parse and admit one frame in read order; return the
         awaitable that produces its reply.
 
@@ -764,7 +719,7 @@ class StreamServer:
                     "binary frames are disabled (server runs "
                     "--proto json)"
                 )
-            return await self._stage_bin_feed(conn, opcode, flags, data)
+            return await self._stage_bin_feed(opcode, flags, data)
         frame = parse_request(
             decode_frame(payload),
             max_chunk_steps=self.config.max_chunk_steps,
@@ -837,39 +792,14 @@ class StreamServer:
         )
         return self._finish_feed(frame.session, future, _echo(frame))
 
-    async def _stage_bin_feed(
-        self, conn: _ConnState, opcode: int, flags: int, data: bytes
-    ):
+    async def _stage_bin_feed(self, opcode: int, flags: int, data: bytes):
         self.counters.bump("feeds")
         bframe = parse_bin_feed(
             opcode, flags, data,
             max_chunk_steps=self.config.max_chunk_steps,
         )
         width, shard = self._session_of(bframe.session)
-        if bframe.interned:
-            # Interned sections are small (first-seen rows plus an id
-            # row) and ordering-critical — the global-arena append and
-            # the id map must advance in frame order — so they resolve
-            # at stage time, not in the drain executor.
-            t0 = time.perf_counter()
-            new_lanes, ids = bframe.interned_parts(width)
-            idmap = conn.idmap(width)
-            if bframe.base_epoch != len(idmap):
-                raise ProtocolError(
-                    f"interned feed base epoch {bframe.base_epoch} does "
-                    f"not match the connection's table "
-                    f"({len(idmap)} rows)"
-                )
-            if new_lanes.shape[0]:
-                idmap.extend(arena_for(width).intern_rows(new_lanes))
-            lanes = InternedChunk(width, idmap.translate(ids))
-            self.pool.metrics.record_wire(
-                "bin", decode_seconds=time.perf_counter() - t0
-            )
-        else:
-            lanes = _EncodedChunk(
-                "bin", lambda: bframe.raw_lanes(width)
-            )
+        lanes = _EncodedChunk("bin", lambda: bframe.raw_lanes(width))
         future = await self._enqueue_feed(bframe.session, shard, lanes)
         return self._finish_feed(bframe.session, future, {})
 

@@ -43,7 +43,6 @@ import numpy as np
 
 from repro.core.switches import SwitchUniverse
 from repro.engine.batch import SHARED_LANES_MIN_BYTES, _attach_shared
-from repro.engine.intern import InternedChunk, arena_for, arena_stats
 from repro.engine.metrics import DETERMINISTIC_FAMILIES, EngineMetrics
 from repro.engine.stream import StreamBatch, StreamHub
 from repro.obs.histogram import HistogramFamily
@@ -196,18 +195,10 @@ def _shard_worker(conn):  # pragma: no cover - exercised in a child process
                     scheduler, universe, w, session_id=session_id
                 )))
             elif op == "feed_many":
-                _op, chunks, interned, deltas = msg
-                # Extend the replica arenas *before* any chunk resolves:
-                # the parent ships exactly the rows appended since this
-                # shard's last synced epoch (rows inherited on fork
-                # overlap the first delta and are skipped).
-                for width, (upto, rows) in deltas.items():
-                    arena_for(width).extend_to(upto, rows)
+                _op, chunks = msg
                 shm = None
                 if isinstance(chunks, _SharedChunks):
                     chunks, shm = chunks.materialize()
-                if interned:
-                    chunks = {**chunks, **interned}
                 try:
                     batches = hub.feed_many(chunks)
                 finally:
@@ -257,10 +248,6 @@ class _ProcShard:
         self._proc.start()
         child.close()
         self.lock = threading.Lock()
-        #: width -> highest global-arena epoch this worker's replica
-        #: has been extended to (per-shard calls are serialized — one
-        #: drainer per shard — so read-then-ship is race-free).
-        self.synced: dict[int, int] = {}
 
     def _call(self, *msg):
         with self.lock:
@@ -274,10 +261,8 @@ class _ProcShard:
     def open(self, scheduler, universe, w, session_id):
         return self._call("open", scheduler, universe, w, session_id)
 
-    def feed_many(self, chunks, interned=None, deltas=None):
-        return self._call(
-            "feed_many", chunks, interned or {}, deltas or {}
-        )
+    def feed_many(self, chunks):
+        return self._call("feed_many", chunks)
 
     def finish(self, session_id) -> OnlineRun:
         return self._call("finish", session_id)
@@ -461,9 +446,9 @@ class ShardPool:
         if worker.kind != "proc":
             out, fused = worker.feed_many(chunks)
         else:
-            payload, interned, deltas, shm = self._pack_cycle(worker, chunks)
+            payload, shm = self._pack_cycle(chunks)
             try:
-                out, fused = worker.feed_many(payload, interned, deltas)
+                out, fused = worker.feed_many(payload)
             finally:
                 if shm is not None:
                     shm.close()
@@ -478,57 +463,22 @@ class ShardPool:
             )
         return out
 
-    def _arena_deltas(self, worker, interned):
-        """Rows the worker's replica arenas are missing for ``interned``.
-
-        The ids in an :class:`InternedChunk` were minted at stage time,
-        so every referenced row sits below the arena's *current* epoch;
-        shipping ``snapshot_since(synced)`` therefore covers them all.
-        Per-shard serialization (one drainer per shard) makes the
-        read-advance of ``worker.synced`` race-free.
-        """
-        deltas = {}
-        for width in {c.width for c in interned.values()}:
-            synced = worker.synced.get(width, 0)
-            upto, rows = arena_for(width).snapshot_since(synced)
-            if upto > synced:
-                deltas[width] = (upto, rows)
-                worker.synced[width] = upto
-        return deltas
-
-    def _pack_cycle(self, worker, chunks):
+    def _pack_cycle(self, chunks):
         """Pick the pipe payload for one process-shard drain cycle.
 
-        Returns ``(payload, interned, deltas, shm)``: the non-interned
-        chunks (a dict or one :class:`_SharedChunks` handle), the
-        interned chunks (ids only — the arena deltas carry any rows the
-        replica is missing), and the shared segment to unlink, if any.
+        Returns ``(payload, shm)``: the chunks (a dict or one
+        :class:`_SharedChunks` handle) and the shared segment to
+        unlink, if any.
         """
-        interned = {
-            sid: chunk for sid, chunk in chunks.items()
-            if isinstance(chunk, InternedChunk)
-        }
-        rest = {
-            sid: chunk for sid, chunk in chunks.items()
-            if sid not in interned
-        }
-        deltas = self._arena_deltas(worker, interned)
-        if interned:
-            self.metrics.record_shipment(shipped=(
-                sum(c.ids.nbytes for c in interned.values())
-                + sum(rows.nbytes for _upto, rows in deltas.values())
-            ))
-        if not rest:
-            return {}, interned, deltas, None
         lane_chunks = {
             sid: np.ascontiguousarray(lanes, dtype=np.uint64)
-            for sid, lanes in rest.items()
+            for sid, lanes in chunks.items()
             if isinstance(lanes, np.ndarray) and lanes.ndim == 2
         }
-        if len(lane_chunks) != len(rest):
+        if len(lane_chunks) != len(chunks):
             # Mixed mask-list input: pickle the lot (CLI convenience
             # path; the server always feeds decoded lanes).
-            return rest, interned, deltas, None
+            return chunks, None
         nbytes = sum(lanes.nbytes for lanes in lane_chunks.values())
         share = (
             self.shared_lanes
@@ -537,17 +487,17 @@ class ShardPool:
         )
         if not share:
             self.metrics.record_shipment(shipped=nbytes)
-            return lane_chunks, interned, deltas, None
+            return lane_chunks, None
         try:
             handle, shm = _SharedChunks.publish(lane_chunks)
         except Exception:  # pragma: no cover - no /dev/shm etc.
             self.metrics.record_shipment(shipped=nbytes)
-            return lane_chunks, interned, deltas, None
+            return lane_chunks, None
         self.metrics.record_shipment(
             shipped=len(pickle.dumps(handle, pickle.HIGHEST_PROTOCOL)),
             shared=nbytes,
         )
-        return handle, interned, deltas, shm
+        return handle, shm
 
     def feed_many(self, chunks) -> dict[str, BatchSummary]:
         """Serve one chunk per session, shards advanced concurrently.
@@ -653,7 +603,6 @@ class ShardPool:
             },
             "shards": shards,
             "sessions": sum(occupancy),
-            "arenas": arena_stats(),
         }
 
     def close(self) -> None:

@@ -15,17 +15,6 @@ from repro.shyra.tasks import shyra_task_system, shyra_universe
 from repro.shyra.trace import run_and_trace
 
 
-@pytest.fixture(autouse=True)
-def _fresh_arenas():
-    """The global mask-intern arenas are process-wide state; every test
-    starts from empty tables so arena epochs are deterministic."""
-    from repro.engine.intern import reset_arenas
-
-    reset_arenas()
-    yield
-    reset_arenas()
-
-
 @pytest.fixture(scope="session")
 def small_universe() -> SwitchUniverse:
     return SwitchUniverse.of_size(8)

@@ -1,22 +1,22 @@
-"""Wire protocol v2: binary frames, intern arenas, negotiation.
+"""Wire protocol v2: binary frames and negotiation.
 
 Three layers of pinning:
 
 * **golden frames** (``tests/data/wire_v1_frames.jsonl``,
-  ``wire_v2_raw.bin``, ``wire_v2_interned.bin``) — the byte-exact wire
-  form of canonical v1 and v2 frames.  Re-encoding the same inputs must
-  reproduce the stored bytes bit for bit (a codec change that silently
-  breaks old clients fails here first).  The binary fixtures are
+  ``wire_v2_raw.bin``) — the byte-exact wire form of canonical v1 and
+  v2 frames.  Re-encoding the same inputs must reproduce the stored
+  bytes bit for bit (a codec change that silently breaks old clients
+  fails here first).  The binary fixtures are
   non-deflated on purpose: zlib output may vary across library
   versions, so compression is pinned by round-trip properties instead.
-* **property round-trips** — raw/interned × deflate binary frames
-  survive encode → parse → resolve across universe widths spanning
-  every lane-count boundary.
+* **property round-trips** — raw and deflated binary frames survive
+  encode → parse → resolve across universe widths spanning every
+  lane-count boundary.
 * **served behavior** — a v1-only client completes the full
   open/feed/close/stats flow against a v2 server unchanged; v2 clients
-  (raw, interned, deflated, pipelined) produce bit-identical costs to
-  the single-hub oracle over thread *and* process shard pools; epoch
-  drift and malformed binary frames earn error replies on a surviving
+  (raw, deflated, pipelined) produce bit-identical costs to the
+  single-hub oracle over thread *and* process shard pools; reserved
+  flags and malformed binary frames earn error replies on a surviving
   connection.
 """
 
@@ -28,20 +28,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.packed import lane_count, masks_to_lanes
+from repro.core.packed import masks_to_lanes
 from repro.core.switches import SwitchUniverse
-from repro.engine.intern import MaskArena, arena_for, arena_stats
 from repro.engine.stream import StreamSession
 from repro.serve.client import ServeClient
 from repro.serve.protocol import (
-    ARENA_PROBE_ROWS,
     BIN_FLAG_DEFLATE,
-    BIN_FLAG_INTERNED,
     BIN_HEADER,
     BIN_MAGIC,
     BIN_OP_FEED,
     BIN_VERSION,
-    ClientArena,
     ProtocolError,
     encode_feed_bin,
     encode_frame,
@@ -104,10 +100,6 @@ V1_FRAMES = [
 #: Masks behind the v2 fixtures (width 96 = two lanes per row).
 V2_WIDTH = 96
 V2_RAW_MASKS = [0b101, (1 << 95) | 0b11, 1 << 64]
-V2_INTERNED_CHUNKS = [
-    [0b111, 0b101, 0b111, (1 << 70) | 1],   # 3 fresh rows, one repeat
-    [0b101, 0b101, (1 << 70) | 1, 1 << 90],  # 1 fresh row, three hits
-]
 
 
 def v1_fixture_bytes() -> bytes:
@@ -117,20 +109,6 @@ def v1_fixture_bytes() -> bytes:
 def v2_raw_fixture_bytes() -> bytes:
     lanes = masks_to_lanes(V2_RAW_MASKS, V2_WIDTH)
     return encode_feed_bin("golden", lanes, V2_WIDTH, deflate=False)
-
-
-def v2_interned_fixture_bytes() -> bytes:
-    arena = ClientArena(V2_WIDTH)
-    return b"".join(
-        encode_feed_bin(
-            "golden",
-            masks_to_lanes(chunk, V2_WIDTH),
-            V2_WIDTH,
-            arena=arena,
-            deflate=False,
-        )
-        for chunk in V2_INTERNED_CHUNKS
-    )
 
 
 class TestGoldenFrames:
@@ -144,11 +122,6 @@ class TestGoldenFrames:
             v2_raw_fixture_bytes()
         )
 
-    def test_v2_interned_frames_byte_exact(self):
-        assert (DATA / "wire_v2_interned.bin").read_bytes() == (
-            v2_interned_fixture_bytes()
-        )
-
     def test_v2_raw_fixture_parses(self):
         ((opcode, flags, payload),) = _split_frames(
             (DATA / "wire_v2_raw.bin").read_bytes()
@@ -156,32 +129,11 @@ class TestGoldenFrames:
         assert opcode == BIN_OP_FEED and flags == 0
         frame = parse_bin_feed(opcode, flags, payload)
         assert frame.session == "golden"
-        assert not frame.interned and not frame.deflated
+        assert not frame.deflated
         lanes = frame.raw_lanes(V2_WIDTH)
         assert np.array_equal(
             lanes, masks_to_lanes(V2_RAW_MASKS, V2_WIDTH)
         )
-
-    def test_v2_interned_fixture_parses(self):
-        frames = _split_frames(
-            (DATA / "wire_v2_interned.bin").read_bytes()
-        )
-        assert len(frames) == 2
-        table = np.empty((0, lane_count(V2_WIDTH)), dtype=np.uint64)
-        for (opcode, flags, payload), chunk in zip(
-            frames, V2_INTERNED_CHUNKS
-        ):
-            assert flags == BIN_FLAG_INTERNED
-            frame = parse_bin_feed(opcode, flags, payload)
-            assert frame.base_epoch == table.shape[0]
-            new_lanes, ids = frame.interned_parts(V2_WIDTH)
-            table = np.concatenate([table, new_lanes])
-            assert np.array_equal(
-                table[ids], masks_to_lanes(chunk, V2_WIDTH)
-            )
-        # 3 fresh + 1 fresh distinct rows across the two chunks.
-        assert table.shape[0] == 4
-
 
 # ---------------------------------------------------------------------------
 # Property round-trips
@@ -200,41 +152,6 @@ class TestBinaryRoundTrip:
         assert frame.count == len(masks)
         assert frame.deflated == bool(flags & BIN_FLAG_DEFLATE)
         assert np.array_equal(frame.raw_lanes(width), lanes)
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        st.sampled_from(BOUNDARY_SIZES),
-        st.lists(
-            st.lists(
-                st.integers(min_value=0, max_value=7),
-                min_size=1,
-                max_size=12,
-            ),
-            min_size=1,
-            max_size=5,
-        ),
-        st.sampled_from([None, False, True]),
-    )
-    def test_interned_sequence_round_trip(self, width, picks, deflate):
-        # Draw masks from a tiny pool so chunks actually repeat rows.
-        pool = [((1 << width) - 1) & ((i * 0x9E3779B9) | 1) for i in
-                range(8)]
-        chunks = [[pool[i] for i in chunk] for chunk in picks]
-        client = ClientArena(width)
-        table = np.empty((0, lane_count(width)), dtype=np.uint64)
-        for chunk in chunks:
-            lanes = masks_to_lanes(chunk, width)
-            wire = encode_feed_bin(
-                "s", lanes, width, arena=client, deflate=deflate
-            )
-            ((opcode, flags, payload),) = _split_frames(wire)
-            frame = parse_bin_feed(opcode, flags, payload)
-            assert flags & BIN_FLAG_INTERNED
-            assert frame.base_epoch == table.shape[0]
-            new_lanes, ids = frame.interned_parts(width)
-            table = np.concatenate([table, new_lanes])
-            assert np.array_equal(table[ids], lanes)
-        assert table.shape[0] == client.epoch <= 8
 
     def test_bad_section_length_rejected(self):
         lanes = masks_to_lanes([1, 2, 3], 8)
@@ -257,8 +174,10 @@ class TestBinaryRoundTrip:
         ((opcode, flags, payload),) = _split_frames(wire)
         with pytest.raises(ProtocolError, match="opcode"):
             parse_bin_feed(99, flags, payload)
-        with pytest.raises(ProtocolError, match="flags"):
-            parse_bin_feed(opcode, 0x80, payload)
+        # Bit 0 is reserved, like every bit but DEFLATE.
+        for flags in (0x80, 0x01, 0x01 | BIN_FLAG_DEFLATE):
+            with pytest.raises(ProtocolError, match="flags"):
+                parse_bin_feed(opcode, flags, payload)
 
     def test_corrupt_deflate_rejected(self):
         lanes = masks_to_lanes([1, 2, 3, 1, 2, 3], 8)
@@ -269,97 +188,6 @@ class TestBinaryRoundTrip:
         frame = parse_bin_feed(opcode, flags, broken)
         with pytest.raises(ProtocolError, match="deflate|expected"):
             frame.raw_lanes(8)
-
-
-class TestClientArena:
-    def test_dedup_and_epoch(self):
-        arena = ClientArena(8)
-        base, new_lanes, ids = arena.intern(
-            masks_to_lanes([3, 5, 3, 7], 8)
-        )
-        assert base == 0 and new_lanes.shape[0] == 3
-        assert list(ids) == [0, 1, 0, 2]
-        base, new_lanes, ids = arena.intern(masks_to_lanes([7, 9], 8))
-        assert base == 3 and new_lanes.shape[0] == 1
-        assert list(ids) == [2, 3]
-        assert arena.epoch == 4
-
-    def test_overflow_goes_raw(self):
-        arena = ClientArena(8, cap=2)
-        assert arena.intern(masks_to_lanes([1, 2, 3], 8)) is None
-        assert not arena.active
-        assert arena.epoch == 0  # nothing committed
-
-    def test_divergent_stream_gives_up(self):
-        arena = ClientArena(64)
-        lanes = masks_to_lanes(
-            list(range(1, ARENA_PROBE_ROWS + 1)), 64
-        )
-        assert arena.intern(lanes) is None
-        assert not arena.active
-        assert arena.intern(masks_to_lanes([1, 1], 64)) is None
-
-    def test_repetitive_stream_keeps_interning(self):
-        arena = ClientArena(64)
-        chunk = masks_to_lanes([1, 2, 3, 4] * 300, 64)
-        assert arena.intern(chunk) is not None
-        assert arena.active
-        assert arena.rows_seen == 1200 and arena.epoch == 4
-
-
-class TestMaskArena:
-    def test_intern_gather_round_trip(self):
-        arena = MaskArena(96)
-        masks = [0b101, 1 << 90, 0b101, 7]
-        ids = arena.intern_masks(masks)
-        assert arena.epoch == 3
-        assert list(ids) == [0, 1, 0, 2]
-        assert arena.masks_for(ids) == tuple(masks)
-        assert np.array_equal(
-            arena.rows(ids), masks_to_lanes(masks, 96)
-        )
-
-    def test_unknown_id_rejected(self):
-        arena = MaskArena(8)
-        arena.intern_masks([1])
-        with pytest.raises(KeyError, match="beyond epoch"):
-            arena.rows(np.array([1], dtype=np.uint32))
-
-    def test_snapshot_and_extend_replica_sync(self):
-        source, replica = MaskArena(8), MaskArena(8)
-        source.intern_masks([1, 2, 3])
-        upto, rows = source.snapshot_since(0)
-        replica.extend_to(upto, rows)
-        source.intern_masks([4, 2, 5])
-        upto2, rows2 = source.snapshot_since(upto)
-        assert rows2.shape[0] == 2  # only the fresh rows ship
-        replica.extend_to(upto2, rows2)
-        assert replica.epoch == source.epoch == 5
-        assert replica.masks_for(range(5)) == source.masks_for(range(5))
-
-    def test_extend_overlap_skips_and_gap_rejected(self):
-        source, replica = MaskArena(8), MaskArena(8)
-        source.intern_masks([1, 2, 3, 4])
-        upto, rows = source.snapshot_since(0)
-        # Fork-style overlap: replica already holds a prefix, so the
-        # delta's first two rows must be skipped, not duplicated.
-        replica.intern_masks([1, 2])
-        replica.extend_to(upto, rows)
-        assert replica.epoch == 4
-        assert replica.masks_for(range(4)) == (1, 2, 3, 4)
-        # Stale delta is a no-op.
-        replica.extend_to(upto, rows)
-        assert replica.epoch == 4
-        # A delta starting beyond the replica's epoch is a hard error.
-        gappy = MaskArena(8)
-        with pytest.raises(ValueError, match="arena gap"):
-            gappy.extend_to(6, rows)
-
-    def test_registry_is_per_width(self):
-        assert arena_for(8) is arena_for(8)
-        assert arena_for(8) is not arena_for(16)
-        arena_for(8).intern_masks([1, 2])
-        assert arena_stats() == {8: 2, 16: 0}
 
 
 # ---------------------------------------------------------------------------
@@ -443,32 +271,31 @@ class TestServedProtocolV2:
                 for sid in sids:
                     assert client.close_session(sid).cost == oracle_cost
 
-    def test_epoch_mismatch_rejected_connection_survives(self):
+    def test_reserved_flag_rejected_connection_survives(self, oracle_cost):
+        """A frame with flag bit 0 set earns an error reply and leaves
+        the session untouched: the raw feeds that follow on the same
+        connection are served to the oracle cost."""
         with ServerThread(ServeConfig(shards=1)) as (host, port):
             with ServeClient(host, port, proto="bin") as client:
-                sid = client.open(width=8, w=2.0)
-                client.feed(sid, [1, 2, 1])
-                # Forge an interned frame whose base epoch is ahead of
-                # the connection's table.
-                arena = ClientArena(8)
-                arena.intern(masks_to_lanes([9, 9, 9], 8))
-                rogue = encode_feed_bin(
-                    sid,
-                    masks_to_lanes([3, 3], 8),
-                    8,
-                    arena=arena,
-                    deflate=False,
+                sid = client.open(width=WIDTH, w=5.0)
+                rogue = bytearray(
+                    encode_feed_bin(
+                        sid,
+                        masks_to_lanes(TRACE[:45], WIDTH),
+                        WIDTH,
+                        deflate=False,
+                    )
                 )
-                client._send(rogue)
+                rogue[3] |= 0x01  # the header's flags byte
+                client._send(bytes(rogue))
                 reply = client._recv_reply()
                 assert not reply["ok"]
-                assert "base epoch" in reply["error"]
-                # The connection (and session) still work — the
-                # server's id map was not advanced by the rejected
-                # frame, so the client's real arena is still in sync.
-                assert client.stats()["ok"]
-                assert client.feed(sid, [1]).steps == 1
-                assert client.close_session(sid).steps == 4
+                assert "unknown binary flags" in reply["error"]
+                for lo in range(0, len(TRACE), 45):
+                    client.feed(sid, TRACE[lo : lo + 45])
+                closed = client.close_session(sid)
+                assert closed.steps == len(TRACE)
+                assert closed.cost == oracle_cost
 
     def test_malformed_binary_payload_rejected(self):
         with ServerThread(ServeConfig(shards=1)) as (host, port):
@@ -507,18 +334,3 @@ class TestServedProtocolV2:
             assert wire["bin"]["bytes_in"] > 0
             assert wire["json"]["frames_in"] >= 3  # open/close/stats
             assert wire["json"]["bytes_out"] > 0
-
-    def test_server_arena_shared_across_connections(self):
-        """Two connections interning the same masks share global rows."""
-        with ServerThread(ServeConfig(shards=1)) as (host, port):
-            for _ in range(2):
-                with ServeClient(
-                    host, port, proto="bin", deflate=False
-                ) as client:
-                    sid = client.open(width=24, w=3.0)
-                    client.feed(sid, [1, 2, 3, 1])
-                    client.close_session(sid)
-            with ServeClient(host, port) as probe:
-                arenas = probe.stats()["arenas"]
-            # Same three distinct rows from both connections.
-            assert arenas == {"24": 3}

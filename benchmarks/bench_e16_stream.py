@@ -411,6 +411,122 @@ def test_bench_stream_fused_hub(
     assert speedup >= min_speedup
 
 
+#: Kernel crossover grid: stack sizes × chunk lengths at which the
+#: epoch kernel and per-cursor ``step_many`` are timed against each
+#: other (``SMALL_STACK_SESSIONS`` is set from this table).
+CROSSOVER_SESSIONS = (4, 8, 16, 32)
+CROSSOVER_CHUNKS = (64, 256)
+
+
+@pytest.mark.parametrize("regime", ["calm", "hectic"])
+def test_bench_kernel_crossover(
+    benchmark, smoke, bench_artifact, monkeypatch, regime
+):
+    """Epoch kernel vs per-cursor ``step_many`` across (S, C).
+
+    ``sweep_many`` hands a group of at most ``SMALL_STACK_SESSIONS``
+    sessions to one ``step_many`` call per cursor instead of the epoch
+    kernel.  This grid times both plans on the same rent-or-buy fleet
+    of ``S`` sessions fed ``C``-step chunks: the threshold is pinned to
+    0 (always the kernel) and to ``S`` (always ``step_many``), best of
+    a few alternating runs each.  A calm fleet drifts every 600 steps,
+    a hectic one every 48, staggered per session.  Both plans must
+    produce identical costs; the ``speedup`` column (kernel over
+    ``step_many``) locates the crossover.
+    """
+    from repro.solvers import online
+
+    width = 96
+    w = float(width)
+    phase = 600 if regime == "calm" else 48
+    cell_steps = 2**13 if smoke else 2**17
+    reps = 2 if smoke else 5
+    universe = SwitchUniverse.of_size(width)
+    smax = max(CROSSOVER_SESSIONS)
+
+    def rounds_for(S, chunk):
+        return max(2, cell_steps // (S * chunk))
+
+    # Session s needs enough steps for every cell whose stack holds it.
+    need = [
+        max(
+            chunk * (rounds_for(S, chunk) + 1)
+            for S in CROSSOVER_SESSIONS if S > s
+            for chunk in CROSSOVER_CHUNKS
+        )
+        for s in range(smax)
+    ]
+    lanes = [
+        masks_to_lanes(
+            _drifting_masks(
+                width, need[s], seed=s, phase=phase,
+                offset=(s * 131) % phase,
+            ),
+            width,
+        )
+        for s in range(smax)
+    ]
+
+    def run(S, chunk, threshold):
+        monkeypatch.setattr(online, "SMALL_STACK_SESSIONS", threshold)
+        rounds = rounds_for(S, chunk)
+        hub = StreamHub()
+        sids = [
+            hub.open(
+                RentOrBuyScheduler(w, alpha=2.0, memory=8), universe, w
+            )
+            for _ in range(S)
+        ]
+        hub.feed_many({sid: lanes[s][:chunk] for s, sid in enumerate(sids)})
+        t0 = time.perf_counter()
+        for r in range(1, rounds + 1):
+            lo = r * chunk
+            hub.feed_many({
+                sid: lanes[s][lo:lo + chunk] for s, sid in enumerate(sids)
+            })
+        elapsed = time.perf_counter() - t0
+        costs = [hub.finish(sid).cost for sid in sids]
+        return S * chunk * rounds / elapsed, costs
+
+    rows = []
+    table = []
+    for chunk in CROSSOVER_CHUNKS:
+        for S in CROSSOVER_SESSIONS:
+            fused = per_cursor = 0.0
+            for _rep in range(reps):
+                rate, fused_costs = run(S, chunk, 0)
+                fused = max(fused, rate)
+                rate, solo_costs = run(S, chunk, S)
+                per_cursor = max(per_cursor, rate)
+            assert fused_costs == solo_costs
+            rows.append({
+                "regime": regime,
+                "sessions": S,
+                "chunk": chunk,
+                "rounds": rounds_for(S, chunk),
+                "fused_steps_per_s": fused,
+                "per_cursor_steps_per_s": per_cursor,
+                "speedup": fused / per_cursor,
+            })
+            table.append([
+                S, chunk, f"{fused:,.0f}", f"{per_cursor:,.0f}",
+                f"{fused / per_cursor:.2f}×",
+            ])
+
+    benchmark.pedantic(
+        lambda: run(4, 64, 0), iterations=1, rounds=1
+    )
+    bench_artifact.record("e16", "kernel_crossover", rows)
+    print()
+    print(format_table(
+        ["sessions", "chunk", "kernel steps/s", "step_many steps/s",
+         "speedup"],
+        table,
+        title=f"E16: epoch kernel vs per-cursor step_many ({regime}, "
+              f"rent-or-buy, drift every {phase} steps)",
+    ))
+
+
 def test_bench_scan_bounds_sweep(benchmark, smoke, bench_artifact):
     """Galloping-scan bound sweep — tune the fallback path with data.
 

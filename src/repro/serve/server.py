@@ -15,10 +15,13 @@ over stdin/stdout) and turns newline-delimited JSON frames
   :meth:`~repro.serve.shard.ShardPool.feed_shard` call per drain
   cycle.  Under load, frames that arrive while a cycle runs coalesce
   into the next one — the batch size adapts to the backlog;
-* **backpressure** — the queues are bounded (``queue_depth``); when a
-  shard falls behind, ``feed`` frames wait in the reader coroutine,
-  TCP flow control propagates the stall to the client, and memory
-  stays bounded;
+* **backpressure** — one bound, ``queue_depth``, caps both each
+  shard queue and each connection's staged-but-unanswered replies;
+  when a shard falls behind or a client stops reading, ``feed`` frames
+  wait in the reader coroutine, TCP flow control propagates the stall
+  to the client, and memory stays bounded.  A pipelined burst of up to
+  ``queue_depth`` frames is staged whole, so it is swept in one drain
+  cycle;
 * **ordering** — ``close`` travels through the same shard queue as a
   barrier, so a session's pending feeds are always served before its
   run is finished and validated.
@@ -105,10 +108,6 @@ class ServeConfig:
     #: clients that ask for it; ``"json"`` declines v2 on ``open`` and
     #: rejects binary frames outright (debugging / packet capture).
     proto: str = "auto"
-    #: Per-connection cap on staged-but-unanswered frames.  Pipelined
-    #: clients keep up to this many requests in flight before the
-    #: reader stalls and TCP backpressure reaches the sender.
-    pipeline: int = 32
 
     def __post_init__(self):
         if self.shards < 1:
@@ -135,8 +134,6 @@ class ServeConfig:
             raise ValueError("trace_capacity must be non-negative")
         if self.proto not in ("auto", "json"):
             raise ValueError('proto must be "auto" or "json"')
-        if self.pipeline < 1:
-            raise ValueError("pipeline must be at least 1")
 
 
 def _echo(frame) -> dict:
@@ -576,12 +573,17 @@ class StreamServer:
         event loop — feed/close land in their shard queue here, so
         per-session order survives pipelining — while a sender task
         writes replies in the same order as their requests.  The reply
-        queue is bounded by ``config.pipeline``: a client that fires
-        frames faster than they resolve eventually stalls the reader,
-        and TCP flow control carries the backpressure home.
+        queue is bounded by ``config.queue_depth``, the same bound as a
+        shard queue: a pipelined burst that fits a shard queue is staged
+        whole and lands in one drain cycle, while a client that fires
+        frames faster than it reads replies stalls the reader after
+        about ``queue_depth`` staged frames, and TCP flow control
+        carries the backpressure home.
         """
         loop = asyncio.get_running_loop()
-        replies: asyncio.Queue = asyncio.Queue(maxsize=self.config.pipeline)
+        replies: asyncio.Queue = asyncio.Queue(
+            maxsize=self.config.queue_depth
+        )
         sender = loop.create_task(self._reply_sender(replies, send))
         try:
             while True:

@@ -218,71 +218,225 @@ def _stack_rows(cursors, attr: str, S: int, L: int) -> np.ndarray:
     return np.stack([getattr(c, attr) for c in cursors])
 
 
-def _gather_windows(
-    cursors, block: np.ndarray, rows: np.ndarray, t: np.ndarray,
-    H: int, window: np.ndarray,
-) -> np.ndarray:
-    """Working-set window union ending at each trigger step.
+def _lane_popcount(x: np.ndarray) -> np.ndarray:
+    """Popcount of each ``(..., L)`` lane row as int64 ``(...)``.
 
-    Each install's estimate is the OR over chunk steps ``t-H .. t``.
-    Triggers at least ``H`` columns into the chunk gather their whole
-    window off ``block`` in one vectorized pass (``window`` is
-    ``arange(H + 1)``); triggers nearer the front reach into the
-    session's pre-chunk stream history row by row — sessions younger
-    than ``H`` steps clamp exactly like the scalar cursors.  Building
-    only the windows that actually install keeps quiet sweeps free of
-    the ``(S, H + Cmax, L)`` history-prefixed block they would never
-    read.
+    Adds one lane slab at a time: NumPy reduces a short trailing axis
+    one tiny inner loop per row, several times slower than ``L`` slab
+    adds at the lane widths streams use.
     """
-    L = block.shape[2]
-    if H == 0:
-        return block[rows, t]
-    ws = np.empty((rows.size, L), dtype=np.uint64)
-    front = t < H
-    inner = ~front
-    if inner.any():
-        r2 = rows[inner]
-        t2 = t[inner]
-        ws[inner] = np.bitwise_or.reduce(
-            block[r2[:, None], (t2 - H)[:, None] + window], axis=1
-        )
-    for j in np.flatnonzero(front):
-        s = int(rows[j])
-        tj = int(t[j])
-        acc = np.bitwise_or.reduce(block[s, : tj + 1], axis=0)
-        tail = cursors[s].stream.tail_rows(H - tj)
-        if tail.shape[0]:
-            acc = acc | np.bitwise_or.reduce(tail, axis=0)
-        ws[j] = acc
-    return ws
+    counts = popcount_u64(x)
+    total = counts[..., 0].astype(np.int64)
+    for lane in range(1, x.shape[-1]):
+        total += counts[..., lane]
+    return total
 
 
-def _assemble_installs(
-    inst_sess: list, inst_step: list, inst_lanes: list, S: int, L: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Flatten per-epoch install records into session-major step order."""
-    if not inst_sess:
-        return (
-            np.zeros((0, L), dtype=np.uint64),
-            np.zeros(S, dtype=np.int64),
+def _escapes(acc: np.ndarray, cur: np.ndarray) -> np.ndarray:
+    """``(A, span)`` bool: the ``(A, span, L)`` rows have a bit outside
+    each row's ``(A, L)`` hypercontext (lane by lane, see
+    :func:`_lane_popcount`)."""
+    out = acc[..., 0] & ~cur[:, None, 0]
+    for lane in range(1, acc.shape[-1]):
+        out |= acc[..., lane] & ~cur[:, None, lane]
+    return out != 0
+
+
+class _EpochSweep:
+    """Struct-of-arrays state shared by both ``sweep_many`` kernels.
+
+    Holds every session's frozen hypercontext (``cur``/``cur_size``),
+    its resume offset ``pos`` into the stacked ``(S, Cmax, L)`` block
+    and the install records; the kernels only supply their policy's
+    trigger test.  Each epoch reads one window per live row, starting
+    at the row's *own* offset — no row pays for another row's dead
+    prefix — and the per-step ``sizes`` are filled once at the end, by
+    forward-filling the install records, instead of scattered epoch by
+    epoch.
+    """
+
+    def __init__(self, cursors, block: np.ndarray, lengths, history: int):
+        S, Cmax, L = block.shape
+        self.cursors = cursors
+        self.block = block
+        self.flat = block.reshape(S * Cmax, L)
+        self.lengths = _sweep_lengths(S, Cmax, lengths)
+        self.H = history
+        self.window = np.arange(history + 1)
+        self.cur = _stack_rows(cursors, "_cur", S, L)
+        self.cur_size = np.fromiter(
+            (c._cur_size for c in cursors), count=S, dtype=np.int64
         )
-    sess = np.concatenate(inst_sess)
-    steps = np.concatenate(inst_step)
-    lanes = np.concatenate(inst_lanes, axis=0)
-    order = np.lexsort((steps, sess))
-    counts = np.bincount(sess, minlength=S).astype(np.int64)
-    return lanes[order], counts
+        self.size0 = self.cur_size.copy()
+        self.n0 = np.fromiter(
+            (c.stream.n for c in cursors), count=S, dtype=np.int64
+        )
+        self.pos = np.zeros(S, dtype=np.int64)
+        self.active = self.pos < self.lengths
+        self.installs: list[tuple] = []
+        self.epochs = 0
+
+    def next_epoch(self, scan: int):
+        """Windows of the next epoch, or ``None`` once every chunk is
+        served.
+
+        Returns ``(a, pa, cols, sub, live, n)``: the live rows, their
+        offsets, the absolute chunk column of every window cell, the
+        ``(A, span, L)`` requirement windows, the live-cell mask
+        (``None`` when every cell is live) and each row's live cell
+        count.  ``span = min(scan, longest remainder)``; a row's dead
+        cells sit only past its chunk end, so prefix passes over a
+        window stay exact on its live cells and the kernels mask only
+        their trigger tests.  When every row shares one offset and
+        fills the window, ``sub`` is a view of the block.
+        """
+        a = np.flatnonzero(self.active)
+        if a.size == 0:
+            return None
+        self.epochs += 1
+        S, Cmax = self.block.shape[:2]
+        pa = self.pos[a]
+        la = self.lengths[a]
+        span = min(scan, int((la - pa).max()))
+        n = np.minimum(la - pa, span)
+        lo = int(pa[0])
+        steps = np.arange(span)
+        if bool((pa == lo).all()) and int(n.min()) == span:
+            hi = lo + span
+            sub = (
+                self.block[:, lo:hi] if a.size == S
+                else self.block[a, lo:hi]
+            )
+            return a, pa, lo + steps, sub, None, n
+        cols = pa[:, None] + steps
+        live = steps < n[:, None]
+        # Dead cells may run past a row's end (into the next row's
+        # cells or off the block); clip so the gather stays in bounds.
+        flat = np.minimum(a[:, None] * Cmax + cols, S * Cmax - 1)
+        return a, pa, cols, self.flat[flat], live, n
+
+    def split(self, a: np.ndarray, trigger: np.ndarray):
+        """(indices into ``a`` with a trigger, their window columns,
+        indices without one)."""
+        hitcol = np.argmax(trigger, axis=1)
+        has = trigger[np.arange(a.size), hitcol]
+        tr = np.flatnonzero(has)
+        return tr, hitcol[tr], np.flatnonzero(~has)
+
+    def bank(self, rows: np.ndarray, n: np.ndarray) -> None:
+        """Quiet rows served ``n`` more steps at their frozen size."""
+        self.pos[rows] += n
+        self.active[rows] = self.pos[rows] < self.lengths[rows]
+
+    def install(self, rows: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """Hyperreconfigure ``rows`` at chunk steps ``t``; returns the
+        installed lanes.
+
+        The installed set is the OR over steps ``t-H .. t``.  Triggers
+        at least ``H`` columns into the chunk gather their whole window
+        off the block in one vectorized pass; triggers nearer the front
+        reach into the session's pre-chunk stream history row by row —
+        sessions younger than ``H`` steps clamp exactly like the scalar
+        cursors.
+        """
+        block, H = self.block, self.H
+        if H == 0:
+            ws = block[rows, t]
+        else:
+            ws = np.empty((rows.size, block.shape[2]), dtype=np.uint64)
+            front = t < H
+            inner = ~front
+            if inner.any():
+                r2 = rows[inner]
+                t2 = t[inner]
+                ws[inner] = np.bitwise_or.reduce(
+                    block[r2[:, None], (t2 - H)[:, None] + self.window],
+                    axis=1,
+                )
+            for j in np.flatnonzero(front):
+                s = int(rows[j])
+                tj = int(t[j])
+                acc = np.bitwise_or.reduce(block[s, : tj + 1], axis=0)
+                tail = self.cursors[s].stream.tail_rows(H - tj)
+                if tail.shape[0]:
+                    acc = acc | np.bitwise_or.reduce(tail, axis=0)
+                ws[j] = acc
+        self.cur[rows] = ws
+        sizes = _lane_popcount(ws)
+        self.cur_size[rows] = sizes
+        self.installs.append((rows, t, ws, sizes))
+        self.pos[rows] = t + 1
+        self.active[rows] = self.pos[rows] < self.lengths[rows]
+        return ws
+
+    def finish(self) -> FusedSweep:
+        """Commit cursor and stream state; build the sweep's arrays.
+
+        ``sizes`` is a forward fill: each step serves at the size of
+        its row's latest install at or before it (the pre-chunk size
+        before the first one), read through one index array.
+        """
+        block, lengths = self.block, self.lengths
+        S, Cmax, L = block.shape
+        for s, c in enumerate(self.cursors):
+            c._cur = self.cur[s]
+            c._cur_size = int(self.cur_size[s])
+            c._row = s
+        ragged = int(lengths.min()) != Cmax
+        unions = np.empty((S, L), dtype=np.uint64)
+        for lane in range(L):  # lane by lane, see _lane_popcount
+            np.bitwise_or.reduce(block[:, :, lane], axis=1, out=unions[:, lane])
+        PackedStream.extend_many(
+            [c.stream for c in self.cursors],
+            block,
+            unions=unions,
+            lengths=lengths if ragged else None,
+        )
+        hyper = np.zeros((S, Cmax), dtype=bool)
+        latest = np.zeros((S, Cmax), dtype=np.intp)
+        latest[:, 0] = np.arange(S)
+        if self.installs:
+            sess, steps, lanes, sizes = (
+                np.concatenate(part) for part in zip(*self.installs)
+            )
+            # Session-major, step order: install ids then rise along
+            # each row, so a running max finds the latest one.
+            order = np.lexsort((steps, sess))
+            sess, steps = sess[order], steps[order]
+            installed = lanes[order]
+            hyper[sess, steps] = True
+            latest[sess, steps] = S + np.arange(sess.size)
+            values = np.concatenate([self.size0, sizes[order]])
+            counts = np.bincount(sess, minlength=S).astype(np.int64)
+        else:
+            installed = np.zeros((0, L), dtype=np.uint64)
+            values = self.size0
+            counts = np.zeros(S, dtype=np.int64)
+        sizes = values[np.maximum.accumulate(latest, axis=1)]
+        if ragged:
+            sizes[np.arange(Cmax) >= lengths[:, None]] = 0
+        hyper.setflags(write=False)
+        sizes.setflags(write=False)
+        return FusedSweep(
+            hyper=hyper,
+            sizes=sizes,
+            installed=installed,
+            installed_counts=counts,
+            lengths=lengths,
+            epochs=self.epochs,
+        )
 
 
 #: Stack-size crossover for ``sweep_many``: groups at or below this
 #: many sessions are served by one scalar-batched ``step_many`` call
 #: per cursor instead of the epoch kernel.  The kernel's win is
-#: amortizing per-epoch NumPy spans over many rows; below the
-#: crossover (measured on the E16 hub workload: parity near S=16,
-#: ~2-3× loss by S≤4) the short per-cursor loop IS the
-#: vectorization-optimal plan.  Decisions are bit-identical either
-#: way; the equivalence suite pins the constant to 0 to keep the
-#: epoch kernel under adversarial coverage at every fleet size.
+#: amortizing per-epoch NumPy spans over many rows.  E16's crossover
+#: table (rent-or-buy, calm and hectic, 64- and 256-step chunks) puts
+#: parity near S=8 at both chunk lengths (1.0-1.4×), a loss at S=4
+#: (0.5-0.9×) and a win from S=16 (1.5-1.9×), so one threshold fits
+#: every chunk length.  Decisions are bit-identical either way; the
+#: equivalence suite pins the constant to 0 to keep the epoch kernel
+#: under adversarial coverage at every fleet size.
 SMALL_STACK_SESSIONS = 8
 
 
@@ -646,11 +800,10 @@ class _BatchedRentOrBuyCursor:
         ``w``/``alpha`` may vary and are gathered as vectors.
 
         The kernel is *resumable*: per-session offsets ``pos`` track
-        how far each chunk has been served.  Each epoch scans a shared
-        column window — rows before a session's offset are masked to
-        zero, so one prefix accumulate from column 0 serves every
-        resume point at once (zero rows OR as the identity, and
-        served ⊆ cur keeps masked prefixes misfit-free) — locates every
+        how far each chunk has been served.  Each epoch reads one
+        window per live session, starting at that session's own offset
+        (:class:`_EpochSweep`), so one prefix accumulate from window
+        column 0 resumes every session at once.  It locates every
         session's *next* trigger (misfit, regret overflow, or the
         forced first step) with one argmax, and resolves all due
         triggers in one batched install pass: working-set windows
@@ -664,21 +817,17 @@ class _BatchedRentOrBuyCursor:
         Exactness mirrors ``step_many``: the regret cumsum adds only
         integers (exactly representable in float64) to the carried
         float regret, so any summation order reproduces the scalar
-        sequential accumulation bit for bit, and carried regret never
-        exceeds the threshold, so masked prefix columns can never
-        trigger.  Cursor and stream state are committed on return —
-        there is nothing left to replay.
+        sequential accumulation bit for bit.  Cells past a chunk's end
+        sit only at the tail of a window, so they never feed a live
+        cell's prefix; only their trigger tests are masked.  Cursor
+        and stream state are committed on return — there is nothing
+        left to replay.
         """
         S, Cmax, L = block.shape
         if S <= SMALL_STACK_SESSIONS:
             return _sweep_small(cursors, block, lengths)
-        lengths = _sweep_lengths(S, Cmax, lengths)
-        memory = cursors[0].memory
-        H = memory - 1
-        cur = _stack_rows(cursors, "_cur", S, L)
-        cur_size = np.fromiter(
-            (c._cur_size for c in cursors), count=S, dtype=np.int64
-        )
+        sweep = _EpochSweep(cursors, block, lengths, cursors[0].memory - 1)
+        cur, cur_size = sweep.cur, sweep.cur_size
         served = _stack_rows(cursors, "_served", S, L)
         regret = np.fromiter(
             (c._regret for c in cursors), count=S, dtype=np.float64
@@ -686,151 +835,53 @@ class _BatchedRentOrBuyCursor:
         threshold = np.fromiter(
             (c.alpha * c.w for c in cursors), count=S, dtype=np.float64
         )
-        n0 = np.fromiter(
-            (c.stream.n for c in cursors), count=S, dtype=np.int64
-        )
-        hyper = np.zeros((S, Cmax), dtype=bool)
-        sizes = np.zeros((S, Cmax), dtype=np.int64)
-        pos = np.zeros(S, dtype=np.int64)
-        active = pos < lengths
-        inst_sess: list[np.ndarray] = []
-        inst_step: list[np.ndarray] = []
-        inst_lanes: list[np.ndarray] = []
-        window = np.arange(H + 1)
         scan_min = cursors[0].scan_min
         scan_max = max(cursors[0].scan_max, scan_min)
         scan = scan_min
-        zero = np.uint64(0)
-        epochs = 0
-        while True:
-            a = np.flatnonzero(active)
-            if a.size == 0:
-                break
-            epochs += 1
-            pa = pos[a]
-            la = lengths[a]
-            lo = int(pa.min())
-            hi = min(Cmax, lo + scan)
-            span = hi - lo
-            # Uniform epochs — every row resumes at ``lo`` and the whole
-            # window is in-bounds (the common calm case, and always the
-            # first epoch of an equal-length sweep) — skip the live mask
-            # entirely and read the block through views instead of
-            # fancy-index copies.
-            uniform = bool((pa == lo).all()) and bool((la >= hi).all())
+        while (epoch := sweep.next_epoch(scan)) is not None:
+            a, pa, _cols, sub, live, n = epoch
             full = a.size == S
-            sub = block[:, lo:hi] if full else block[a, lo:hi]
-            if uniform:
-                live = None
-                acc = np.bitwise_or.accumulate(sub, axis=1)
-            else:
-                cols = np.arange(lo, hi)
-                live = (cols >= pa[:, None]) & (cols < la[:, None])
-                acc = np.bitwise_or.accumulate(
-                    np.where(live[:, :, None], sub, zero), axis=1
-                )
+            acc = np.bitwise_or.accumulate(sub, axis=1)
             np.bitwise_or(
                 acc,
                 served[:, None, :] if full else served[a, None, :],
                 out=acc,
             )
-            curg = cur if full else cur[a]
-            misfit = ((acc & ~curg[:, None, :]) != zero).any(axis=2)
-            pc = popcount_u64(acc).sum(axis=2, dtype=np.int64)
-            deficit = cur_size[a, None] - pc
-            if not uniform:
-                deficit = np.where(live, deficit, 0)
-            csum = np.cumsum(deficit, axis=1, dtype=np.float64)
+            misfit = _escapes(acc, cur if full else cur[a])
+            pc = _lane_popcount(acc)
+            csum = np.cumsum(cur_size[a, None] - pc, axis=1, dtype=np.float64)
             csum += regret[a, None]
             trigger = misfit | (csum > threshold[a, None])
-            if not uniform:
+            if live is not None:
                 trigger &= live
-            forced = (n0[a] == 0) & (pa == 0)
+            forced = (sweep.n0[a] == 0) & (pa == 0)
             if forced.any():
-                # The first global step always installs; pos == 0
-                # forces lo == 0, so column 0 is window column 0.
+                # The first global step always installs.
                 trigger[forced, 0] = True
-            hitcol = np.argmax(trigger, axis=1)
-            has = trigger[np.arange(a.size), hitcol]
-            nt = np.flatnonzero(~has)
+            tr, tcol, nt = sweep.split(a, trigger)
             if nt.size:
-                # No trigger in the window: serve every live column at
-                # the frozen size, bank served/regret at the last one,
-                # resume from the window edge (or finish the chunk).
+                # No trigger in the window: bank served/regret at the
+                # row's last live cell and resume past it.
                 rows = a[nt]
-                if uniform:
-                    sizes[rows, lo:hi] += cur_size[rows, None]
-                    served[rows] = acc[nt, -1]
-                    regret[rows] = csum[nt, -1]
-                    pos[rows] = hi
-                else:
-                    sizes[rows, lo:hi] += live[nt] * cur_size[rows, None]
-                    adv = np.minimum(la[nt], hi)
-                    moved = adv > pa[nt]
-                    if moved.any():
-                        mr = nt[moved]
-                        last = adv[moved] - 1 - lo
-                        served[a[mr]] = acc[mr, last]
-                        regret[a[mr]] = csum[mr, last]
-                        pos[a[mr]] = adv[moved]
-                active[rows] = pos[rows] < lengths[rows]
-            tr = np.flatnonzero(has)
+                last = n[nt] - 1
+                served[rows] = acc[nt, last]
+                regret[rows] = csum[nt, last]
+                sweep.bank(rows, n[nt])
             if tr.size:
+                # One batched install: working set = the requirement
+                # at the trigger ∪ the last (memory-1).
                 rows = a[tr]
-                tcol = hitcol[tr]
-                t = lo + tcol
-                # Quiet prefix [pos, t) at the old frozen size...
-                prefix = np.arange(span) < tcol[:, None]
-                if not uniform:
-                    prefix &= live[tr]
-                sizes[rows, lo:hi] += prefix * cur_size[rows, None]
-                # ...then one batched install: working set = this
-                # requirement ∪ the last (memory-1).  Triggers deep
-                # enough into the chunk read their whole window off the
-                # block in one gather; the rare ones near the front
-                # (t < H) reach into per-stream history row by row.
-                ws = _gather_windows(cursors, block, rows, t, H, window)
-                cur[rows] = ws
-                new_sizes = popcount_u64(ws).sum(axis=1, dtype=np.int64)
-                cur_size[rows] = new_sizes
+                t = pa[tr] + tcol
+                sweep.install(rows, t)
                 served[rows] = block[rows, t]
                 regret[rows] = 0.0
-                hyper[rows, t] = True
-                sizes[rows, t] = new_sizes
-                inst_sess.append(rows)
-                inst_step.append(t)
-                inst_lanes.append(ws)
-                pos[rows] = t + 1
-                active[rows] = pos[rows] < lengths[rows]
                 scan = scan_min
             else:
                 scan = min(scan * 2, scan_max)
         for s, c in enumerate(cursors):
-            c._cur = cur[s]
-            c._cur_size = int(cur_size[s])
             c._served = served[s]
             c._regret = float(regret[s])
-            c._row = s
-        unions = np.bitwise_or.reduce(block, axis=1)
-        PackedStream.extend_many(
-            [c.stream for c in cursors],
-            block,
-            unions=unions,
-            lengths=None if int(lengths.min()) == Cmax else lengths,
-        )
-        installed, counts = _assemble_installs(
-            inst_sess, inst_step, inst_lanes, S, L
-        )
-        hyper.setflags(write=False)
-        sizes.setflags(write=False)
-        return FusedSweep(
-            hyper=hyper,
-            sizes=sizes,
-            installed=installed,
-            installed_counts=counts,
-            lengths=lengths,
-            epochs=epochs,
-        )
+        return sweep.finish()
 
 
 class RentOrBuyScheduler:
@@ -1013,116 +1064,28 @@ class _BatchedWindowCursor:
         S, Cmax, L = block.shape
         if S <= SMALL_STACK_SESSIONS:
             return _sweep_small(cursors, block, lengths)
-        lengths = _sweep_lengths(S, Cmax, lengths)
         k = cursors[0].k
-        cur = _stack_rows(cursors, "_cur", S, L)
-        cur_size = np.fromiter(
-            (c._cur_size for c in cursors), count=S, dtype=np.int64
-        )
-        n0 = np.fromiter(
-            (c.stream.n for c in cursors), count=S, dtype=np.int64
-        )
-        hyper = np.zeros((S, Cmax), dtype=bool)
-        sizes = np.zeros((S, Cmax), dtype=np.int64)
-        pos = np.zeros(S, dtype=np.int64)
-        active = pos < lengths
-        inst_sess: list[np.ndarray] = []
-        inst_step: list[np.ndarray] = []
-        inst_lanes: list[np.ndarray] = []
-        window = np.arange(k + 1)
+        sweep = _EpochSweep(cursors, block, lengths, k)
+        cur = sweep.cur
         # Cadence boundaries are at most k apart, so a 2k window always
         # catches every session's next one regardless of phase; wider
         # scans would only touch columns a trigger resets anyway.
         scan = max(2 * k, 16)
-        zero = np.uint64(0)
-        epochs = 0
-        while True:
-            a = np.flatnonzero(active)
-            if a.size == 0:
-                break
-            epochs += 1
-            pa = pos[a]
-            la = lengths[a]
-            lo = int(pa.min())
-            hi = min(Cmax, lo + scan)
-            cols = np.arange(lo, hi)
-            span = hi - lo
-            # Same uniform fast path as the rent-or-buy kernel: when
-            # every row resumes at ``lo`` with the whole window
-            # in-bounds, skip the live mask and index through views.
-            uniform = bool((pa == lo).all()) and bool((la >= hi).all())
-            full = a.size == S
-            sub = block[:, lo:hi] if full else block[a, lo:hi]
-            curg = cur if full else cur[a]
-            misfit = ((sub & ~curg[:, None, :]) != zero).any(axis=2)
-            cadence = ((n0[a, None] + cols) % k) == 0
+        while (epoch := sweep.next_epoch(scan)) is not None:
+            a, pa, cols, sub, live, n = epoch
+            misfit = _escapes(sub, cur if a.size == S else cur[a])
+            cadence = ((sweep.n0[a, None] + cols) % k) == 0
             trigger = misfit | cadence
-            if uniform:
-                live = None
-            else:
-                live = (cols >= pa[:, None]) & (cols < la[:, None])
+            if live is not None:
                 trigger &= live
-            hitcol = np.argmax(trigger, axis=1)
-            has = trigger[np.arange(a.size), hitcol]
-            nt = np.flatnonzero(~has)
+            tr, tcol, nt = sweep.split(a, trigger)
             if nt.size:
-                rows = a[nt]
-                if uniform:
-                    sizes[rows, lo:hi] += cur_size[rows, None]
-                    pos[rows] = hi
-                else:
-                    sizes[rows, lo:hi] += live[nt] * cur_size[rows, None]
-                    adv = np.minimum(la[nt], hi)
-                    moved = adv > pa[nt]
-                    if moved.any():
-                        pos[a[nt[moved]]] = adv[moved]
-                active[rows] = pos[rows] < lengths[rows]
-            tr = np.flatnonzero(has)
+                sweep.bank(a[nt], n[nt])
             if tr.size:
-                rows = a[tr]
-                tcol = hitcol[tr]
-                t = lo + tcol
-                prefix = np.arange(span) < tcol[:, None]
-                if not uniform:
-                    prefix &= live[tr]
-                sizes[rows, lo:hi] += prefix * cur_size[rows, None]
                 # Estimate = this requirement ∪ the previous window
                 # (the last min(i, k) requirements), stale bits and all.
-                est = _gather_windows(cursors, block, rows, t, k, window)
-                cur[rows] = est
-                new_sizes = popcount_u64(est).sum(axis=1, dtype=np.int64)
-                cur_size[rows] = new_sizes
-                hyper[rows, t] = True
-                sizes[rows, t] = new_sizes
-                inst_sess.append(rows)
-                inst_step.append(t)
-                inst_lanes.append(est)
-                pos[rows] = t + 1
-                active[rows] = pos[rows] < lengths[rows]
-        for s, c in enumerate(cursors):
-            c._cur = cur[s]
-            c._cur_size = int(cur_size[s])
-            c._row = s
-        unions = np.bitwise_or.reduce(block, axis=1)
-        PackedStream.extend_many(
-            [c.stream for c in cursors],
-            block,
-            unions=unions,
-            lengths=None if int(lengths.min()) == Cmax else lengths,
-        )
-        installed, counts = _assemble_installs(
-            inst_sess, inst_step, inst_lanes, S, L
-        )
-        hyper.setflags(write=False)
-        sizes.setflags(write=False)
-        return FusedSweep(
-            hyper=hyper,
-            sizes=sizes,
-            installed=installed,
-            installed_counts=counts,
-            lengths=lengths,
-            epochs=epochs,
-        )
+                sweep.install(a[tr], pa[tr] + tcol)
+        return sweep.finish()
 
 
 class WindowScheduler:

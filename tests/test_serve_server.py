@@ -6,10 +6,11 @@ per-session cost to equal a single-threaded :class:`StreamHub` replay
 of the same traces — the serving layer (sockets, queues, drain-cycle
 batching, shard placement) must never change an answer.  The rest
 covers admission control, protocol-error replies, close-barrier
-ordering, stats aggregation, the stdin transport and the load
-generator.
+ordering, stats aggregation, the one ``queue_depth`` backpressure
+bound, the stdin transport and the load generator.
 """
 
+import asyncio
 import json
 import os
 import pathlib
@@ -23,8 +24,8 @@ from repro.core.switches import SwitchUniverse
 from repro.engine.stream import StreamHub
 from repro.serve.client import ServeClient, ServeError
 from repro.serve.loadgen import drifting_masks, run_loadgen
-from repro.serve.protocol import encode_mask_chunk
-from repro.serve.server import ServeConfig, ServerThread
+from repro.serve.protocol import encode_frame, encode_mask_chunk
+from repro.serve.server import ServeConfig, ServerThread, StreamServer
 from repro.solvers.online import RentOrBuyScheduler
 
 WIDTH = 96
@@ -229,6 +230,67 @@ class TestStatsAndOrdering:
             res = client.close_session(sid)
             assert res.steps == 300
             assert res.cost == total
+
+
+class TestBackpressureBound:
+    """One bound, ``queue_depth``, caps both a shard queue and each
+    connection's staged-but-unanswered replies."""
+
+    def test_pipelined_burst_of_queue_depth_is_one_drain_cycle(self):
+        config = ServeConfig(shards=1)
+        depth = config.queue_depth
+        with ServerThread(config) as address:
+            with ServeClient(*address, proto="bin") as client:
+                sids = [
+                    client.open(policy="window", width=8, w=2.0, k=2)
+                    for _ in range(depth)
+                ]
+                results = client.feed_pipelined(
+                    [(sid, [1, 2, 3, 4]) for sid in sids]
+                )
+                assert [r.steps for r in results] == [4] * depth
+                groups = client.stats()["histograms"][
+                    "fused_group_sessions"
+                ]
+                assert groups["count"] == 1
+                assert groups["max"] == depth
+                for sid in sids:
+                    client.close_session(sid)
+
+    def test_unread_replies_stall_the_reader_at_queue_depth(self):
+        """A client that stops reading replies stops having its frames
+        read: the reader stalls with about ``queue_depth`` frames
+        staged, and everything is answered once the client reads
+        again."""
+        depth = 4
+        frames = 4 * depth
+
+        async def scenario():
+            server = StreamServer(ServeConfig(shards=1, queue_depth=depth))
+            await server.start(listen=False)
+            reader = asyncio.StreamReader()
+            reader.feed_data(encode_frame({"op": "stats"}) * frames)
+            reader.feed_eof()
+            reading = asyncio.Event()
+            sent = []
+
+            async def send(data: bytes) -> None:
+                await reading.wait()
+                sent.append(data)
+
+            pump = asyncio.create_task(server._pump(reader, send))
+            await asyncio.sleep(0.5)
+            staged = server.counters.frames
+            reading.set()
+            await asyncio.wait_for(pump, timeout=30)
+            await server.stop()
+            return staged, len(sent)
+
+        staged, answered = asyncio.run(scenario())
+        # ``depth`` queued replies, one held by the sender, one frame
+        # waiting for queue room.
+        assert depth <= staged <= depth + 2
+        assert answered == frames
 
 
 class TestShutdown:

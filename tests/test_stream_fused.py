@@ -475,6 +475,87 @@ class TestBatchedTriggerReplay:
             assert fused_scheds[sid] == sched
 
 
+class TestRowAlignedEpochs:
+    """``sweep_many`` rows against per-cursor ``step_many`` rows.
+
+    Long ragged chunks and tiny galloping bounds make every epoch read
+    per-row windows from scattered resume offsets, gallop across quiet
+    stretches, bank state at chunk ends and install near chunk fronts;
+    the whole ``hyper``/``sizes`` rows and install runs must match, not
+    just the costs."""
+
+    @pytest.mark.parametrize("kind", ["rent_or_buy", "window"])
+    @pytest.mark.parametrize("width", BOUNDARY_WIDTHS)
+    @settings(deadline=None, max_examples=15)
+    @given(
+        seed=st.integers(0, 10_000),
+        sessions=st.integers(2, 8),
+        history=st.integers(1, 6),
+        scan_min=st.integers(1, 4),
+        scan_extra=st.integers(0, 12),
+        phase=st.sampled_from([3, 17, 90]),
+        rounds=st.lists(
+            st.lists(st.integers(1, 300), min_size=8, max_size=8),
+            min_size=1,
+            max_size=3,
+        ),
+    )
+    def test_sweep_rows_equal_step_many_rows(
+        self, kind, width, seed, sessions, history, scan_min, scan_extra,
+        phase, rounds,
+    ):
+        w = float(width)
+
+        def scheduler(s):
+            if kind == "window":
+                return WindowScheduler(k=history)
+            return RentOrBuyScheduler(
+                w * (1 + s % 3), alpha=(0.5, 2.0)[s % 2], memory=history,
+                scan_min=scan_min, scan_max=scan_min + scan_extra,
+            )
+
+        fused = [scheduler(s).batched_cursor(width) for s in range(sessions)]
+        solo = [scheduler(s).batched_cursor(width) for s in range(sessions)]
+        total = [sum(r[s] for r in rounds) for s in range(sessions)]
+        streams = [
+            masks_to_lanes(
+                _drift_masks(width, total[s], seed + s, phase=phase), width
+            )
+            for s in range(sessions)
+        ]
+        pos = [0] * sessions
+        cls = type(fused[0])
+        for lengths in rounds:
+            lengths = np.asarray(lengths[:sessions], dtype=np.int64)
+            block = np.zeros(
+                (sessions, int(lengths.max()), streams[0].shape[1]),
+                dtype=np.uint64,
+            )
+            chunks = []
+            for s in range(sessions):
+                chunks.append(streams[s][pos[s] : pos[s] + lengths[s]])
+                block[s, : lengths[s]] = chunks[s]
+                pos[s] += int(lengths[s])
+            sweep = cls.sweep_many(fused, block, lengths=lengths)
+            offsets = np.concatenate([[0], np.cumsum(sweep.installed_counts)])
+            for s in range(sessions):
+                n = int(lengths[s])
+                batch = solo[s].step_many(chunks[s])
+                np.testing.assert_array_equal(sweep.hyper[s, :n], batch.hyper)
+                np.testing.assert_array_equal(sweep.sizes[s, :n], batch.sizes)
+                assert not sweep.hyper[s, n:].any()
+                assert not sweep.sizes[s, n:].any()
+                np.testing.assert_array_equal(
+                    sweep.installed[offsets[s] : offsets[s + 1]],
+                    batch.installed,
+                )
+        for f, c in zip(fused, solo):
+            assert f.current == c.current
+            if kind == "rent_or_buy":
+                assert f._regret == c._regret
+                np.testing.assert_array_equal(f._served, c._served)
+
+
 class TestExtendMany:
     @settings(deadline=None, max_examples=60)
     @given(

@@ -315,11 +315,12 @@ class _EpochSweep:
         flat = np.minimum(a[:, None] * Cmax + cols, S * Cmax - 1)
         return a, pa, cols, self.flat[flat], live, n
 
-    def split(self, a: np.ndarray, trigger: np.ndarray):
-        """(indices into ``a`` with a trigger, their window columns,
-        indices without one)."""
+    @staticmethod
+    def split(trigger: np.ndarray):
+        """(window rows with a trigger, their first trigger columns,
+        window rows without one)."""
         hitcol = np.argmax(trigger, axis=1)
-        has = trigger[np.arange(a.size), hitcol]
+        has = trigger[np.arange(trigger.shape[0]), hitcol]
         tr = np.flatnonzero(has)
         return tr, hitcol[tr], np.flatnonzero(~has)
 
@@ -328,9 +329,8 @@ class _EpochSweep:
         self.pos[rows] += n
         self.active[rows] = self.pos[rows] < self.lengths[rows]
 
-    def install(self, rows: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """Hyperreconfigure ``rows`` at chunk steps ``t``; returns the
-        installed lanes.
+    def install(self, rows: np.ndarray, t: np.ndarray) -> None:
+        """Hyperreconfigure ``rows`` at chunk steps ``t``.
 
         The installed set is the OR over steps ``t-H .. t``.  Triggers
         at least ``H`` columns into the chunk gather their whole window
@@ -367,7 +367,6 @@ class _EpochSweep:
         self.installs.append((rows, t, ws, sizes))
         self.pos[rows] = t + 1
         self.active[rows] = self.pos[rows] < self.lengths[rows]
-        return ws
 
     def finish(self) -> FusedSweep:
         """Commit cursor and stream state; build the sweep's arrays.
@@ -385,7 +384,9 @@ class _EpochSweep:
         ragged = int(lengths.min()) != Cmax
         unions = np.empty((S, L), dtype=np.uint64)
         for lane in range(L):  # lane by lane, see _lane_popcount
-            np.bitwise_or.reduce(block[:, :, lane], axis=1, out=unions[:, lane])
+            np.bitwise_or.reduce(
+                block[:, :, lane], axis=1, out=unions[:, lane]
+            )
         PackedStream.extend_many(
             [c.stream for c in self.cursors],
             block,
@@ -858,7 +859,7 @@ class _BatchedRentOrBuyCursor:
             if forced.any():
                 # The first global step always installs.
                 trigger[forced, 0] = True
-            tr, tcol, nt = sweep.split(a, trigger)
+            tr, tcol, nt = sweep.split(trigger)
             if nt.size:
                 # No trigger in the window: bank served/regret at the
                 # row's last live cell and resume past it.
@@ -1078,7 +1079,7 @@ class _BatchedWindowCursor:
             trigger = misfit | cadence
             if live is not None:
                 trigger &= live
-            tr, tcol, nt = sweep.split(a, trigger)
+            tr, tcol, nt = sweep.split(trigger)
             if nt.size:
                 sweep.bank(a[nt], n[nt])
             if tr.size:

@@ -431,10 +431,11 @@ class _EpochSweep:
 #: Stack-size crossover for ``sweep_many``: groups at or below this
 #: many sessions are served by one scalar-batched ``step_many`` call
 #: per cursor instead of the epoch kernel.  The kernel's win is
-#: amortizing per-epoch NumPy spans over many rows.  E16's crossover
-#: table (rent-or-buy, calm and hectic, 64- and 256-step chunks) puts
-#: parity near S=8 at both chunk lengths (1.0-1.4×), a loss at S=4
-#: (0.5-0.9×) and a win from S=16 (1.5-1.9×), so one threshold fits
+#: amortizing per-epoch NumPy spans over many rows.  E16's
+#: ``kernel_crossover`` table (rent-or-buy, calm and hectic, 64- and
+#: 256-step chunks) has the kernel at 0.6-0.8× of ``step_many`` at
+#: S=4, at parity or better from S=8 (1.0-1.7× over two runs) and at
+#: 1.7-2.3× by S=32, at both chunk lengths, so one threshold fits
 #: every chunk length.  Decisions are bit-identical either way; the
 #: equivalence suite pins the constant to 0 to keep the epoch kernel
 #: under adversarial coverage at every fleet size.
@@ -824,7 +825,7 @@ class _BatchedRentOrBuyCursor:
         and stream state are committed on return — there is nothing
         left to replay.
         """
-        S, Cmax, L = block.shape
+        S, _, L = block.shape
         if S <= SMALL_STACK_SESSIONS:
             return _sweep_small(cursors, block, lengths)
         sweep = _EpochSweep(cursors, block, lengths, cursors[0].memory - 1)
@@ -1062,7 +1063,7 @@ class _BatchedWindowCursor:
         sweep resumes from per-session offsets; a cadence ``k < C``
         triggers every epoch and still never leaves the kernel.
         """
-        S, Cmax, L = block.shape
+        S = block.shape[0]
         if S <= SMALL_STACK_SESSIONS:
             return _sweep_small(cursors, block, lengths)
         k = cursors[0].k

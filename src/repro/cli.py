@@ -25,7 +25,7 @@ Subcommands cover the common workflows without writing Python:
   log);
 * ``repro serve-stats`` — scrape a running server's metrics endpoint
   (text, ``--json``, or ``--check`` which parses the exposition and
-  requires the core series);
+  requires the core series and a ``# HELP`` line per family);
 * ``repro serve-bench`` — loopback load generator: spin up (or connect
   to) a server, drive a synthetic session fleet through real client
   connections, print throughput and optionally verify per-session
@@ -526,38 +526,11 @@ def cmd_serve(args) -> int:
     return 0
 
 
-#: exposition series every healthy server must emit (``serve-stats
-#: --check``): families are created eagerly, so these exist even on a
-#: freshly started, idle server.
-CORE_SERIES = (
-    "repro_uptime_seconds",
-    "repro_sessions",
-    "repro_server_opens_total",
-    "repro_server_feeds_total",
-    "repro_stream_steps_total",
-    "repro_stream_fused_sessions_total",
-    "repro_stream_fused_fallback_total",
-    "repro_stream_replay_epochs_total",
-    "repro_stream_replay_triggers_total",
-    "repro_feed_latency_seconds_count",
-    "repro_drain_cycle_seconds_count",
-    "repro_stream_chunk_steps_count",
-    "repro_session_cost_count",
-    # wire protocol accounting is pre-seeded for both generations, so
-    # an idle server already exposes the {proto="json"|"bin"} series.
-    "repro_wire_bytes_in_total",
-    "repro_wire_bytes_out_total",
-    "repro_wire_decode_seconds_total",
-    # the portfolio decision counter renders an unlabeled zero row
-    # until the first decision, so the series exists on an idle server.
-    "repro_portfolio_decisions_total",
-)
-
-
 def cmd_serve_stats(args) -> int:
     import urllib.error
     import urllib.request
 
+    from repro.obs.catalog import CORE_SAMPLES
     from repro.obs.expo import parse_exposition
 
     path = "/metrics.json" if args.json else "/metrics"
@@ -584,13 +557,13 @@ def cmd_serve_stats(args) -> int:
         except ValueError as exc:
             print(f"exposition does not parse: {exc}", file=sys.stderr)
             return 1
-        missing = [name for name in CORE_SERIES if name not in series]
+        missing = [name for name in CORE_SAMPLES if name not in series]
         if missing:
             print("missing core series: " + ", ".join(missing),
                   file=sys.stderr)
             return 1
         print(f"ok: {len(series)} series, all "
-              f"{len(CORE_SERIES)} core series present")
+              f"{len(CORE_SAMPLES)} core series present")
         return 0
     sys.stdout.write(body)
     return 0
@@ -1189,8 +1162,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sstats.add_argument(
         "--check", action="store_true",
-        help="parse the exposition and require the core series "
-             "(nonzero exit when any is missing)",
+        help="parse the exposition and require the core series and "
+             "a HELP line per family (nonzero exit when any is missing)",
     )
     p_sstats.set_defaults(func=cmd_serve_stats)
 

@@ -5,16 +5,17 @@ One :class:`EngineMetrics` instance rides along with a
 session) and accumulates everything an operator wants on one screen:
 request counts, error/timeout counts, solve-time totals, wall time of
 the batches, cache hit rate, and derived requests/second.  Counters are
-plain and lock-protected — cheap enough to leave on permanently.
+plain and lock-protected — cheap enough to leave on permanently.  Their
+names, snapshot keys and histogram families are declared once, in
+:mod:`repro.obs.catalog`.
 
 Distributions are log-bucketed :class:`~repro.obs.histogram.Histogram`
 families (p50/p95/p99, labeled by solver and shard).  The fixed bucket
 boundaries make snapshots mergeable: process shards ship
 :meth:`hist_wire` over their pipes and the pool folds them into one
 labeled view (see :meth:`~repro.serve.shard.ShardPool.merged_histograms`).
-The families over *deterministic* quantities — ``stream_chunk_steps``,
-``session_cost``, ``session_steps``, named in
-:data:`DETERMINISTIC_FAMILIES` — aggregate bit-identically across every
+The families over *deterministic* quantities, named in
+:data:`DETERMINISTIC_FAMILIES`, aggregate bit-identically across every
 pool shape; the wall-clock families (latencies, cycle durations) merge
 exactly too, but their observations are timing-dependent by nature.
 """
@@ -28,60 +29,20 @@ from collections.abc import Mapping
 from contextlib import contextmanager
 
 from repro.engine.cache import CacheStats
+from repro.obs.catalog import (
+    DETERMINISTIC_FAMILIES,
+    ENGINE_COUNTERS,
+    HISTOGRAMS,
+    WIRE_FIELDS,
+)
 from repro.obs.histogram import TIME_SCHEME, Histogram, HistogramFamily
 from repro.util.texttable import format_table
 
 __all__ = [
     "DETERMINISTIC_FAMILIES",
     "EngineMetrics",
-    "HISTOGRAM_FAMILIES",
     "LatencyStats",
 ]
-
-#: Well-known histogram families: name -> (scheme, help, label names).
-HISTOGRAM_FAMILIES: dict[str, tuple[str, str, tuple[str, ...]]] = {
-    "solve_latency_seconds": (
-        "time", "Per-request one-shot solve latency", ("solver",)),
-    "feed_latency_seconds": (
-        "time", "Streaming feed call latency (per chunk batch)", ()),
-    "drain_cycle_seconds": (
-        "time", "Per-shard drain cycle duration", ("shard",)),
-    "stream_chunk_steps": (
-        "value", "Steps per per-session feed chunk", ()),
-    "session_cost": (
-        "value", "Final cost per closed streaming session", ("solver",)),
-    "session_steps": (
-        "value", "Total steps per closed streaming session", ("solver",)),
-    # Deliberately NOT in DETERMINISTIC_FAMILIES: sharding splits a
-    # fleet, so group sizes depend on placement even though every
-    # per-session answer is placement-independent.
-    "fused_group_sessions": (
-        "value", "Sessions per fused multi-session sweep group", ()),
-    "portfolio_decision_seconds": (
-        "time", "Portfolio decide+solve+verify latency", ("solver",)),
-}
-
-#: Families over deterministic quantities (no wall clock): a shard
-#: pool's aggregate of these must be bit-identical to a single hub's.
-DETERMINISTIC_FAMILIES: tuple[str, ...] = (
-    "stream_chunk_steps",
-    "session_cost",
-    "session_steps",
-)
-
-#: Scalar counters serialized by :meth:`EngineMetrics.snapshot_json`
-#: (everything a restarted process needs to resume its totals).
-_SCALAR_COUNTERS: tuple[str, ...] = (
-    "requests", "solved", "cache_hits", "errors", "timeouts", "batches",
-    "wall_time", "delta_applies", "delta_full_evals",
-    "packed_compiles", "packed_reuses",
-    "packed_bytes_shipped", "packed_bytes_shared",
-    "stream_sessions", "stream_closed", "stream_steps", "stream_hypers",
-    "stream_time", "stream_fused", "stream_fused_fallback",
-    "stream_replay_epochs", "stream_replay_triggers",
-    "portfolio_races", "portfolio_explores", "portfolio_records",
-)
-
 
 class LatencyStats(Histogram):
     """Solve-latency distribution: a time-scheme histogram with the
@@ -123,54 +84,23 @@ class EngineMetrics:
         self._lock = threading.Lock()
         self.histograms_enabled = bool(histograms)
         self.hist: dict[str, HistogramFamily] = {
-            name: HistogramFamily(name, scheme, help=help_text)
-            for name, (scheme, help_text, _labels) in
-            HISTOGRAM_FAMILIES.items()
+            m.name: HistogramFamily(m.name, m.scheme, help=m.help)
+            for m in HISTOGRAMS
         }
-        self.requests = 0
-        self.solved = 0
-        self.cache_hits = 0
-        self.errors = 0
-        self.timeouts = 0
-        self.batches = 0
-        self.wall_time = 0.0
+        # One attribute per scalar counter of the catalogue; the
+        # record_* mutators update them directly under the lock.
+        for m in ENGINE_COUNTERS:
+            setattr(self, m.attr, 0.0 if m.seconds else 0)
         self.latency = LatencyStats()
-        self.delta_applies = 0
-        self.delta_full_evals = 0
-        self.packed_compiles = 0
-        self.packed_reuses = 0
-        self.packed_bytes_shipped = 0
-        self.packed_bytes_shared = 0
-        self.stream_sessions = 0
-        self.stream_closed = 0
-        self.stream_steps = 0
-        self.stream_hypers = 0
-        self.stream_time = 0.0
-        # Fused multi-session sweep accounting: session-chunks that
-        # completed inside the epoch-synchronous fused kernel vs
-        # ineligible ones (mask iterables, empty chunks, non-batched
-        # cursors) served on the per-session path.
-        self.stream_fused = 0
-        self.stream_fused_fallback = 0
-        # Batched trigger replay: epochs the fused kernel iterated and
-        # triggers it resolved in batched install passes — the hectic
-        # half of the workload that used to eject to per-session
-        # Python.
-        self.stream_replay_epochs = 0
-        self.stream_replay_triggers = 0
-        # Wire accounting per protocol, pre-seeded so the exposition
-        # renders the v1/v2 series (at zero) on an idle server.
-        # proto -> [frames_in, bytes_in, bytes_out, decode_seconds]
+        # Wire accounting per protocol (one slot per WIRE_FIELDS
+        # entry), pre-seeded so the exposition renders the v1/v2
+        # series (at zero) on an idle server.
         self.wire: dict[str, list] = {
             "json": [0, 0, 0, 0.0],
             "bin": [0, 0, 0, 0.0],
         }
-        # Portfolio accounting: decisions per chosen solver, race /
-        # exploration counts, and ledger rows fed to the learned state.
+        # Decisions per chosen solver (labels of the portfolio counter).
         self.portfolio_decisions: dict[str, int] = {}
-        self.portfolio_races = 0
-        self.portfolio_explores = 0
-        self.portfolio_records = 0
 
     # -- recording ---------------------------------------------------------
 
@@ -423,7 +353,7 @@ class EngineMetrics:
             payload = {
                 "version": 1,
                 "counters": {
-                    name: getattr(self, name) for name in _SCALAR_COUNTERS
+                    m.attr: getattr(self, m.attr) for m in ENGINE_COUNTERS
                 },
                 "wire": {
                     proto: list(row) for proto, row in self.wire.items()
@@ -445,9 +375,9 @@ class EngineMetrics:
                 f"unsupported metrics snapshot version {data.get('version')!r}"
             )
         metrics = cls()
-        for name in _SCALAR_COUNTERS:
-            if name in data["counters"]:
-                setattr(metrics, name, data["counters"][name])
+        for m in ENGINE_COUNTERS:
+            if m.attr in data["counters"]:
+                setattr(metrics, m.attr, data["counters"][m.attr])
         metrics.wire = {
             str(proto): [row[0], row[1], row[2], float(row[3])]
             for proto, row in data["wire"].items()
@@ -543,62 +473,31 @@ class EngineMetrics:
 
     def snapshot(self, cache: CacheStats | None = None) -> dict:
         with self._lock:
-            out = {
-                "requests": self.requests,
-                "solved": self.solved,
-                "cache_hits": self.cache_hits,
-                "cache_hit_rate": self._cache_hit_rate(),
-                "errors": self.errors,
-                "timeouts": self.timeouts,
-                "batches": self.batches,
-                "wall_time_s": self.wall_time,
-                "throughput_rps": self._throughput(),
-                "latency": self.latency.snapshot(),
-                "delta": {
-                    "applies": self.delta_applies,
-                    "full_evals": self.delta_full_evals,
-                    "hit_rate": self._delta_hit_rate(),
-                },
-                "packed": {
-                    "compiles": self.packed_compiles,
-                    "reuses": self.packed_reuses,
-                    "bytes_shipped": self.packed_bytes_shipped,
-                    "bytes_shared": self.packed_bytes_shared,
-                },
-                "stream": {
-                    "sessions": self.stream_sessions,
-                    "closed": self.stream_closed,
-                    "steps": self.stream_steps,
-                    "hypers": self.stream_hypers,
-                    "wall_time_s": self.stream_time,
-                    "steps_per_s": self._stream_steps_per_s(),
-                    "hyper_rate": self._stream_hyper_rate(),
-                    "fused_sessions": self.stream_fused,
-                    "fused_fallback": self.stream_fused_fallback,
-                    "fused_fraction": self._stream_fused_fraction(),
-                    "replay_epochs": self.stream_replay_epochs,
-                    "replay_triggers": self.stream_replay_triggers,
-                },
-                "wire": {
-                    proto: {
-                        "frames_in": row[0],
-                        "bytes_in": row[1],
-                        "bytes_out": row[2],
-                        "decode_s": row[3],
-                    }
-                    for proto, row in sorted(self.wire.items())
-                },
-                "portfolio": {
-                    "decisions": dict(sorted(
-                        self.portfolio_decisions.items()
-                    )),
-                    "races": self.portfolio_races,
-                    "explores": self.portfolio_explores,
-                    "records": self.portfolio_records,
-                },
-                "histograms": {
-                    name: fam.snapshot() for name, fam in self.hist.items()
-                },
+            out: dict = {}
+            for m in ENGINE_COUNTERS:
+                *parents, key = m.path.split(".")[1:]
+                node = out
+                for parent in parents:
+                    node = node.setdefault(parent, {})
+                node[key] = getattr(self, m.attr)
+            out["cache_hit_rate"] = self._cache_hit_rate()
+            out["throughput_rps"] = self._throughput()
+            out["latency"] = self.latency.snapshot()
+            out["delta"]["hit_rate"] = self._delta_hit_rate()
+            out["stream"].update(
+                steps_per_s=self._stream_steps_per_s(),
+                hyper_rate=self._stream_hyper_rate(),
+                fused_fraction=self._stream_fused_fraction(),
+            )
+            out["wire"] = {
+                proto: dict(zip(WIRE_FIELDS, row))
+                for proto, row in sorted(self.wire.items())
+            }
+            out["portfolio"]["decisions"] = dict(
+                sorted(self.portfolio_decisions.items())
+            )
+            out["histograms"] = {
+                name: fam.snapshot() for name, fam in self.hist.items()
             }
         if cache is not None:
             out["cache"] = {

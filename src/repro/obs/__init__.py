@@ -17,7 +17,8 @@ building blocks, all dependency-free and cheap enough to leave on:
   parser plus a stdlib-only HTTP server for ``GET /metrics``
   (``repro serve --metrics-port``).
 
-:class:`~repro.engine.metrics.EngineMetrics` owns the well-known
+Every series is declared once in :mod:`repro.obs.catalog`;
+:class:`~repro.engine.metrics.EngineMetrics` holds its counters and
 histogram families; :class:`~repro.serve.shard.ShardPool` merges the
 per-shard snapshots (process shards ship them over their pipes); the
 :class:`~repro.serve.server.StreamServer` exposes everything through

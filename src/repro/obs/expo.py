@@ -1,8 +1,8 @@
 """Dependency-free Prometheus text exposition and a tiny HTTP plane.
 
-:func:`render_exposition` turns a payload of counters, gauges and
-histogram-family wire snapshots into Prometheus text format 0.0.4 —
-counters as ``<ns>_<name>``, histograms as the conventional
+:func:`render_exposition` turns a sequence of counter, gauge and
+histogram families (each with its help text) into Prometheus text
+format 0.0.4 — counters as ``<ns>_<name>``, histograms as the conventional
 ``_bucket{le=...}`` / ``_sum`` / ``_count`` triple with cumulative
 bucket counts (only buckets where the cumulative count changes are
 emitted, plus ``+Inf``; the fixed log-bucket geometry makes the full
@@ -10,7 +10,9 @@ emitted, plus ``+Inf``; the fixed log-bucket geometry makes the full
 
 :func:`parse_exposition` is the matching minimal parser — enough for
 ``repro serve-stats --check`` and the CI scrape to assert the core
-series exist without installing a Prometheus client.
+series exist, each with its ``# HELP``, without installing a
+Prometheus client.  The families themselves are declared in
+:mod:`repro.obs.catalog`.
 
 :class:`MetricsHTTPServer` serves ``GET /metrics`` (text),
 ``GET /metrics.json`` (full JSON snapshot) and ``GET /healthz`` from a
@@ -60,48 +62,26 @@ def _num(value: float) -> str:
     return repr(int(f)) if f == int(f) else repr(f)
 
 
-def render_exposition(
-    *,
-    counters: Mapping[str, float] | None = None,
-    gauges: Mapping[str, object] | None = None,
-    histograms: Mapping[str, Mapping] | None = None,
-    namespace: str = "repro",
-) -> str:
+def render_exposition(families, *, namespace: str = "repro") -> str:
     """Render Prometheus text; see module docstring.
 
-    ``counters``/``gauges`` map metric name (without namespace) to a
-    number, or — for labeled series — to a list of
-    ``(labels_dict, number)`` pairs.  ``histograms`` maps family name
-    to a :meth:`HistogramFamily.to_wire` snapshot.
+    ``families`` yields ``(name, kind, help, value)`` with ``name``
+    without namespace.  A counter or gauge ``value`` is a list of
+    ``(labels_dict, number)`` pairs; a histogram ``value`` is a
+    :meth:`HistogramFamily.to_wire` snapshot.
     """
     lines: list[str] = []
-
-    def emit(name, kind, entries, help_text=""):
+    for name, kind, help_text, value in families:
         full = f"{namespace}_{name}"
         if help_text:
             lines.append(f"# HELP {full} {_escape(help_text)}")
         lines.append(f"# TYPE {full} {kind}")
-        for labels, value in entries:
-            lines.append(f"{full}{_labels_text(labels)} {_num(value)}")
-
-    def entries_of(value):
-        if isinstance(value, (int, float)):
-            return [({}, value)]
-        return [(dict(lbl), v) for lbl, v in value]
-
-    for name, value in (counters or {}).items():
-        emit(name, "counter", entries_of(value))
-    for name, value in (gauges or {}).items():
-        emit(name, "gauge", entries_of(value))
-
-    for name, wire in (histograms or {}).items():
-        full = f"{namespace}_{name}"
-        help_text = wire.get("help", "")
-        if help_text:
-            lines.append(f"# HELP {full} {_escape(help_text)}")
-        lines.append(f"# TYPE {full} histogram")
-        bounds = BucketScheme.by_name(wire["scheme"])._bounds_list
-        series = wire["series"] or [
+        if kind != "histogram":
+            for labels, number in value:
+                lines.append(f"{full}{_labels_text(labels)} {_num(number)}")
+            continue
+        bounds = BucketScheme.by_name(value["scheme"])._bounds_list
+        series = value["series"] or [
             # A family with no series yet still exposes one empty
             # unlabeled histogram, so every family is visible (and
             # checkable) from the very first scrape.
@@ -137,11 +117,18 @@ def parse_exposition(text: str) -> dict[str, list[tuple[dict, float]]]:
 
     Minimal by design: handles the subset :func:`render_exposition`
     emits (no timestamps, no exemplars).  Raises ``ValueError`` on a
-    malformed sample line so ``--check`` fails loudly.
+    malformed sample line, or on a ``# TYPE`` family without a
+    ``# HELP`` line, so ``--check`` fails loudly.
     """
     out: dict[str, list[tuple[dict, float]]] = {}
+    typed: list[str] = []
+    helped: set[str] = set()
     for raw in text.splitlines():
         line = raw.strip()
+        if line.startswith("# TYPE "):
+            typed.append(line.split(" ", 3)[2])
+        elif line.startswith("# HELP "):
+            helped.add(line.split(" ", 3)[2])
         if not line or line.startswith("#"):
             continue
         if "{" in line:
@@ -169,6 +156,9 @@ def parse_exposition(text: str) -> dict[str, list[tuple[dict, float]]]:
             raise ValueError(f"bad sample line: {raw!r}")
         value = float("inf") if value_text == "+Inf" else float(value_text)
         out.setdefault(name, []).append((labels, value))
+    unhelped = [family for family in typed if family not in helped]
+    if unhelped:
+        raise ValueError("no # HELP for " + ", ".join(unhelped))
     return out
 
 

@@ -44,12 +44,13 @@ import time
 import traceback
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.switches import SwitchUniverse
-from repro.obs.expo import MetricsHTTPServer, render_exposition
+from repro.obs import catalog
+from repro.obs.expo import MetricsHTTPServer
 from repro.obs.trace import TraceRecorder
 from repro.serve.protocol import (
     BIN_HEADER,
@@ -223,6 +224,9 @@ class _ShardQueue:
             self._cond.notify_all()
             return feeds, closes
 
+    def __len__(self) -> int:
+        return len(self._jobs)
+
     def drain(self) -> list[_Job]:
         """Pop everything (shutdown path; the caller fails the futures).
 
@@ -234,21 +238,14 @@ class _ShardQueue:
         return jobs
 
 
-@dataclass
 class _ServerCounters:
-    """Operator-facing request accounting of one server."""
+    """Operator-facing request accounting of one server: one attribute
+    per ``server.*`` row of the metric catalogue."""
 
-    connections: int = 0
-    frames: int = 0
-    opens: int = 0
-    feeds: int = 0
-    closes: int = 0
-    stats_calls: int = 0
-    metrics_calls: int = 0
-    protocol_errors: int = 0
-    rejected_sessions: int = 0
-    errors: int = 0
-    lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
+    def __init__(self):
+        self.lock = threading.Lock()
+        for key in catalog.SERVER_COUNTERS:
+            setattr(self, key, 0)
 
     def bump(self, name: str, by: int = 1) -> None:
         with self.lock:
@@ -257,16 +254,7 @@ class _ServerCounters:
     def snapshot(self) -> dict:
         with self.lock:
             return {
-                "connections": self.connections,
-                "frames": self.frames,
-                "opens": self.opens,
-                "feeds": self.feeds,
-                "closes": self.closes,
-                "stats_calls": self.stats_calls,
-                "metrics_calls": self.metrics_calls,
-                "protocol_errors": self.protocol_errors,
-                "rejected_sessions": self.rejected_sessions,
-                "errors": self.errors,
+                key: getattr(self, key) for key in catalog.SERVER_COUNTERS
             }
 
 
@@ -913,13 +901,9 @@ class StreamServer:
         loop = asyncio.get_running_loop()
 
         def build():
+            snapshot, histograms = self._scrape()
             return (
-                self.metrics_snapshot(),
-                {
-                    name: fam.to_wire()
-                    for name, fam in self.pool.merged_histograms().items()
-                },
-                self.exposition(),
+                snapshot, histograms, catalog.exposition(snapshot, histograms)
             )
 
         snapshot, wire, text = await loop.run_in_executor(
@@ -934,100 +918,34 @@ class StreamServer:
 
     # -- telemetry plane ---------------------------------------------------
 
-    def metrics_snapshot(self) -> dict:
-        """One JSON-safe snapshot of everything: server counters,
-        uptime, tracer state, recent slow spans, pool stats (engine
-        counters, merged histogram summaries, per-shard rows)."""
-        return {
+    def _scrape(self) -> tuple[dict, dict]:
+        """One pass over the telemetry: the :meth:`metrics_snapshot`
+        dict plus the wire form of the same merged histograms, whose
+        buckets the exposition needs."""
+        merged = self.pool.merged_histograms()
+        stats = self.pool.stats(merged)
+        for row, queue in zip(stats["shards"], self._queues):
+            row["queue_depth"] = len(queue)
+        snapshot = {
             "server": self.counters.snapshot(),
             "uptime_s": time.monotonic() - self._started_mono,
             "trace": self.tracer.snapshot(),
             "slow": [e.to_dict() for e in self.tracer.slow_events(32)],
-            **self.pool.stats(),
+            **stats,
         }
+        return snapshot, {name: fam.to_wire() for name, fam in merged.items()}
+
+    def metrics_snapshot(self) -> dict:
+        """One JSON-safe snapshot of everything: server counters,
+        uptime, tracer state, recent slow spans, pool stats (engine
+        counters, merged histogram summaries, per-shard rows with
+        occupancy and queue depth)."""
+        return self._scrape()[0]
 
     def exposition(self) -> str:
-        """Prometheus text of the full labeled state (see obs.expo)."""
-        server = self.counters.snapshot()
-        engine = self.pool.metrics.snapshot()
-        trace = self.tracer.snapshot()
-        with self._sessions_lock:
-            occupancy: dict[int, int] = {}
-            for _width, shard in self._sessions.values():
-                occupancy[shard] = occupancy.get(shard, 0) + 1
-        counters = {
-            f"server_{name}_total": value
-            for name, value in server.items()
-        }
-        counters.update({
-            "engine_requests_total": engine["requests"],
-            "engine_solved_total": engine["solved"],
-            "engine_cache_hits_total": engine["cache_hits"],
-            "engine_errors_total": engine["errors"],
-            "engine_timeouts_total": engine["timeouts"],
-            "engine_batches_total": engine["batches"],
-            "stream_sessions_total": engine["stream"]["sessions"],
-            "stream_closed_total": engine["stream"]["closed"],
-            "stream_steps_total": engine["stream"]["steps"],
-            "stream_hypers_total": engine["stream"]["hypers"],
-            "stream_fused_sessions_total": engine["stream"]["fused_sessions"],
-            "stream_fused_fallback_total": engine["stream"]["fused_fallback"],
-            "stream_replay_epochs_total": engine["stream"]["replay_epochs"],
-            "stream_replay_triggers_total": (
-                engine["stream"]["replay_triggers"]
-            ),
-            "trace_spans_total": trace["recorded"],
-            "trace_slow_spans_total": trace["slow"],
-        })
-        wire = engine.get("wire", {})
-        counters.update({
-            "wire_frames_in_total": [
-                ({"proto": proto}, series["frames_in"])
-                for proto, series in wire.items()
-            ],
-            "wire_bytes_in_total": [
-                ({"proto": proto}, series["bytes_in"])
-                for proto, series in wire.items()
-            ],
-            "wire_bytes_out_total": [
-                ({"proto": proto}, series["bytes_out"])
-                for proto, series in wire.items()
-            ],
-            "wire_decode_seconds_total": [
-                ({"proto": proto}, series["decode_s"])
-                for proto, series in wire.items()
-            ],
-        })
-        portfolio = engine.get("portfolio", {})
-        decisions = portfolio.get("decisions", {})
-        counters.update({
-            # Labeled per chosen solver once decisions flow; the
-            # unlabeled zero row keeps the series present (and the CI
-            # boot-check green) on an idle server.
-            "portfolio_decisions_total": (
-                [({"solver": name}, count)
-                 for name, count in sorted(decisions.items())]
-                or [({}, 0)]
-            ),
-            "portfolio_races_total": portfolio.get("races", 0),
-            "portfolio_explores_total": portfolio.get("explores", 0),
-            "portfolio_records_total": portfolio.get("records", 0),
-        })
-        gauges = {
-            "uptime_seconds": time.monotonic() - self._started_mono,
-            "sessions": sum(occupancy.values()),
-            "shard_sessions": [
-                ({"shard": str(shard)}, occupancy.get(shard, 0))
-                for shard in range(self.config.shards)
-            ],
-        }
-        histograms = {
-            name: fam.to_wire()
-            for name, fam in self.pool.merged_histograms().items()
-        }
-        return render_exposition(
-            counters=counters, gauges=gauges, histograms=histograms
-        )
+        """Prometheus text of :meth:`metrics_snapshot`, rendered by the
+        metric catalogue (see :mod:`repro.obs.catalog`)."""
+        return catalog.exposition(*self._scrape())
 
     async def _stats_reporter(self) -> None:
         """Periodic one-line stderr report (``--stats-interval``)."""
@@ -1041,7 +959,6 @@ class StreamServer:
             except RuntimeError:  # executor shutting down
                 return
             stream = stats["engine"]["stream"]
-            feed = stats["histograms"]["feed_latency_seconds"]
             drain = stats["histograms"]["drain_cycle_seconds"]
             server = self.counters.snapshot()
             print(
@@ -1052,8 +969,6 @@ class StreamServer:
                 f" steps/s={stream['steps_per_s']:.0f}"
                 f" drain p50/p99="
                 f"{drain['p50'] * 1e3:.2f}/{drain['p99'] * 1e3:.2f}ms"
-                f" feed p50/p99="
-                f"{feed['p50'] * 1e3:.2f}/{feed['p99'] * 1e3:.2f}ms"
                 f" slow={self.tracer.snapshot()['slow']}",
                 file=sys.stderr,
                 flush=True,

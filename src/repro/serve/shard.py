@@ -573,14 +573,16 @@ class ShardPool:
                 merged[name].merge_wire(wire, extra_labels={"shard": str(i)})
         return merged
 
-    def stats(self) -> dict:
-        """Aggregate snapshot: engine counters, merged histograms, and
-        per-shard occupancy + drain-cycle latency quantiles."""
+    def stats(self, merged: dict[str, HistogramFamily] | None = None) -> dict:
+        """Aggregate snapshot: engine counters, merged histograms (or
+        the ``merged`` the caller already took), and per-shard
+        occupancy + drain-cycle latency quantiles."""
         with self._lock:
             occupancy = [0] * self.shards
             for shard in self._placement.values():
                 occupancy[shard] += 1
-        merged = self.merged_histograms()
+        if merged is None:
+            merged = self.merged_histograms()
         drain_by_shard = {
             labels.get("shard"): hist
             for labels, hist in merged["drain_cycle_seconds"].series()

@@ -231,9 +231,10 @@ def test_bench_serve_loopback_requests(benchmark, smoke, bench_artifact):
     """Requests/s through live TCP serving, verified per session.
 
     Each shard count runs under both wire protocols — v1 JSON frames
-    and v2 binary raw lane frames (deflated, pipelined) — so the
-    table shows what protocol v2 buys in bytes-on-wire and server
-    decode CPU at identical, oracle-verified answers.  Acceptance: v2
+    and v2 binary lane frames (deflated, pipelined: one ``feed_many``
+    frame per burst) — so the table shows what protocol v2 buys in
+    bytes-on-wire and server decode CPU at identical, oracle-verified
+    answers.  Acceptance: v2
     puts at most half of v1's request bytes on the wire.
     """
     sessions = 24 if smoke else 128
@@ -304,6 +305,8 @@ def test_bench_serve_loopback_requests(benchmark, smoke, bench_artifact):
                 "shards": shards,
                 "proto": proto,
                 "sessions": result.sessions,
+                # Requests/s; the key stays, so the regression guard
+                # compares like with like against older artifacts.
                 "frames_per_s": result.frames_per_s,
                 "steps_per_s": result.steps_per_s,
                 "fused_fraction": stream["fused_fraction"],
@@ -325,11 +328,12 @@ def test_bench_serve_loopback_requests(benchmark, smoke, bench_artifact):
 
     print()
     print(format_table(
-        ["shards", "proto", "sessions", "frames", "wall s", "frames/s",
+        ["shards", "proto", "sessions", "requests", "wall s", "requests/s",
          "steps/s", "req bytes", "decode ms",
          "client p50/p95/p99 ms", "drain p50/p95/p99 ms", "fused %"],
         rows,
         title=f"E17: loopback serving, {clients} clients, "
               f"chunk={chunk} (costs verified vs single hub; "
-              f"v2 = binary raw+deflate frames, pipelined)",
+              f"v2 = one binary feed_many frame per pipelined burst, "
+              f"raw+deflate; requests = opens + feed chunks + closes)",
     ))

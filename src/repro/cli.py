@@ -586,6 +586,7 @@ def cmd_serve_bench(args) -> int:
         if args.policy == "rent_or_buy"
         else {"k": args.window}
     )
+    from repro.obs.catalog import DRAIN_CYCLE
     from repro.obs.histogram import Histogram
     from repro.serve.client import ServeClient
 
@@ -625,7 +626,7 @@ def cmd_serve_bench(args) -> int:
                 }
                 stream = telemetry["metrics"]["engine"]["stream"]
         drain = Histogram.from_wire_aggregate(
-            wire.get("drain_cycle_seconds")
+            wire.get(DRAIN_CYCLE.name)
         )
         lat = result.latency
         ms = 1e3
@@ -659,6 +660,7 @@ def cmd_serve_bench(args) -> int:
             "fused_fraction": stream["fused_fraction"],
             "replay_epochs": stream["replay_epochs"],
             "replay_triggers": stream["replay_triggers"],
+            # Requests/s, under the artifact key older rows use.
             "frames_per_s": result.frames_per_s,
             "bytes_out": result.bytes_out,
             "bytes_in": result.bytes_in,
@@ -674,7 +676,7 @@ def cmd_serve_bench(args) -> int:
     kind = "proc" if args.shard_procs else "thread"
     print(format_table(
         ["shards", "proto", "sessions", "steps", "wall s", "steps/s",
-         "fused %", "frames/s", "req bytes", "decode ms",
+         "fused %", "requests/s", "req bytes", "decode ms",
          "client p50/p95/p99 ms", "drain p50/p95/p99 ms", "verified"],
         rows,
         title=f"serve-bench: loopback, {kind} shards, "
@@ -1110,7 +1112,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--max-chunk", type=int, default=65536,
-        help="admission control: reject feed frames beyond this many steps",
+        help="admission control: reject feed chunks beyond this many steps",
     )
     p_serve.add_argument(
         "--queue-depth", type=int, default=64,

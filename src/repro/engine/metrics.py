@@ -32,6 +32,7 @@ from repro.engine.cache import CacheStats
 from repro.obs.catalog import (
     DETERMINISTIC_FAMILIES,
     ENGINE_COUNTERS,
+    FEED_LATENCY,
     HISTOGRAMS,
     WIRE_FIELDS,
 )
@@ -576,7 +577,7 @@ class EngineMetrics:
                      f"{stream['replay_triggers']} triggers / "
                      f"{stream['replay_epochs']} epochs"]
                 )
-            feed = snap["histograms"]["feed_latency_seconds"]
+            feed = snap["histograms"][FEED_LATENCY.name]
             if feed["count"]:
                 rows.append(
                     ["feed latency p50/p95/p99",

@@ -25,7 +25,9 @@ __all__ = [
     "CATALOG",
     "CORE_SAMPLES",
     "DETERMINISTIC_FAMILIES",
+    "DRAIN_CYCLE",
     "ENGINE_COUNTERS",
+    "FEED_LATENCY",
     "HISTOGRAMS",
     "Metric",
     "SERVER_COUNTERS",
@@ -83,13 +85,16 @@ def _lookup(node, path: str):
     return node
 
 
-#: One row per line, so the table reads like the README's.
+#: One row per line, so the table reads like the README's.  Rows that
+#: readers look up by name are also bound to module names
+#: (:data:`FEED_LATENCY`, :data:`DRAIN_CYCLE`), so no reader spells a
+#: series name by hand.
 CATALOG: tuple[Metric, ...] = (
     # -- serve: front door
     Metric("server_connections_total", "counter", "server.connections", "Client connections accepted"),
-    Metric("server_frames_total", "counter", "server.frames", "Request frames read"),
+    Metric("server_frames_total", "counter", "server.frames", "Request frames read (a feed_many frame counts once)"),
     Metric("server_opens_total", "counter", "server.opens", "open frames received", core=True),
-    Metric("server_feeds_total", "counter", "server.feeds", "feed frames received (JSON and binary)", core=True),
+    Metric("server_feeds_total", "counter", "server.feeds", "Feed chunks received: one per feed frame, N per feed_many frame of N entries", core=True),
     Metric("server_closes_total", "counter", "server.closes", "close frames received"),
     Metric("server_stats_calls_total", "counter", "server.stats_calls", "stats frames answered"),
     Metric("server_metrics_calls_total", "counter", "server.metrics_calls", "metrics frames answered"),
@@ -121,7 +126,7 @@ CATALOG: tuple[Metric, ...] = (
     Metric("stream_replay_epochs_total", "counter", "engine.stream.replay_epochs", "Trigger epochs the fused sweep iterated", attr="stream_replay_epochs", core=True),
     Metric("stream_replay_triggers_total", "counter", "engine.stream.replay_triggers", "Triggers resolved by batched replay", attr="stream_replay_triggers", core=True),
     # -- serve: wire protocols (json and bin rows exist from the start)
-    Metric("wire_frames_in_total", "counter", "engine.wire.*.frames_in", "Request frames received", ("proto",)),
+    Metric("wire_frames_in_total", "counter", "engine.wire.*.frames_in", "Request frames received (a feed_many frame counts once)", ("proto",)),
     Metric("wire_bytes_in_total", "counter", "engine.wire.*.bytes_in", "Request bytes received", ("proto",), core=True),
     Metric("wire_bytes_out_total", "counter", "engine.wire.*.bytes_out", "Reply bytes sent", ("proto",), core=True),
     Metric("wire_decode_seconds_total", "counter", "engine.wire.*.decode_s", "CPU seconds decoding frame payloads", ("proto",), core=True),
@@ -141,8 +146,8 @@ CATALOG: tuple[Metric, ...] = (
     # -- histograms (buckets from the merged shard-pool families);
     # fused_group_sessions depends on shard placement: not deterministic
     Metric("solve_latency_seconds", "histogram", "histograms.solve_latency_seconds", "Per-request one-shot solve latency", ("solver",)),
-    Metric("feed_latency_seconds", "histogram", "histograms.feed_latency_seconds", "Streaming feed call latency (per chunk batch)", core=True),
-    Metric("drain_cycle_seconds", "histogram", "histograms.drain_cycle_seconds", "Per-shard drain cycle duration", ("shard",), core=True),
+    FEED_LATENCY := Metric("feed_latency_seconds", "histogram", "histograms.feed_latency_seconds", "Streaming feed call latency (per chunk batch)", core=True),
+    DRAIN_CYCLE := Metric("drain_cycle_seconds", "histogram", "histograms.drain_cycle_seconds", "Per-shard drain cycle duration", ("shard",), core=True),
     Metric("stream_chunk_steps", "histogram", "histograms.stream_chunk_steps", "Steps per per-session feed chunk", ("shard",), core=True, deterministic=True),
     Metric("session_cost", "histogram", "histograms.session_cost", "Final cost per closed streaming session", ("shard", "solver"), core=True, deterministic=True),
     Metric("session_steps", "histogram", "histograms.session_steps", "Total steps per closed streaming session", ("shard", "solver"), deterministic=True),

@@ -1,10 +1,14 @@
 """Synchronous client for the serving protocol.
 
 :class:`ServeClient` owns one TCP connection.  Every call writes its
-frame(s) and blocks for the replies — reply matching is positional, so
-:meth:`feed_pipelined` can keep many feed frames in flight on one
-socket (one ``sendall``, then drain the replies in order) without any
-correlation ids.
+frame(s) and blocks for the replies — the server answers every frame
+with exactly one reply, in request order, so reply matching is
+positional and needs no correlation ids.  :meth:`feed_pipelined`
+serves a whole burst of chunks with one round trip: over v2 the burst
+is one binary ``feed_many`` frame (split only to stay under
+``MAX_FRAME_BYTES``) answered by one reply that lists every chunk's
+result; over JSON it is one frame per chunk, sent with one
+``sendall``.
 
 The client remembers each opened session's universe width, so
 :meth:`feed` accepts plain int masks *or* pre-packed ``(C, L)`` lane
@@ -27,6 +31,7 @@ import socket
 from dataclasses import dataclass
 
 from repro.serve.protocol import (
+    MAX_FEED_ENTRIES,
     MAX_FRAME_BYTES,
     PROTO_BIN,
     PROTO_JSON,
@@ -35,6 +40,7 @@ from repro.serve.protocol import (
     encode_feed_bin,
     encode_frame,
     encode_mask_chunk,
+    feed_entry_bytes,
 )
 
 __all__ = ["CloseResult", "FeedResult", "ServeClient", "ServeError"]
@@ -278,32 +284,81 @@ class ServeClient:
     ) -> list[FeedResult]:
         """Serve many chunks with one round trip's worth of latency.
 
-        ``batch`` is ``[(session_id, masks), ...]``.  All frames go out
-        back-to-back (one ``sendall``), then the replies — which the
-        server writes strictly in request order — drain in order.  On
-        an error reply the remaining replies are still drained (the
-        connection stays usable) before :class:`ServeError` raises.
+        ``batch`` is ``[(session_id, masks), ...]``; a session may
+        appear more than once, and its chunks are served in batch
+        order.  Over v2 the batch goes out as one ``feed_many`` frame
+        (more only when it would exceed ``MAX_FRAME_BYTES``); over JSON
+        as one frame per chunk, back-to-back in one ``sendall``.  Either
+        way the replies drain in request order.  On an error reply the
+        remaining replies are still drained (the connection stays
+        usable) before :class:`ServeError` raises.
         """
         if not batch:
             return []
-        frames = [
-            self._encode_feed(sid, masks, trace=None)
-            for sid, masks in batch
-        ]
-        self._send(b"".join(frames))
+        if self._bin:
+            frames = self._feed_many_frames(batch)
+        else:
+            frames = [
+                (self._encode_feed(sid, masks, trace=None), [sid])
+                for sid, masks in batch
+            ]
+        self._send(b"".join(data for data, _sids in frames))
         results: list[FeedResult] = []
         failure: ServeError | None = None
-        for sid, _masks in batch:
+        for _data, sids in frames:
             reply = self._recv_reply()
-            if reply.get("ok"):
-                results.append(_feed_result(sid, reply))
-            elif failure is None:
-                failure = ServeError(
-                    reply.get("error", "unspecified server error")
+            if reply.get("ok") and reply.get("op") == "feed_many":
+                items = reply["replies"]
+            else:  # a JSON feed's reply, or a frame-level error
+                items = [reply] * len(sids)
+            if len(items) != len(sids):
+                raise ConnectionError(
+                    f"feed_many reply has {len(items)} items for "
+                    f"{len(sids)} entries"
                 )
+            for sid, item in zip(sids, items):
+                if item.get("ok"):
+                    results.append(_feed_result(sid, item))
+                elif failure is None:
+                    failure = ServeError(
+                        item.get("error", "unspecified server error")
+                    )
         if failure is not None:
             raise failure
         return results
+
+    def _feed_many_frames(
+        self, batch: list[tuple[str, object]]
+    ) -> list[tuple[bytes, list[str]]]:
+        """A burst as ``feed_many`` frames: (wire bytes, session per
+        entry).  Entries fill a frame until its raw payload would pass
+        ``MAX_FRAME_BYTES``; a chunk that alone is larger travels as
+        the only entry of its frame."""
+        groups: list[list[tuple[str, object]]] = [[]]
+        size = HEAD = 2  # the u16 entry count
+        for sid, masks in batch:
+            lanes = _as_lanes(masks, self._width_of(sid))
+            if len(lanes) == 0:
+                raise ValueError(
+                    "feed chunks must contain at least one mask"
+                )
+            nbytes = feed_entry_bytes(sid, lanes)
+            group = groups[-1]
+            if group and (
+                size + nbytes > MAX_FRAME_BYTES
+                or len(group) == MAX_FEED_ENTRIES
+            ):
+                groups.append([])
+                size = HEAD
+            groups[-1].append((sid, lanes))
+            size += nbytes
+        return [
+            (
+                encode_feed_bin(group, deflate=self._deflate),
+                [sid for sid, _lanes in group],
+            )
+            for group in groups
+        ]
 
     def close_session(
         self, session_id: str, *, trace: str | None = None

@@ -65,6 +65,8 @@ class LoadgenResult:
 
     sessions: int
     steps: int
+    #: requests served — opens, feed chunks and closes.  Not wire
+    #: frames: over v2 a pipelined burst of chunks is one frame.
     frames: int
     wall_s: float
     costs: dict[str, float] = field(default_factory=dict)
@@ -89,6 +91,7 @@ class LoadgenResult:
 
     @property
     def frames_per_s(self) -> float:
+        """Requests per second (see :attr:`frames`)."""
         return self.frames / self.wall_s if self.wall_s else 0.0
 
 
@@ -120,7 +123,7 @@ def _client_worker(
                 ]
                 if pipeline:
                     # One burst per round: the whole batch shares one
-                    # round trip, so each frame is booked at the batch
+                    # round trip, so each chunk is booked at the batch
                     # RTT it actually waited behind.
                     t0 = time.perf_counter()
                     client.feed_pipelined(batch)
@@ -138,7 +141,7 @@ def _client_worker(
                 res = client.close_session(sid)
                 frames += 1
                 out[sid] = res.cost
-            # sentinel: this worker's frame count + wire byte totals.
+            # sentinel: this worker's request count + wire byte totals.
             out[None] = (frames, client.bytes_sent, client.bytes_received)
     except Exception as exc:  # noqa: BLE001 - surfaced by the caller
         errors.append(exc)

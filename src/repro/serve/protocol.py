@@ -47,16 +47,39 @@ A v2 frame is an 8-byte header followed by the payload::
     offset  size  field
     0       1     magic 0xA7 (never a printable JSON first byte)
     1       1     version (2)
-    2       1     opcode (1 = feed)
+    2       1     opcode (1 = feed, 2 = feed_many)
     3       1     flags (bit1 DEFLATE; bit0 and bits 2-7 are reserved
                   and rejected)
     4       4     payload length, u32 little-endian
 
-Feed payload: ``u8 session-length | session utf-8 | u32 count``, then
-the lane section — ``count · L`` uint64 lanes, little-endian
-row-major.  DEFLATE marks the section (only) as zlib-compressed; the
-receiver knows the exact inflated size, so decompression is strictly
-bounded.
+Feed payload (opcode 1): ``u8 session-length | session utf-8 | u32
+count``, then the lane section — ``count · L`` uint64 lanes,
+little-endian row-major.  DEFLATE marks the section (only) as
+zlib-compressed; the receiver knows the exact inflated size, so
+decompression is strictly bounded.
+
+Feed-many payload (opcode 2): one frame carries N chunks, for any mix
+of sessions — a pipelined burst is one frame, one parse, one inflate
+and one reply::
+
+    u16 N                                     entry count (>= 1)
+    N x (u8 session-length | session utf-8 | u32 count | u16 lanes)
+    lane section                              every entry's count x lanes
+                                              uint64 lanes, in entry order
+
+Each entry declares its own lane count, so the section layout never
+depends on server state; the section is at most
+:data:`MAX_FRAME_BYTES` when N > 1, and DEFLATE compresses it as one
+stream, inflated once and bounded by the declared total.  The reply is
+one JSON line ``{"ok": true, "op": "feed_many", "replies": [...]}``
+whose item i is exactly the reply entry i would have earned as its own
+opcode-1 frame: a ``feed`` reply, or an error reply when only that
+entry is bad (unknown session, lane count that disagrees with the
+session's width, empty or non-UTF-8 session id, count out of range).
+A session may appear more than once; its chunks are served in entry
+order.  Faults that leave no entry locatable — a truncated entry table,
+a raw section of the wrong length, an oversized section — earn one
+frame-level error reply; a corrupt deflate stream fails every entry.
 
 Version negotiation rides the JSON ``open`` frame: a v2 client sends
 ``"proto": 2`` and switches to binary feeds only when the reply echoes
@@ -71,8 +94,10 @@ import base64
 import binascii
 import json
 import struct
+import threading
 import zlib
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -83,8 +108,11 @@ __all__ = [
     "BIN_HEADER",
     "BIN_MAGIC",
     "BIN_OP_FEED",
+    "BIN_OP_FEED_MANY",
     "BIN_VERSION",
+    "BinFeedBatch",
     "BinFeedFrame",
+    "MAX_FEED_ENTRIES",
     "MAX_FRAME_BYTES",
     "PROTO_BIN",
     "PROTO_JSON",
@@ -97,6 +125,7 @@ __all__ = [
     "encode_frame",
     "decode_frame",
     "encode_feed_bin",
+    "feed_entry_bytes",
     "encode_mask_chunk",
     "decode_mask_chunk",
     "lanes_from_bytes",
@@ -122,12 +151,18 @@ PROTO_BIN = 2
 BIN_MAGIC = 0xA7
 BIN_VERSION = 2
 BIN_OP_FEED = 1
+BIN_OP_FEED_MANY = 2
 BIN_FLAG_DEFLATE = 0x02
 
 #: magic, version, opcode, flags, payload length.
 BIN_HEADER = struct.Struct("<BBBBI")
 
+_U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
+#: The fixed tail of a ``feed_many`` table entry: u32 count, u16 lanes.
+_ENTRY_TAIL = struct.Struct("<IH")
+#: Entries one ``feed_many`` frame can carry (its u16 entry count).
+MAX_FEED_ENTRIES = 0xFFFF
 
 
 class ProtocolError(ValueError):
@@ -302,8 +337,10 @@ def lanes_from_bytes(raw: bytes, count: int, width: int) -> np.ndarray:
     # subtle downstream surprise.
     tail_bits = width - (L - 1) * 64
     if tail_bits < 64 and count:
+        # A row sets a bit at or above the tail exactly when its top
+        # lane exceeds the all-ones tail mask.
         top = np.uint64((1 << tail_bits) - 1)
-        if np.any(lanes[:, L - 1] & ~top):
+        if lanes[:, L - 1].max() > top:
             raise ProtocolError(
                 f"mask sets switches beyond the {width}-switch universe"
             )
@@ -325,19 +362,49 @@ def _deflate_maybe(section: bytes, deflate: bool | None):
     return section, 0
 
 
+def _session_bytes(session: str) -> bytes:
+    sid = session.encode()
+    if not 1 <= len(sid) <= 255:
+        raise ProtocolError(
+            "binary feed session ids must be 1..255 UTF-8 bytes"
+        )
+    return sid
+
+
+def _frame(opcode: int, flags: int, payload: bytes) -> bytes:
+    if len(payload) > MAX_FRAME_BYTES:
+        raise ProtocolError(f"frame exceeds {MAX_FRAME_BYTES} bytes")
+    return BIN_HEADER.pack(
+        BIN_MAGIC, BIN_VERSION, opcode, flags, len(payload)
+    ) + payload
+
+
+def feed_entry_bytes(session: str, lanes: np.ndarray) -> int:
+    """Bytes one chunk adds to a raw ``feed_many`` payload (its table
+    entry plus its lanes) — what a client sums to split a burst."""
+    return len(session.encode()) + 1 + _ENTRY_TAIL.size + lanes.nbytes
+
+
 def encode_feed_bin(
-    session: str,
-    lanes: np.ndarray,
-    width: int,
+    session,
+    lanes: np.ndarray | None = None,
+    width: int | None = None,
     *,
     deflate: bool | None = None,
 ) -> bytes:
     """Encode one v2 binary feed frame.
 
-    ``lanes`` is the chunk's ``(C, L)`` uint64 matrix.  ``deflate=None``
-    compresses the section only when that actually wins; ``True``/
-    ``False`` force it (golden fixtures pin the uncompressed form).
+    ``encode_feed_bin(session, lanes, width)`` builds an opcode-1
+    ``feed`` frame: ``lanes`` is the chunk's ``(C, L)`` uint64 matrix.
+    ``encode_feed_bin(entries)`` builds one opcode-2 ``feed_many`` frame
+    from a list of ``(session, lanes)`` pairs, each pair declaring its
+    own lane count, with every chunk in one lane section.
+    ``deflate=None`` compresses the section only when that actually
+    wins; ``True``/``False`` force it (golden fixtures pin the
+    uncompressed form).
     """
+    if not isinstance(session, str):
+        return _encode_feed_many(list(session), deflate)
     lanes = np.ascontiguousarray(lanes, dtype="<u8")
     L = lane_count(width)
     if lanes.ndim != 2 or lanes.shape[1] != L:
@@ -348,58 +415,200 @@ def encode_feed_bin(
     count = lanes.shape[0]
     if count < 1:
         raise ProtocolError("feed chunks must contain at least one mask")
-    sid = session.encode()
-    if not 1 <= len(sid) <= 255:
-        raise ProtocolError(
-            "binary feed session ids must be 1..255 UTF-8 bytes"
-        )
+    sid = _session_bytes(session)
     section, flags = _deflate_maybe(lanes.tobytes(), deflate)
     payload = bytes((len(sid),)) + sid + _U32.pack(count) + section
-    if len(payload) > MAX_FRAME_BYTES:
-        raise ProtocolError(f"frame exceeds {MAX_FRAME_BYTES} bytes")
-    return BIN_HEADER.pack(
-        BIN_MAGIC, BIN_VERSION, BIN_OP_FEED, flags, len(payload)
-    ) + payload
+    return _frame(BIN_OP_FEED, flags, payload)
+
+
+def _encode_feed_many(entries: list, deflate: bool | None) -> bytes:
+    if not 1 <= len(entries) <= MAX_FEED_ENTRIES:
+        raise ProtocolError(
+            f"feed_many frames carry 1..{MAX_FEED_ENTRIES} entries"
+        )
+    table = [_U16.pack(len(entries))]
+    rows = []
+    for session, lanes in entries:
+        lanes = np.ascontiguousarray(lanes, dtype="<u8")
+        if lanes.ndim != 2 or not 1 <= lanes.shape[1] <= 0xFFFF:
+            raise ProtocolError("feed_many lanes must be (C, L) rows")
+        if lanes.shape[0] < 1:
+            raise ProtocolError(
+                "feed chunks must contain at least one mask"
+            )
+        sid = _session_bytes(session)
+        table.append(
+            bytes((len(sid),)) + sid + _ENTRY_TAIL.pack(*lanes.shape)
+        )
+        rows.append(lanes.reshape(-1))
+    section, flags = _deflate_maybe(np.concatenate(rows).tobytes(), deflate)
+    table.append(section)
+    return _frame(BIN_OP_FEED_MANY, flags, b"".join(table))
+
+
+class _Section:
+    """A frame's lane section, inflated at most once.
+
+    ``sizes`` is the declared byte size of each ``feed_many`` entry's
+    rows, in entry order (``None`` for an opcode-1 section, whose one
+    size follows from the session's width).  A deflated section is
+    inflated in one pass, bounded by the declared sizes, straight into
+    one buffer per entry — never one frame-sized buffer.  The entries
+    of one frame may live on different shards, so two drain threads can
+    resolve them at the same time: the first inflates under the lock
+    and the others reuse its parts — or its error.  A raw section is a
+    view of the frame payload, and entries slice views of it.
+    """
+
+    __slots__ = ("deflated", "sizes", "_data", "_parts", "_lock")
+
+    def __init__(
+        self, data: memoryview, deflated: bool, sizes: tuple | None = None
+    ):
+        self.deflated = deflated
+        self.sizes = sizes
+        self._data = data
+        #: Per-entry rows once known, or the error inflating them.
+        self._parts: list | str | None = None
+        if not deflated:
+            self._parts = [data] if sizes is None else [
+                data[start - size : start]
+                for size, start in zip(sizes, accumulate(sizes))
+            ]
+        self._lock = threading.Lock()
+
+    def part(self, index: int, size: int):
+        """Entry ``index``'s rows: exactly ``size`` raw bytes."""
+        if self._parts is None:
+            with self._lock:
+                if self._parts is None:
+                    try:
+                        parts = _inflate(self._data, self.sizes or (size,))
+                    except ProtocolError as exc:
+                        parts = str(exc)
+                    self._parts = parts
+        if isinstance(self._parts, str):
+            raise ProtocolError(self._parts)
+        data = self._parts[index]
+        if len(data) != size:
+            raise ProtocolError(
+                f"feed section holds {len(data)} bytes, expected {size}"
+            )
+        return data
+
+
+#: Compressed bytes handed to the inflater per call.  Input a call
+#: leaves unconsumed comes back as a copy, so bounded pieces keep that
+#: copy small instead of re-copying the rest of the frame per entry —
+#: a churn of medium buffers that fragmented the drain threads' heaps
+#: and raised the server's peak RSS in some runs.
+INFLATE_PIECE = 16384
+
+
+def _inflate(data: memoryview, sizes) -> list[bytes]:
+    """Inflate one zlib stream into consecutive parts of ``sizes``
+    bytes; the stream must end exactly after the last part."""
+    pieces = (
+        data[i : i + INFLATE_PIECE]
+        for i in range(0, len(data), INFLATE_PIECE)
+    )
+    pending = b""
+    parts = []
+    try:
+        obj = zlib.decompressobj()
+        for size in sizes:
+            got = []
+            need = size  # > 0 whenever decompress runs: 0 is unbounded
+            while need and not obj.eof:
+                if not pending:
+                    pending = next(pieces, b"")
+                    if not pending:
+                        break
+                got.append(obj.decompress(pending, need))
+                pending = obj.unconsumed_tail
+                need -= len(got[-1])
+            parts.append(b"".join(got))
+        extra = obj.decompress(b"".join([pending, *pieces]), 1)
+    except zlib.error as exc:
+        raise ProtocolError(f"invalid deflate stream: {exc}") from None
+    if (
+        extra
+        or not obj.eof
+        or obj.unused_data
+        or any(len(p) != n for p, n in zip(parts, sizes))
+    ):
+        raise ProtocolError(
+            "deflated feed section does not match its declared size"
+        )
+    return parts
 
 
 @dataclass(frozen=True)
 class BinFeedFrame:
-    """Parsed v2 binary ``feed`` request.
+    """Parsed v2 binary ``feed`` request, or one entry of a
+    ``feed_many`` frame.
 
     ``section`` stays encoded (possibly deflated) until the server
     knows the session's width: :meth:`raw_lanes` inflates,
     length-checks and bit-validates it in the drain executor, off the
-    event loop.
+    event loop.  A ``feed_many`` entry also carries its declared lane
+    count and its ``index`` in the frame's shared section.
     """
 
     session: str
     count: int
-    deflated: bool
-    section: bytes
+    section: _Section
+    lanes: int | None = None
+    index: int = 0
+
+    @property
+    def deflated(self) -> bool:
+        return self.section.deflated
 
     def raw_lanes(self, width: int) -> np.ndarray:
         """Resolve the section into validated ``(count, L)`` lanes."""
-        expected = self.count * lane_count(width) * 8
-        data = self.section
-        if self.deflated:
-            try:
-                obj = zlib.decompressobj()
-                data = obj.decompress(data, expected)
-                if not obj.eof or obj.unused_data:
-                    raise ProtocolError(
-                        "deflated feed section does not match its "
-                        "declared size"
-                    )
-            except zlib.error as exc:
-                raise ProtocolError(
-                    f"invalid deflate stream: {exc}"
-                ) from None
-        if len(data) != expected:
+        L = lane_count(width)
+        if self.lanes is not None and self.lanes != L:
             raise ProtocolError(
-                f"feed section holds {len(data)} bytes, "
-                f"expected {expected}"
+                f"feed entry declares {self.lanes} lane(s), "
+                f"width {width} needs {L}"
             )
+        data = self.section.part(self.index, self.count * L * 8)
         return lanes_from_bytes(data, self.count, width)
+
+
+@dataclass(frozen=True)
+class BinFeedBatch:
+    """Parsed v2 binary ``feed_many`` request.
+
+    ``entries`` holds, in frame order, a :class:`BinFeedFrame` per
+    well-formed entry or the :class:`ProtocolError` an entry earned on
+    its own (its table row still located the entries after it).
+    """
+
+    entries: tuple
+
+
+def _entry_fields(
+    sid: bytes, count: int, max_chunk_steps: int | None
+) -> str:
+    """Check one entry's session id and count; return the id."""
+    if not sid:
+        raise ProtocolError("binary feed session id is empty")
+    try:
+        session = sid.decode()
+    except UnicodeDecodeError as exc:
+        raise ProtocolError(
+            f"binary feed session id is not UTF-8: {exc}"
+        ) from None
+    if count < 1:
+        raise ProtocolError("feed.count must be a positive integer")
+    if max_chunk_steps is not None and count > max_chunk_steps:
+        raise ProtocolError(
+            f"feed.count {count} exceeds the server chunk limit "
+            f"{max_chunk_steps}"
+        )
+    return session
 
 
 def parse_bin_feed(
@@ -408,48 +617,83 @@ def parse_bin_feed(
     payload: bytes,
     *,
     max_chunk_steps: int | None = None,
-) -> BinFeedFrame:
+) -> BinFeedFrame | BinFeedBatch:
     """Validate one binary frame's opcode/flags/payload structure.
 
     Cheap structural checks only (the section stays opaque); the
     header itself — magic, version, length bounds — is the transport
     loop's job, since framing errors kill the connection while payload
-    errors only earn an error reply.
+    errors only earn an error reply.  Opcode 1 returns a
+    :class:`BinFeedFrame`, opcode 2 a :class:`BinFeedBatch`.
     """
-    if opcode != BIN_OP_FEED:
+    if opcode not in (BIN_OP_FEED, BIN_OP_FEED_MANY):
         raise ProtocolError(f"unknown binary opcode {opcode}")
     if flags & ~BIN_FLAG_DEFLATE:
         raise ProtocolError(f"unknown binary flags {flags:#04x}")
-    head = 1
-    if len(payload) < head:
+    deflated = bool(flags & BIN_FLAG_DEFLATE)
+    view = memoryview(payload)
+    if opcode == BIN_OP_FEED_MANY:
+        return _parse_feed_many(view, deflated, max_chunk_steps)
+    if len(payload) < 1:
         raise ProtocolError("binary feed payload is truncated")
     slen = payload[0]
     if slen < 1:
         raise ProtocolError("binary feed session id is empty")
-    if len(payload) < head + slen + 4:
+    head = 1 + slen
+    if len(payload) < head + 4:
         raise ProtocolError("binary feed payload is truncated")
-    try:
-        session = payload[head : head + slen].decode()
-    except UnicodeDecodeError as exc:
-        raise ProtocolError(
-            f"binary feed session id is not UTF-8: {exc}"
-        ) from None
-    head += slen
     (count,) = _U32.unpack_from(payload, head)
-    head += 4
-    if count < 1:
-        raise ProtocolError("feed.count must be a positive integer")
-    if max_chunk_steps is not None and count > max_chunk_steps:
-        raise ProtocolError(
-            f"feed.count {count} exceeds the server chunk limit "
-            f"{max_chunk_steps}"
-        )
+    session = _entry_fields(bytes(view[1:head]), count, max_chunk_steps)
     return BinFeedFrame(
         session=session,
         count=int(count),
-        deflated=bool(flags & BIN_FLAG_DEFLATE),
-        section=payload[head:],
+        section=_Section(view[head + 4 :], deflated),
     )
+
+
+def _parse_feed_many(
+    view: memoryview, deflated: bool, max_chunk_steps: int | None
+) -> BinFeedBatch:
+    if len(view) < _U16.size:
+        raise ProtocolError("feed_many entry table is truncated")
+    (n,) = _U16.unpack_from(view, 0)
+    if n < 1:
+        raise ProtocolError("feed_many frame has no entries")
+    head = _U16.size
+    rows = []  # (session id bytes, count, lanes)
+    for _ in range(n):
+        if head >= len(view):
+            raise ProtocolError("feed_many entry table is truncated")
+        end = head + 1 + view[head]
+        if end + _ENTRY_TAIL.size > len(view):
+            raise ProtocolError("feed_many entry table is truncated")
+        count, lanes = _ENTRY_TAIL.unpack_from(view, end)
+        rows.append((bytes(view[head + 1 : end]), count, lanes))
+        head = end + _ENTRY_TAIL.size
+    sizes = tuple(count * lanes * 8 for _sid, count, lanes in rows)
+    total = sum(sizes)
+    if n > 1 and total > MAX_FRAME_BYTES:
+        raise ProtocolError(
+            f"feed_many entries declare {total} lane bytes; frames of "
+            f"several entries hold at most {MAX_FRAME_BYTES}"
+        )
+    if not deflated and len(view) - head != total:
+        raise ProtocolError(
+            f"feed_many section holds {len(view) - head} bytes, "
+            f"its entries declare {total}"
+        )
+    section = _Section(view[head:], deflated, sizes)
+    entries = []
+    for index, (sid, count, lanes) in enumerate(rows):
+        try:
+            session = _entry_fields(sid, count, max_chunk_steps)
+        except ProtocolError as exc:
+            entries.append(exc)
+        else:
+            entries.append(
+                BinFeedFrame(session, count, section, lanes, index)
+            )
+    return BinFeedBatch(tuple(entries))
 
 
 # ---------------------------------------------------------------------------

@@ -16,15 +16,18 @@ over stdin/stdout) and turns newline-delimited JSON frames
   cycle.  Under load, frames that arrive while a cycle runs coalesce
   into the next one — the batch size adapts to the backlog;
 * **backpressure** — one bound, ``queue_depth``, caps both each
-  shard queue and each connection's staged-but-unanswered replies;
-  when a shard falls behind or a client stops reading, ``feed`` frames
+  shard queue and each connection's staged-but-unanswered replies,
+  counted in feed chunks (a ``feed_many`` frame of N entries weighs
+  N); when a shard falls behind or a client stops reading, frames
   wait in the reader coroutine, TCP flow control propagates the stall
   to the client, and memory stays bounded.  A pipelined burst of up to
-  ``queue_depth`` frames is staged whole, so it is swept in one drain
-  cycle;
+  ``queue_depth`` chunks — one ``feed_many`` frame from a v2 client —
+  is staged whole, so it is swept in one drain cycle;
 * **ordering** — ``close`` travels through the same shard queue as a
   barrier, so a session's pending feeds are always served before its
-  run is finished and validated.
+  run is finished and validated.  Each ``feed_many`` entry is staged
+  as its own shard job, in entry order, so batching a burst into one
+  frame changes neither shard routing nor per-session order.
 
 Sessions are server-global (not per-connection): any connection may
 feed any open session, and a dropped connection leaves its sessions
@@ -55,8 +58,10 @@ from repro.obs.trace import TraceRecorder
 from repro.serve.protocol import (
     BIN_HEADER,
     BIN_MAGIC,
+    BIN_OP_FEED_MANY,
     BIN_VERSION,
     MAX_FRAME_BYTES,
+    BinFeedFrame,
     PROTO_BIN,
     PROTO_JSON,
     CloseFrame,
@@ -238,6 +243,40 @@ class _ShardQueue:
         return jobs
 
 
+class _ReplyQueue:
+    """A connection's staged replies, in request order, bounded in
+    feed chunks.
+
+    An item weighs the chunks its reply answers: ``N`` for a
+    ``feed_many`` frame of N entries, 1 for any other frame.  An item
+    is admitted while fewer than ``depth`` chunks wait, so a frame
+    larger than the bound still passes, alone.
+    """
+
+    def __init__(self, depth: int):
+        self._depth = depth
+        self._items: deque = deque()
+        self._chunks = 0
+        self._cond = asyncio.Condition()
+
+    async def put(self, item, chunks: int = 1) -> None:
+        async with self._cond:
+            while self._chunks >= self._depth:
+                await self._cond.wait()
+            self._items.append((item, chunks))
+            self._chunks += chunks
+            self._cond.notify_all()
+
+    async def get(self):
+        async with self._cond:
+            while not self._items:
+                await self._cond.wait()
+            item, chunks = self._items.popleft()
+            self._chunks -= chunks
+            self._cond.notify_all()
+            return item
+
+
 class _ServerCounters:
     """Operator-facing request accounting of one server: one attribute
     per ``server.*`` row of the metric catalogue."""
@@ -307,11 +346,20 @@ class StreamServer:
         self._drainers: list[asyncio.Task] = []
         self._server: asyncio.AbstractServer | None = None
         self._writers: set = set()  # live client connections
-        # Shard calls block (locks, pipes, NumPy); they run on this
-        # executor so the event loop keeps accepting frames.  One
-        # worker per shard plus one for open/close/stats traffic.
+        # Shard calls block (locks, pipes, NumPy); they run off the
+        # event loop so it keeps accepting frames.  Each shard's drain
+        # cycles and closes run on that shard's own thread — the sweep's
+        # scratch arrays then stay in one allocator arena per shard
+        # instead of one per worker that ever ran a cycle — and one more
+        # worker takes open/stats/metrics traffic.
+        self._drain_threads = [
+            ThreadPoolExecutor(
+                max_workers=1, thread_name_prefix=f"serve-shard{shard}"
+            )
+            for shard in range(self.config.shards)
+        ]
         self._executor = ThreadPoolExecutor(
-            max_workers=self.config.shards + 1, thread_name_prefix="serve"
+            max_workers=1, thread_name_prefix="serve"
         )
 
     # -- lifecycle ---------------------------------------------------------
@@ -399,7 +447,8 @@ class StreamServer:
                     job.future.set_exception(
                         RuntimeError("server stopped")
                     )
-        self._executor.shutdown(wait=True)
+        for executor in (*self._drain_threads, self._executor):
+            executor.shutdown(wait=True)
         if self._own_pool:
             self.pool.close()
 
@@ -409,6 +458,7 @@ class StreamServer:
         """Forever: collect one cycle, run it, resolve its futures."""
         loop = asyncio.get_running_loop()
         queue = self._queues[shard]
+        drain_thread = self._drain_threads[shard]
         while True:
             feeds, closes = await queue.take_cycle()
             # A feed can race a close issued on another connection; a
@@ -425,7 +475,7 @@ class StreamServer:
                 t0 = time.perf_counter()
                 try:
                     summaries, failed = await loop.run_in_executor(
-                        self._executor, self._run_cycle, shard, chunks
+                        drain_thread, self._run_cycle, shard, chunks
                     )
                 except asyncio.CancelledError:
                     raise
@@ -450,7 +500,7 @@ class StreamServer:
                 t0 = time.perf_counter()
                 try:
                     run = await loop.run_in_executor(
-                        self._executor, self.pool.finish, job.session
+                        drain_thread, self.pool.finish, job.session
                     )
                 except asyncio.CancelledError:
                     raise
@@ -561,17 +611,15 @@ class StreamServer:
         event loop — feed/close land in their shard queue here, so
         per-session order survives pipelining — while a sender task
         writes replies in the same order as their requests.  The reply
-        queue is bounded by ``config.queue_depth``, the same bound as a
-        shard queue: a pipelined burst that fits a shard queue is staged
-        whole and lands in one drain cycle, while a client that fires
-        frames faster than it reads replies stalls the reader after
-        about ``queue_depth`` staged frames, and TCP flow control
-        carries the backpressure home.
+        queue is bounded by ``config.queue_depth`` feed chunks, the same
+        bound as a shard queue: a pipelined burst that fits a shard
+        queue is staged whole and lands in one drain cycle, while a
+        client that fires frames faster than it reads replies stalls
+        the reader after about ``queue_depth`` staged chunks, and TCP
+        flow control carries the backpressure home.
         """
         loop = asyncio.get_running_loop()
-        replies: asyncio.Queue = asyncio.Queue(
-            maxsize=self.config.queue_depth
-        )
+        replies = _ReplyQueue(self.config.queue_depth)
         sender = loop.create_task(self._reply_sender(replies, send))
         try:
             while True:
@@ -587,16 +635,20 @@ class StreamServer:
                     break
                 self.counters.bump("frames")
                 proto = "bin" if kind == "bin" else "json"
+                chunks = 1
                 try:
-                    finish = await self._stage(kind, payload)
+                    if kind == "bin":
+                        finish, chunks = await self._stage_bin(*payload)
+                    else:
+                        finish = await self._stage(payload)
                 except Exception as exc:  # noqa: BLE001 - reply, don't die
                     finish = _ready(self._error_reply(exc))
-                await replies.put((proto, finish))
+                await replies.put((proto, finish), chunks)
         finally:
-            await replies.put(None)
+            await replies.put(None, 0)
             await sender
 
-    async def _reply_sender(self, replies: asyncio.Queue, send) -> None:
+    async def _reply_sender(self, replies: _ReplyQueue, send) -> None:
         """Write replies strictly in request order.
 
         Each queue item is ``(proto, awaitable)``; the awaitable
@@ -693,8 +745,8 @@ class StreamServer:
         )
         return "bin", (opcode, flags, payload)
 
-    async def _stage(self, kind: str, payload):
-        """Parse and admit one frame in read order; return the
+    async def _stage(self, line: bytes):
+        """Parse and admit one JSON frame in read order; return the
         awaitable that produces its reply.
 
         Feed and close enter their shard's bounded queue *here*, so a
@@ -702,16 +754,8 @@ class StreamServer:
         frames for one session can never reorder no matter how deep the
         client pipelines.
         """
-        if kind == "bin":
-            opcode, flags, data = payload
-            if self.config.proto == "json":
-                raise ProtocolError(
-                    "binary frames are disabled (server runs "
-                    "--proto json)"
-                )
-            return await self._stage_bin_feed(opcode, flags, data)
         frame = parse_request(
-            decode_frame(payload),
+            decode_frame(line),
             max_chunk_steps=self.config.max_chunk_steps,
         )
         if isinstance(frame, FeedFrame):
@@ -782,16 +826,54 @@ class StreamServer:
         )
         return self._finish_feed(frame.session, future, _echo(frame))
 
-    async def _stage_bin_feed(self, opcode: int, flags: int, data: bytes):
-        self.counters.bump("feeds")
-        bframe = parse_bin_feed(
+    async def _stage_bin(self, opcode: int, flags: int, data: bytes):
+        """Stage one binary frame like :meth:`_stage`; returns (reply
+        awaitable, feed chunks it answers).
+
+        A ``feed_many`` frame stages every entry as its own shard job,
+        in entry order; an entry that is malformed or names an unknown
+        session fails alone, with the reply its own opcode-1 frame
+        would have earned.
+        """
+        if self.config.proto == "json":
+            raise ProtocolError(
+                "binary frames are disabled (server runs --proto json)"
+            )
+        if opcode != BIN_OP_FEED_MANY:
+            self.counters.bump("feeds")
+        frame = parse_bin_feed(
             opcode, flags, data,
             max_chunk_steps=self.config.max_chunk_steps,
         )
-        width, shard = self._session_of(bframe.session)
-        lanes = _EncodedChunk("bin", lambda: bframe.raw_lanes(width))
-        future = await self._enqueue_feed(bframe.session, shard, lanes)
-        return self._finish_feed(bframe.session, future, {})
+        if isinstance(frame, BinFeedFrame):
+            return await self._stage_bin_entry(frame), 1
+        self.counters.bump("feeds", len(frame.entries))
+        finishes = []
+        for entry in frame.entries:
+            try:
+                if isinstance(entry, ProtocolError):
+                    raise entry
+                finish = await self._stage_bin_entry(entry)
+            except Exception as exc:  # noqa: BLE001 - reply, don't die
+                finish = _ready(self._error_reply(exc))
+            finishes.append(finish)
+        return self._finish_many(finishes), len(finishes)
+
+    async def _stage_bin_entry(self, entry: BinFeedFrame):
+        width, shard = self._session_of(entry.session)
+        lanes = _EncodedChunk("bin", lambda: entry.raw_lanes(width))
+        future = await self._enqueue_feed(entry.session, shard, lanes)
+        return self._finish_feed(entry.session, future, {})
+
+    async def _finish_many(self, finishes: list) -> dict:
+        """One ``feed_many`` reply: item i answers entry i."""
+        replies = []
+        for finish in finishes:
+            try:
+                replies.append(await finish)
+            except Exception as exc:  # noqa: BLE001 - reply, don't die
+                replies.append(self._error_reply(exc))
+        return ok_frame("feed_many", replies=replies)
 
     async def _stage_close(self, frame: CloseFrame):
         self.counters.bump("closes")
@@ -959,7 +1041,7 @@ class StreamServer:
             except RuntimeError:  # executor shutting down
                 return
             stream = stats["engine"]["stream"]
-            drain = stats["histograms"]["drain_cycle_seconds"]
+            drain = stats["histograms"][catalog.DRAIN_CYCLE.name]
             server = self.counters.snapshot()
             print(
                 f"[repro.serve] up {time.monotonic() - self._started_mono:.0f}s"

@@ -45,6 +45,7 @@ from repro.core.switches import SwitchUniverse
 from repro.engine.batch import SHARED_LANES_MIN_BYTES, _attach_shared
 from repro.engine.metrics import DETERMINISTIC_FAMILIES, EngineMetrics
 from repro.engine.stream import StreamBatch, StreamHub
+from repro.obs.catalog import DRAIN_CYCLE
 from repro.obs.histogram import HistogramFamily
 from repro.solvers.online import OnlineRun
 
@@ -585,7 +586,7 @@ class ShardPool:
             merged = self.merged_histograms()
         drain_by_shard = {
             labels.get("shard"): hist
-            for labels, hist in merged["drain_cycle_seconds"].series()
+            for labels, hist in merged[DRAIN_CYCLE.name].series()
         }
         shards = []
         for i in range(self.shards):

@@ -1,9 +1,11 @@
 """Failure paths of the serve stack: each ends in a reply, never silence.
 
-Every test injects one fault — a hostile byte stream, an exception out
-of a shard, a server started without its optional telemetry plane —
-and checks that the affected request gets an error reply (or the
-process starts and stops cleanly) while the connection keeps serving.
+Every test injects one fault — a hostile byte stream, a bad entry in
+a ``feed_many`` burst, an exception out of a shard, a server started
+without its optional telemetry plane — and checks that the affected
+request gets an error reply (or the process starts and stops cleanly)
+while the connection keeps serving, and that the sessions the fault
+spared end at the single-hub oracle's costs.
 """
 
 import os
@@ -15,10 +17,23 @@ import sys
 
 import pytest
 
-from repro.engine.stream import StreamSession
+from repro.core.packed import masks_to_lanes
+from repro.core.switches import SwitchUniverse
+from repro.engine.stream import StreamHub, StreamSession
 from repro.serve.client import ServeClient, ServeError
-from repro.serve.protocol import encode_frame
+from repro.serve.loadgen import drifting_masks
+from repro.serve.protocol import (
+    BIN_HEADER,
+    BIN_MAGIC,
+    BIN_OP_FEED_MANY,
+    BIN_VERSION,
+    encode_feed_bin,
+    encode_frame,
+    policy_from_spec,
+)
 from repro.serve.server import ServeConfig, ServerThread
+
+WIDTH, W = 40, 5.0
 
 
 @pytest.fixture()
@@ -38,6 +53,173 @@ class TestHostileInput:
             sid = client.open(policy="window", width=8, w=2.0)
             assert client.feed(sid, [1, 2, 3]).steps == 3
             assert client.close_session(sid).steps == 3
+
+
+def _traces(n: int, steps: int = 120) -> dict[str, list[int]]:
+    return {
+        f"s{i}": drifting_masks(WIDTH, steps, seed=i, phase=40)
+        for i in range(n)
+    }
+
+
+def _oracle(traces: dict[str, list[int]]) -> dict[str, float]:
+    """Close costs of one in-process StreamHub fed the same chunks."""
+    hub = StreamHub()
+    for sid, masks in traces.items():
+        hub.open(
+            policy_from_spec("rent_or_buy", W, {}),
+            SwitchUniverse.of_size(WIDTH),
+            W,
+            session_id=sid,
+        )
+        hub.feed_many({sid: masks})
+    return {sid: run.cost for sid, run in hub.finish_all().items()}
+
+
+def _lanes(masks, width=WIDTH):
+    return masks_to_lanes(masks, width)
+
+
+def _feed_many(client, entries, *, deflate=False, mangle=None) -> dict:
+    """Send one feed_many frame (optionally mangled); return its reply."""
+    wire = encode_feed_bin(entries, deflate=deflate)
+    client._send(mangle(wire) if mangle else wire)
+    return client._recv_reply()
+
+
+def _finish(client, traces, served: int) -> dict[str, float]:
+    """Feed every session the rest of its trace, close, return costs."""
+    client.feed_pipelined(
+        [(sid, masks[served:]) for sid, masks in traces.items()]
+    )
+    return {sid: client.close_session(sid).cost for sid in traces}
+
+
+class TestFeedManyFaults:
+    """A bad entry fails alone; a frame that cannot be laid out fails
+    as a whole; the connection serves on and the spared sessions end at
+    the oracle costs."""
+
+    def _open(self, client, traces):
+        for sid in traces:
+            client.open(width=WIDTH, w=W, session_id=sid)
+
+    def test_unknown_session_entry_fails_alone(self, server):
+        traces = _traces(2)
+        with ServeClient(*server, proto="bin") as client:
+            self._open(client, traces)
+            reply = _feed_many(client, [
+                ("s0", _lanes(traces["s0"][:60])),
+                ("ghost", _lanes(traces["s1"][:60])),
+                ("s1", _lanes(traces["s1"][:60])),
+            ])
+            assert reply["ok"] and reply["op"] == "feed_many"
+            items = reply["replies"]
+            assert [item["ok"] for item in items] == [True, False, True]
+            assert "unknown session id 'ghost'" in items[1]["error"]
+            assert items[2]["session"] == "s1" and items[2]["steps"] == 60
+            costs = _finish(client, traces, 60)
+            assert client.stats()["server"]["errors"] == 1
+        assert costs == _oracle(traces)
+
+    def test_lane_count_disagreeing_with_width_fails_alone(self, server):
+        traces = _traces(2)
+        with ServeClient(*server, proto="bin") as client:
+            self._open(client, traces)
+            reply = _feed_many(client, [
+                ("s0", _lanes(traces["s0"][:60], 96)),  # 2 lanes, not 1
+                ("s1", _lanes(traces["s1"][:60])),
+            ])
+            first, second = reply["replies"]
+            assert not first["ok"] and "declares 2 lane" in first["error"]
+            assert second["ok"]
+            # s0 never saw the bad chunk: it starts over from step 0.
+            client.feed("s0", traces["s0"][:60])
+            costs = _finish(client, traces, 60)
+        assert costs == _oracle(traces)
+
+    def test_truncated_entry_table_is_one_frame_error(self, server):
+        traces = _traces(2)
+
+        def truncate(wire: bytes) -> bytes:
+            payload = wire[BIN_HEADER.size :][:9]  # mid second entry
+            return BIN_HEADER.pack(
+                BIN_MAGIC, BIN_VERSION, BIN_OP_FEED_MANY, 0, len(payload)
+            ) + payload
+
+        with ServeClient(*server, proto="bin") as client:
+            self._open(client, traces)
+            reply = _feed_many(
+                client,
+                [(sid, _lanes(m[:60])) for sid, m in traces.items()],
+                mangle=truncate,
+            )
+            assert not reply["ok"]
+            assert "truncated" in reply["error"]
+            costs = _finish(client, traces, 0)
+            assert client.stats()["server"]["protocol_errors"] == 1
+        assert costs == _oracle(traces)
+
+    def test_corrupt_deflate_stream_fails_every_entry(self, server):
+        traces = _traces(3)
+
+        def corrupt(wire: bytes) -> bytes:
+            wire = bytearray(wire)
+            wire[-4:] = bytes(b ^ 0xFF for b in wire[-4:])  # adler32
+            return bytes(wire)
+
+        with ServeClient(*server, proto="bin") as client:
+            self._open(client, traces)
+            reply = _feed_many(
+                client,
+                [(sid, _lanes(m[:60])) for sid, m in traces.items()],
+                deflate=True,
+                mangle=corrupt,
+            )
+            assert reply["ok"]
+            for item in reply["replies"]:
+                assert not item["ok"] and "deflate" in item["error"]
+            costs = _finish(client, traces, 0)
+        assert costs == _oracle(traces)
+
+    def test_duplicate_session_keeps_entry_order(self, server):
+        traces = _traces(2)
+        with ServeClient(*server, proto="bin") as client:
+            self._open(client, traces)
+            reply = _feed_many(client, [
+                ("s0", _lanes(traces["s0"][:30])),
+                ("s1", _lanes(traces["s1"][:60])),
+                ("s0", _lanes(traces["s0"][30:60])),
+            ])
+            first, _s1, again = reply["replies"]
+            assert (first["start"], first["steps"]) == (0, 30)
+            assert (again["start"], again["steps"]) == (30, 30)
+            assert again["cumulative_cost"] == pytest.approx(
+                first["cost"] + again["cost"]
+            )
+            costs = _finish(client, traces, 60)
+        assert costs == _oracle(traces)
+
+    @pytest.mark.parametrize("procs", [False, True])
+    def test_frame_spanning_two_shards(self, procs):
+        """One deflated frame per burst, its entries on both shards of
+        a thread or process pool: two drain cycles resolve the shared
+        section, and every cost matches the oracle."""
+        traces = _traces(8)
+        config = ServeConfig(shards=2, shard_procs=procs)
+        with ServerThread(config) as address:
+            with ServeClient(*address, proto="bin", deflate=True) as client:
+                self._open(client, traces)
+                stats = client.stats()
+                assert all(row["sessions"] for row in stats["shards"])
+                for lo in range(0, 120, 40):
+                    client.feed_pipelined(
+                        [(sid, m[lo : lo + 40]) for sid, m in traces.items()]
+                    )
+                stats = client.stats()
+                costs = {sid: client.close_session(sid).cost for sid in traces}
+        assert stats["engine"]["wire"]["bin"]["frames_in"] == 3
+        assert costs == _oracle(traces)
 
 
 class TestUnexpectedExceptions:

@@ -20,11 +20,16 @@ import threading
 
 import pytest
 
+from repro.core.packed import masks_to_lanes
 from repro.core.switches import SwitchUniverse
 from repro.engine.stream import StreamHub
 from repro.serve.client import ServeClient, ServeError
 from repro.serve.loadgen import drifting_masks, run_loadgen
-from repro.serve.protocol import encode_frame, encode_mask_chunk
+from repro.serve.protocol import (
+    encode_feed_bin,
+    encode_frame,
+    encode_mask_chunk,
+)
 from repro.serve.server import ServeConfig, ServerThread, StreamServer
 from repro.solvers.online import RentOrBuyScheduler
 
@@ -257,6 +262,29 @@ class TestBackpressureBound:
                 for sid in sids:
                     client.close_session(sid)
 
+    def test_feed_many_frame_wider_than_queue_depth_is_served(self):
+        """A burst frame with more entries than ``queue_depth`` fills
+        the shard queue several times over while it stages; it must
+        still be answered in full, in entry order."""
+        depth = 4
+        config = ServeConfig(shards=1, queue_depth=depth)
+        with ServerThread(config) as address:
+            with ServeClient(*address, proto="bin") as client:
+                sids = [
+                    client.open(policy="window", width=8, w=2.0, k=2)
+                    for _ in range(3 * depth)
+                ]
+                for _ in range(2):
+                    results = client.feed_pipelined(
+                        [(sid, [1, 2, 3]) for sid in sids]
+                    )
+                    assert [r.session for r in results] == sids
+                stats = client.stats()
+                assert stats["engine"]["wire"]["bin"]["frames_in"] == 2
+                assert stats["engine"]["stream"]["steps"] == 2 * 3 * len(
+                    sids
+                )
+
     def test_unread_replies_stall_the_reader_at_queue_depth(self):
         """A client that stops reading replies stops having its frames
         read: the reader stalls with about ``queue_depth`` frames
@@ -291,6 +319,54 @@ class TestBackpressureBound:
         # waiting for queue room.
         assert depth <= staged <= depth + 2
         assert answered == frames
+
+
+    def test_unread_feed_many_replies_count_their_chunks(self):
+        """The reply bound counts feed chunks, not frames: with
+        ``queue_depth`` 4 and frames of 4 entries, one frame fills the
+        bound, so the reader stalls with 2 opens and 2 frames staged
+        (6 frames if each frame weighed 1)."""
+        depth = 4
+        frames = 6
+
+        async def scenario():
+            server = StreamServer(ServeConfig(shards=1, queue_depth=depth))
+            await server.start(listen=False)
+            reader = asyncio.StreamReader()
+            for sid in ("a", "b"):
+                reader.feed_data(encode_frame({
+                    "op": "open", "policy": "window", "width": 8,
+                    "w": 2.0, "k": 2, "session": sid,
+                }))
+            burst = encode_feed_bin(
+                [(sid, masks_to_lanes([1, 2], 8)) for sid in "abab"]
+            )
+            reader.feed_data(burst * frames)
+            reader.feed_eof()
+            reading = asyncio.Event()
+            sent = []
+
+            async def send(data: bytes) -> None:
+                await reading.wait()
+                sent.append(json.loads(data))
+
+            pump = asyncio.create_task(server._pump(reader, send))
+            await asyncio.sleep(0.5)
+            staged = server.counters.frames
+            reading.set()
+            await asyncio.wait_for(pump, timeout=30)
+            await server.stop()
+            return staged, sent
+
+        staged, sent = asyncio.run(scenario())
+        assert staged == 2 + 2
+        assert len(sent) == 2 + frames
+        starts = [
+            [item["start"] for item in reply["replies"]]
+            for reply in sent[2:]
+        ]
+        assert starts == [[4 * i, 4 * i, 4 * i + 2, 4 * i + 2]
+                          for i in range(frames)]
 
 
 class TestShutdown:

@@ -3,15 +3,17 @@
 Three layers of pinning:
 
 * **golden frames** (``tests/data/wire_v1_frames.jsonl``,
-  ``wire_v2_raw.bin``) — the byte-exact wire form of canonical v1 and
-  v2 frames.  Re-encoding the same inputs must reproduce the stored
+  ``wire_v2_raw.bin``, ``wire_v2_batch.bin``) — the byte-exact wire
+  form of canonical v1 frames, a v2 ``feed`` frame and a v2
+  ``feed_many`` frame.  Re-encoding the same inputs must reproduce the stored
   bytes bit for bit (a codec change that silently breaks old clients
   fails here first).  The binary fixtures are
   non-deflated on purpose: zlib output may vary across library
   versions, so compression is pinned by round-trip properties instead.
-* **property round-trips** — raw and deflated binary frames survive
-  encode → parse → resolve across universe widths spanning every
-  lane-count boundary.
+* **property round-trips** — raw and deflated binary frames, single
+  chunks and ``feed_many`` bursts of ragged chunks over mixed widths,
+  survive encode → parse → resolve across universe widths spanning
+  every lane-count boundary.
 * **served behavior** — a v1-only client completes the full
   open/feed/close/stats flow against a v2 server unchanged; v2 clients
   (raw, deflated, pipelined) produce bit-identical costs to the
@@ -23,6 +25,9 @@ Three layers of pinning:
 from __future__ import annotations
 
 import pathlib
+import sys
+import threading
+import zlib
 
 import numpy as np
 import pytest
@@ -37,7 +42,10 @@ from repro.serve.protocol import (
     BIN_HEADER,
     BIN_MAGIC,
     BIN_OP_FEED,
+    BIN_OP_FEED_MANY,
     BIN_VERSION,
+    MAX_FRAME_BYTES,
+    BinFeedBatch,
     ProtocolError,
     encode_feed_bin,
     encode_frame,
@@ -102,6 +110,15 @@ V2_WIDTH = 96
 V2_RAW_MASKS = [0b101, (1 << 95) | 0b11, 1 << 64]
 
 
+#: The feed_many fixture: two sessions of different widths (one and two
+#: lanes per row), one of them twice, in entry order.
+V2_BATCH_ENTRIES = [
+    ("alpha", 8, [0b101, 0b11]),
+    ("beta", 96, [(1 << 95) | 0b1, 1 << 64, 0b110]),
+    ("alpha", 8, [0b10000000]),
+]
+
+
 def v1_fixture_bytes() -> bytes:
     return b"".join(encode_frame(frame) for frame in V1_FRAMES)
 
@@ -109,6 +126,16 @@ def v1_fixture_bytes() -> bytes:
 def v2_raw_fixture_bytes() -> bytes:
     lanes = masks_to_lanes(V2_RAW_MASKS, V2_WIDTH)
     return encode_feed_bin("golden", lanes, V2_WIDTH, deflate=False)
+
+
+def v2_batch_fixture_bytes() -> bytes:
+    return encode_feed_bin(
+        [
+            (sid, masks_to_lanes(masks, width))
+            for sid, width, masks in V2_BATCH_ENTRIES
+        ],
+        deflate=False,
+    )
 
 
 class TestGoldenFrames:
@@ -135,9 +162,47 @@ class TestGoldenFrames:
             lanes, masks_to_lanes(V2_RAW_MASKS, V2_WIDTH)
         )
 
+    def test_v2_batch_frame_byte_exact(self):
+        assert (DATA / "wire_v2_batch.bin").read_bytes() == (
+            v2_batch_fixture_bytes()
+        )
+
+    def test_v2_batch_fixture_parses(self):
+        ((opcode, flags, payload),) = _split_frames(
+            (DATA / "wire_v2_batch.bin").read_bytes()
+        )
+        assert opcode == BIN_OP_FEED_MANY and flags == 0
+        # u16 entry count, then u8 id length | id | u32 count | u16 lanes
+        assert payload[:2] == b"\x03\x00"
+        assert payload[2:14] == b"\x05alpha\x02\x00\x00\x00\x01\x00"
+        batch = parse_bin_feed(opcode, flags, payload)
+        assert isinstance(batch, BinFeedBatch)
+        assert [e.session for e in batch.entries] == ["alpha", "beta", "alpha"]
+        assert [e.lanes for e in batch.entries] == [1, 2, 1]
+        for entry, (_sid, width, masks) in zip(
+            batch.entries, V2_BATCH_ENTRIES
+        ):
+            assert entry.count == len(masks)
+            assert np.array_equal(
+                entry.raw_lanes(width), masks_to_lanes(masks, width)
+            )
+
+
 # ---------------------------------------------------------------------------
 # Property round-trips
 # ---------------------------------------------------------------------------
+
+#: A feed_many entry: any width 1..200 and a ragged chunk length.
+entry_for = st.integers(min_value=1, max_value=200).flatmap(
+    lambda width: st.tuples(
+        st.just(width),
+        st.lists(
+            st.integers(min_value=0, max_value=(1 << width) - 1),
+            min_size=1,
+            max_size=24,
+        ),
+    )
+)
 
 
 class TestBinaryRoundTrip:
@@ -178,6 +243,145 @@ class TestBinaryRoundTrip:
         for flags in (0x80, 0x01, 0x01 | BIN_FLAG_DEFLATE):
             with pytest.raises(ProtocolError, match="flags"):
                 parse_bin_feed(opcode, flags, payload)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(entry_for, min_size=1, max_size=8),
+        st.sampled_from([None, False, True]),
+    )
+    def test_feed_many_frames_survive_the_wire(self, entries, deflate):
+        # Session ids repeat (i % 3), as a burst may feed one session
+        # twice; widths and counts vary per entry.
+        chunks = [
+            (f"s{i % 3}", masks_to_lanes(masks, width))
+            for i, (width, masks) in enumerate(entries)
+        ]
+        wire = encode_feed_bin(chunks, deflate=deflate)
+        ((opcode, flags, payload),) = _split_frames(wire)
+        assert opcode == BIN_OP_FEED_MANY
+        if deflate is not None:
+            assert bool(flags & BIN_FLAG_DEFLATE) == deflate
+        batch = parse_bin_feed(opcode, flags, payload)
+        assert len(batch.entries) == len(entries)
+        for entry, (sid, lanes), (width, masks) in zip(
+            batch.entries, chunks, entries
+        ):
+            assert entry.session == sid
+            assert entry.count == len(masks)
+            assert np.array_equal(entry.raw_lanes(width), lanes)
+
+    def test_feed_many_entry_errors_stay_per_entry(self):
+        """An entry with an over-limit count or an empty id fails alone;
+        the entries after it are still located and resolve."""
+        good = masks_to_lanes([1, 2], 8)
+        wire = encode_feed_bin(
+            [("a", good), ("b", masks_to_lanes([1] * 9, 8)), ("c", good)],
+            deflate=False,
+        )
+        ((opcode, flags, payload),) = _split_frames(wire)
+        first, second, third = parse_bin_feed(
+            opcode, flags, payload, max_chunk_steps=4
+        ).entries
+        assert isinstance(second, ProtocolError)
+        assert "chunk limit" in str(second)
+        assert np.array_equal(first.raw_lanes(8), good)
+        assert np.array_equal(third.raw_lanes(8), good)
+        # u16 2 | empty id, 1 row, 1 lane | "a", 1 row, 1 lane | rows
+        row = (1).to_bytes(4, "little") + (1).to_bytes(2, "little")
+        payload = (
+            b"\x02\x00" + b"\x00" + row + b"\x01a" + row
+            + (5).to_bytes(8, "little") + (6).to_bytes(8, "little")
+        )
+        empty, named = parse_bin_feed(BIN_OP_FEED_MANY, 0, payload).entries
+        assert "empty" in str(empty)
+        assert named.raw_lanes(8).tolist() == [[6]]
+
+    def test_feed_many_lane_count_must_match_width(self):
+        wire = encode_feed_bin(
+            [("a", masks_to_lanes([1 << 70], 96))], deflate=False
+        )
+        ((opcode, flags, payload),) = _split_frames(wire)
+        (entry,) = parse_bin_feed(opcode, flags, payload).entries
+        with pytest.raises(ProtocolError, match="declares 2 lane"):
+            entry.raw_lanes(40)
+
+    def test_feed_many_structural_faults_are_frame_errors(self):
+        lanes = masks_to_lanes([1, 2, 3], 8)
+        wire = encode_feed_bin([("a", lanes), ("b", lanes)], deflate=False)
+        ((opcode, flags, payload),) = _split_frames(wire)
+        with pytest.raises(ProtocolError, match="truncated"):
+            parse_bin_feed(opcode, flags, payload[:9])
+        with pytest.raises(ProtocolError, match="declare"):
+            parse_bin_feed(opcode, flags, payload[:-8])
+        with pytest.raises(ProtocolError, match="no entries"):
+            parse_bin_feed(opcode, flags, b"\x00\x00")
+        # Two entries may not declare more than one frame of lanes,
+        # whatever a deflated section would inflate to.
+        big = b"\x01a" + (MAX_FRAME_BYTES // 8).to_bytes(4, "little") \
+            + b"\x01\x00"
+        with pytest.raises(ProtocolError, match="at most"):
+            parse_bin_feed(
+                opcode, BIN_FLAG_DEFLATE, b"\x02\x00" + big + big
+            )
+
+    def test_feed_many_corrupt_deflate_fails_every_entry(self):
+        lanes = masks_to_lanes([1, 2, 3, 1, 2, 3], 8)
+        wire = bytearray(
+            encode_feed_bin([("a", lanes), ("b", lanes)], deflate=True)
+        )
+        wire[-4:] = bytes(b ^ 0xFF for b in wire[-4:])  # adler32
+        ((opcode, flags, payload),) = _split_frames(bytes(wire))
+        batch = parse_bin_feed(opcode, flags, payload)
+        for entry in batch.entries:
+            with pytest.raises(ProtocolError, match="deflate"):
+                entry.raw_lanes(8)
+
+    def test_feed_many_inflates_once_across_threads(self, monkeypatch):
+        """Entries of one frame resolved from several threads at once
+        share one inflate of the section."""
+        width = 200
+        chunks = [
+            (f"s{i}", masks_to_lanes(
+                [(i * 7919 + r * 104729) % (1 << width) for r in range(300)],
+                width,
+            ))
+            for i in range(12)
+        ]
+        wire = encode_feed_bin(chunks, deflate=True)
+        ((opcode, flags, payload),) = _split_frames(wire)
+        batch = parse_bin_feed(opcode, flags, payload)
+        inflates = []
+        real = zlib.decompressobj
+
+        def counting(*args, **kwargs):
+            inflates.append(threading.get_ident())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(zlib, "decompressobj", counting)
+        start = threading.Barrier(len(chunks))
+        got = [None] * len(chunks)
+
+        def resolve(i):
+            start.wait()
+            got[i] = batch.entries[i].raw_lanes(width)
+
+        threads = [
+            threading.Thread(target=resolve, args=(i,))
+            for i in range(len(chunks))
+        ]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in threads)
+        assert len(inflates) == 1
+        for (_sid, lanes), out in zip(chunks, got):
+            assert np.array_equal(out, lanes)
 
     def test_corrupt_deflate_rejected(self):
         lanes = masks_to_lanes([1, 2, 3, 1, 2, 3], 8)
@@ -270,6 +474,41 @@ class TestServedProtocolV2:
                     assert [r.session for r in results] == sids
                 for sid in sids:
                     assert client.close_session(sid).cost == oracle_cost
+
+    @pytest.mark.parametrize("frame_limit", [None, 600])
+    def test_pipelined_burst_is_one_frame(
+        self, frame_limit, oracle_cost, monkeypatch
+    ):
+        """A v2 burst travels as one feed_many frame answered by one
+        reply; only a burst over the frame limit splits, and the
+        server counts every chunk as a feed either way."""
+        if frame_limit is not None:
+            monkeypatch.setattr(
+                "repro.serve.client.MAX_FRAME_BYTES", frame_limit
+            )
+        step = 36
+        with ServerThread(ServeConfig(shards=2)) as (host, port):
+            with ServeClient(host, port, proto="bin") as client:
+                sids = [
+                    client.open(width=WIDTH, w=5.0, session_id=f"b{i}")
+                    for i in range(5)
+                ]
+                for lo in range(0, len(TRACE), step):
+                    results = client.feed_pipelined([
+                        (sid, TRACE[lo : lo + step]) for sid in sids
+                    ])
+                    assert [r.steps for r in results] == [step] * 5
+                monkeypatch.undo()  # the limit also caps reply reads
+                stats = client.stats()
+                for sid in sids:
+                    assert client.close_session(sid).cost == oracle_cost
+        bursts = len(TRACE) // step
+        frames = stats["engine"]["wire"]["bin"]["frames_in"]
+        if frame_limit is None:
+            assert frames == bursts
+        else:  # 2 chunks of 36 single-lane rows fit under 600 bytes
+            assert frames == bursts * 3
+        assert stats["server"]["feeds"] == bursts * 5
 
     def test_reserved_flag_rejected_connection_survives(self, oracle_cost):
         """A frame with flag bit 0 set earns an error reply and leaves

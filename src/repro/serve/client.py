@@ -6,8 +6,9 @@ with exactly one reply, in request order, so reply matching is
 positional and needs no correlation ids.  :meth:`feed_pipelined`
 serves a whole burst of chunks with one round trip: over v2 the burst
 is one binary ``feed_many`` frame (split only to stay under
-``MAX_FRAME_BYTES``) answered by one reply that lists every chunk's
-result; over JSON it is one frame per chunk, sent with one
+``MAX_FRAME_BYTES`` or past ``MAX_FEED_ENTRIES`` chunks, so that each
+reply fits one frame too) answered by one reply that lists every
+chunk's result; over JSON it is one frame per chunk, sent with one
 ``sendall``.
 
 The client remembers each opened session's universe width, so
@@ -287,7 +288,8 @@ class ServeClient:
         ``batch`` is ``[(session_id, masks), ...]``; a session may
         appear more than once, and its chunks are served in batch
         order.  Over v2 the batch goes out as one ``feed_many`` frame
-        (more only when it would exceed ``MAX_FRAME_BYTES``); over JSON
+        (more only when it would exceed ``MAX_FRAME_BYTES`` or
+        ``MAX_FEED_ENTRIES`` chunks); over JSON
         as one frame per chunk, back-to-back in one ``sendall``.  Either
         way the replies drain in request order.  On an error reply the
         remaining replies are still drained (the connection stays
@@ -332,8 +334,9 @@ class ServeClient:
     ) -> list[tuple[bytes, list[str]]]:
         """A burst as ``feed_many`` frames: (wire bytes, session per
         entry).  Entries fill a frame until its raw payload would pass
-        ``MAX_FRAME_BYTES``; a chunk that alone is larger travels as
-        the only entry of its frame."""
+        ``MAX_FRAME_BYTES`` or it holds ``MAX_FEED_ENTRIES`` entries,
+        the most one reply line can answer; a chunk that alone is
+        larger travels as the only entry of its frame."""
         groups: list[list[tuple[str, object]]] = [[]]
         size = HEAD = 2  # the u16 entry count
         for sid, masks in batch:

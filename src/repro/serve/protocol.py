@@ -62,7 +62,7 @@ Feed-many payload (opcode 2): one frame carries N chunks, for any mix
 of sessions — a pipelined burst is one frame, one parse, one inflate
 and one reply::
 
-    u16 N                                     entry count (>= 1)
+    u16 N                                     entry count (1..511)
     N x (u8 session-length | session utf-8 | u32 count | u16 lanes)
     lane section                              every entry's count x lanes
                                               uint64 lanes, in entry order
@@ -80,6 +80,10 @@ A session may appear more than once; its chunks are served in entry
 order.  Faults that leave no entry locatable — a truncated entry table,
 a raw section of the wrong length, an oversized section — earn one
 frame-level error reply; a corrupt deflate stream fails every entry.
+N is capped at :data:`MAX_FEED_ENTRIES` (511) so that the reply, too,
+fits one frame: an item holds at most :data:`MAX_REPLY_ITEM_BYTES`
+(error messages keep :data:`MAX_ERROR_CHARS` characters), and a frame
+declaring more entries earns a frame-level error reply.
 
 Version negotiation rides the JSON ``open`` frame: a v2 client sends
 ``"proto": 2`` and switches to binary feeds only when the reply echoes
@@ -112,8 +116,10 @@ __all__ = [
     "BIN_VERSION",
     "BinFeedBatch",
     "BinFeedFrame",
+    "MAX_ERROR_CHARS",
     "MAX_FEED_ENTRIES",
     "MAX_FRAME_BYTES",
+    "MAX_REPLY_ITEM_BYTES",
     "PROTO_BIN",
     "PROTO_JSON",
     "ProtocolError",
@@ -161,8 +167,18 @@ _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
 #: The fixed tail of a ``feed_many`` table entry: u32 count, u16 lanes.
 _ENTRY_TAIL = struct.Struct("<IH")
-#: Entries one ``feed_many`` frame can carry (its u16 entry count).
-MAX_FEED_ENTRIES = 0xFFFF
+#: Characters an error reply's message keeps; longer messages are cut,
+#: so every reply item of a ``feed_many`` frame has a bounded size.
+MAX_ERROR_CHARS = 160
+#: Upper bound on one ``feed_many`` reply item plus its separator: a
+#: ``feed`` reply whose session id is 255 UTF-8 bytes escaping to 6
+#: JSON bytes each (~1.7 KB), or an error reply of
+#: :data:`MAX_ERROR_CHARS` characters escaping to 12 bytes each (~2 KB).
+MAX_REPLY_ITEM_BYTES = 2048
+#: Entries one ``feed_many`` frame can carry: as many as one reply line
+#: of :data:`MAX_FRAME_BYTES` can answer, with one item's room left for
+#: the reply's envelope.
+MAX_FEED_ENTRIES = MAX_FRAME_BYTES // MAX_REPLY_ITEM_BYTES - 1
 
 
 class ProtocolError(ValueError):
@@ -452,12 +468,12 @@ class _Section:
     ``sizes`` is the declared byte size of each ``feed_many`` entry's
     rows, in entry order (``None`` for an opcode-1 section, whose one
     size follows from the session's width).  A deflated section is
-    inflated in one pass, bounded by the declared sizes, straight into
-    one buffer per entry — never one frame-sized buffer.  The entries
-    of one frame may live on different shards, so two drain threads can
-    resolve them at the same time: the first inflates under the lock
-    and the others reuse its parts — or its error.  A raw section is a
-    view of the frame payload, and entries slice views of it.
+    inflated by one call bounded by the declared total; entries resolve
+    as slices of that one buffer, as they slice the frame payload when
+    the section is raw.  The entries of one frame may live on different
+    shards, so two drain threads can resolve them at the same time: the
+    first inflates under the lock and the others reuse its buffer — or
+    its error.
     """
 
     __slots__ = ("deflated", "sizes", "_data", "_parts", "_lock")
@@ -471,10 +487,7 @@ class _Section:
         #: Per-entry rows once known, or the error inflating them.
         self._parts: list | str | None = None
         if not deflated:
-            self._parts = [data] if sizes is None else [
-                data[start - size : start]
-                for size, start in zip(sizes, accumulate(sizes))
-            ]
+            self._parts = _slices(data, sizes)
         self._lock = threading.Lock()
 
     def part(self, index: int, size: int):
@@ -482,11 +495,13 @@ class _Section:
         if self._parts is None:
             with self._lock:
                 if self._parts is None:
+                    sizes = self.sizes or (size,)
                     try:
-                        parts = _inflate(self._data, self.sizes or (size,))
+                        data = _inflate(self._data, sum(sizes))
                     except ProtocolError as exc:
-                        parts = str(exc)
-                    self._parts = parts
+                        self._parts = str(exc)
+                    else:
+                        self._parts = _slices(memoryview(data), sizes)
         if isinstance(self._parts, str):
             raise ProtocolError(self._parts)
         data = self._parts[index]
@@ -497,50 +512,33 @@ class _Section:
         return data
 
 
-#: Compressed bytes handed to the inflater per call.  Input a call
-#: leaves unconsumed comes back as a copy, so bounded pieces keep that
-#: copy small instead of re-copying the rest of the frame per entry —
-#: a churn of medium buffers that fragmented the drain threads' heaps
-#: and raised the server's peak RSS in some runs.
-INFLATE_PIECE = 16384
+def _slices(data: memoryview, sizes) -> list:
+    """``data`` cut into consecutive views of ``sizes`` bytes (one
+    view of all of it when ``sizes`` is ``None``)."""
+    if sizes is None:
+        return [data]
+    return [
+        data[end - size : end]
+        for size, end in zip(sizes, accumulate(sizes))
+    ]
 
 
-def _inflate(data: memoryview, sizes) -> list[bytes]:
-    """Inflate one zlib stream into consecutive parts of ``sizes``
-    bytes; the stream must end exactly after the last part."""
-    pieces = (
-        data[i : i + INFLATE_PIECE]
-        for i in range(0, len(data), INFLATE_PIECE)
-    )
-    pending = b""
-    parts = []
+def _inflate(data: memoryview, total: int) -> bytes:
+    """Inflate one zlib stream that must hold exactly ``total`` bytes.
+
+    One bound past ``total`` lets a stream of the right size reach its
+    end marker, while a longer one stops after a single extra byte.
+    """
+    obj = zlib.decompressobj()
     try:
-        obj = zlib.decompressobj()
-        for size in sizes:
-            got = []
-            need = size  # > 0 whenever decompress runs: 0 is unbounded
-            while need and not obj.eof:
-                if not pending:
-                    pending = next(pieces, b"")
-                    if not pending:
-                        break
-                got.append(obj.decompress(pending, need))
-                pending = obj.unconsumed_tail
-                need -= len(got[-1])
-            parts.append(b"".join(got))
-        extra = obj.decompress(b"".join([pending, *pieces]), 1)
+        out = obj.decompress(data, total + 1)
     except zlib.error as exc:
         raise ProtocolError(f"invalid deflate stream: {exc}") from None
-    if (
-        extra
-        or not obj.eof
-        or obj.unused_data
-        or any(len(p) != n for p, n in zip(parts, sizes))
-    ):
+    if len(out) != total or not obj.eof or obj.unused_data:
         raise ProtocolError(
             "deflated feed section does not match its declared size"
         )
-    return parts
+    return out
 
 
 @dataclass(frozen=True)
@@ -659,6 +657,11 @@ def _parse_feed_many(
     (n,) = _U16.unpack_from(view, 0)
     if n < 1:
         raise ProtocolError("feed_many frame has no entries")
+    if n > MAX_FEED_ENTRIES:
+        raise ProtocolError(
+            f"feed_many frame declares {n} entries; one reply answers "
+            f"at most {MAX_FEED_ENTRIES}"
+        )
     head = _U16.size
     rows = []  # (session id bytes, count, lanes)
     for _ in range(n):
@@ -867,8 +870,11 @@ def ok_frame(op: str, **fields) -> dict:
 
 
 def error_frame(message: str, *, op: str | None = None) -> dict:
-    """Failure reply (the connection stays up; the frame is rejected)."""
-    out = {"ok": False, "error": message}
+    """Failure reply (the connection stays up; the frame is rejected).
+
+    The message keeps its first :data:`MAX_ERROR_CHARS` characters.
+    """
+    out = {"ok": False, "error": message[:MAX_ERROR_CHARS]}
     if op is not None:
         out["op"] = op
     return out

@@ -350,8 +350,9 @@ class StreamServer:
         # event loop so it keeps accepting frames.  Each shard's drain
         # cycles and closes run on that shard's own thread — the sweep's
         # scratch arrays then stay in one allocator arena per shard
-        # instead of one per worker that ever ran a cycle — and one more
-        # worker takes open/stats/metrics traffic.
+        # instead of one per worker that ever ran a cycle.  Open, stats
+        # and metrics traffic gets one worker per shard, so a scrape
+        # waiting on one busy shard does not hold up every open.
         self._drain_threads = [
             ThreadPoolExecutor(
                 max_workers=1, thread_name_prefix=f"serve-shard{shard}"
@@ -359,7 +360,7 @@ class StreamServer:
             for shard in range(self.config.shards)
         ]
         self._executor = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="serve"
+            max_workers=self.config.shards, thread_name_prefix="serve"
         )
 
     # -- lifecycle ---------------------------------------------------------

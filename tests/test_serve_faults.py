@@ -27,6 +27,7 @@ from repro.serve.protocol import (
     BIN_MAGIC,
     BIN_OP_FEED_MANY,
     BIN_VERSION,
+    MAX_FEED_ENTRIES,
     encode_feed_bin,
     encode_frame,
     policy_from_spec,
@@ -156,6 +157,25 @@ class TestFeedManyFaults:
             )
             assert not reply["ok"]
             assert "truncated" in reply["error"]
+            costs = _finish(client, traces, 0)
+            assert client.stats()["server"]["protocol_errors"] == 1
+        assert costs == _oracle(traces)
+
+    def test_frame_over_the_entry_cap_is_one_frame_error(self, server):
+        """More entries than one reply line can answer: one frame-level
+        error reply, no entry served, and the connection serves on."""
+        traces = _traces(2)
+        n = MAX_FEED_ENTRIES + 1
+        entry = b"\x02s0" + (1).to_bytes(4, "little") + b"\x01\x00"
+        payload = n.to_bytes(2, "little") + entry * n + bytes(8 * n)
+        with ServeClient(*server, proto="bin") as client:
+            self._open(client, traces)
+            client._send(BIN_HEADER.pack(
+                BIN_MAGIC, BIN_VERSION, BIN_OP_FEED_MANY, 0, len(payload)
+            ) + payload)
+            reply = client._recv_reply()
+            assert not reply["ok"]
+            assert f"at most {MAX_FEED_ENTRIES}" in reply["error"]
             costs = _finish(client, traces, 0)
             assert client.stats()["server"]["protocol_errors"] == 1
         assert costs == _oracle(traces)

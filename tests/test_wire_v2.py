@@ -44,12 +44,17 @@ from repro.serve.protocol import (
     BIN_OP_FEED,
     BIN_OP_FEED_MANY,
     BIN_VERSION,
+    MAX_ERROR_CHARS,
+    MAX_FEED_ENTRIES,
     MAX_FRAME_BYTES,
+    MAX_REPLY_ITEM_BYTES,
     BinFeedBatch,
     ProtocolError,
     encode_feed_bin,
     encode_frame,
     encode_mask_chunk,
+    error_frame,
+    ok_frame,
     parse_bin_feed,
     policy_from_spec,
 )
@@ -383,6 +388,60 @@ class TestBinaryRoundTrip:
         for (_sid, lanes), out in zip(chunks, got):
             assert np.array_equal(out, lanes)
 
+    def test_deflated_section_must_hold_its_declared_size(self):
+        """The one bounded inflate rejects a stream one byte long, one
+        byte short, or followed by stray bytes."""
+        raw = masks_to_lanes([1, 2, 3, 1, 2, 3], 8).tobytes()
+        head = b"\x01s" + (6).to_bytes(4, "little")
+        for section in (
+            zlib.compress(raw + b"\x00"),
+            zlib.compress(raw[:-1]),
+            zlib.compress(raw) + b"junk",
+        ):
+            frame = parse_bin_feed(
+                BIN_OP_FEED, BIN_FLAG_DEFLATE, head + section
+            )
+            with pytest.raises(ProtocolError, match="declared size"):
+                frame.raw_lanes(8)
+        frame = parse_bin_feed(
+            BIN_OP_FEED, BIN_FLAG_DEFLATE, head + zlib.compress(raw)
+        )
+        assert frame.raw_lanes(8).tobytes() == raw
+
+    def test_entry_cap_keeps_the_reply_in_one_frame(self):
+        """Any MAX_FEED_ENTRIES reply items fit one reply line, and a
+        frame declaring more entries is refused whole."""
+        worst_feed = ok_frame(
+            "feed",
+            session="\x01" * 255,  # 255 UTF-8 bytes, 6 JSON bytes each
+            start=2**63, steps=2**32, hypers=2**32,
+            cost=-2.2250738585072014e-308,
+            cumulative_cost=-1.7976931348623157e308,
+        )
+        worst_error = error_frame("\U0001f600" * 1000)
+        assert len(worst_error["error"]) == MAX_ERROR_CHARS
+        for item in (worst_feed, worst_error):
+            # The item plus the comma that separates it.
+            assert len(encode_frame(item)) <= MAX_REPLY_ITEM_BYTES
+        reply = ok_frame(
+            "feed_many", replies=[worst_feed, worst_error] * (
+                MAX_FEED_ENTRIES // 2
+            ) + [worst_error],
+        )
+        assert len(reply["replies"]) == MAX_FEED_ENTRIES
+        assert len(encode_frame(reply)) <= MAX_FRAME_BYTES
+        lanes = masks_to_lanes([1], 8)
+        with pytest.raises(ProtocolError, match="entries"):
+            encode_feed_bin([("s", lanes)] * (MAX_FEED_ENTRIES + 1))
+        n = MAX_FEED_ENTRIES + 1
+        payload = (
+            n.to_bytes(2, "little")
+            + (b"\x01s" + (1).to_bytes(4, "little") + b"\x01\x00") * n
+            + bytes(8 * n)
+        )
+        with pytest.raises(ProtocolError, match="at most"):
+            parse_bin_feed(BIN_OP_FEED_MANY, 0, payload)
+
     def test_corrupt_deflate_rejected(self):
         lanes = masks_to_lanes([1, 2, 3, 1, 2, 3], 8)
         wire = encode_feed_bin("s", lanes, 8, deflate=True)
@@ -509,6 +568,42 @@ class TestServedProtocolV2:
         else:  # 2 chunks of 36 single-lane rows fit under 600 bytes
             assert frames == bursts * 3
         assert stats["server"]["feeds"] == bursts * 5
+
+    def test_burst_of_20k_one_step_chunks(self):
+        """A burst of tiny chunks splits at MAX_FEED_ENTRIES, so every
+        reply line stays under the frame limit; every chunk's result
+        comes back in burst order and the closes match the oracle."""
+        sessions, steps = 64, 320
+        masks = [TRACE[i % len(TRACE)] for i in range(steps)]
+        with ServerThread(ServeConfig(shards=2)) as (host, port):
+            with ServeClient(host, port, proto="bin") as client:
+                sids = [
+                    client.open(width=WIDTH, w=5.0, session_id=f"t{i}")
+                    for i in range(sessions)
+                ]
+                burst = [
+                    (sid, [mask]) for mask in masks for sid in sids
+                ]
+                results = client.feed_pipelined(burst)
+                stats = client.stats()
+                closed = [client.close_session(sid) for sid in sids]
+        assert len(results) == sessions * steps
+        for i, result in enumerate(results):
+            assert result.session == sids[i % sessions]
+            assert (result.start, result.steps) == (i // sessions, 1)
+        totals = {sid: 0.0 for sid in sids}
+        for result in results:
+            totals[result.session] += result.cost
+            assert result.cumulative_cost == pytest.approx(
+                totals[result.session]
+            )
+        oracle = _oracle_cost(masks)
+        assert [run.cost for run in closed] == [oracle] * sessions
+        assert [run.steps for run in closed] == [steps] * sessions
+        assert stats["server"]["feeds"] == sessions * steps
+        assert stats["engine"]["wire"]["bin"]["frames_in"] == -(
+            -sessions * steps // MAX_FEED_ENTRIES
+        )
 
     def test_reserved_flag_rejected_connection_survives(self, oracle_cost):
         """A frame with flag bit 0 set earns an error reply and leaves

@@ -17,11 +17,7 @@ proves it changes speed, never answers:
   honesty row is the point of the table;
 * **many sessions** — a :class:`~repro.engine.stream.StreamHub`
   multiplexes 1…64 concurrent sessions with mixed policies; the table
-  reports aggregate steps/sec as the fleet grows;
-* **fan-out serialization** — the same request batch through the
-  :class:`~repro.engine.batch.BatchEngine` with pickled vs
-  shared-memory lane transport: byte-identical results, and the
-  metrics must show the per-chunk serialization drop.
+  reports aggregate steps/sec as the fleet grows.
 """
 
 import time
@@ -605,55 +601,3 @@ def test_bench_scan_bounds_sweep(benchmark, smoke, bench_artifact):
               "identical costs everywhere)",
     ))
 
-
-def test_bench_fanout_serialization(benchmark, smoke):
-    """Shared-memory lane transport: byte-identical results, measured
-    drop in per-chunk serialization bytes."""
-    from repro.analysis.sweeps import make_instance
-    from repro.engine import BatchEngine, SolveRequest
-
-    m, n = (3, 40) if smoke else (4, 120)
-    instances = 4 if smoke else 8
-    requests = []
-    for seed in range(instances):
-        system, seqs = make_instance(m, n, 6, seed=seed)
-        requests.append(SolveRequest.multi(system, seqs, solver="mt_greedy"))
-
-    engines = {
-        "pickled": BatchEngine(workers=2, shared_lanes=False, cache_size=0),
-        "shared": BatchEngine(workers=2, shared_lanes=True, cache_size=0),
-    }
-    outcomes = {}
-    rows = []
-    for name, engine in engines.items():
-        t0 = time.perf_counter()
-        outcomes[name] = engine.solve_batch(requests)
-        elapsed = time.perf_counter() - t0
-        snap = engine.metrics.snapshot()["packed"]
-        rows.append([
-            name,
-            snap["bytes_shipped"],
-            snap["bytes_shared"],
-            round(1e3 * elapsed, 1),
-        ])
-    for a, b in zip(outcomes["pickled"], outcomes["shared"]):
-        assert a.ok and b.ok
-        assert a.value.cost == b.value.cost
-        assert a.value.schedule.indicators == b.value.schedule.indicators
-    pickled_bytes = engines["pickled"].metrics.packed_bytes_shipped
-    shared_bytes = engines["shared"].metrics.packed_bytes_shipped
-    assert 0 < shared_bytes < pickled_bytes
-
-    def once():
-        return engines["shared"].solve_batch(requests[:1])
-
-    benchmark.pedantic(once, iterations=1, rounds=1)
-
-    print()
-    print(format_table(
-        ["transport", "payload B (pickled)", "payload B (shared)", "wall ms"],
-        rows,
-        title=f"E16: fan-out serialization, {instances} requests, "
-              f"2 workers ({pickled_bytes / max(1, shared_bytes):.0f}× fewer "
-              f"pickled bytes)",
-    ))

@@ -12,14 +12,9 @@ list of :class:`~repro.engine.requests.SolveRequest`, and
    and hands it to every packed-capable solver;
 4. solves each *unique* miss exactly once — inline, or chunked across
    ``workers`` :mod:`multiprocessing` processes with an optional
-   per-request timeout.  Large compiled lane matrices cross the
-   process boundary through :mod:`multiprocessing.shared_memory`
-   segments instead of being pickled into every chunk payload: the
-   chunk carries a tiny :class:`_SharedPacked` handle, the worker maps
-   the segment and rebuilds the :class:`PackedProblem` as a zero-copy
-   view (byte-identical results, a fraction of the serialization
-   bytes — both sides of the trade land in the metrics as
-   bytes-shipped vs. bytes-shared);
+   per-request timeout.  Each chunk pickles its compiled problems into
+   the payload (one copy per distinct problem per chunk); the bytes
+   land in the metrics as bytes shipped;
 5. stores results under canonical keys and materializes one
    :class:`~repro.engine.requests.EngineResult` per input request, in
    input order, with multi-task schedule rows permuted back to each
@@ -42,9 +37,6 @@ import signal
 import threading
 import time
 from collections.abc import Sequence
-from multiprocessing import shared_memory
-
-import numpy as np
 
 from repro.core.packed import PackedProblem
 from repro.engine.cache import MISS, ResultCache
@@ -69,107 +61,6 @@ __all__ = ["BatchEngine", "SolveTimeout"]
 
 class SolveTimeout(Exception):
     """A request exceeded its per-request time budget."""
-
-
-#: Lane matrices at or above this size take the shared-memory path when
-#: ``shared_lanes`` is left on auto (small problems pickle faster than
-#: a segment round-trip).
-SHARED_LANES_MIN_BYTES = 1 << 16
-
-
-def _attach_shared(name: str) -> shared_memory.SharedMemory:
-    """Attach to an existing segment without adopting its lifetime.
-
-    The parent owns create/unlink.  Python < 3.13 has no ``track=False``
-    and registers every attach with the resource tracker — under a
-    fork-start pool that tracker is *shared* with the parent, so an
-    attach-then-unregister would cancel the parent's registration and
-    the final unlink would double-remove.  Suppressing the registration
-    during the attach is correct for both start methods.
-    """
-    try:
-        return shared_memory.SharedMemory(name=name, track=False)
-    except TypeError:  # Python < 3.13: no track parameter
-        from multiprocessing import resource_tracker
-
-        original = resource_tracker.register
-
-        def _skip_shm(rname, rtype):  # pragma: no cover - trivial shim
-            if rtype != "shared_memory":
-                original(rname, rtype)
-
-        resource_tracker.register = _skip_shm
-        try:
-            return shared_memory.SharedMemory(name=name)
-        finally:
-            resource_tracker.register = original
-
-
-class _SharedPacked:
-    """Zero-copy stand-in for a :class:`PackedProblem` crossing to a worker.
-
-    Pickles as a few scalars plus the shared-memory segment name; the
-    worker maps the segment and rebuilds the problem with its lane
-    matrix as a read-only view of the shared buffer (no copy, no
-    per-chunk lane pickling).
-    """
-
-    __slots__ = ("name", "shape", "width", "v", "flags")
-
-    def __init__(self, name, shape, width, v, flags):
-        self.name = name
-        self.shape = tuple(shape)
-        self.width = width
-        self.v = v
-        self.flags = flags
-
-    @classmethod
-    def publish(
-        cls, packed: PackedProblem
-    ) -> tuple["_SharedPacked", shared_memory.SharedMemory]:
-        """Copy a problem's lanes into a fresh segment; returns the
-        handle to ship and the segment the parent must unlink."""
-        lanes = packed.lanes
-        shm = shared_memory.SharedMemory(create=True, size=lanes.nbytes)
-        view = np.ndarray(lanes.shape, dtype=np.uint64, buffer=shm.buf)
-        view[:] = lanes
-        handle = cls(
-            shm.name,
-            lanes.shape,
-            packed.width,
-            packed.v.copy(),
-            (
-                packed.hyper_parallel,
-                packed.reconf_parallel,
-                packed.partial_hyper_ok,
-                packed.context_synced,
-            ),
-        )
-        return handle, shm
-
-    def materialize(
-        self,
-    ) -> tuple[PackedProblem, shared_memory.SharedMemory]:
-        """Worker side: map the segment, rebuild the problem as a view.
-
-        The caller must keep the returned segment open for as long as
-        the problem is used, then close it (the parent unlinks).
-        """
-        shm = _attach_shared(self.name)
-        lanes = np.ndarray(self.shape, dtype=np.uint64, buffer=shm.buf)
-        hyper_parallel, reconf_parallel, partial_hyper_ok, context_synced = (
-            self.flags
-        )
-        problem = PackedProblem(
-            lanes,
-            self.v,
-            width=self.width,
-            hyper_parallel=hyper_parallel,
-            reconf_parallel=reconf_parallel,
-            partial_hyper_ok=partial_hyper_ok,
-            context_synced=context_synced,
-        )
-        return problem, shm
 
 
 def _run_with_timeout(fn, args, kwargs, timeout: float | None):
@@ -239,35 +130,15 @@ def _solve_chunk(payload):
     registry (kept for forward compatibility; the engine normally
     ships the registry it was built with).  ``packed`` is the parent's
     precompiled :class:`~repro.core.packed.PackedProblem` (or None),
-    serialized with the chunk — or a :class:`_SharedPacked` handle,
-    materialized here as a zero-copy view of the parent's
-    shared-memory segment (mapped once per chunk, closed after the
-    chunk's last solve; solver results never alias the segment).
+    pickled with the chunk.
     """
     items, timeout, registry = payload
     if registry is None:
         registry = default_registry()
-    out = []
-    problems: dict[str, PackedProblem] = {}
-    segments: dict[str, shared_memory.SharedMemory] = {}
-    try:
-        for index, request, packed in items:
-            if isinstance(packed, _SharedPacked):
-                if packed.name not in problems:
-                    problem, shm = packed.materialize()
-                    problems[packed.name] = problem
-                    segments[packed.name] = shm
-                packed = problems[packed.name]
-            out.append((index, *_execute(registry, request, timeout, packed)))
-            packed = None  # drop the view before the segment is closed
-    finally:
-        problems.clear()
-        for shm in segments.values():
-            try:
-                shm.close()
-            except BufferError:  # pragma: no cover - a solver kept a view
-                pass  # mapping stays until worker exit; parent still unlinks
-    return out
+    return [
+        (index, *_execute(registry, request, timeout, packed))
+        for index, request, packed in items
+    ]
 
 
 class BatchEngine:
@@ -292,13 +163,6 @@ class BatchEngine:
     packed_cache_size:
         Capacity of the per-problem :class:`PackedProblem` compile
         cache (``0`` disables reuse; every request compiles afresh).
-    shared_lanes:
-        Fan-out transport for compiled lane matrices.  ``True`` ships
-        every packed problem through a shared-memory segment, ``False``
-        always pickles them into the chunk payloads, ``None`` (auto)
-        shares matrices of at least :data:`SHARED_LANES_MIN_BYTES`.
-        Results are byte-identical either way; only serialization
-        bytes change (reported by the metrics).
     tracer:
         Optional :class:`~repro.obs.trace.TraceRecorder`; one ``solve``
         span per solved request (solver name, latency, error flag).
@@ -326,7 +190,6 @@ class BatchEngine:
         timeout: float | None = None,
         metrics: EngineMetrics | None = None,
         packed_cache_size: int = 128,
-        shared_lanes: bool | None = None,
         tracer=None,
         portfolio_learn: bool = True,
         portfolio_state=None,
@@ -344,7 +207,6 @@ class BatchEngine:
         self.timeout = timeout
         self.metrics = metrics if metrics is not None else EngineMetrics()
         self.tracer = tracer
-        self.shared_lanes = shared_lanes
         self.portfolio_learn = portfolio_learn
         self.portfolio_state = portfolio_state
         # Lane-packed compiles, keyed on the problem structure (solver
@@ -585,43 +447,6 @@ class BatchEngine:
         self.metrics.record_packed(reused=False)
         return packed
 
-    def _publish_packed(self, packed):
-        """Pick the fan-out transport for each compiled problem.
-
-        Returns ``(ship, segments, shared_bytes)``: per-index payload
-        objects (the problem itself or a :class:`_SharedPacked`
-        handle), the shared-memory segments the caller must unlink
-        after the pool drains, and the lane bytes resident in them.
-        """
-        ship = dict(packed)
-        segments: list[shared_memory.SharedMemory] = []
-        shared_bytes = 0
-        if self.shared_lanes is False:
-            return ship, segments, shared_bytes
-        by_id: dict[int, object] = {}
-        for i, problem in packed.items():
-            if problem is None:
-                continue
-            key = id(problem)
-            if key not in by_id:
-                nbytes = problem.lanes.nbytes
-                if (
-                    self.shared_lanes is None
-                    and nbytes < SHARED_LANES_MIN_BYTES
-                ):
-                    by_id[key] = problem
-                else:
-                    try:
-                        handle, shm = _SharedPacked.publish(problem)
-                    except Exception:  # pragma: no cover - no /dev/shm etc.
-                        by_id[key] = problem
-                    else:
-                        segments.append(shm)
-                        shared_bytes += nbytes
-                        by_id[key] = handle
-            ship[i] = by_id[key]
-        return ship, segments, shared_bytes
-
     def _solve_unique(self, requests, indices, workers):
         """Solve the deduplicated misses; returns index → outcome tuple."""
         if not indices:
@@ -639,13 +464,12 @@ class BatchEngine:
         registry_arg = self.registry
         nproc = min(workers, len(indices))
         chunk = self.chunk_size or max(1, math.ceil(len(indices) / (nproc * 4)))
-        ship, segments, shared_bytes = self._publish_packed(packed)
         payloads = []
         payload_sizes: dict[int, int] = {}  # id(obj) -> pickled bytes
         shipped_bytes = 0
         for lo in range(0, len(indices), chunk):
             items = [
-                (i, requests[i], ship[i]) for i in indices[lo : lo + chunk]
+                (i, requests[i], packed[i]) for i in indices[lo : lo + chunk]
             ]
             payloads.append((items, self.timeout, registry_arg))
             # Per-chunk serialization cost of the packed payloads: each
@@ -662,15 +486,10 @@ class BatchEngine:
                         pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
                     )
                 shipped_bytes += payload_sizes[id(obj)]
-        self.metrics.record_shipment(shipped=shipped_bytes, shared=shared_bytes)
+        self.metrics.record_shipment(shipped=shipped_bytes)
         out = {}
-        try:
-            with multiprocessing.Pool(processes=nproc) as pool:
-                for chunk_result in pool.imap_unordered(_solve_chunk, payloads):
-                    for index, value, error, timed_out, elapsed in chunk_result:
-                        out[index] = (value, error, timed_out, elapsed)
-        finally:
-            for shm in segments:
-                shm.close()
-                shm.unlink()
+        with multiprocessing.Pool(processes=nproc) as pool:
+            for chunk_result in pool.imap_unordered(_solve_chunk, payloads):
+                for index, value, error, timed_out, elapsed in chunk_result:
+                    out[index] = (value, error, timed_out, elapsed)
         return out

@@ -192,19 +192,13 @@ class EngineMetrics:
             else:
                 self.packed_compiles += 1
 
-    def record_shipment(self, *, shipped: int = 0, shared: int = 0) -> None:
-        """Count fan-out payload bytes of the batch engine.
-
-        ``shipped`` are bytes serialized into worker chunk payloads
-        (pickled problems or shared-memory handles); ``shared`` are
-        lane-matrix bytes placed in :mod:`multiprocessing.shared_memory`
-        segments instead of being pickled per chunk — together they
-        show what the zero-copy fan-out saves.
-        """
-        if shipped or shared:
+    def record_shipment(self, *, shipped: int) -> None:
+        """Count fan-out payload bytes: compiled problems pickled into
+        batch-engine worker chunks, or lane chunks pickled to process
+        shards."""
+        if shipped:
             with self._lock:
                 self.packed_bytes_shipped += int(shipped)
-                self.packed_bytes_shared += int(shared)
 
     def record_stream_open(self) -> None:
         """Count one streaming session opened on a hub."""
@@ -546,11 +540,9 @@ class EngineMetrics:
                 ["packed problems",
                  f"{packed['compiles']} compiled / {packed['reuses']} reused"]
             )
-        if packed["bytes_shipped"] or packed["bytes_shared"]:
+        if packed["bytes_shipped"]:
             rows.append(
-                ["fan-out payload",
-                 f"{packed['bytes_shipped']} B pickled / "
-                 f"{packed['bytes_shared']} B shared"]
+                ["fan-out payload", f"{packed['bytes_shipped']} B pickled"]
             )
         stream = snap["stream"]
         if stream["steps"]:

@@ -114,7 +114,7 @@ CATALOG: tuple[Metric, ...] = (
     Metric("", "counter", "engine.packed.compiles", "Lane-packed problems compiled", attr="packed_compiles"),
     Metric("", "counter", "engine.packed.reuses", "Lane-packed problems reused", attr="packed_reuses"),
     Metric("", "counter", "engine.packed.bytes_shipped", "Bytes pickled into worker chunks", attr="packed_bytes_shipped"),
-    Metric("", "counter", "engine.packed.bytes_shared", "Lane bytes placed in shared memory", attr="packed_bytes_shared"),
+    Metric("", "counter", "engine.packed.bytes_shared", "Always 0; kept for the v1 snapshot shape", attr="packed_bytes_shared"),
     # -- stream: hub accounting and the fused epoch sweep
     Metric("stream_sessions_total", "counter", "engine.stream.sessions", "Streaming sessions opened", attr="stream_sessions"),
     Metric("stream_closed_total", "counter", "engine.stream.closed", "Streaming sessions closed", attr="stream_closed"),

@@ -10,8 +10,7 @@ behind sockets and shards so many users can load it concurrently:
   helpers shared by server and client;
 * :mod:`repro.serve.shard` — :class:`ShardPool`: sessions
   hash-partitioned across hub shards (threads by default, processes
-  with shared-memory lane transport on request), per-session results
-  bit-identical to a single hub;
+  on request), per-session results bit-identical to a single hub;
 * :mod:`repro.serve.server` — :class:`StreamServer`: asyncio TCP +
   stdin front door with admission control, bounded per-shard queues
   (backpressure) and per-shard drain cycles that batch queued feeds

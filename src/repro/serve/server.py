@@ -58,7 +58,6 @@ from repro.obs.trace import TraceRecorder
 from repro.serve.protocol import (
     BIN_HEADER,
     BIN_MAGIC,
-    BIN_OP_FEED_MANY,
     BIN_VERSION,
     MAX_FRAME_BYTES,
     BinFeedFrame,
@@ -345,7 +344,8 @@ class StreamServer:
         ]
         self._drainers: list[asyncio.Task] = []
         self._server: asyncio.AbstractServer | None = None
-        self._writers: set = set()  # live client connections
+        #: live connection: its _client_loop task -> its stream writer
+        self._clients: dict[asyncio.Task, asyncio.StreamWriter] = {}
         # Shard calls block (locks, pipes, NumPy); they run off the
         # event loop so it keeps accepting frames.  Each shard's drain
         # cycles and closes run on that shard's own thread — the sweep's
@@ -411,15 +411,20 @@ class StreamServer:
     async def stop(self) -> None:
         """Stop listening, cancel drainers, close the owned pool.
 
-        Live client connections are closed first: from Python 3.12.1
-        ``Server.wait_closed()`` waits for every connection handler to
-        finish, so an idle client would otherwise stall the shutdown
-        forever.
+        Live client connections are closed first and their handlers
+        awaited while the drainers still run, so each handler ends on
+        its own: from Python 3.12.1 ``Server.wait_closed()`` waits for
+        every handler, so an idle client would otherwise stall the
+        shutdown forever, and before that ``asyncio.run`` cancels the
+        handlers left over, which logs a traceback per client.
         """
-        for writer in tuple(self._writers):
-            writer.close()
         if self._server is not None:
             self._server.close()
+        for writer in tuple(self._clients.values()):
+            writer.close()
+        if self._clients:
+            await asyncio.gather(*self._clients, return_exceptions=True)
+        if self._server is not None:
             await self._server.wait_closed()
             self._server = None
         if self._reporter is not None:
@@ -587,7 +592,9 @@ class StreamServer:
     async def _client_loop(self, reader, writer) -> None:
         """One connection: read frames, reply in order, never crash."""
         self.counters.bump("connections")
-        self._writers.add(writer)
+        handler = asyncio.current_task()
+        self._clients[handler] = writer
+        handler.add_done_callback(self._clients.pop)
 
         async def send(data: bytes) -> None:
             writer.write(data)
@@ -598,7 +605,6 @@ class StreamServer:
         except (ConnectionResetError, BrokenPipeError):
             pass
         finally:
-            self._writers.discard(writer)
             try:
                 writer.close()
                 await writer.wait_closed()
@@ -840,13 +846,12 @@ class StreamServer:
             raise ProtocolError(
                 "binary frames are disabled (server runs --proto json)"
             )
-        if opcode != BIN_OP_FEED_MANY:
-            self.counters.bump("feeds")
         frame = parse_bin_feed(
             opcode, flags, data,
             max_chunk_steps=self.config.max_chunk_steps,
         )
         if isinstance(frame, BinFeedFrame):
+            self.counters.bump("feeds")
             return await self._stage_bin_entry(frame), 1
         self.counters.bump("feeds", len(frame.entries))
         finishes = []

@@ -9,12 +9,10 @@ hash-partitions them across a pool of *shards*, each wrapping one hub:
   ``feed_many`` calls across shards overlap on multicore machines with
   zero serialization cost;
 * **process shards** (``procs=True``) give each hub its own
-  interpreter — true parallelism for Python-bound workloads.  Lane
-  chunks cross the process boundary pickled, or — above the same
-  threshold the batch engine uses — through one
-  :mod:`multiprocessing.shared_memory` segment per drain cycle
-  (the existing zero-copy fan-out, reused; both sides of the trade
-  land in the pool metrics as bytes shipped vs. shared).
+  interpreter — true parallelism for Python-bound workloads.  Each
+  drain cycle's lane chunks cross the process boundary pickled, as one
+  pipe message; the lane bytes land in the pool metrics as bytes
+  shipped.
 
 Placement is **decision-free**: a session's shard is
 ``crc32(session_id) % shards`` (stable across runs and processes), and
@@ -30,19 +28,16 @@ looks the same whether the fleet runs on one hub or sixteen shards.
 from __future__ import annotations
 
 import multiprocessing
-import pickle
 import threading
 import time
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import count
-from multiprocessing import shared_memory
 
 import numpy as np
 
 from repro.core.switches import SwitchUniverse
-from repro.engine.batch import SHARED_LANES_MIN_BYTES, _attach_shared
 from repro.engine.metrics import DETERMINISTIC_FAMILIES, EngineMetrics
 from repro.engine.stream import StreamBatch, StreamHub
 from repro.obs.catalog import DRAIN_CYCLE
@@ -80,53 +75,6 @@ def _summarize(batch: StreamBatch) -> BatchSummary:
         cost=batch.cost,
         cumulative_cost=batch.cumulative_cost,
     )
-
-
-# ---------------------------------------------------------------------------
-# Shared-memory lane transport (process shards)
-# ---------------------------------------------------------------------------
-
-
-class _SharedChunks:
-    """One drain cycle's lane chunks in a single shared segment.
-
-    Pickles as the segment name plus per-session (offset, shape)
-    descriptors; the worker maps the segment once and slices per-session
-    views (sessions copy what they keep, so the parent may unlink as
-    soon as the feed call returns).
-    """
-
-    __slots__ = ("name", "layout")
-
-    def __init__(self, name: str, layout):
-        self.name = name
-        self.layout = layout  # [(sid, offset_bytes, C, L)]
-
-    @classmethod
-    def publish(cls, chunks: dict[str, np.ndarray]):
-        """Copy the chunks into a fresh segment; returns (handle, shm)."""
-        total = sum(lanes.nbytes for lanes in chunks.values())
-        shm = shared_memory.SharedMemory(create=True, size=max(1, total))
-        layout = []
-        offset = 0
-        for sid, lanes in chunks.items():
-            C, L = lanes.shape
-            view = np.ndarray((C, L), dtype=np.uint64, buffer=shm.buf,
-                              offset=offset)
-            view[:] = lanes
-            layout.append((sid, offset, C, L))
-            offset += lanes.nbytes
-        return cls(shm.name, layout), shm
-
-    def materialize(self):
-        """Worker side: map the segment, slice per-session views."""
-        shm = _attach_shared(self.name)
-        chunks = {
-            sid: np.ndarray((C, L), dtype=np.uint64, buffer=shm.buf,
-                            offset=offset)
-            for sid, offset, C, L in self.layout
-        }
-        return chunks, shm
 
 
 # ---------------------------------------------------------------------------
@@ -196,15 +144,7 @@ def _shard_worker(conn):  # pragma: no cover - exercised in a child process
                     scheduler, universe, w, session_id=session_id
                 )))
             elif op == "feed_many":
-                _op, chunks = msg
-                shm = None
-                if isinstance(chunks, _SharedChunks):
-                    chunks, shm = chunks.materialize()
-                try:
-                    batches = hub.feed_many(chunks)
-                finally:
-                    if shm is not None:
-                        shm.close()
+                batches = hub.feed_many(msg[1])
                 conn.send(("ok", (
                     {
                         sid: _summarize(batch)
@@ -307,16 +247,11 @@ class ShardPool:
     shards:
         Number of hub workers.
     procs:
-        ``True`` runs each shard in its own process (pipes + optional
-        shared-memory lane transport); default is in-process threads.
+        ``True`` runs each shard in its own process (commands and
+        pickled lane chunks over a pipe); default is in-process threads.
     metrics:
         Parent-side :class:`EngineMetrics` all aggregate streaming
         counters land in (created when omitted).
-    shared_lanes:
-        Process-shard lane transport: ``True`` always ships drain
-        cycles through shared memory, ``False`` always pickles,
-        ``None`` (auto) shares cycles of at least
-        :data:`~repro.engine.batch.SHARED_LANES_MIN_BYTES`.
     tracer:
         Optional :class:`~repro.obs.trace.TraceRecorder`; the pool
         records parent-side ``drain`` and ``close`` spans.
@@ -328,14 +263,12 @@ class ShardPool:
         *,
         procs: bool = False,
         metrics: EngineMetrics | None = None,
-        shared_lanes: bool | None = None,
         tracer=None,
     ):
         if shards < 1:
             raise ValueError("shards must be at least 1")
         self.shards = shards
         self.procs = procs
-        self.shared_lanes = shared_lanes
         self.tracer = tracer
         self.metrics = metrics if metrics is not None else EngineMetrics()
         self._shards = [
@@ -413,9 +346,8 @@ class ShardPool:
 
         ``chunks`` must all belong to ``shard`` (the server's per-shard
         queues guarantee it; :meth:`feed_many` partitions for you).
-        The whole cycle crosses to a process shard as a single message —
-        pickled, or through one shared-memory segment when the lane
-        bytes clear the batch engine's threshold.
+        The whole cycle crosses to a process shard as a single pickled
+        message.
         """
         if not chunks:
             return {}
@@ -444,16 +376,12 @@ class ShardPool:
         themselves); the cycle's fused/fallback counts are folded into
         the pool metrics here, where both shard kinds converge."""
         worker = self._shards[shard]
-        if worker.kind != "proc":
-            out, fused = worker.feed_many(chunks)
-        else:
-            payload, shm = self._pack_cycle(chunks)
-            try:
-                out, fused = worker.feed_many(payload)
-            finally:
-                if shm is not None:
-                    shm.close()
-                    shm.unlink()
+        if worker.kind == "proc":
+            self.metrics.record_shipment(shipped=sum(
+                lanes.nbytes for lanes in chunks.values()
+                if isinstance(lanes, np.ndarray)
+            ))
+        out, fused = worker.feed_many(chunks)
         if fused[0] or fused[1]:
             self.metrics.record_fused(
                 sessions=fused[0],
@@ -463,42 +391,6 @@ class ShardPool:
                 triggers=fused[4],
             )
         return out
-
-    def _pack_cycle(self, chunks):
-        """Pick the pipe payload for one process-shard drain cycle.
-
-        Returns ``(payload, shm)``: the chunks (a dict or one
-        :class:`_SharedChunks` handle) and the shared segment to
-        unlink, if any.
-        """
-        lane_chunks = {
-            sid: np.ascontiguousarray(lanes, dtype=np.uint64)
-            for sid, lanes in chunks.items()
-            if isinstance(lanes, np.ndarray) and lanes.ndim == 2
-        }
-        if len(lane_chunks) != len(chunks):
-            # Mixed mask-list input: pickle the lot (CLI convenience
-            # path; the server always feeds decoded lanes).
-            return chunks, None
-        nbytes = sum(lanes.nbytes for lanes in lane_chunks.values())
-        share = (
-            self.shared_lanes
-            if self.shared_lanes is not None
-            else nbytes >= SHARED_LANES_MIN_BYTES
-        )
-        if not share:
-            self.metrics.record_shipment(shipped=nbytes)
-            return lane_chunks, None
-        try:
-            handle, shm = _SharedChunks.publish(lane_chunks)
-        except Exception:  # pragma: no cover - no /dev/shm etc.
-            self.metrics.record_shipment(shipped=nbytes)
-            return lane_chunks, None
-        self.metrics.record_shipment(
-            shipped=len(pickle.dumps(handle, pickle.HIGHEST_PROTOCOL)),
-            shared=nbytes,
-        )
-        return handle, shm
 
     def feed_many(self, chunks) -> dict[str, BatchSummary]:
         """Serve one chunk per session, shards advanced concurrently.

@@ -25,6 +25,7 @@ from repro.serve.loadgen import drifting_masks
 from repro.serve.protocol import (
     BIN_HEADER,
     BIN_MAGIC,
+    BIN_OP_FEED,
     BIN_OP_FEED_MANY,
     BIN_VERSION,
     MAX_FEED_ENTRIES,
@@ -54,6 +55,29 @@ class TestHostileInput:
             sid = client.open(policy="window", width=8, w=2.0)
             assert client.feed(sid, [1, 2, 3]).steps == 3
             assert client.close_session(sid).steps == 3
+
+
+    def test_rejected_binary_frames_count_no_feeds(self, server):
+        """A binary frame that fails to parse earns an error reply and
+        counts as a protocol error, never as a feed (as a JSON feed
+        that fails to parse counts none)."""
+        with ServeClient(*server, proto="bin") as client:
+            sid = client.open(policy="window", width=8, w=2.0)
+            feed = encode_feed_bin(sid, _lanes([1, 2, 3], 8), 8)
+            payload = feed[BIN_HEADER.size :]
+            before = client.stats()["server"]
+            for opcode, flags in ((3, 0), (BIN_OP_FEED, 0x80)):
+                client._send(BIN_HEADER.pack(
+                    BIN_MAGIC, BIN_VERSION, opcode, flags, len(payload)
+                ) + payload)
+                reply = client._recv_reply()
+                assert not reply["ok"] and "unknown binary" in reply["error"]
+            after = client.stats()["server"]
+            assert after["feeds"] == before["feeds"] == 0
+            assert after["protocol_errors"] == before["protocol_errors"] + 2
+            client._send(feed)
+            assert client._recv_reply()["steps"] == 3
+            assert client.stats()["server"]["feeds"] == 1
 
 
 def _traces(n: int, steps: int = 120) -> dict[str, list[int]]:
@@ -259,6 +283,29 @@ class TestUnexpectedExceptions:
             stats = client.stats()
             assert stats["ok"]
             assert stats["server"]["errors"] == 1
+
+
+class TestShutdown:
+    def test_stop_with_a_live_client_logs_nothing(self):
+        """Stopping the server while a client still holds its socket
+        open lets the connection handler finish: nothing reaches the
+        event loop's exception handler (a handler left for
+        ``asyncio.run`` to cancel logs a traceback there)."""
+        seen = []
+        host = ServerThread(ServeConfig(shards=1))
+        address = host.start()
+        try:
+            host._loop.call_soon_threadsafe(
+                host._loop.set_exception_handler,
+                lambda _loop, context: seen.append(context),
+            )
+            client = ServeClient(*address)
+            assert client.stats()["ok"]
+        finally:
+            host.stop()
+        client.close()
+        assert not host._thread.is_alive()
+        assert seen == []
 
 
 class TestServeCommand:

@@ -165,44 +165,46 @@ class TestPlacementAndLifecycle:
 
 
 class TestProcShardTransport:
-    def test_shared_memory_cycles_equal_pickled_cycles(self):
-        """Forcing the shared-memory lane transport changes bytes, not
-        answers; the shipment metrics show both sides of the trade."""
-        universe = SwitchUniverse.of_size(WIDTH)
-        masks = drifting_masks(WIDTH, 400, seed=3)
-        lanes = masks_to_lanes(masks, WIDTH)
-        costs = {}
-        for label, shared in (("pickled", False), ("shared", True)):
-            with ShardPool(2, procs=True, shared_lanes=shared) as pool:
-                sids = [
-                    pool.open(RentOrBuyScheduler(W), universe, W)
-                    for _ in range(4)
-                ]
-                pool.feed_many({sid: lanes for sid in sids})
-                runs = pool.finish_all()
-                costs[label] = sorted(run.cost for run in runs.values())
-                snap = pool.metrics.snapshot()["packed"]
-                if shared:
-                    assert snap["bytes_shared"] == 4 * lanes.nbytes
-                    assert snap["bytes_shipped"] < snap["bytes_shared"]
-                else:
-                    assert snap["bytes_shared"] == 0
-                    assert snap["bytes_shipped"] == 4 * lanes.nbytes
-        assert costs["pickled"] == costs["shared"]
+    """Process-shard drain cycles cross the pipe pickled at any size
+    (512 B to 1 MiB of lanes per shard cycle here) and serve exactly
+    what a single hub serves; the pool metrics count the lane bytes
+    shipped."""
 
-    def test_auto_mode_shares_large_cycles_only(self):
-        from repro.engine.batch import SHARED_LANES_MIN_BYTES
-
+    @pytest.mark.parametrize("steps", [16, 4096, 32768])
+    def test_cycles_equal_single_hub(self, steps):
         universe = SwitchUniverse.of_size(WIDTH)
-        with ShardPool(1, procs=True) as pool:  # shared_lanes=None (auto)
-            sid = pool.open(RentOrBuyScheduler(W), universe, W)
-            small = masks_to_lanes(drifting_masks(WIDTH, 16, seed=0), WIDTH)
-            pool.feed_many({sid: small})
-            assert pool.metrics.packed_bytes_shared == 0
-            big_n = SHARED_LANES_MIN_BYTES // small.itemsize
-            big = masks_to_lanes(
-                drifting_masks(WIDTH, big_n, seed=1), WIDTH
+        base = {
+            f"user-{s}": masks_to_lanes(
+                drifting_masks(WIDTH, 2048, seed=s, phase=40), WIDTH
             )
-            pool.feed_many({sid: big})
-            assert pool.metrics.packed_bytes_shared >= SHARED_LANES_MIN_BYTES
-            pool.finish(sid)
+            for s in range(2, 6)  # two sessions on each shard
+        }
+        chunks = {
+            sid: np.tile(lanes, (-(-steps // 2048), 1))[:steps]
+            for sid, lanes in base.items()
+        }
+        hub = StreamHub()
+        for s, sid in enumerate(chunks):
+            hub.open(_scheduler(s), universe, W, session_id=sid)
+        hub.feed_many(chunks)
+        oracle = {
+            sid: (run.cost, run.schedule.hyper_steps)
+            for sid, run in hub.finish_all().items()
+        }
+        with ShardPool(2, procs=True) as pool:
+            for s, sid in enumerate(chunks):
+                pool.open(_scheduler(s), universe, W, session_id=sid)
+            assert {pool.shard_of(sid) for sid in chunks} == {0, 1}
+            out = pool.feed_many(chunks)
+            assert all(out[sid].steps == steps for sid in chunks)
+            runs = pool.finish_all()
+            snap = pool.metrics.snapshot()["packed"]
+        lane_bytes = sum(lanes.nbytes for lanes in chunks.values())
+        assert lane_bytes == 4 * steps * 16  # 96 switches: 2 lanes/step
+        assert snap["bytes_shipped"] == lane_bytes
+        assert snap["bytes_shared"] == 0
+        served = {
+            sid: (run.cost, run.schedule.hyper_steps)
+            for sid, run in runs.items()
+        }
+        assert served == oracle

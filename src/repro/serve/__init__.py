@@ -6,7 +6,7 @@ behind sockets and shards so many users can load it concurrently:
 
 * :mod:`repro.serve.protocol` — the framed wire protocol
   (newline-delimited JSON control frames ``open``/``feed``/``close``/
-  ``stats``; base64/hex lane-encoded mask chunks) plus encode/decode
+  ``stats``; base64 lane-encoded mask chunks) plus encode/decode
   helpers shared by server and client;
 * :mod:`repro.serve.shard` — :class:`ShardPool`: sessions
   hash-partitioned across hub shards (threads by default, processes

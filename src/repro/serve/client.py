@@ -11,19 +11,22 @@ reply fits one frame too) answered by one reply that lists every
 chunk's result; over JSON it is one frame per chunk, sent with one
 ``sendall``.
 
+Over v2, :meth:`feed` is a burst of one chunk: one ``feed_many``
+frame of one entry.  A lane section is deflated only when compression
+shrinks it; JSON feeds carry base64 masks.
+
 The client remembers each opened session's universe width, so
 :meth:`feed` accepts plain int masks *or* pre-packed ``(C, L)`` lane
 arrays and encodes them itself.
 
 Wire protocol negotiation (``proto=``):
 
-* ``"auto"`` (default) — ask for v2 on the first ``open``; speak raw
-  binary feed frames if the server agrees, fall back to JSON lines
-  against older servers (which reject the unknown ``proto`` field —
-  the open is retried without it, once).
+* ``"auto"`` (default) — ask for v2 on the first ``open``; speak
+  binary feed frames if the server answers ``proto: 2``, JSON lines
+  if it answers ``proto: 1`` (``repro serve --proto json``).
 * ``"json"`` — classic v1 JSON frames only.
-* ``"bin"`` — require v2; raise :class:`ServeError` if the server
-  declines.
+* ``"bin"`` — require v2; if the server declines, close the session
+  it opened and raise :class:`ServeError`.
 """
 
 from __future__ import annotations
@@ -94,15 +97,9 @@ class ServeClient:
         Server address (e.g. from :class:`ServerThread.start`).
     timeout:
         Socket timeout per reply, seconds.
-    encoding:
-        Mask chunk encoding for JSON ``feed`` frames (``"b64"``
-        default, ``"hex"`` for eyeball-friendly traffic).
     proto:
         Wire protocol preference: ``"auto"`` | ``"json"`` | ``"bin"``
         (see the module docstring).
-    deflate:
-        Section compression on binary feeds: ``None`` compresses only
-        when it wins, ``True``/``False`` force it.
     """
 
     def __init__(
@@ -111,17 +108,11 @@ class ServeClient:
         port: int,
         *,
         timeout: float = 60.0,
-        encoding: str = "b64",
         proto: str = "auto",
-        deflate: bool | None = None,
     ):
-        if encoding not in ("b64", "hex"):
-            raise ValueError(f"unknown mask encoding {encoding!r}")
         if proto not in ("auto", "json", "bin"):
             raise ValueError(f"unknown wire protocol {proto!r}")
-        self._encoding = encoding
         self._proto = proto
-        self._deflate = deflate
         #: None until the first open settles negotiation.
         self._bin: bool | None = False if proto == "json" else None
         self._sock = socket.create_connection((host, port), timeout=timeout)
@@ -206,31 +197,19 @@ class ServeClient:
         frame.update(params)
         if self._bin is None or self._bin:
             frame["proto"] = PROTO_BIN
-        try:
-            reply = self.call(frame)
-        except ServeError as exc:
-            if (
-                self._bin is None
-                and self._proto == "auto"
-                and "unknown fields" in str(exc)
-                and "proto" in str(exc)
-            ):
-                # Pre-v2 server: it rejected the proto field itself.
-                # Retry once without it and stay on JSON for good.
-                self._bin = False
-                frame.pop("proto")
-                reply = self.call(frame)
-            else:
-                raise
-        else:
-            if self._bin is None:
-                self._bin = reply.get("proto") == PROTO_BIN
-                if not self._bin and self._proto == "bin":
-                    raise ServeError(
-                        "server declined wire protocol v2 "
-                        f"(answered proto={reply.get('proto', PROTO_JSON)})"
-                    )
+        reply = self.call(frame)
         sid = reply["session"]
+        if self._bin is None:
+            accepted = reply.get("proto") == PROTO_BIN
+            if not accepted and self._proto == "bin":
+                # The server opened the session all the same: close it,
+                # so its id is free again and it holds no server state.
+                self.call({"op": "close", "session": sid})
+                raise ServeError(
+                    "server declined wire protocol v2 "
+                    f"(answered proto={reply.get('proto', PROTO_JSON)})"
+                )
+            self._bin = accepted
         self._widths[sid] = width
         return sid
 
@@ -245,29 +224,16 @@ class ServeClient:
     def _encode_feed(
         self, session_id: str, masks, *, trace: str | None
     ) -> bytes:
-        """One feed frame as wire bytes, honoring the negotiated proto.
-
-        Traced feeds ride JSON even on v2 — the binary frame has no
-        trace field, and tracing already opted into the verbose path.
-        """
+        """One JSON ``feed`` frame as wire bytes."""
         width = self._width_of(session_id)
         count = len(masks)
         if count == 0:
             raise ValueError("feed chunks must contain at least one mask")
-        if self._bin and trace is None:
-            return encode_feed_bin(
-                session_id,
-                _as_lanes(masks, width),
-                width,
-                deflate=self._deflate,
-            )
-        blob = encode_mask_chunk(masks, width, encoding=self._encoding)
         frame = {
             "op": "feed",
             "session": session_id,
             "count": count,
-            "masks": blob,
-            "encoding": self._encoding,
+            "masks": encode_mask_chunk(masks, width),
         }
         if trace is not None:
             frame["trace"] = trace
@@ -276,7 +242,14 @@ class ServeClient:
     def feed(
         self, session_id: str, masks, *, trace: str | None = None
     ) -> FeedResult:
-        """Serve a chunk of requirements on one session."""
+        """Serve a chunk of requirements on one session.
+
+        Over v2 the chunk is a one-entry ``feed_many`` frame.  Traced
+        feeds ride JSON even on v2 — the binary frame has no trace
+        field, and tracing already opted into the verbose path.
+        """
+        if self._bin and trace is None:
+            return self.feed_pipelined([(session_id, masks)])[0]
         self._send(self._encode_feed(session_id, masks, trace=trace))
         return _feed_result(session_id, self._reply_ok())
 
@@ -357,7 +330,7 @@ class ServeClient:
             size += nbytes
         return [
             (
-                encode_feed_bin(group, deflate=self._deflate),
+                encode_feed_bin(group),
                 [sid for sid, _lanes in group],
             )
             for group in groups

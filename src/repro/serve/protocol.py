@@ -12,8 +12,7 @@ op           payload
              size), ``w`` (hyper cost), optional ``session`` id and
              policy params (``alpha``/``memory``/``k``/``scalar``)
 ``feed``     ``session``, ``count`` requirement masks packed into
-             ``masks`` — little-endian uint64 lane rows, base64- (default)
-             or hex-encoded (``encoding``)
+             ``masks`` — little-endian uint64 lane rows, base64-encoded
 ``close``    ``session`` — finish the session into a validated run
 ``stats``    no payload — aggregate server/shard/engine counters
 ``metrics``  no payload — full labeled histogram snapshot (JSON wire
@@ -47,35 +46,29 @@ A v2 frame is an 8-byte header followed by the payload::
     offset  size  field
     0       1     magic 0xA7 (never a printable JSON first byte)
     1       1     version (2)
-    2       1     opcode (1 = feed, 2 = feed_many)
+    2       1     opcode (2 = feed_many; any other earns an error reply)
     3       1     flags (bit1 DEFLATE; bit0 and bits 2-7 are reserved
                   and rejected)
     4       4     payload length, u32 little-endian
 
-Feed payload (opcode 1): ``u8 session-length | session utf-8 | u32
-count``, then the lane section — ``count · L`` uint64 lanes,
-little-endian row-major.  DEFLATE marks the section (only) as
-zlib-compressed; the receiver knows the exact inflated size, so
-decompression is strictly bounded.
-
-Feed-many payload (opcode 2): one frame carries N chunks, for any mix
-of sessions — a pipelined burst is one frame, one parse, one inflate
-and one reply::
+Feed-many payload: one frame carries N chunks, for any mix of sessions
+— a pipelined burst is one frame, one parse, one inflate and one
+reply, and a single chunk is a frame of one entry::
 
     u16 N                                     entry count (1..511)
     N x (u8 session-length | session utf-8 | u32 count | u16 lanes)
     lane section                              every entry's count x lanes
                                               uint64 lanes, in entry order
 
-Each entry declares its own lane count, so the section layout never
-depends on server state; the section is at most
-:data:`MAX_FRAME_BYTES` when N > 1, and DEFLATE compresses it as one
-stream, inflated once and bounded by the declared total.  The reply is
-one JSON line ``{"ok": true, "op": "feed_many", "replies": [...]}``
-whose item i is exactly the reply entry i would have earned as its own
-opcode-1 frame: a ``feed`` reply, or an error reply when only that
-entry is bad (unknown session, lane count that disagrees with the
-session's width, empty or non-UTF-8 session id, count out of range).
+Lanes are little-endian uint64, row-major.  Each entry declares its
+own lane count, so the section layout never depends on server state;
+the section is at most :data:`MAX_FRAME_BYTES` when N > 1, and DEFLATE
+marks it as one zlib stream, inflated once and bounded by the declared
+total.  The reply is one JSON line ``{"ok": true, "op": "feed_many",
+"replies": [...]}`` whose item i answers entry i: a ``feed`` reply, or
+an error reply when only that entry is bad (unknown session, lane
+count that disagrees with the session's width, empty or non-UTF-8
+session id, count out of range).
 A session may appear more than once; its chunks are served in entry
 order.  Faults that leave no entry locatable — a truncated entry table,
 a raw section of the wrong length, an oversized section — earn one
@@ -111,10 +104,8 @@ __all__ = [
     "BIN_FLAG_DEFLATE",
     "BIN_HEADER",
     "BIN_MAGIC",
-    "BIN_OP_FEED",
     "BIN_OP_FEED_MANY",
     "BIN_VERSION",
-    "BinFeedBatch",
     "BinFeedFrame",
     "MAX_ERROR_CHARS",
     "MAX_FEED_ENTRIES",
@@ -156,7 +147,6 @@ PROTO_BIN = 2
 #: routes a connection's next frame to the right parser.
 BIN_MAGIC = 0xA7
 BIN_VERSION = 2
-BIN_OP_FEED = 1
 BIN_OP_FEED_MANY = 2
 BIN_FLAG_DEFLATE = 0x02
 
@@ -216,7 +206,6 @@ class FeedFrame:
     session: str
     count: int
     masks: str
-    encoding: str
     trace: str | None = None
 
 
@@ -290,25 +279,19 @@ def _as_lanes(masks, width: int) -> np.ndarray:
     return masks_to_lanes(list(masks), width)
 
 
-def encode_mask_chunk(masks, width: int, *, encoding: str = "b64") -> str:
-    """Encode requirement masks as a wire blob.
+def encode_mask_chunk(masks, width: int) -> str:
+    """Encode requirement masks as a base64 wire blob.
 
     ``masks`` is an iterable of int masks or an already lane-packed
     ``(C, L)`` uint64 array; rows serialize little-endian, row-major.
     """
     lanes = _as_lanes(masks, width)
     raw = np.ascontiguousarray(lanes, dtype="<u8").tobytes()
-    if encoding == "b64":
-        return base64.b64encode(raw).decode("ascii")
-    if encoding == "hex":
-        return raw.hex()
-    raise ProtocolError(f"unknown mask encoding {encoding!r}")
+    return base64.b64encode(raw).decode("ascii")
 
 
-def decode_mask_chunk(
-    blob: str, count: int, width: int, *, encoding: str = "b64"
-) -> np.ndarray:
-    """Decode a wire blob back into validated ``(count, L)`` lanes.
+def decode_mask_chunk(blob: str, count: int, width: int) -> np.ndarray:
+    """Decode a base64 wire blob back into validated ``(count, L)`` lanes.
 
     Rejects blobs whose length disagrees with ``count`` and rows that
     set bits at or above ``width`` — the result is safe to hand to the
@@ -316,25 +299,17 @@ def decode_mask_chunk(
     """
     if count < 0:
         raise ProtocolError("mask count must be non-negative")
-    if encoding == "b64":
-        try:
-            raw = base64.b64decode(blob, validate=True)
-        except (binascii.Error, ValueError) as exc:
-            raise ProtocolError(f"invalid base64 mask blob: {exc}") from None
-    elif encoding == "hex":
-        try:
-            raw = bytes.fromhex(blob)
-        except ValueError as exc:
-            raise ProtocolError(f"invalid hex mask blob: {exc}") from None
-    else:
-        raise ProtocolError(f"unknown mask encoding {encoding!r}")
+    try:
+        raw = base64.b64decode(blob, validate=True)
+    except (binascii.Error, ValueError) as exc:
+        raise ProtocolError(f"invalid base64 mask blob: {exc}") from None
     return lanes_from_bytes(raw, count, width)
 
 
 def lanes_from_bytes(raw: bytes, count: int, width: int) -> np.ndarray:
     """Validate raw little-endian lane bytes into ``(count, L)`` lanes.
 
-    The shared tail of every wire decode (b64, hex, binary): the byte
+    The shared tail of every wire decode (base64, binary): the byte
     length must match ``count · L · 8`` exactly, and bits at or above
     ``width`` are rejected — the result is safe for the lane-trusting
     fast path.
@@ -378,15 +353,6 @@ def _deflate_maybe(section: bytes, deflate: bool | None):
     return section, 0
 
 
-def _session_bytes(session: str) -> bytes:
-    sid = session.encode()
-    if not 1 <= len(sid) <= 255:
-        raise ProtocolError(
-            "binary feed session ids must be 1..255 UTF-8 bytes"
-        )
-    return sid
-
-
 def _frame(opcode: int, flags: int, payload: bytes) -> bytes:
     if len(payload) > MAX_FRAME_BYTES:
         raise ProtocolError(f"frame exceeds {MAX_FRAME_BYTES} bytes")
@@ -401,43 +367,16 @@ def feed_entry_bytes(session: str, lanes: np.ndarray) -> int:
     return len(session.encode()) + 1 + _ENTRY_TAIL.size + lanes.nbytes
 
 
-def encode_feed_bin(
-    session,
-    lanes: np.ndarray | None = None,
-    width: int | None = None,
-    *,
-    deflate: bool | None = None,
-) -> bytes:
-    """Encode one v2 binary feed frame.
+def encode_feed_bin(entries, *, deflate: bool | None = None) -> bytes:
+    """Encode one v2 ``feed_many`` frame.
 
-    ``encode_feed_bin(session, lanes, width)`` builds an opcode-1
-    ``feed`` frame: ``lanes`` is the chunk's ``(C, L)`` uint64 matrix.
-    ``encode_feed_bin(entries)`` builds one opcode-2 ``feed_many`` frame
-    from a list of ``(session, lanes)`` pairs, each pair declaring its
-    own lane count, with every chunk in one lane section.
-    ``deflate=None`` compresses the section only when that actually
-    wins; ``True``/``False`` force it (golden fixtures pin the
-    uncompressed form).
+    ``entries`` is a list of ``(session, lanes)`` pairs, each ``lanes``
+    a chunk's ``(C, L)`` uint64 matrix declaring its own lane count;
+    every chunk lands in one lane section.  ``deflate=None`` compresses
+    the section only when that actually wins; ``True``/``False`` force
+    it (golden fixtures pin the uncompressed form).
     """
-    if not isinstance(session, str):
-        return _encode_feed_many(list(session), deflate)
-    lanes = np.ascontiguousarray(lanes, dtype="<u8")
-    L = lane_count(width)
-    if lanes.ndim != 2 or lanes.shape[1] != L:
-        raise ProtocolError(
-            f"lane rows have {lanes.shape[-1] if lanes.ndim else 0} "
-            f"lanes, width {width} needs {L}"
-        )
-    count = lanes.shape[0]
-    if count < 1:
-        raise ProtocolError("feed chunks must contain at least one mask")
-    sid = _session_bytes(session)
-    section, flags = _deflate_maybe(lanes.tobytes(), deflate)
-    payload = bytes((len(sid),)) + sid + _U32.pack(count) + section
-    return _frame(BIN_OP_FEED, flags, payload)
-
-
-def _encode_feed_many(entries: list, deflate: bool | None) -> bytes:
+    entries = list(entries)
     if not 1 <= len(entries) <= MAX_FEED_ENTRIES:
         raise ProtocolError(
             f"feed_many frames carry 1..{MAX_FEED_ENTRIES} entries"
@@ -452,7 +391,11 @@ def _encode_feed_many(entries: list, deflate: bool | None) -> bytes:
             raise ProtocolError(
                 "feed chunks must contain at least one mask"
             )
-        sid = _session_bytes(session)
+        sid = session.encode()
+        if not 1 <= len(sid) <= 255:
+            raise ProtocolError(
+                "binary feed session ids must be 1..255 UTF-8 bytes"
+            )
         table.append(
             bytes((len(sid),)) + sid + _ENTRY_TAIL.pack(*lanes.shape)
         )
@@ -465,22 +408,18 @@ def _encode_feed_many(entries: list, deflate: bool | None) -> bytes:
 class _Section:
     """A frame's lane section, inflated at most once.
 
-    ``sizes`` is the declared byte size of each ``feed_many`` entry's
-    rows, in entry order (``None`` for an opcode-1 section, whose one
-    size follows from the session's width).  A deflated section is
-    inflated by one call bounded by the declared total; entries resolve
-    as slices of that one buffer, as they slice the frame payload when
-    the section is raw.  The entries of one frame may live on different
-    shards, so two drain threads can resolve them at the same time: the
-    first inflates under the lock and the others reuse its buffer — or
-    its error.
+    ``sizes`` is the declared byte size of each entry's rows, in entry
+    order.  A deflated section is inflated by one call bounded by the
+    declared total; entries resolve as slices of that one buffer, as
+    they slice the frame payload when the section is raw.  The entries
+    of one frame may live on different shards, so two drain threads
+    can resolve them at the same time: the first inflates under the
+    lock and the others reuse its buffer — or its error.
     """
 
     __slots__ = ("deflated", "sizes", "_data", "_parts", "_lock")
 
-    def __init__(
-        self, data: memoryview, deflated: bool, sizes: tuple | None = None
-    ):
+    def __init__(self, data: memoryview, deflated: bool, sizes: tuple):
         self.deflated = deflated
         self.sizes = sizes
         self._data = data
@@ -490,33 +429,24 @@ class _Section:
             self._parts = _slices(data, sizes)
         self._lock = threading.Lock()
 
-    def part(self, index: int, size: int):
-        """Entry ``index``'s rows: exactly ``size`` raw bytes."""
+    def part(self, index: int):
+        """Entry ``index``'s rows, exactly its declared size."""
         if self._parts is None:
             with self._lock:
                 if self._parts is None:
-                    sizes = self.sizes or (size,)
                     try:
-                        data = _inflate(self._data, sum(sizes))
+                        data = _inflate(self._data, sum(self.sizes))
                     except ProtocolError as exc:
                         self._parts = str(exc)
                     else:
-                        self._parts = _slices(memoryview(data), sizes)
+                        self._parts = _slices(memoryview(data), self.sizes)
         if isinstance(self._parts, str):
             raise ProtocolError(self._parts)
-        data = self._parts[index]
-        if len(data) != size:
-            raise ProtocolError(
-                f"feed section holds {len(data)} bytes, expected {size}"
-            )
-        return data
+        return self._parts[index]
 
 
 def _slices(data: memoryview, sizes) -> list:
-    """``data`` cut into consecutive views of ``sizes`` bytes (one
-    view of all of it when ``sizes`` is ``None``)."""
-    if sizes is None:
-        return [data]
+    """``data`` cut into consecutive views of ``sizes`` bytes."""
     return [
         data[end - size : end]
         for size, end in zip(sizes, accumulate(sizes))
@@ -543,21 +473,20 @@ def _inflate(data: memoryview, total: int) -> bytes:
 
 @dataclass(frozen=True)
 class BinFeedFrame:
-    """Parsed v2 binary ``feed`` request, or one entry of a
-    ``feed_many`` frame.
+    """One parsed entry of a v2 binary ``feed_many`` frame.
 
     ``section`` stays encoded (possibly deflated) until the server
     knows the session's width: :meth:`raw_lanes` inflates,
-    length-checks and bit-validates it in the drain executor, off the
-    event loop.  A ``feed_many`` entry also carries its declared lane
-    count and its ``index`` in the frame's shared section.
+    lane-checks and bit-validates the entry's rows in the drain
+    executor, off the event loop.  ``lanes`` is the entry's declared
+    lane count and ``index`` its place in the frame's shared section.
     """
 
     session: str
     count: int
     section: _Section
-    lanes: int | None = None
-    index: int = 0
+    lanes: int
+    index: int
 
     @property
     def deflated(self) -> bool:
@@ -566,25 +495,13 @@ class BinFeedFrame:
     def raw_lanes(self, width: int) -> np.ndarray:
         """Resolve the section into validated ``(count, L)`` lanes."""
         L = lane_count(width)
-        if self.lanes is not None and self.lanes != L:
+        if self.lanes != L:
             raise ProtocolError(
                 f"feed entry declares {self.lanes} lane(s), "
                 f"width {width} needs {L}"
             )
-        data = self.section.part(self.index, self.count * L * 8)
+        data = self.section.part(self.index)
         return lanes_from_bytes(data, self.count, width)
-
-
-@dataclass(frozen=True)
-class BinFeedBatch:
-    """Parsed v2 binary ``feed_many`` request.
-
-    ``entries`` holds, in frame order, a :class:`BinFeedFrame` per
-    well-formed entry or the :class:`ProtocolError` an entry earned on
-    its own (its table row still located the entries after it).
-    """
-
-    entries: tuple
 
 
 def _entry_fields(
@@ -615,43 +532,22 @@ def parse_bin_feed(
     payload: bytes,
     *,
     max_chunk_steps: int | None = None,
-) -> BinFeedFrame | BinFeedBatch:
-    """Validate one binary frame's opcode/flags/payload structure.
+) -> tuple:
+    """Validate one binary frame's opcode/flags/entry table.
 
     Cheap structural checks only (the section stays opaque); the
     header itself — magic, version, length bounds — is the transport
     loop's job, since framing errors kill the connection while payload
-    errors only earn an error reply.  Opcode 1 returns a
-    :class:`BinFeedFrame`, opcode 2 a :class:`BinFeedBatch`.
+    errors only earn an error reply.  Returns the frame's entries in
+    order: a :class:`BinFeedFrame` per well-formed entry, or the
+    :class:`ProtocolError` an entry earned on its own (its table row
+    still located the entries after it).
     """
-    if opcode not in (BIN_OP_FEED, BIN_OP_FEED_MANY):
+    if opcode != BIN_OP_FEED_MANY:
         raise ProtocolError(f"unknown binary opcode {opcode}")
     if flags & ~BIN_FLAG_DEFLATE:
         raise ProtocolError(f"unknown binary flags {flags:#04x}")
-    deflated = bool(flags & BIN_FLAG_DEFLATE)
     view = memoryview(payload)
-    if opcode == BIN_OP_FEED_MANY:
-        return _parse_feed_many(view, deflated, max_chunk_steps)
-    if len(payload) < 1:
-        raise ProtocolError("binary feed payload is truncated")
-    slen = payload[0]
-    if slen < 1:
-        raise ProtocolError("binary feed session id is empty")
-    head = 1 + slen
-    if len(payload) < head + 4:
-        raise ProtocolError("binary feed payload is truncated")
-    (count,) = _U32.unpack_from(payload, head)
-    session = _entry_fields(bytes(view[1:head]), count, max_chunk_steps)
-    return BinFeedFrame(
-        session=session,
-        count=int(count),
-        section=_Section(view[head + 4 :], deflated),
-    )
-
-
-def _parse_feed_many(
-    view: memoryview, deflated: bool, max_chunk_steps: int | None
-) -> BinFeedBatch:
     if len(view) < _U16.size:
         raise ProtocolError("feed_many entry table is truncated")
     (n,) = _U16.unpack_from(view, 0)
@@ -680,6 +576,7 @@ def _parse_feed_many(
             f"feed_many entries declare {total} lane bytes; frames of "
             f"several entries hold at most {MAX_FRAME_BYTES}"
         )
+    deflated = bool(flags & BIN_FLAG_DEFLATE)
     if not deflated and len(view) - head != total:
         raise ProtocolError(
             f"feed_many section holds {len(view) - head} bytes, "
@@ -696,7 +593,7 @@ def _parse_feed_many(
             entries.append(
                 BinFeedFrame(session, count, section, lanes, index)
             )
-    return BinFeedBatch(tuple(entries))
+    return tuple(entries)
 
 
 # ---------------------------------------------------------------------------
@@ -799,13 +696,12 @@ def parse_request(
             )
         masks = _require(obj, "masks", str, op=op)
         encoding = obj.get("encoding", "b64")
-        if encoding not in ("b64", "hex"):
+        if encoding != "b64":
             raise ProtocolError(f"unknown mask encoding {encoding!r}")
         return FeedFrame(
             session=session,
             count=int(count),
             masks=masks,
-            encoding=encoding,
             trace=_trace_of(obj, op=op),
         )
     if op == "close":

@@ -156,7 +156,7 @@ async def _ready(reply: dict) -> dict:
 class _EncodedChunk:
     """A feed payload whose decode is deferred to the drain executor.
 
-    Base64/hex text for v1, a raw (possibly deflated) binary section
+    Base64 text for v1, a raw (possibly deflated) binary section
     for v2 — either way the event loop never touches the bytes; the
     drainer resolves them on the shard executor and books the CPU under
     ``wire_decode_seconds_total{proto=...}``.
@@ -821,12 +821,9 @@ class StreamServer:
     async def _stage_feed(self, frame: FeedFrame):
         self.counters.bump("feeds")
         width, shard = self._session_of(frame.session)
-        masks, count, encoding = frame.masks, frame.count, frame.encoding
+        masks, count = frame.masks, frame.count
         lanes = _EncodedChunk(
-            "json",
-            lambda: decode_mask_chunk(
-                masks, count, width, encoding=encoding
-            ),
+            "json", lambda: decode_mask_chunk(masks, count, width)
         )
         future = await self._enqueue_feed(
             frame.session, shard, lanes, frame.trace
@@ -834,28 +831,24 @@ class StreamServer:
         return self._finish_feed(frame.session, future, _echo(frame))
 
     async def _stage_bin(self, opcode: int, flags: int, data: bytes):
-        """Stage one binary frame like :meth:`_stage`; returns (reply
-        awaitable, feed chunks it answers).
+        """Stage one binary ``feed_many`` frame like :meth:`_stage`;
+        returns (reply awaitable, feed chunks it answers).
 
-        A ``feed_many`` frame stages every entry as its own shard job,
-        in entry order; an entry that is malformed or names an unknown
-        session fails alone, with the reply its own opcode-1 frame
-        would have earned.
+        Every entry is staged as its own shard job, in entry order; an
+        entry that is malformed or names an unknown session fails
+        alone, with an error reply item of its own.
         """
         if self.config.proto == "json":
             raise ProtocolError(
                 "binary frames are disabled (server runs --proto json)"
             )
-        frame = parse_bin_feed(
+        entries = parse_bin_feed(
             opcode, flags, data,
             max_chunk_steps=self.config.max_chunk_steps,
         )
-        if isinstance(frame, BinFeedFrame):
-            self.counters.bump("feeds")
-            return await self._stage_bin_entry(frame), 1
-        self.counters.bump("feeds", len(frame.entries))
+        self.counters.bump("feeds", len(entries))
         finishes = []
-        for entry in frame.entries:
+        for entry in entries:
             try:
                 if isinstance(entry, ProtocolError):
                     raise entry

@@ -25,7 +25,6 @@ from repro.serve.loadgen import drifting_masks
 from repro.serve.protocol import (
     BIN_HEADER,
     BIN_MAGIC,
-    BIN_OP_FEED,
     BIN_OP_FEED_MANY,
     BIN_VERSION,
     MAX_FEED_ENTRIES,
@@ -60,23 +59,42 @@ class TestHostileInput:
     def test_rejected_binary_frames_count_no_feeds(self, server):
         """A binary frame that fails to parse earns an error reply and
         counts as a protocol error, never as a feed (as a JSON feed
-        that fails to parse counts none)."""
+        that fails to parse counts none).  Opcode 1 is no feed opcode,
+        even with a well-formed single-chunk payload, and base64 is the
+        only JSON mask encoding."""
         with ServeClient(*server, proto="bin") as client:
             sid = client.open(policy="window", width=8, w=2.0)
-            feed = encode_feed_bin(sid, _lanes([1, 2, 3], 8), 8)
-            payload = feed[BIN_HEADER.size :]
+            lanes = _lanes([1, 2, 3], 8)
+            feed = encode_feed_bin([(sid, lanes)])
+            many = feed[BIN_HEADER.size :]
+            # u8 id length | id | u32 count | lanes
+            single = (
+                bytes((len(sid),)) + sid.encode()
+                + (3).to_bytes(4, "little") + lanes.tobytes()
+            )
             before = client.stats()["server"]
-            for opcode, flags in ((3, 0), (BIN_OP_FEED, 0x80)):
+            for opcode, flags, payload, error in (
+                (3, 0, many, "unknown binary opcode 3"),
+                (BIN_OP_FEED_MANY, 0x80, many, "unknown binary flags 0x80"),
+                (1, 0, single, "unknown binary opcode 1"),
+            ):
                 client._send(BIN_HEADER.pack(
                     BIN_MAGIC, BIN_VERSION, opcode, flags, len(payload)
                 ) + payload)
                 reply = client._recv_reply()
-                assert not reply["ok"] and "unknown binary" in reply["error"]
+                assert reply == {"ok": False, "error": error}
+            client._send(encode_frame({
+                "op": "feed", "session": sid, "count": 3,
+                "masks": lanes.tobytes().hex(), "encoding": "hex",
+            }))
+            reply = client._recv_reply()
+            assert reply == {"ok": False,
+                             "error": "unknown mask encoding 'hex'"}
             after = client.stats()["server"]
             assert after["feeds"] == before["feeds"] == 0
-            assert after["protocol_errors"] == before["protocol_errors"] + 2
+            assert after["protocol_errors"] == before["protocol_errors"] + 4
             client._send(feed)
-            assert client._recv_reply()["steps"] == 3
+            assert client._recv_reply()["replies"][0]["steps"] == 3
             assert client.stats()["server"]["feeds"] == 1
 
 
@@ -252,14 +270,18 @@ class TestFeedManyFaults:
         traces = _traces(8)
         config = ServeConfig(shards=2, shard_procs=procs)
         with ServerThread(config) as address:
-            with ServeClient(*address, proto="bin", deflate=True) as client:
+            with ServeClient(*address, proto="bin") as client:
                 self._open(client, traces)
                 stats = client.stats()
                 assert all(row["sessions"] for row in stats["shards"])
                 for lo in range(0, 120, 40):
-                    client.feed_pipelined(
-                        [(sid, m[lo : lo + 40]) for sid, m in traces.items()]
+                    reply = _feed_many(
+                        client,
+                        [(sid, _lanes(m[lo : lo + 40]))
+                         for sid, m in traces.items()],
+                        deflate=True,
                     )
+                    assert all(item["ok"] for item in reply["replies"])
                 stats = client.stats()
                 costs = {sid: client.close_session(sid).cost for sid in traces}
         assert stats["engine"]["wire"]["bin"]["frames_in"] == 3

@@ -37,8 +37,8 @@ universe_sizes = st.one_of(
 
 class TestMaskChunkRoundTrip:
     @settings(deadline=None, max_examples=80)
-    @given(universe_sizes, st.data(), st.sampled_from(["b64", "hex"]))
-    def test_masks_survive_the_wire(self, width, data, encoding):
+    @given(universe_sizes, st.data())
+    def test_masks_survive_the_wire(self, width, data):
         full = (1 << width) - 1
         masks = data.draw(
             st.lists(
@@ -47,10 +47,8 @@ class TestMaskChunkRoundTrip:
                 max_size=30,
             )
         )
-        blob = encode_mask_chunk(masks, width, encoding=encoding)
-        lanes = decode_mask_chunk(
-            blob, len(masks), width, encoding=encoding
-        )
+        blob = encode_mask_chunk(masks, width)
+        lanes = decode_mask_chunk(blob, len(masks), width)
         assert lanes.shape == (len(masks), lane_count(width))
         assert lanes.dtype == np.uint64
         got = lanes_to_masks(lanes) if len(masks) else []
@@ -75,9 +73,10 @@ class TestMaskChunkRoundTrip:
     def test_frame_round_trip_through_json(self):
         masks = [1, (1 << 70) | 5, 0, (1 << 95)]
         blob = encode_mask_chunk(masks, 96)
-        line = encode_frame(
-            {"op": "feed", "session": "u1", "count": 4, "masks": blob}
-        )
+        line = encode_frame({
+            "op": "feed", "session": "u1", "count": 4, "masks": blob,
+            "encoding": "b64",
+        })
         frame = parse_request(decode_frame(line))
         assert isinstance(frame, FeedFrame)
         lanes = decode_mask_chunk(frame.masks, frame.count, 96)
@@ -102,10 +101,6 @@ class TestMaskChunkValidation:
     def test_garbage_blobs_rejected(self):
         with pytest.raises(ProtocolError):
             decode_mask_chunk("!!!not-base64!!!", 1, 8)
-        with pytest.raises(ProtocolError):
-            decode_mask_chunk("zz", 1, 8, encoding="hex")
-        with pytest.raises(ProtocolError):
-            decode_mask_chunk("AAAA", 1, 8, encoding="rot13")
 
     def test_negative_count_rejected(self):
         with pytest.raises(ProtocolError):
@@ -149,6 +144,8 @@ class TestFrameParsing:
             {"op": "feed", "session": "x", "count": 1},  # no masks
             {"op": "feed", "session": "x", "count": 1, "masks": "",
              "encoding": "utf-9"},
+            {"op": "feed", "session": "x", "count": 1, "masks": "",
+             "encoding": "hex"},
             {"op": "close"},  # no session
         ],
     )

@@ -3,23 +3,23 @@
 Three layers of pinning:
 
 * **golden frames** (``tests/data/wire_v1_frames.jsonl``,
-  ``wire_v2_raw.bin``, ``wire_v2_batch.bin``) — the byte-exact wire
-  form of canonical v1 frames, a v2 ``feed`` frame and a v2
-  ``feed_many`` frame.  Re-encoding the same inputs must reproduce the stored
-  bytes bit for bit (a codec change that silently breaks old clients
-  fails here first).  The binary fixtures are
-  non-deflated on purpose: zlib output may vary across library
+  ``wire_v2_batch.bin``) — the byte-exact wire form of canonical v1
+  frames and a v2 ``feed_many`` frame.  Re-encoding the same inputs
+  must reproduce the stored bytes bit for bit (a codec change that
+  silently breaks old clients fails here first).  The binary fixture
+  is non-deflated on purpose: zlib output may vary across library
   versions, so compression is pinned by round-trip properties instead.
-* **property round-trips** — raw and deflated binary frames, single
-  chunks and ``feed_many`` bursts of ragged chunks over mixed widths,
+* **property round-trips** — raw and deflated ``feed_many`` frames,
+  of one chunk and of bursts of ragged chunks over mixed widths,
   survive encode → parse → resolve across universe widths spanning
   every lane-count boundary.
 * **served behavior** — a v1-only client completes the full
   open/feed/close/stats flow against a v2 server unchanged; v2 clients
-  (raw, deflated, pipelined) produce bit-identical costs to the
-  single-hub oracle over thread *and* process shard pools; reserved
-  flags and malformed binary frames earn error replies on a surviving
-  connection.
+  (one chunk per frame, raw or deflated, and pipelined) produce
+  bit-identical costs to the single-hub oracle over thread *and*
+  process shard pools; reserved flags and malformed binary frames earn
+  error replies on a surviving connection; a ``bin`` client that a
+  ``--proto json`` server declines leaves no session behind.
 """
 
 from __future__ import annotations
@@ -36,19 +36,17 @@ from hypothesis import given, settings, strategies as st
 from repro.core.packed import masks_to_lanes
 from repro.core.switches import SwitchUniverse
 from repro.engine.stream import StreamSession
-from repro.serve.client import ServeClient
+from repro.serve.client import ServeClient, ServeError
 from repro.serve.protocol import (
     BIN_FLAG_DEFLATE,
     BIN_HEADER,
     BIN_MAGIC,
-    BIN_OP_FEED,
     BIN_OP_FEED_MANY,
     BIN_VERSION,
     MAX_ERROR_CHARS,
     MAX_FEED_ENTRIES,
     MAX_FRAME_BYTES,
     MAX_REPLY_ITEM_BYTES,
-    BinFeedBatch,
     ProtocolError,
     encode_feed_bin,
     encode_frame,
@@ -103,17 +101,9 @@ V1_FRAMES = [
     {"op": "feed", "session": "golden", "count": 3,
      "masks": encode_mask_chunk([0b101, 0b11, 0b10000000], 8),
      "encoding": "b64"},
-    {"op": "feed", "session": "golden", "count": 2,
-     "masks": encode_mask_chunk([0b1, 0b101], 8, encoding="hex"),
-     "encoding": "hex"},
     {"op": "close", "session": "golden"},
     {"op": "stats"},
 ]
-
-#: Masks behind the v2 fixtures (width 96 = two lanes per row).
-V2_WIDTH = 96
-V2_RAW_MASKS = [0b101, (1 << 95) | 0b11, 1 << 64]
-
 
 #: The feed_many fixture: two sessions of different widths (one and two
 #: lanes per row), one of them twice, in entry order.
@@ -126,11 +116,6 @@ V2_BATCH_ENTRIES = [
 
 def v1_fixture_bytes() -> bytes:
     return b"".join(encode_frame(frame) for frame in V1_FRAMES)
-
-
-def v2_raw_fixture_bytes() -> bytes:
-    lanes = masks_to_lanes(V2_RAW_MASKS, V2_WIDTH)
-    return encode_feed_bin("golden", lanes, V2_WIDTH, deflate=False)
 
 
 def v2_batch_fixture_bytes() -> bytes:
@@ -149,24 +134,6 @@ class TestGoldenFrames:
             v1_fixture_bytes()
         )
 
-    def test_v2_raw_frame_byte_exact(self):
-        assert (DATA / "wire_v2_raw.bin").read_bytes() == (
-            v2_raw_fixture_bytes()
-        )
-
-    def test_v2_raw_fixture_parses(self):
-        ((opcode, flags, payload),) = _split_frames(
-            (DATA / "wire_v2_raw.bin").read_bytes()
-        )
-        assert opcode == BIN_OP_FEED and flags == 0
-        frame = parse_bin_feed(opcode, flags, payload)
-        assert frame.session == "golden"
-        assert not frame.deflated
-        lanes = frame.raw_lanes(V2_WIDTH)
-        assert np.array_equal(
-            lanes, masks_to_lanes(V2_RAW_MASKS, V2_WIDTH)
-        )
-
     def test_v2_batch_frame_byte_exact(self):
         assert (DATA / "wire_v2_batch.bin").read_bytes() == (
             v2_batch_fixture_bytes()
@@ -180,13 +147,11 @@ class TestGoldenFrames:
         # u16 entry count, then u8 id length | id | u32 count | u16 lanes
         assert payload[:2] == b"\x03\x00"
         assert payload[2:14] == b"\x05alpha\x02\x00\x00\x00\x01\x00"
-        batch = parse_bin_feed(opcode, flags, payload)
-        assert isinstance(batch, BinFeedBatch)
-        assert [e.session for e in batch.entries] == ["alpha", "beta", "alpha"]
-        assert [e.lanes for e in batch.entries] == [1, 2, 1]
-        for entry, (_sid, width, masks) in zip(
-            batch.entries, V2_BATCH_ENTRIES
-        ):
+        entries = parse_bin_feed(opcode, flags, payload)
+        assert [e.session for e in entries] == ["alpha", "beta", "alpha"]
+        assert [e.lanes for e in entries] == [1, 2, 1]
+        assert not any(e.deflated for e in entries)
+        for entry, (_sid, width, masks) in zip(entries, V2_BATCH_ENTRIES):
             assert entry.count == len(masks)
             assert np.array_equal(
                 entry.raw_lanes(width), masks_to_lanes(masks, width)
@@ -216,34 +181,40 @@ class TestBinaryRoundTrip:
     def test_raw_frames_survive_the_wire(self, width_masks, deflate):
         width, masks = width_masks
         lanes = masks_to_lanes(masks, width)
-        wire = encode_feed_bin("s", lanes, width, deflate=deflate)
+        wire = encode_feed_bin([("s", lanes)], deflate=deflate)
         ((opcode, flags, payload),) = _split_frames(wire)
-        frame = parse_bin_feed(opcode, flags, payload)
+        (frame,) = parse_bin_feed(opcode, flags, payload)
         assert frame.count == len(masks)
         assert frame.deflated == bool(flags & BIN_FLAG_DEFLATE)
         assert np.array_equal(frame.raw_lanes(width), lanes)
 
     def test_bad_section_length_rejected(self):
+        """A raw section shorter than its one entry declares is a
+        frame-level fault, caught at parse time."""
         lanes = masks_to_lanes([1, 2, 3], 8)
-        wire = encode_feed_bin("s", lanes, 8, deflate=False)
+        wire = encode_feed_bin([("s", lanes)], deflate=False)
         ((opcode, flags, payload),) = _split_frames(wire)
-        frame = parse_bin_feed(opcode, flags, payload[:-4])
-        with pytest.raises(ProtocolError, match="expected"):
-            frame.raw_lanes(8)
+        with pytest.raises(ProtocolError, match="declare 24"):
+            parse_bin_feed(opcode, flags, payload[:-4])
 
     def test_out_of_universe_bits_rejected(self):
         lanes = masks_to_lanes([1 << 9], 16)
-        wire = encode_feed_bin("s", lanes, 16, deflate=False)
+        wire = encode_feed_bin([("s", lanes)], deflate=False)
         ((opcode, flags, payload),) = _split_frames(wire)
+        (frame,) = parse_bin_feed(opcode, flags, payload)
         with pytest.raises(ProtocolError, match="beyond"):
-            parse_bin_feed(opcode, flags, payload).raw_lanes(8)
+            frame.raw_lanes(8)
 
     def test_unknown_opcode_and_flags_rejected(self):
         lanes = masks_to_lanes([1], 8)
-        wire = encode_feed_bin("s", lanes, 8, deflate=False)
+        wire = encode_feed_bin([("s", lanes)], deflate=False)
         ((opcode, flags, payload),) = _split_frames(wire)
-        with pytest.raises(ProtocolError, match="opcode"):
-            parse_bin_feed(99, flags, payload)
+        # Opcode 2 is the only binary feed; 1 is unknown like any other.
+        for unknown in (1, 99):
+            with pytest.raises(
+                ProtocolError, match=f"unknown binary opcode {unknown}$"
+            ):
+                parse_bin_feed(unknown, flags, payload)
         # Bit 0 is reserved, like every bit but DEFLATE.
         for flags in (0x80, 0x01, 0x01 | BIN_FLAG_DEFLATE):
             with pytest.raises(ProtocolError, match="flags"):
@@ -266,10 +237,10 @@ class TestBinaryRoundTrip:
         assert opcode == BIN_OP_FEED_MANY
         if deflate is not None:
             assert bool(flags & BIN_FLAG_DEFLATE) == deflate
-        batch = parse_bin_feed(opcode, flags, payload)
-        assert len(batch.entries) == len(entries)
+        parsed = parse_bin_feed(opcode, flags, payload)
+        assert len(parsed) == len(entries)
         for entry, (sid, lanes), (width, masks) in zip(
-            batch.entries, chunks, entries
+            parsed, chunks, entries
         ):
             assert entry.session == sid
             assert entry.count == len(masks)
@@ -286,7 +257,7 @@ class TestBinaryRoundTrip:
         ((opcode, flags, payload),) = _split_frames(wire)
         first, second, third = parse_bin_feed(
             opcode, flags, payload, max_chunk_steps=4
-        ).entries
+        )
         assert isinstance(second, ProtocolError)
         assert "chunk limit" in str(second)
         assert np.array_equal(first.raw_lanes(8), good)
@@ -297,7 +268,7 @@ class TestBinaryRoundTrip:
             b"\x02\x00" + b"\x00" + row + b"\x01a" + row
             + (5).to_bytes(8, "little") + (6).to_bytes(8, "little")
         )
-        empty, named = parse_bin_feed(BIN_OP_FEED_MANY, 0, payload).entries
+        empty, named = parse_bin_feed(BIN_OP_FEED_MANY, 0, payload)
         assert "empty" in str(empty)
         assert named.raw_lanes(8).tolist() == [[6]]
 
@@ -306,7 +277,7 @@ class TestBinaryRoundTrip:
             [("a", masks_to_lanes([1 << 70], 96))], deflate=False
         )
         ((opcode, flags, payload),) = _split_frames(wire)
-        (entry,) = parse_bin_feed(opcode, flags, payload).entries
+        (entry,) = parse_bin_feed(opcode, flags, payload)
         with pytest.raises(ProtocolError, match="declares 2 lane"):
             entry.raw_lanes(40)
 
@@ -336,8 +307,7 @@ class TestBinaryRoundTrip:
         )
         wire[-4:] = bytes(b ^ 0xFF for b in wire[-4:])  # adler32
         ((opcode, flags, payload),) = _split_frames(bytes(wire))
-        batch = parse_bin_feed(opcode, flags, payload)
-        for entry in batch.entries:
+        for entry in parse_bin_feed(opcode, flags, payload):
             with pytest.raises(ProtocolError, match="deflate"):
                 entry.raw_lanes(8)
 
@@ -354,7 +324,7 @@ class TestBinaryRoundTrip:
         ]
         wire = encode_feed_bin(chunks, deflate=True)
         ((opcode, flags, payload),) = _split_frames(wire)
-        batch = parse_bin_feed(opcode, flags, payload)
+        entries = parse_bin_feed(opcode, flags, payload)
         inflates = []
         real = zlib.decompressobj
 
@@ -368,7 +338,7 @@ class TestBinaryRoundTrip:
 
         def resolve(i):
             start.wait()
-            got[i] = batch.entries[i].raw_lanes(width)
+            got[i] = entries[i].raw_lanes(width)
 
         threads = [
             threading.Thread(target=resolve, args=(i,))
@@ -392,19 +362,20 @@ class TestBinaryRoundTrip:
         """The one bounded inflate rejects a stream one byte long, one
         byte short, or followed by stray bytes."""
         raw = masks_to_lanes([1, 2, 3, 1, 2, 3], 8).tobytes()
-        head = b"\x01s" + (6).to_bytes(4, "little")
+        # u16 1 | "s", 6 rows, 1 lane
+        head = b"\x01\x00\x01s" + (6).to_bytes(4, "little") + b"\x01\x00"
         for section in (
             zlib.compress(raw + b"\x00"),
             zlib.compress(raw[:-1]),
             zlib.compress(raw) + b"junk",
         ):
-            frame = parse_bin_feed(
-                BIN_OP_FEED, BIN_FLAG_DEFLATE, head + section
+            (frame,) = parse_bin_feed(
+                BIN_OP_FEED_MANY, BIN_FLAG_DEFLATE, head + section
             )
             with pytest.raises(ProtocolError, match="declared size"):
                 frame.raw_lanes(8)
-        frame = parse_bin_feed(
-            BIN_OP_FEED, BIN_FLAG_DEFLATE, head + zlib.compress(raw)
+        (frame,) = parse_bin_feed(
+            BIN_OP_FEED_MANY, BIN_FLAG_DEFLATE, head + zlib.compress(raw)
         )
         assert frame.raw_lanes(8).tobytes() == raw
 
@@ -444,12 +415,12 @@ class TestBinaryRoundTrip:
 
     def test_corrupt_deflate_rejected(self):
         lanes = masks_to_lanes([1, 2, 3, 1, 2, 3], 8)
-        wire = encode_feed_bin("s", lanes, 8, deflate=True)
+        wire = encode_feed_bin([("s", lanes)], deflate=True)
         ((opcode, flags, payload),) = _split_frames(wire)
         assert flags & BIN_FLAG_DEFLATE
         broken = payload[:-3] + b"\x00\x00\x00"
-        frame = parse_bin_feed(opcode, flags, broken)
-        with pytest.raises(ProtocolError, match="deflate|expected"):
+        (frame,) = parse_bin_feed(opcode, flags, broken)
+        with pytest.raises(ProtocolError, match="deflate"):
             frame.raw_lanes(8)
 
 
@@ -483,20 +454,31 @@ def oracle_cost() -> float:
 class TestServedProtocolV2:
     @pytest.mark.parametrize("procs", [False, True])
     @pytest.mark.parametrize(
-        "proto,deflate", [("json", None), ("bin", False), ("bin", True)]
+        "proto,deflate",
+        [("json", None), ("bin", None), ("bin", False), ("bin", True)],
     )
     def test_costs_bit_identical_across_protocols(
         self, procs, proto, deflate, oracle_cost
     ):
+        """``deflate=None`` feeds through ``ServeClient.feed``; a forced
+        raw or deflated section goes out as an encoder-built frame of
+        one entry."""
         config = ServeConfig(shards=2, shard_procs=procs)
         with ServerThread(config) as (host, port):
-            with ServeClient(
-                host, port, proto=proto, deflate=deflate
-            ) as client:
+            with ServeClient(host, port, proto=proto) as client:
                 sid = client.open(width=WIDTH, w=5.0)
                 assert client.proto == proto
                 for lo in range(0, len(TRACE), 45):
-                    client.feed(sid, TRACE[lo : lo + 45])
+                    chunk = TRACE[lo : lo + 45]
+                    if deflate is None:
+                        client.feed(sid, chunk)
+                        continue
+                    client._send(encode_feed_bin(
+                        [(sid, masks_to_lanes(chunk, WIDTH))],
+                        deflate=deflate,
+                    ))
+                    (item,) = client._recv_reply()["replies"]
+                    assert item["steps"] == len(chunk)
                 assert client.close_session(sid).cost == oracle_cost
 
     def test_v1_client_full_flow_against_v2_server(self):
@@ -614,9 +596,7 @@ class TestServedProtocolV2:
                 sid = client.open(width=WIDTH, w=5.0)
                 rogue = bytearray(
                     encode_feed_bin(
-                        sid,
-                        masks_to_lanes(TRACE[:45], WIDTH),
-                        WIDTH,
+                        [(sid, masks_to_lanes(TRACE[:45], WIDTH))],
                         deflate=False,
                     )
                 )
@@ -637,7 +617,7 @@ class TestServedProtocolV2:
                 sid = client.open(width=8, w=2.0)
                 wire = bytearray(
                     encode_feed_bin(
-                        sid, masks_to_lanes([1, 2], 8), 8, deflate=False
+                        [(sid, masks_to_lanes([1, 2], 8))], deflate=False
                     )
                 )
                 wire[-8:] = b""  # truncate the lane section
@@ -653,7 +633,7 @@ class TestServedProtocolV2:
                     + payload
                 )
                 reply = client._recv_reply()
-                assert not reply["ok"]
+                assert not reply["ok"] and "section" in reply["error"]
                 # The connection survives payload-level garbage.
                 assert client.feed(sid, [1, 2]).steps == 2
 
@@ -668,3 +648,21 @@ class TestServedProtocolV2:
             assert wire["bin"]["bytes_in"] > 0
             assert wire["json"]["frames_in"] >= 3  # open/close/stats
             assert wire["json"]["bytes_out"] > 0
+
+    def test_declined_v2_open_leaves_no_session(self):
+        """A ``bin`` client refused v2 closes the session the server
+        opened before it raises, so the id can be opened again."""
+        with ServerThread(ServeConfig(shards=1, proto="json")) as address:
+            with ServeClient(*address, proto="bin") as client:
+                with pytest.raises(ServeError, match="declined"):
+                    client.open(width=8, w=2.0, session_id="x")
+                assert client.stats()["sessions"] == 0
+                # Negotiation stays unsettled: a second open is refused
+                # the same way instead of falling back to JSON.
+                with pytest.raises(ServeError, match="declined"):
+                    client.open(width=8, w=2.0, session_id="x")
+                assert client.proto == "auto"
+            with ServeClient(*address, proto="json") as client:
+                assert client.open(width=8, w=2.0, session_id="x") == "x"
+                assert client.feed("x", [1, 2]).steps == 2
+                assert client.stats()["sessions"] == 1

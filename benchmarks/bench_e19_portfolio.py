@@ -13,7 +13,7 @@ best-cost everywhere —
   its node budget (learned as a *failure*), and greedy matches the
   GA's cost at ~20× lower latency.
 
-After a warm-up pass that feeds the ledger through the batch engine
+After a warm-up pass that feeds the model through the batch engine
 (every candidate × every instance, under a budget so the b&b failures
 are cheap), the portfolio must:
 
@@ -86,7 +86,7 @@ def test_bench_portfolio_vs_fixed(benchmark, smoke, bench_artifact):
     registry = default_registry()
     state = PortfolioState()
 
-    # --- warm-up: grow the ledger through the batch engine ---------
+    # --- warm-up: teach the model through the batch engine ---------
     warmup = BatchEngine(
         workers=1, cache_size=0, timeout=BUDGET_S, portfolio_state=state,
     )
@@ -98,12 +98,11 @@ def test_bench_portfolio_vs_fixed(benchmark, smoke, bench_artifact):
         for name in CANDIDATES
     ]
     warmup.solve_batch(requests)
-    assert len(state.ledger) == len(requests)
+    # the kind-level arms see every observation exactly once
+    warm = state.model.snapshot()["multi"]
+    assert sum(arm["runs"] for arm in warm.values()) == len(requests)
     # b&b's large-family budget blow-ups were learned as failures
-    bb_failures = [
-        r for r in state.ledger.rows(solver="mt_branch_bound") if not r.ok
-    ]
-    assert len(bb_failures) == len(large)
+    assert warm["mt_branch_bound"]["failures"] == len(large)
 
     # --- eval: portfolio vs every fixed candidate ------------------
     # Two timed repetitions per cell, keeping the minimum: single-shot
@@ -207,13 +206,15 @@ def test_bench_portfolio_vs_fixed(benchmark, smoke, bench_artifact):
         ]
         for r in per_instance
     ]
+    learned = sum(
+        arm["runs"] for arm in state.model.snapshot()["multi"].values()
+    )
     print()
     print(format_table(
         ["family", "inst", "solver", "picked", "cost", "wall"],
         rows,
         title=f"E19: portfolio vs fixed solvers "
-              f"({len(instances)} instances, warm ledger "
-              f"{len(state.ledger)} rows)",
+              f"({len(instances)} instances, warm model {learned} runs)",
     ))
     print(format_table(
         ["solver", "mean cost", "mean wall", "note"],

@@ -32,8 +32,8 @@ Subcommands cover the common workflows without writing Python:
   costs against a single-hub replay;
 * ``repro solvers`` — list the registered solver zoo with capability
   tags;
-* ``repro portfolio`` — inspect a portfolio run ledger
-  (``repro batch --ledger`` grows one), dump the learned per-bucket
+* ``repro portfolio`` — inspect a saved portfolio state
+  (``repro batch --ledger`` writes one), dump the learned per-bucket
   model, or replay decisions offline with any strategy/seed;
 * ``repro experiment`` — the full paper reproduction (E1–E3 artifacts);
 * ``repro stats <app>`` — trace statistics and phase structure;
@@ -711,56 +711,46 @@ def cmd_portfolio(args) -> int:
         return 2
 
     if args.action == "inspect":
-        per_solver: dict[str, dict] = {}
-        buckets = set()
-        for rec in state.ledger:
-            buckets.add(rec.features.bucket())
-            entry = per_solver.setdefault(
-                rec.solver,
-                {"runs": 0, "failures": 0, "runtime": 0.0, "costs": []},
-            )
-            entry["runs"] += 1
-            entry["runtime"] += rec.runtime
-            if rec.ok:
-                entry["costs"].append(rec.cost)
-            else:
-                entry["failures"] += 1
+        totals = state.model.solver_totals()
+        buckets = list(state.model.representatives())
+        records = sum(t["runs"] for t in totals.values())
+
+        def mean_cost(t):
+            successes = t["runs"] - t["failures"]
+            return t["cost"] / successes if successes else None
+
         if args.json:
             payload = {
                 "ledger": str(path),
-                "records": len(state.ledger),
-                "buckets": sorted(buckets),
+                "records": records,
+                "buckets": buckets,
                 "solvers": {
                     name: {
-                        "runs": e["runs"],
-                        "failures": e["failures"],
-                        "mean_runtime_s": e["runtime"] / e["runs"],
-                        "mean_cost": (
-                            sum(e["costs"]) / len(e["costs"])
-                            if e["costs"] else None
-                        ),
+                        "runs": t["runs"],
+                        "failures": t["failures"],
+                        "mean_runtime_s": t["runtime_s"] / t["runs"],
+                        "mean_cost": mean_cost(t),
                     }
-                    for name, e in sorted(per_solver.items())
+                    for name, t in totals.items()
                 },
             }
             json.dump(payload, sys.stdout, indent=2, sort_keys=True)
             print()
             return 0
-        rows = [
-            [
+        rows = []
+        for name, t in totals.items():
+            cost = mean_cost(t)
+            rows.append([
                 name,
-                e["runs"],
-                e["failures"],
-                f"{e['runtime'] / e['runs'] * 1e3:.1f} ms",
-                (f"{sum(e['costs']) / len(e['costs']):.1f}"
-                 if e["costs"] else "-"),
-            ]
-            for name, e in sorted(per_solver.items())
-        ]
+                t["runs"],
+                t["failures"],
+                f"{t['runtime_s'] / t['runs'] * 1e3:.1f} ms",
+                f"{cost:.1f}" if cost is not None else "-",
+            ])
         print(format_table(
             ["solver", "runs", "failures", "mean runtime", "mean cost"],
             rows,
-            title=f"ledger {path}: {len(state.ledger)} records, "
+            title=f"portfolio state {path}: {records} runs, "
                   f"{len(buckets)} feature bucket(s)",
         ))
         return 0
@@ -794,7 +784,7 @@ def cmd_portfolio(args) -> int:
         return 0
 
     # replay: re-run the decision offline for every feature bucket the
-    # ledger has seen, with the model the full ledger implies.  Uses
+    # state has seen, with the model it holds.  Uses
     # the same seeded rng scheme as the live engine, so a fixed
     # --seed reproduces the live choices bit-for-bit.
     import numpy as np
@@ -807,12 +797,9 @@ def cmd_portfolio(args) -> int:
         print(exc, file=sys.stderr)
         return 2
     candidates = portfolio_candidates(default_registry())
-    representatives: dict[str, object] = {}
-    for rec in state.ledger:
-        representatives.setdefault(rec.features.bucket(), rec.features)
     decisions = []
     for index, (bucket, features) in enumerate(
-        sorted(representatives.items())
+        state.model.representatives().items()
     ):
         rng = np.random.default_rng([args.seed & 0x7FFFFFFF, index])
         rng.integers(2 ** 31)  # solver seed draw, as the engine does
@@ -826,7 +813,6 @@ def cmd_portfolio(args) -> int:
                 "chosen": d.chosen[0] if d.chosen else None,
                 "ranking": list(d.chosen),
                 "mode": d.mode,
-                "explore": d.explore,
                 "reason": d.reason,
             }
             for bucket, d in decisions
@@ -839,13 +825,12 @@ def cmd_portfolio(args) -> int:
             bucket,
             d.chosen[0] if d.chosen else "-",
             d.mode,
-            "yes" if d.explore else "no",
             d.reason,
         ]
         for bucket, d in decisions
     ]
     print(format_table(
-        ["bucket", "choice", "mode", "explore", "reason"],
+        ["bucket", "choice", "mode", "reason"],
         rows,
         title=f"offline replay: strategy={args.strategy} seed={args.seed}",
     ))
@@ -1024,8 +1009,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_batch.add_argument(
         "--ledger", metavar="PATH",
-        help="portfolio run ledger: load learned state before solving, "
-             "save the grown ledger after (created if missing)",
+        help="portfolio state file: load the learned arms before "
+             "solving, save them after (created if missing)",
     )
     p_batch.set_defaults(func=cmd_batch)
 
@@ -1228,24 +1213,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_portfolio = sub.add_parser(
         "portfolio",
-        help="inspect a portfolio run ledger, dump its learned model, "
+        help="inspect a saved portfolio state, dump its learned model, "
              "or replay decisions offline",
     )
     p_portfolio.add_argument(
         "action", choices=["inspect", "model", "replay"],
-        help="inspect: per-solver ledger summary; model: learned "
+        help="inspect: per-solver run summary; model: learned "
              "per-bucket predictions; replay: re-run the decision for "
              "every seen feature bucket",
     )
     p_portfolio.add_argument(
         "--ledger", metavar="PATH", required=True,
-        help="ledger JSON written by `repro batch --ledger` or "
+        help="state JSON written by `repro batch --ledger` or "
              "PortfolioState.save()",
     )
     p_portfolio.add_argument(
         "--strategy", default="best",
-        help="replay strategy spec: best[:tol] | egreedy[:eps] | "
-             "ucb[:c] | race[:budget][,k=K][,restarts=R]",
+        help="replay strategy spec: best[:tol] | "
+             "race[:budget][,k=K][,restarts=R]",
     )
     p_portfolio.add_argument(
         "--seed", type=int, default=0,

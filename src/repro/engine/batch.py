@@ -168,12 +168,12 @@ class BatchEngine:
         span per solved request (solver name, latency, error flag).
     portfolio_learn:
         Feed the portfolio plane (see :mod:`repro.portfolio`): every
-        finished concrete multi-task solve appends one run-ledger row
-        (successes with their cost, errors/timeouts as failures), and
-        ``portfolio`` results solved in worker processes have their
-        decision records folded into the parent state.  ``False`` for
-        engines that must not touch the learned state (the portfolio's
-        own race engine, baseline measurements).
+        finished concrete multi-task solve is folded into the learned
+        model as one run (successes with their cost, errors/timeouts as
+        failures), and ``portfolio`` results solved in worker processes
+        have their decision records folded into the parent state.
+        ``False`` for engines that must not touch the learned state
+        (the portfolio's own race engine, baseline measurements).
     portfolio_state:
         Explicit :class:`~repro.portfolio.engine.PortfolioState` to
         learn into; ``None`` uses the process-wide default state.
@@ -327,7 +327,7 @@ class BatchEngine:
     # -- internals ---------------------------------------------------------
 
     def _learning_target(self, request):
-        """(state, spec) when this request should feed the run ledger.
+        """(state, spec) when this request should feed the portfolio.
 
         Only concrete (non-meta) multi-task switch-cost solvers produce
         directly attributable rows; ``portfolio`` requests contribute
@@ -357,7 +357,7 @@ class BatchEngine:
         the attempt records when the solve ran in another process (the
         solver already recorded them locally otherwise) and bump the
         decision counters.  Any other concrete multi-task solve becomes
-        one warmup ledger row.
+        one warmup observation.
         """
         if not self.portfolio_learn or request.kind != "multi":
             return
@@ -370,7 +370,6 @@ class BatchEngine:
                 solver=pstats.get("chosen", "?"),
                 seconds=float(pstats.get("decision_s", elapsed)),
                 raced=pstats.get("mode") == "race",
-                explored=bool(pstats.get("explore")),
                 records=len(rows),
             )
             return
@@ -391,7 +390,7 @@ class BatchEngine:
         self.metrics.record_portfolio_rows(1)
 
     def _learn_failure(self, request, error, timed_out, elapsed):
-        """Record one failed concrete solve as a ledger failure row."""
+        """Record one failed concrete solve as a failed run."""
         target = self._learning_target(request)
         if target is None:
             return

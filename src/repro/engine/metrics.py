@@ -148,7 +148,6 @@ class EngineMetrics:
         solver: str,
         seconds: float,
         raced: bool = False,
-        explored: bool = False,
         records: int = 0,
     ) -> None:
         """Count one portfolio decision.
@@ -156,7 +155,7 @@ class EngineMetrics:
         ``solver`` is the concrete solver the portfolio handed the
         request to (the label of the ``portfolio_decisions`` counter
         and the ``portfolio_decision_seconds`` histogram); ``records``
-        is how many run-ledger rows the decision contributed.
+        is how many run observations the decision contributed.
         """
         with self._lock:
             self.portfolio_decisions[solver] = (
@@ -164,8 +163,6 @@ class EngineMetrics:
             )
             if raced:
                 self.portfolio_races += 1
-            if explored:
-                self.portfolio_explores += 1
             self.portfolio_records += int(records)
             if self.histograms_enabled:
                 self.hist["portfolio_decision_seconds"].observe(
@@ -173,7 +170,7 @@ class EngineMetrics:
                 )
 
     def record_portfolio_rows(self, count: int = 1) -> None:
-        """Count run-ledger rows fed outside a portfolio decision
+        """Count run observations fed outside a portfolio decision
         (warmup learning from concrete solver runs)."""
         with self._lock:
             self.portfolio_records += int(count)
@@ -342,7 +339,7 @@ class EngineMetrics:
         integers, and Python's JSON float round-trip is exact), so
         ``from_json(snapshot_json())`` rebuilds metrics whose
         ``snapshot_json()`` is byte-identical — the persistence
-        contract the portfolio run-ledger tests lean on too.
+        contract the portfolio state tests lean on too.
         """
         with self._lock:
             payload = {
@@ -585,8 +582,7 @@ class EngineMetrics:
             rows.append(
                 ["portfolio decisions",
                  f"{picks} ({portfolio['races']} raced, "
-                 f"{portfolio['explores']} explored, "
-                 f"{portfolio['records']} ledger rows)"]
+                 f"{portfolio['records']} observations)"]
             )
         for proto, wire in snap["wire"].items():
             if wire["frames_in"]:

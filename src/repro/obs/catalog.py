@@ -133,8 +133,8 @@ CATALOG: tuple[Metric, ...] = (
     # -- portfolio
     Metric("portfolio_decisions_total", "counter", "engine.portfolio.decisions.*", "Decisions per chosen solver", ("solver",), core=True),
     Metric("portfolio_races_total", "counter", "engine.portfolio.races", "Race rounds", attr="portfolio_races"),
-    Metric("portfolio_explores_total", "counter", "engine.portfolio.explores", "Exploration picks", attr="portfolio_explores"),
-    Metric("portfolio_records_total", "counter", "engine.portfolio.records", "Run-ledger rows learned", attr="portfolio_records"),
+    Metric("portfolio_explores_total", "counter", "engine.portfolio.explores", "Always 0 (no strategy explores); kept for the v1 snapshot shape", attr="portfolio_explores"),
+    Metric("portfolio_records_total", "counter", "engine.portfolio.records", "Portfolio observations learned", attr="portfolio_records"),
     # -- obs: trace recorder
     Metric("trace_spans_total", "counter", "trace.recorded", "Trace spans recorded"),
     Metric("trace_slow_spans_total", "counter", "trace.slow", "Spans over the slow-request threshold"),

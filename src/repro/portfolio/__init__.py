@@ -7,13 +7,15 @@ sees, and uses that to pick (or race) solvers per request:
 * :mod:`repro.portfolio.features` — a cheap :class:`WorkloadFeatures`
   vector per request (shape, demand sparsity, periodicity, phase
   structure via :mod:`repro.analysis.trace_stats`);
-* :mod:`repro.portfolio.records` — the append-only, JSON-persistable
-  :class:`RunLedger` of observed (features, solver, runtime, cost)
-  rows;
-* :mod:`repro.portfolio.model` — per-(bucket, solver) runtime/quality
-  predictors built on :mod:`repro.obs.histogram` quantiles;
+* :mod:`repro.portfolio.records` — the :class:`RunRecord` one solver
+  run contributes (features, solver, runtime, cost, ok/error): a
+  message folded into the model, never stored;
+* :mod:`repro.portfolio.model` — per-(bucket, solver) arms of
+  runtime/cost histograms from :mod:`repro.obs.histogram`; the arms
+  are the learned state and its saved form, bounded by buckets ×
+  solvers;
 * :mod:`repro.portfolio.strategy` — selection policies
-  (:class:`BestPredicted`, epsilon-greedy, UCB1, :class:`DeadlineRace`);
+  (:class:`BestPredicted`, :class:`DeadlineRace`);
 * :mod:`repro.portfolio.engine` — the ``portfolio`` meta-solver entry
   point plus the process-wide learned state.
 
@@ -33,13 +35,11 @@ from repro.portfolio.engine import (
 )
 from repro.portfolio.features import WorkloadFeatures, features_of, multi_features
 from repro.portfolio.model import PortfolioModel, Prediction
-from repro.portfolio.records import RunLedger, RunRecord
+from repro.portfolio.records import RunRecord
 from repro.portfolio.strategy import (
     BestPredicted,
     DeadlineRace,
     Decision,
-    EpsilonGreedy,
-    UCB1,
     make_strategy,
     rank_candidates,
 )
@@ -48,13 +48,10 @@ __all__ = [
     "BestPredicted",
     "DeadlineRace",
     "Decision",
-    "EpsilonGreedy",
     "PortfolioModel",
     "PortfolioState",
     "Prediction",
-    "RunLedger",
     "RunRecord",
-    "UCB1",
     "WorkloadFeatures",
     "default_state",
     "features_of",

@@ -18,19 +18,23 @@
    that does not verify is treated as a *failure* of that solver and
    the ranking moves on, so the portfolio never returns an unverified
    answer;
-5. appends one :class:`~repro.portfolio.records.RunRecord` per attempt
-   (winners, losers, timeouts, oracle mismatches) to the process-local
-   :class:`PortfolioState` *and* ships the same rows in the result's
-   ``stats["portfolio"]["records"]`` — the batch engine folds them
-   into the parent state when the solve ran in a worker process.
+5. folds one :class:`~repro.portfolio.records.RunRecord` per attempt
+   (winners, losers, timeouts, oracle mismatches) into the
+   process-local :class:`PortfolioState`'s model *and* ships the same
+   records in the result's ``stats["portfolio"]["records"]`` — the
+   batch engine folds them into the parent state when the solve ran in
+   a worker process.
 
 The learned state is process-wide (:func:`default_state`), mirroring
 :func:`~repro.engine.registry.default_registry`; tests swap it with
-:func:`set_default_state` / :func:`reset_default_state`.
+:func:`set_default_state` / :func:`reset_default_state`.  What it
+persists is the model's arms (:meth:`PortfolioState.save`), so a saved
+state stays bounded by buckets × solvers however long it learns.
 """
 
 from __future__ import annotations
 
+import json
 import multiprocessing
 import os
 import threading
@@ -42,7 +46,7 @@ import numpy as np
 from repro.core.sync_cost import sync_switch_cost
 from repro.portfolio.features import FEATURE_PREFIX_STEPS, multi_features
 from repro.portfolio.model import PortfolioModel
-from repro.portfolio.records import RunLedger, RunRecord
+from repro.portfolio.records import RunRecord
 from repro.portfolio.strategy import Decision, Strategy, make_strategy
 from repro.solvers.base import MTSolveResult
 
@@ -60,19 +64,21 @@ __all__ = [
 #: the epsilon only absorbs benign summation-order noise).
 ORACLE_RTOL = 1e-6
 
+#: Format of :meth:`PortfolioState.save` files (1 was the run ledger).
+STATE_VERSION = 2
+
 
 class PortfolioState:
-    """Ledger + model + decision counter, shared across requests.
+    """Model + decision counter, shared across requests.
 
-    The model is always exactly ``PortfolioModel.from_ledger(ledger)``;
-    persistence therefore only stores the ledger
-    (:meth:`save`/:meth:`load`), and a restarted process resumes with
-    identical predictions.
+    :meth:`save` writes the model's arms (version 2); :meth:`load`
+    reads version 2, and version 1 run-ledger files by folding their
+    rows into the arms.  A restarted process resumes with identical
+    predictions either way.
     """
 
-    def __init__(self, ledger: RunLedger | None = None):
-        self.ledger = ledger if ledger is not None else RunLedger()
-        self.model = PortfolioModel.from_ledger(self.ledger)
+    def __init__(self, model: PortfolioModel | None = None):
+        self.model = model if model is not None else PortfolioModel()
         self._lock = threading.Lock()
         self._decisions = 0
 
@@ -88,8 +94,7 @@ class PortfolioState:
             return self._decisions
 
     def record(self, record: RunRecord) -> None:
-        """Append one observed run to the ledger and the live model."""
-        self.ledger.append(record)
+        """Fold one observed run into the live model."""
         self.model.observe(record)
 
     def absorb(self, rows) -> int:
@@ -102,17 +107,38 @@ class PortfolioState:
         return count
 
     def save(self, path) -> Path:
-        return self.ledger.save(path)
+        path = Path(path)
+        wire = {"version": STATE_VERSION, **self.model.to_wire()}
+        path.write_text(json.dumps(wire, sort_keys=True) + "\n")
+        return path
 
     @classmethod
     def load(cls, path) -> "PortfolioState":
-        return cls(RunLedger.load(path))
+        """Read a saved state; ``ValueError`` on any malformed file."""
+        try:
+            data = json.loads(Path(path).read_text())
+            if not isinstance(data, dict):
+                raise ValueError("state file is not a JSON object")
+            version = data.get("version")
+            if version == 1:  # a run ledger: fold its rows in
+                model = PortfolioModel()
+                for row in data["records"]:
+                    model.observe(RunRecord.from_dict(row))
+            elif version == STATE_VERSION:
+                model = PortfolioModel.from_wire(data)
+            else:
+                raise ValueError(
+                    f"unsupported state version {version!r} "
+                    f"(expected 1 or {STATE_VERSION})"
+                )
+        except (KeyError, TypeError, AttributeError, OverflowError) as exc:
+            raise ValueError(
+                f"malformed state: {type(exc).__name__}: {exc}"
+            ) from None
+        return cls(model)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"PortfolioState({len(self.ledger)} records, "
-            f"{self._decisions} decisions)"
-        )
+        return f"PortfolioState({self.model!r}, {self._decisions} decisions)"
 
 
 _default: PortfolioState | None = None
@@ -130,7 +156,7 @@ def default_state() -> PortfolioState:
 
 
 def set_default_state(state: PortfolioState) -> PortfolioState:
-    """Swap the process-wide state (e.g. after loading a ledger)."""
+    """Swap the process-wide state (e.g. after loading a saved one)."""
     global _default
     with _default_lock:
         _default = state
@@ -381,7 +407,6 @@ def solve_mt_portfolio(
         "bucket": features.bucket(),
         "chosen": winner_name,
         "ranking": list(decision.chosen),
-        "explore": decision.explore,
         "attempts": attempts,
         "verified": True,
         "decision_s": elapsed,

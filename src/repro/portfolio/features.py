@@ -13,7 +13,7 @@ bounded: only the first :data:`FEATURE_PREFIX_STEPS` steps feed
 the analyzed length).  Learned statistics are keyed by a coarse
 *bucket* of the feature vector — log₂ size bins plus a sparsity decile
 — with a fixed fallback chain toward coarser buckets so predictions
-degrade gracefully on shapes the ledger has not seen at full
+degrade gracefully on shapes the model has not seen at full
 resolution.
 """
 

@@ -1,44 +1,30 @@
-"""The run ledger: every observed solver run, append-only.
+"""Run records: the observation one solver run contributes.
 
 One :class:`RunRecord` per solver invocation the engine witnessed —
 successes with their measured runtime and verified cost, failures
-(errors, timeouts, oracle mismatches) with the time they wasted.  The
-ledger is the portfolio's ground truth: the model is a pure function
-of it, so persisting the ledger alone is enough for a restarted server
-to resume with everything it had learned.
-
-The JSON form is versioned and append-friendly; floats round-trip
-exactly through :mod:`json`, so save → load reproduces the records
-bit-for-bit.
+(errors, timeouts, oracle mismatches) with the time they wasted.  A
+record is a message, not stored state: the model folds it into its
+per-(bucket, solver) arms, and a forked worker ships its few records
+to the parent as dicts (:meth:`RunRecord.to_dict`) in the result's
+``stats["portfolio"]["records"]``.
 """
 
 from __future__ import annotations
 
-import json
-import threading
 from dataclasses import dataclass
-from pathlib import Path
 
 from repro.portfolio.features import WorkloadFeatures
 
-__all__ = ["LEDGER_VERSION", "RunLedger", "RunRecord"]
-
-LEDGER_VERSION = 1
+__all__ = ["RunRecord"]
 
 
 @dataclass(frozen=True)
 class RunRecord:
-    """One observed solver run.
-
-    ``params`` is a stable string form of the solver's parameters
-    (empty for defaults) — enough to tell tuned presets apart without
-    making the ledger schema depend on arbitrary parameter objects.
-    ``cost`` is meaningful only when ``ok`` is true.
-    """
+    """One observed solver run; ``cost`` is meaningful only when
+    ``ok`` is true."""
 
     features: WorkloadFeatures
     solver: str
-    params: str = ""
     runtime: float = 0.0
     cost: float = 0.0
     ok: bool = True
@@ -48,7 +34,6 @@ class RunRecord:
         return {
             "features": self.features.to_dict(),
             "solver": self.solver,
-            "params": self.params,
             "runtime": self.runtime,
             "cost": self.cost,
             "ok": self.ok,
@@ -60,75 +45,8 @@ class RunRecord:
         return cls(
             features=WorkloadFeatures.from_dict(data["features"]),
             solver=str(data["solver"]),
-            params=str(data.get("params", "")),
             runtime=float(data.get("runtime", 0.0)),
             cost=float(data.get("cost", 0.0)),
             ok=bool(data.get("ok", True)),
             error=data.get("error"),
         )
-
-
-class RunLedger:
-    """Append-only, thread-safe collection of :class:`RunRecord` rows."""
-
-    def __init__(self, records=()):
-        self._lock = threading.Lock()
-        self._records: list[RunRecord] = list(records)
-
-    def append(self, record: RunRecord) -> None:
-        with self._lock:
-            self._records.append(record)
-
-    def extend(self, records) -> int:
-        """Append many records; returns how many were added."""
-        records = list(records)
-        with self._lock:
-            self._records.extend(records)
-        return len(records)
-
-    def rows(self, *, solver: str | None = None) -> list[RunRecord]:
-        """Snapshot of the records (optionally one solver's)."""
-        with self._lock:
-            records = list(self._records)
-        if solver is None:
-            return records
-        return [r for r in records if r.solver == solver]
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._records)
-
-    def __iter__(self):
-        return iter(self.rows())
-
-    # -- persistence -------------------------------------------------------
-
-    def to_json(self) -> str:
-        with self._lock:
-            rows = [r.to_dict() for r in self._records]
-        return json.dumps(
-            {"version": LEDGER_VERSION, "records": rows}, sort_keys=True
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunLedger":
-        data = json.loads(text)
-        version = data.get("version")
-        if version != LEDGER_VERSION:
-            raise ValueError(
-                f"unsupported ledger version {version!r} "
-                f"(expected {LEDGER_VERSION})"
-            )
-        return cls(RunRecord.from_dict(row) for row in data["records"])
-
-    def save(self, path) -> Path:
-        path = Path(path)
-        path.write_text(self.to_json() + "\n")
-        return path
-
-    @classmethod
-    def load(cls, path) -> "RunLedger":
-        return cls.from_json(Path(path).read_text())
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"RunLedger({len(self)} records)"

@@ -8,9 +8,9 @@ back, so a failing or unverifiable front-runner falls back to the next
 candidate instead of failing the request.
 
 Determinism is a contract: candidates are always considered in sorted
-name order, ties break by name, and the only randomness
-(:class:`EpsilonGreedy` exploration) comes from the caller-provided
-seeded generator.  Two calls with equal model state, features,
+name order, ties break by name, and a strategy that wants randomness
+must draw it from the caller-provided seeded generator (the built-in
+ones draw none).  Two calls with equal model state, features,
 candidates and generator state return identical decisions —
 bit-reproducible under a seed, replayable offline via
 ``repro portfolio replay``.
@@ -18,7 +18,6 @@ bit-reproducible under a seed, replayable offline via
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from repro.portfolio.features import WorkloadFeatures
@@ -28,9 +27,7 @@ __all__ = [
     "BestPredicted",
     "DeadlineRace",
     "Decision",
-    "EpsilonGreedy",
     "Strategy",
-    "UCB1",
     "make_strategy",
     "rank_candidates",
 ]
@@ -50,7 +47,6 @@ class Decision:
     strategy: str
     chosen: tuple[str, ...]
     mode: str = "pick"
-    explore: bool = False
     reason: str = ""
     budget: float | None = None
     restarts: int = 0
@@ -143,107 +139,6 @@ class BestPredicted(Strategy):
 
 
 @dataclass(frozen=True)
-class EpsilonGreedy(Strategy):
-    """Exploit the ranking, but explore the least-tried arm with
-    probability ``epsilon`` (drawn from the caller's seeded rng)."""
-
-    epsilon: float = 0.1
-    cost_tolerance: float = 0.05
-    max_failure_rate: float = 0.5
-    name: str = field(default="egreedy", init=False)
-
-    def __post_init__(self):
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise ValueError("epsilon must be within [0, 1]")
-
-    def decide(self, model, features, candidates, rng) -> Decision:
-        ranking = rank_candidates(
-            model,
-            features,
-            candidates,
-            cost_tolerance=self.cost_tolerance,
-            max_failure_rate=self.max_failure_rate,
-        )
-        if len(ranking) > 1 and float(rng.random()) < self.epsilon:
-            least = min(ranking, key=lambda s: (model.runs(s, features), s))
-            if least != ranking[0]:
-                rest = tuple(s for s in ranking if s != least)
-                return Decision(
-                    strategy=self.name,
-                    chosen=(least, *rest),
-                    explore=True,
-                    reason=f"explore least-tried {least!r}",
-                )
-        return Decision(
-            strategy=self.name,
-            chosen=ranking,
-            reason=f"exploit ranking in {features.bucket()}",
-        )
-
-
-@dataclass(frozen=True)
-class UCB1(Strategy):
-    """UCB1 bandit on cost quality with a visit-count bonus.
-
-    The exploitation term is ``best_cost / predicted_cost`` (1.0 for
-    the cheapest arm), the exploration bonus the classic
-    ``c·sqrt(ln N / n)`` over finest-bucket visit counts.  Unvisited
-    arms are tried first, in name order — no randomness at all.
-    """
-
-    c: float = 1.0
-    max_failure_rate: float = 0.5
-    name: str = field(default="ucb", init=False)
-
-    def decide(self, model, features, candidates, rng) -> Decision:
-        names = sorted(candidates)
-        if not names:
-            raise ValueError("no candidate solvers to rank")
-        visits = {s: model.runs(s, features) for s in names}
-        unvisited = [s for s in names if visits[s] == 0]
-        fallback = rank_candidates(
-            model, features, names, max_failure_rate=self.max_failure_rate
-        )
-        if unvisited:
-            first = unvisited[0]
-            rest = tuple(s for s in fallback if s != first)
-            return Decision(
-                strategy=self.name,
-                chosen=(first, *rest),
-                explore=True,
-                reason=f"ucb init {first!r}",
-            )
-        total = sum(visits.values())
-        costs = {s: model.predict_cost(s, features) for s in names}
-        finite = [p.value for p in costs.values() if math.isfinite(p.value)]
-        best_cost = min(finite) if finite else 1.0
-
-        def score(s: str) -> float:
-            pred = costs[s]
-            quality = (
-                (best_cost / pred.value)
-                if math.isfinite(pred.value) and pred.value > 0
-                else (1.0 if pred.value == 0 else 0.0)
-            )
-            bonus = self.c * math.sqrt(math.log(max(2, total)) / visits[s])
-            return quality + bonus
-
-        ranked = sorted(
-            names,
-            key=lambda s: (
-                -score(s),
-                model.predict_runtime(s, features).value,
-                s,
-            ),
-        )
-        return Decision(
-            strategy=self.name,
-            chosen=tuple(ranked),
-            reason=f"ucb scores over {total} visits",
-        )
-
-
-@dataclass(frozen=True)
 class DeadlineRace(Strategy):
     """Race the top-k ranked solvers under a wall-clock budget.
 
@@ -297,8 +192,6 @@ def make_strategy(spec: str) -> Strategy:
     Formats (the bare value names the strategy's primary parameter)::
 
         best            best:tol=0.1
-        egreedy         egreedy:0.2        egreedy:epsilon=0.2
-        ucb             ucb:2.0            ucb:c=2.0
         race            race:0.5           race:budget=0.5,k=3,restarts=2
     """
     name, _, argtext = str(spec).partition(":")
@@ -321,14 +214,6 @@ def make_strategy(spec: str) -> Strategy:
         if name == "best":
             tol = float(primary if primary is not None else args.pop("tol", 0.05))
             strategy: Strategy = BestPredicted(cost_tolerance=tol)
-        elif name == "egreedy":
-            eps = float(
-                primary if primary is not None else args.pop("epsilon", 0.1)
-            )
-            strategy = EpsilonGreedy(epsilon=eps)
-        elif name == "ucb":
-            c = float(primary if primary is not None else args.pop("c", 1.0))
-            strategy = UCB1(c=c)
         elif name == "race":
             budget = float(
                 primary if primary is not None else args.pop("budget", 1.0)
@@ -341,7 +226,7 @@ def make_strategy(spec: str) -> Strategy:
         else:
             raise ValueError(
                 f"unknown strategy {name!r}; "
-                "choose from best, egreedy, ucb, race"
+                "choose from best, race"
             )
     except (TypeError, ValueError) as exc:
         raise ValueError(f"bad strategy spec {spec!r}: {exc}") from None

@@ -700,8 +700,12 @@ class StreamServer:
             print("[repro.serve] unexpected error in a request:",
                   file=sys.stderr)
             traceback.print_exception(exc, file=sys.stderr)
-        message = exc.args[0] if exc.args else type(exc).__name__
-        return error_frame(str(message))
+        # An OSError's args[0] is its errno: name the exception instead.
+        if exc.args and isinstance(exc.args[0], str):
+            message = exc.args[0]
+        else:
+            message = f"{type(exc).__name__}: {exc}"
+        return error_frame(message)
 
     async def _read_frame(self, reader):
         """One frame off the wire.

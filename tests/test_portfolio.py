@@ -2,11 +2,13 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.analysis.sweeps import make_instance
+from repro.cli import main
 from repro.engine.batch import BatchEngine
 from repro.engine.metrics import EngineMetrics
 from repro.engine.registry import (
@@ -19,12 +21,9 @@ from repro.engine.requests import SolveRequest
 from repro.portfolio import (
     BestPredicted,
     DeadlineRace,
-    EpsilonGreedy,
     PortfolioModel,
     PortfolioState,
-    RunLedger,
     RunRecord,
-    UCB1,
     WorkloadFeatures,
     make_strategy,
     multi_features,
@@ -49,6 +48,13 @@ def _fresh_state():
 
 def _instance(m=3, n=10, u=6, seed=0):
     return make_instance(m, n, u, seed=seed)
+
+
+def _total_runs(state) -> int:
+    """Observations learned: the kind-level arms see each one once."""
+    return sum(
+        arm["runs"] for arm in state.model.snapshot().get("multi", {}).values()
+    )
 
 
 # --- module level so specs pickle by reference into fork workers ---
@@ -128,18 +134,22 @@ class TestLedgerAndModel:
         )
 
     def test_json_round_trip(self):
-        ledger = RunLedger()
-        ledger.append(self._record())
-        ledger.append(self._record(solver="mt_genetic", runtime=0.1, cost=39.0))
-        clone = RunLedger.from_json(ledger.to_json())
-        assert len(clone) == 2
-        assert clone.to_json() == ledger.to_json()
+        model = PortfolioModel()
+        model.observe(self._record())
+        model.observe(self._record(solver="mt_genetic", runtime=0.1, cost=39.0))
+        wire = json.loads(json.dumps(model.to_wire()))
+        clone = PortfolioModel.from_wire(wire)
+        assert clone.to_wire() == model.to_wire()
+        assert clone.snapshot() == model.snapshot()
+        assert sum(row["runs"] for row in clone.snapshot()["multi"].values()) == 2
 
-    def test_bad_version_rejected(self):
-        payload = json.loads(RunLedger().to_json())
+    def test_bad_version_rejected(self, tmp_path):
+        path = PortfolioState().save(tmp_path / "state.json")
+        payload = json.loads(path.read_text())
         payload["version"] = 999
-        with pytest.raises(ValueError):
-            RunLedger.from_json(json.dumps(payload))
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="unsupported state version"):
+            PortfolioState.load(path)
 
     def test_model_predictions_and_fallback(self):
         model = PortfolioModel()
@@ -171,15 +181,15 @@ class TestLedgerAndModel:
 
 class TestStrategies:
     def _model_with(self, rows):
-        ledger = RunLedger()
+        model = PortfolioModel()
         system, seqs = _instance()
         f = multi_features(system, seqs)
         for solver, runtime, cost, ok in rows:
-            ledger.append(RunRecord(
+            model.observe(RunRecord(
                 features=f, solver=solver, runtime=runtime, cost=cost, ok=ok,
                 error=None if ok else "x",
             ))
-        return PortfolioModel.from_ledger(ledger), f
+        return model, f
 
     def test_rank_prefers_fast_among_cost_ties(self):
         model, f = self._model_with([
@@ -206,25 +216,6 @@ class TestStrategies:
         ranking = rank_candidates(model, f, ("mt_genetic", "mt_greedy"))
         assert ranking[-1] == "mt_greedy"
 
-    def test_epsilon_greedy_is_seed_deterministic(self):
-        model, f = self._model_with([("mt_greedy", 0.005, 40.0, True)])
-        strat = EpsilonGreedy(epsilon=1.0)
-        pool = ("mt_annealing", "mt_genetic", "mt_greedy")
-        picks = []
-        for _ in range(2):
-            rng = np.random.default_rng([42, 0])
-            picks.append(strat.decide(model, f, pool, rng).chosen)
-        assert picks[0] == picks[1]
-
-    def test_ucb_tries_unvisited_first(self):
-        model, f = self._model_with([("mt_greedy", 0.005, 40.0, True)])
-        rng = np.random.default_rng(0)
-        d = UCB1().decide(
-            model, f, ("mt_greedy", "mt_annealing", "mt_genetic"), rng
-        )
-        assert d.chosen[0] == "mt_annealing"  # alphabetically first cold arm
-        assert d.explore
-
     def test_race_decision_shape(self):
         model, f = self._model_with([])
         rng = np.random.default_rng(0)
@@ -236,14 +227,13 @@ class TestStrategies:
 
     def test_make_strategy_parsing(self):
         assert isinstance(make_strategy("best"), BestPredicted)
-        assert make_strategy("egreedy:0.25").epsilon == pytest.approx(0.25)
-        assert make_strategy("ucb:1.5").c == pytest.approx(1.5)
         race = make_strategy("race:2.0,k=3,restarts=2")
         assert (race.budget, race.top_k, race.restarts) == (2.0, 3, 2)
         with pytest.raises(ValueError):
             make_strategy("nonsense")
-        with pytest.raises(ValueError):
-            make_strategy("egreedy:2.0")
+        for removed in ("egreedy:0.1", "ucb:1.0"):
+            with pytest.raises(ValueError, match="unknown strategy"):
+                make_strategy(removed)
 
 
 class TestSolvePortfolio:
@@ -258,7 +248,9 @@ class TestSolvePortfolio:
         assert res.cost == pytest.approx(direct.cost)
         p = res.stats["portfolio"]
         assert p["verified"] and p["chosen"] == "mt_greedy"
-        assert len(state.ledger) == 1
+        assert _total_runs(state) == 1
+        f = multi_features(system, seqs)
+        assert state.model.runs("mt_greedy", f) == 1
 
     def test_decisions_bit_reproducible(self):
         system, seqs = _instance()
@@ -269,7 +261,7 @@ class TestSolvePortfolio:
             for seed_instance in (1, 2, 3):
                 sys2, seqs2 = _instance(seed=seed_instance)
                 res = solve_mt_portfolio(
-                    sys2, seqs2, seed=7, strategy="egreedy:0.5",
+                    sys2, seqs2, seed=7, strategy="best",
                     state=state,
                     candidates=("mt_greedy", "mt_genetic", "mt_annealing"),
                 )
@@ -286,8 +278,9 @@ class TestSolvePortfolio:
             candidates=("aa_boom", "mt_greedy"),
         )
         assert res.solver == "portfolio[mt_greedy]"
-        rows = state.ledger.rows(solver="aa_boom")
-        assert len(rows) == 1 and not rows[0].ok
+        f = multi_features(system, seqs)
+        assert state.model.runs("aa_boom", f) == 1
+        assert state.model.failure_rate("aa_boom", f) == 1.0
 
     def test_oracle_rejects_wrong_cost(self):
         system, seqs = _instance()
@@ -301,8 +294,9 @@ class TestSolvePortfolio:
         assert res.solver == "portfolio[mt_greedy]"
         direct = solve_mt_greedy_merge(system, seqs, None)
         assert res.cost == pytest.approx(direct.cost)
-        bad = state.ledger.rows(solver="aa_bad")
-        assert len(bad) == 1 and not bad[0].ok
+        f = multi_features(system, seqs)
+        assert state.model.runs("aa_bad", f) == 1
+        assert state.model.failure_rate("aa_bad", f) == 1.0
 
     def test_race_never_returns_unverified(self):
         system, seqs = _instance()
@@ -349,7 +343,7 @@ class TestBatchIntegration:
             strategy="best", candidates=("mt_greedy",),
         )])
         assert results[0].ok
-        assert len(state.ledger) == 1  # no double-count from absorb
+        assert _total_runs(state) == 1  # no double-count from absorb
         snap = engine.metrics.snapshot()
         assert snap["portfolio"]["decisions"] == {"mt_greedy": 1}
 
@@ -363,7 +357,7 @@ class TestBatchIntegration:
         ]
         results = engine.solve_batch(reqs)
         assert all(r.ok for r in results)
-        assert len(state.ledger) == 2
+        assert _total_runs(state) == 2
         snap = engine.metrics.snapshot()
         assert sum(snap["portfolio"]["decisions"].values()) == 2
 
@@ -372,15 +366,15 @@ class TestBatchIntegration:
         set_default_state(state)
         engine = BatchEngine(workers=1, cache_size=0)
         engine.solve_batch([self._request(solver="mt_greedy")])
-        rows = state.ledger.rows(solver="mt_greedy")
-        assert len(rows) == 1 and rows[0].ok
+        arm = state.model.snapshot()["multi"]["mt_greedy"]
+        assert (arm["runs"], arm["failures"]) == (1, 0)
 
     def test_learning_can_be_disabled(self):
         state = PortfolioState()
         set_default_state(state)
         engine = BatchEngine(workers=1, cache_size=0, portfolio_learn=False)
         engine.solve_batch([self._request(solver="mt_greedy")])
-        assert len(state.ledger) == 0
+        assert state.model.snapshot() == {}
 
 
 class TestStatePersistence:
@@ -390,13 +384,189 @@ class TestStatePersistence:
         solve_mt_portfolio(
             system, seqs, state=state, candidates=("mt_greedy",)
         )
-        path = state.save(tmp_path / "ledger.json")
+        path = state.save(tmp_path / "state.json")
         clone = PortfolioState.load(path)
-        assert len(clone.ledger) == len(state.ledger)
+        assert clone.model.snapshot() == state.model.snapshot()
+        assert clone.model.representatives() == state.model.representatives()
         f = multi_features(system, seqs)
         assert clone.model.runs("mt_greedy", f) == state.model.runs(
             "mt_greedy", f
         )
+
+    def test_state_stays_bounded(self, tmp_path):
+        """10,000 observations over 3 instances × 2 solvers save as
+        many arms, representatives and histogram buckets as 100 do,
+        and predict exactly as a model fed the records one by one."""
+        features = [multi_features(*_instance(seed=s)) for s in (1, 2, 3)]
+        solvers = ("mt_genetic", "mt_greedy")
+
+        def records(count):
+            for i in range(count):
+                yield RunRecord(
+                    features=features[i % 3],
+                    solver=solvers[(i // 3) % 2],
+                    runtime=(1 + i % 5) * 1e-3,
+                    cost=40.0 + i % 4,
+                    ok=i % 7 != 0,
+                )
+
+        def saved(count):
+            state = PortfolioState()
+            assert state.absorb(r.to_dict() for r in records(count)) == count
+            path = state.save(tmp_path / f"{count}.json")
+            return state, json.loads(path.read_text())
+
+        def entries(wire):
+            buckets = sum(
+                len(arm[hist]["buckets"])
+                for arm in wire["arms"]
+                for hist in ("runtime", "cost")
+            )
+            return len(wire["arms"]), len(wire["representatives"]), buckets
+
+        _small, small_wire = saved(100)
+        big, big_wire = saved(10_000)
+        assert entries(big_wire) == entries(small_wire)
+        assert len(big_wire["arms"]) <= len(features) * 4 * len(solvers)
+
+        one_by_one = PortfolioModel()
+        for record in records(10_000):
+            one_by_one.observe(record)
+        loaded = PortfolioState.load(tmp_path / "10000.json").model
+        for model in (big.model, loaded):
+            assert model.snapshot() == one_by_one.snapshot()
+            for f in features:
+                assert rank_candidates(model, f, solvers) == rank_candidates(
+                    one_by_one, f, solvers
+                )
+                for solver in solvers:
+                    for query in ("predict_runtime", "predict_cost",
+                                  "failure_rate", "runs"):
+                        assert getattr(model, query)(solver, f) == getattr(
+                            one_by_one, query
+                        )(solver, f)
+
+    def test_second_identical_batch_adds_no_arm(self, tmp_path, capsys):
+        path = tmp_path / "state.json"
+        argv = ["batch", "parity", "--solver", "mt_greedy",
+                "--ledger", str(path)]
+        assert main(argv) == 0
+        first = json.loads(path.read_text())
+        assert main(argv) == 0
+        second = json.loads(path.read_text())
+        capsys.readouterr()
+        assert [(a["bucket"], a["solver"]) for a in second["arms"]] == [
+            (a["bucket"], a["solver"]) for a in first["arms"]
+        ]
+        runs = {a["bucket"]: a["runs"] for a in first["arms"]}
+        assert {a["bucket"]: a["runs"] for a in second["arms"]} == {
+            bucket: 2 * n for bucket, n in runs.items()
+        }
+
+
+def _malformed_arm_histogram(path):
+    state = PortfolioState()
+    state.record(RunRecord(
+        features=multi_features(*_instance()), solver="mt_greedy",
+        runtime=0.01, cost=40.0,
+    ))
+    wire = json.loads(state.save(path).read_text())
+    wire["arms"][0]["runtime"]["count"] += 1  # buckets now hold fewer
+    return wire
+
+
+class TestMalformedState:
+    """A state file that cannot be read raises ValueError, and the CLI
+    turns it into exit 2 with one ``bad ledger`` line, no traceback."""
+
+    CASES = {
+        "version_only": lambda path: {"version": 1},
+        "json_array": lambda path: [1, 2, 3],
+        "unknown_version": lambda path: {"version": 7, "arms": []},
+        "arm_histogram_bucket_count": _malformed_arm_histogram,
+    }
+
+    @pytest.fixture(params=sorted(CASES))
+    def bad_state(self, request, tmp_path):
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(self.CASES[request.param](path)))
+        return path
+
+    def test_load_raises_value_error(self, bad_state):
+        with pytest.raises(ValueError):
+            PortfolioState.load(bad_state)
+
+    @pytest.mark.parametrize("argv", [
+        ["portfolio", "inspect", "--ledger"],
+        ["batch", "parity", "--solver", "mt_greedy", "--ledger"],
+    ])
+    def test_cli_exits_2(self, bad_state, argv, capsys):
+        assert main([*argv, str(bad_state)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"bad ledger {bad_state}: ")
+        assert "Traceback" not in err
+
+
+DATA = Path(__file__).parent / "data"
+V1_LEDGER = DATA / "portfolio_ledger_v1.json"
+
+
+def _assert_same(actual, expected, where="$"):
+    """Equal JSON trees: counts and strings exact, floats to 1e-12."""
+    if isinstance(expected, float) and not isinstance(actual, bool):
+        assert actual == pytest.approx(expected, rel=1e-12, abs=0), where
+    elif isinstance(expected, dict):
+        assert isinstance(actual, dict) and actual.keys() == expected.keys(), where
+        for key in expected:
+            _assert_same(actual[key], expected[key], f"{where}.{key}")
+    elif isinstance(expected, list):
+        assert isinstance(actual, list) and len(actual) == len(expected), where
+        for i, (a, e) in enumerate(zip(actual, expected)):
+            _assert_same(a, e, f"{where}[{i}]")
+    else:
+        assert actual == expected and type(actual) is type(expected), where
+
+
+class TestLedgerV1Fixture:
+    """A version-1 run ledger (written by the row-store code, with the
+    ``repro portfolio`` outputs of that code next to it) reads into the
+    arms with the same outputs, before and after a v2 round trip."""
+
+    COMMANDS = {
+        "inspect": ["inspect"],
+        "model": ["model"],
+        "replay_best": ["replay"],
+        "replay_race": ["replay", "--strategy", "race:2.0,k=2"],
+    }
+
+    @pytest.mark.parametrize("round_trip", [False, True], ids=["v1", "v2"])
+    @pytest.mark.parametrize("name", sorted(COMMANDS))
+    def test_outputs_match(self, name, round_trip, tmp_path, capsys):
+        path = V1_LEDGER
+        if round_trip:
+            path = PortfolioState.load(V1_LEDGER).save(tmp_path / "v2.json")
+            assert json.loads(path.read_text())["version"] == 2
+        argv = ["portfolio", *self.COMMANDS[name], "--ledger", str(path),
+                "--json"]
+        assert main(argv) == 0
+        actual = json.loads(capsys.readouterr().out)
+        expected = json.loads(
+            (DATA / f"portfolio_ledger_v1.{name}.json").read_text()
+        )
+        if name == "inspect":  # names the file it read
+            assert actual.pop("ledger") == str(path)
+            expected.pop("ledger")
+        if name.startswith("replay"):  # the explore flag left with
+            for row in expected:       # the exploring strategies
+                assert row.pop("explore") is False
+        _assert_same(actual, expected)
+
+    def test_fixture_shape(self):
+        rows = json.loads(V1_LEDGER.read_text())["records"]
+        assert len({row["solver"] for row in rows}) == 2
+        assert any(not row["ok"] for row in rows)
+        model = PortfolioState.load(V1_LEDGER).model
+        assert len(model.representatives()) >= 2
 
 
 class TestMetricsSnapshotJson:
@@ -407,8 +577,7 @@ class TestMetricsSnapshotJson:
         m.record_request(cached=True)
         m.record_error(timeout=True)
         m.record_portfolio(
-            solver="mt_greedy", seconds=0.05, raced=True, explored=False,
-            records=3,
+            solver="mt_greedy", seconds=0.05, raced=True, records=3,
         )
         m.record_portfolio_rows(2)
         m.record_wire("bin", frames_in=4, bytes_in=100, bytes_out=80)

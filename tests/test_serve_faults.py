@@ -306,6 +306,35 @@ class TestUnexpectedExceptions:
             assert stats["ok"]
             assert stats["server"]["errors"] == 1
 
+    def test_dead_process_shard_error_names_the_exception(self):
+        """A killed process shard fails its sessions' feeds with an
+        error naming the exception (a BrokenPipeError's first arg is
+        its bare errno), while the live shard's sessions still feed."""
+        traces = _traces(8)
+        host = ServerThread(ServeConfig(shards=2, shard_procs=True))
+        address = host.start()
+        try:
+            with ServeClient(*address, timeout=20) as client:
+                for sid in traces:
+                    client.open(width=WIDTH, w=W, session_id=sid)
+                pool = host.server.pool
+                victim, spared = (
+                    next(sid for sid in traces if pool.shard_of(sid) == i)
+                    for i in (0, 1)
+                )
+                proc = pool._shards[0]._proc
+                proc.kill()
+                proc.join(timeout=5)
+                assert not proc.is_alive()
+                with pytest.raises(ServeError) as info:
+                    client.feed(victim, traces[victim][:30])
+                message = str(info.value)
+                assert re.search(r"[A-Za-z]+Error", message), message
+                assert not message.strip().isdigit()
+                assert client.feed(spared, traces[spared][:30]).steps == 30
+        finally:
+            host.stop()
+
 
 class TestShutdown:
     def test_stop_with_a_live_client_logs_nothing(self):

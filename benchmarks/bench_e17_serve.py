@@ -231,11 +231,11 @@ def test_bench_serve_loopback_requests(benchmark, smoke, bench_artifact):
     """Requests/s through live TCP serving, verified per session.
 
     Each shard count runs under both wire protocols — v1 JSON frames
-    and v2 binary lane frames (deflated, pipelined: one ``feed_many``
-    frame per burst) — so the table shows what protocol v2 buys in
-    bytes-on-wire and server decode CPU at identical, oracle-verified
-    answers.  Acceptance: v2
-    puts at most half of v1's request bytes on the wire.
+    and v3 binary lane frames (byte-shuffled and deflated, pipelined:
+    one ``feed_many`` frame per burst) — so the table shows what the
+    binary protocol buys in bytes-on-wire and server decode CPU at
+    identical, oracle-verified answers.  Acceptance: the binary
+    protocol puts at most half of v1's request bytes on the wire.
     """
     sessions = 24 if smoke else 128
     steps = 240 if smoke else 1_000
@@ -314,7 +314,7 @@ def test_bench_serve_loopback_requests(benchmark, smoke, bench_artifact):
     bench_artifact.record("e17", "loopback_requests", trajectory)
 
     # Wire-protocol acceptance: identical traffic, ≥2× fewer request
-    # bytes under v2 at every shard count.
+    # bytes under the binary protocol at every shard count.
     for shards in shard_counts:
         assert bytes_out[(shards, "bin")] * 2 <= bytes_out[(shards, "json")]
 
@@ -334,6 +334,7 @@ def test_bench_serve_loopback_requests(benchmark, smoke, bench_artifact):
         rows,
         title=f"E17: loopback serving, {clients} clients, "
               f"chunk={chunk} (costs verified vs single hub; "
-              f"v2 = one binary feed_many frame per pipelined burst, "
-              f"raw+deflate; requests = opens + feed chunks + closes)",
+              f"bin = one binary feed_many frame per pipelined burst, "
+              f"raw or shuffled+deflated section; "
+              f"requests = opens + feed chunks + closes)",
     ))

@@ -34,7 +34,7 @@ Subcommands cover the common workflows without writing Python:
   tags;
 * ``repro portfolio`` — inspect a saved portfolio state
   (``repro batch --ledger`` writes one), dump the learned per-bucket
-  model, or replay decisions offline with any strategy/seed;
+  model, or replay decisions offline with any strategy;
 * ``repro experiment`` — the full paper reproduction (E1–E3 artifacts);
 * ``repro stats <app>`` — trace statistics and phase structure;
 * ``repro bench`` — run the benchmark smoke suite (every ``bench_e*``
@@ -784,11 +784,8 @@ def cmd_portfolio(args) -> int:
         return 0
 
     # replay: re-run the decision offline for every feature bucket the
-    # state has seen, with the model it holds.  Uses
-    # the same seeded rng scheme as the live engine, so a fixed
-    # --seed reproduces the live choices bit-for-bit.
-    import numpy as np
-
+    # state has seen, with the model it holds.  Strategies are
+    # deterministic, so the replay reproduces the live choices.
     from repro.portfolio import make_strategy, portfolio_candidates
 
     try:
@@ -798,12 +795,8 @@ def cmd_portfolio(args) -> int:
         return 2
     candidates = portfolio_candidates(default_registry())
     decisions = []
-    for index, (bucket, features) in enumerate(
-        state.model.representatives().items()
-    ):
-        rng = np.random.default_rng([args.seed & 0x7FFFFFFF, index])
-        rng.integers(2 ** 31)  # solver seed draw, as the engine does
-        decision = strategy.decide(state.model, features, candidates, rng)
+    for bucket, features in state.model.representatives().items():
+        decision = strategy.decide(state.model, features, candidates)
         decisions.append((bucket, decision))
     if args.json:
         payload = [
@@ -832,7 +825,7 @@ def cmd_portfolio(args) -> int:
     print(format_table(
         ["bucket", "choice", "mode", "reason"],
         rows,
-        title=f"offline replay: strategy={args.strategy} seed={args.seed}",
+        title=f"offline replay: strategy={args.strategy}",
     ))
     return 0
 
@@ -1109,7 +1102,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--proto", choices=["auto", "json"], default="auto",
-        help="wire protocols to accept: auto negotiates binary v2 "
+        help="wire protocols to accept: auto negotiates binary v3 "
              "frames with willing clients, json declines them "
              "(default: auto)",
     )
@@ -1196,7 +1189,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sbench.add_argument(
         "--proto", choices=["auto", "json", "bin"], default="auto",
-        help="client wire protocol (default: auto-negotiate v2)",
+        help="client wire protocol (default: auto-negotiate binary v3)",
     )
     p_sbench.add_argument(
         "--pipeline", action="store_true",
@@ -1231,10 +1224,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--strategy", default="best",
         help="replay strategy spec: best[:tol] | "
              "race[:budget][,k=K][,restarts=R]",
-    )
-    p_portfolio.add_argument(
-        "--seed", type=int, default=0,
-        help="replay decision seed (same scheme as the live engine)",
     )
     p_portfolio.add_argument("--json", action="store_true")
     p_portfolio.set_defaults(func=cmd_portfolio)

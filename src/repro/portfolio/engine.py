@@ -4,10 +4,10 @@
 ``portfolio`` solver name.  One call
 
 1. extracts :class:`~repro.portfolio.features.WorkloadFeatures`;
-2. asks the configured strategy for a :class:`Decision` over the
-   candidate solvers (every stochastic draw comes from a generator
-   seeded by ``(seed, decision index)``, so decision sequences are
-   bit-reproducible);
+2. asks the configured (deterministic) strategy for a
+   :class:`Decision` over the candidate solvers; the seed handed to
+   stochastic solvers is drawn from a generator seeded by ``(seed,
+   decision index)``, so decision sequences are bit-reproducible;
 3. executes the decision — ``pick`` walks the ranking front to back,
    ``race`` runs the top-k under a wall-clock budget (parallel via a
    throwaway :class:`~repro.engine.batch.BatchEngine` where the
@@ -317,7 +317,7 @@ def solve_mt_portfolio(
     index = state.next_decision_index()
     rng = np.random.default_rng([int(seed) & 0x7FFFFFFF, index])
     solver_seed = int(rng.integers(2**31))
-    decision: Decision = strat.decide(state.model, features, pool, rng)
+    decision: Decision = strat.decide(state.model, features, pool)
 
     records: list[RunRecord] = []
 

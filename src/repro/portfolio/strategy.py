@@ -8,12 +8,9 @@ back, so a failing or unverifiable front-runner falls back to the next
 candidate instead of failing the request.
 
 Determinism is a contract: candidates are always considered in sorted
-name order, ties break by name, and a strategy that wants randomness
-must draw it from the caller-provided seeded generator (the built-in
-ones draw none).  Two calls with equal model state, features,
-candidates and generator state return identical decisions —
-bit-reproducible under a seed, replayable offline via
-``repro portfolio replay``.
+name order and ties break by name.  Two calls with equal model state,
+features and candidates return identical decisions — replayable
+offline via ``repro portfolio replay``.
 """
 
 from __future__ import annotations
@@ -110,7 +107,6 @@ class Strategy:
         model: PortfolioModel,
         features: WorkloadFeatures,
         candidates,
-        rng,
     ) -> Decision:
         raise NotImplementedError
 
@@ -123,7 +119,7 @@ class BestPredicted(Strategy):
     max_failure_rate: float = 0.5
     name: str = field(default="best", init=False)
 
-    def decide(self, model, features, candidates, rng) -> Decision:
+    def decide(self, model, features, candidates) -> Decision:
         ranking = rank_candidates(
             model,
             features,
@@ -167,7 +163,7 @@ class DeadlineRace(Strategy):
         if self.restarts < 0:
             raise ValueError("restarts must be non-negative")
 
-    def decide(self, model, features, candidates, rng) -> Decision:
+    def decide(self, model, features, candidates) -> Decision:
         ranking = rank_candidates(
             model,
             features,

@@ -4,16 +4,18 @@
 frame(s) and blocks for the replies — the server answers every frame
 with exactly one reply, in request order, so reply matching is
 positional and needs no correlation ids.  :meth:`feed_pipelined`
-serves a whole burst of chunks with one round trip: over v2 the burst
-is one binary ``feed_many`` frame (split only to stay under
-``MAX_FRAME_BYTES`` or past ``MAX_FEED_ENTRIES`` chunks, so that each
-reply fits one frame too) answered by one reply that lists every
+serves a whole burst of chunks with one round trip: over the binary
+protocol (v3) the burst is one ``feed_many`` frame (split only to stay
+under ``MAX_FRAME_BYTES`` or past ``MAX_FEED_ENTRIES`` chunks, so that
+each reply fits one frame too) answered by one reply that lists every
 chunk's result; over JSON it is one frame per chunk, sent with one
 ``sendall``.
 
-Over v2, :meth:`feed` is a burst of one chunk: one ``feed_many``
-frame of one entry.  A lane section is deflated only when compression
-shrinks it; JSON feeds carry base64 masks.
+Over the binary protocol, :meth:`feed` is a burst of one chunk: one
+``feed_many`` frame of one entry.  The encoder byte-shuffles each
+chunk's rows into byte planes and deflates the planes, and sends that
+section only when it is smaller than the raw rows; JSON feeds carry
+base64 masks.
 
 The client remembers each opened session's universe width, so
 :meth:`feed` accepts plain int masks *or* pre-packed ``(C, L)`` lane
@@ -21,12 +23,13 @@ arrays and encodes them itself.
 
 Wire protocol negotiation (``proto=``):
 
-* ``"auto"`` (default) — ask for v2 on the first ``open``; speak
-  binary feed frames if the server answers ``proto: 2``, JSON lines
-  if it answers ``proto: 1`` (``repro serve --proto json``).
+* ``"auto"`` (default) — ask for the binary protocol (``proto: 3``)
+  on the first ``open``; speak binary feed frames if the server
+  answers ``proto: 3``, JSON lines if it answers ``proto: 1``
+  (``repro serve --proto json``).
 * ``"json"`` — classic v1 JSON frames only.
-* ``"bin"`` — require v2; if the server declines, close the session
-  it opened and raise :class:`ServeError`.
+* ``"bin"`` — require the binary protocol; if the server declines,
+  close the session it opened and raise :class:`ServeError`.
 """
 
 from __future__ import annotations
@@ -206,7 +209,7 @@ class ServeClient:
                 # so its id is free again and it holds no server state.
                 self.call({"op": "close", "session": sid})
                 raise ServeError(
-                    "server declined wire protocol v2 "
+                    "server declined binary wire protocol "
                     f"(answered proto={reply.get('proto', PROTO_JSON)})"
                 )
             self._bin = accepted
@@ -244,9 +247,9 @@ class ServeClient:
     ) -> FeedResult:
         """Serve a chunk of requirements on one session.
 
-        Over v2 the chunk is a one-entry ``feed_many`` frame.  Traced
-        feeds ride JSON even on v2 — the binary frame has no trace
-        field, and tracing already opted into the verbose path.
+        Over the binary protocol the chunk is a one-entry ``feed_many``
+        frame.  Traced feeds ride JSON even there — the binary frame has
+        no trace field, and tracing already opted into the verbose path.
         """
         if self._bin and trace is None:
             return self.feed_pipelined([(session_id, masks)])[0]
@@ -260,9 +263,9 @@ class ServeClient:
 
         ``batch`` is ``[(session_id, masks), ...]``; a session may
         appear more than once, and its chunks are served in batch
-        order.  Over v2 the batch goes out as one ``feed_many`` frame
-        (more only when it would exceed ``MAX_FRAME_BYTES`` or
-        ``MAX_FEED_ENTRIES`` chunks); over JSON
+        order.  Over the binary protocol the batch goes out as one
+        ``feed_many`` frame (more only when it would exceed
+        ``MAX_FRAME_BYTES`` or ``MAX_FEED_ENTRIES`` chunks); over JSON
         as one frame per chunk, back-to-back in one ``sendall``.  Either
         way the replies drain in request order.  On an error reply the
         remaining replies are still drained (the connection stays

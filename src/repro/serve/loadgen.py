@@ -66,7 +66,8 @@ class LoadgenResult:
     sessions: int
     steps: int
     #: requests served — opens, feed chunks and closes.  Not wire
-    #: frames: over v2 a pipelined burst of chunks is one frame.
+    #: frames: over the binary protocol a pipelined burst of chunks is
+    #: one frame.
     frames: int
     wall_s: float
     costs: dict[str, float] = field(default_factory=dict)

@@ -37,15 +37,16 @@ client, and the decoder *validates* — blob length must match
 ``count · L · 8`` and bits above ``width`` must be zero — so the
 server can hand decoded lanes straight to the packed fast path.
 
-**Protocol v2 (binary feed frames).**  JSON + base64 costs ~35% size
-overhead plus a decode on the receiving event loop; v2 moves the feed
-hot path onto length-prefixed binary frames while everything else
-(open/close/stats/metrics, every reply) stays newline-delimited JSON.
-A v2 frame is an 8-byte header followed by the payload::
+**Protocol v3 (binary feed frames).**  JSON + base64 costs ~35% size
+overhead plus a decode on the receiving event loop; the binary protocol
+moves the feed hot path onto length-prefixed binary frames while
+everything else (open/close/stats/metrics, every reply) stays
+newline-delimited JSON.  A binary frame is an 8-byte header followed by
+the payload::
 
     offset  size  field
     0       1     magic 0xA7 (never a printable JSON first byte)
-    1       1     version (2)
+    1       1     version (3; any other earns an error reply and a close)
     2       1     opcode (2 = feed_many; any other earns an error reply)
     3       1     flags (bit1 DEFLATE; bit0 and bits 2-7 are reserved
                   and rejected)
@@ -62,13 +63,18 @@ reply, and a single chunk is a frame of one entry::
 
 Lanes are little-endian uint64, row-major.  Each entry declares its
 own lane count, so the section layout never depends on server state;
-the section is at most :data:`MAX_FRAME_BYTES` when N > 1, and DEFLATE
-marks it as one zlib stream, inflated once and bounded by the declared
-total.  The reply is one JSON line ``{"ok": true, "op": "feed_many",
-"replies": [...]}`` whose item i answers entry i: a ``feed`` reply, or
-an error reply when only that entry is bad (unknown session, lane
-count that disagrees with the session's width, empty or non-UTF-8
-session id, count out of range).
+the section is at most :data:`MAX_FRAME_BYTES` when N > 1.  DEFLATE
+means shuffled planes, then zlib: each entry's ``(count, 8·lanes)``
+row bytes are transposed into ``8·lanes`` byte planes of ``count``
+bytes, the planes of every entry are concatenated in entry order, and
+the result is one zlib stream, inflated once, bounded by the declared
+total and un-shuffled back into rows.  Consecutive requirement rows
+share most of their bytes, so the planes compress to about two thirds
+of the plain rows' zlib size.  The reply is one JSON line ``{"ok":
+true, "op": "feed_many", "replies": [...]}`` whose item i answers
+entry i: a ``feed`` reply, or an error reply when only that entry is
+bad (unknown session, lane count that disagrees with the session's
+width, empty or non-UTF-8 session id, count out of range).
 A session may appear more than once; its chunks are served in entry
 order.  Faults that leave no entry locatable — a truncated entry table,
 a raw section of the wrong length, an oversized section — earn one
@@ -78,11 +84,15 @@ fits one frame: an item holds at most :data:`MAX_REPLY_ITEM_BYTES`
 (error messages keep :data:`MAX_ERROR_CHARS` characters), and a frame
 declaring more entries earns a frame-level error reply.
 
-Version negotiation rides the JSON ``open`` frame: a v2 client sends
-``"proto": 2`` and switches to binary feeds only when the reply echoes
-``"proto": 2``; servers detect binary frames by the magic byte, so
-both protocols interleave freely on one connection.  v1-only clients
-never see any of this.
+Version negotiation rides the JSON ``open`` frame: a binary client
+sends ``"proto": 3`` and switches to binary feeds only when the reply
+echoes ``"proto": 3``; servers detect binary frames by the magic byte,
+so both protocols interleave freely on one connection.  JSON-only
+clients never see any of this.  The negotiated version is the version
+in the frame headers, so an older binary client is refused, never
+misread: ``"proto": 2`` on an ``open`` earns an error reply on a
+connection that stays up, and a version-2 frame header earns an error
+reply and a close.
 """
 
 from __future__ import annotations
@@ -94,7 +104,7 @@ import struct
 import threading
 import zlib
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, groupby
 
 import numpy as np
 
@@ -140,13 +150,13 @@ MAX_FRAME_BYTES = 1 << 20
 
 #: Protocol versions as negotiated on ``open`` frames.
 PROTO_JSON = 1
-PROTO_BIN = 2
+PROTO_BIN = 3
 
 #: First byte of every binary frame.  0xA7 is not valid UTF-8 as a
 #: leading byte and can never start a JSON line, so one peeked byte
 #: routes a connection's next frame to the right parser.
 BIN_MAGIC = 0xA7
-BIN_VERSION = 2
+BIN_VERSION = 3
 BIN_OP_FEED_MANY = 2
 BIN_FLAG_DEFLATE = 0x02
 
@@ -185,8 +195,9 @@ class OpenFrame:
     """Parsed ``open`` request.
 
     ``proto`` is the client's highest supported protocol version
-    (:data:`PROTO_JSON` when absent — every pre-v2 client); a v2 server
-    echoes ``proto: 2`` in the reply when binary feeds are enabled.
+    (:data:`PROTO_JSON` when absent — every JSON-only client); the
+    server echoes ``proto: 3`` (:data:`PROTO_BIN`) in the reply when
+    binary feeds are enabled.
     """
 
     session: str | None
@@ -339,18 +350,44 @@ def lanes_from_bytes(raw: bytes, count: int, width: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Binary feed frames (protocol v2)
+# Binary feed frames (protocol v3)
 # ---------------------------------------------------------------------------
 
 
-def _deflate_maybe(section: bytes, deflate: bool | None):
-    """Compress when asked (or when it wins); returns (bytes, flag)."""
-    if deflate is False:
-        return section, 0
-    packed = zlib.compress(section, 1)
-    if deflate or len(packed) < len(section):
-        return packed, BIN_FLAG_DEFLATE
-    return section, 0
+def _transpose_blocks(data, shapes) -> np.ndarray:
+    """``data`` with each consecutive ``(rows, cols)`` byte block
+    transposed to ``(cols, rows)``, in order.
+
+    The byte shuffle of a deflated lane section: an entry's ``(C, 8·L)``
+    row bytes become ``8·L`` byte planes of ``C`` bytes, and applying
+    the transposed shapes undoes it.  Rows of a calm stream repeat
+    most of their bytes, so each plane is long runs zlib finds cheaply.
+    A run of equal shapes — a pipelined burst of equal chunks — is
+    transposed as one stacked block.
+    """
+    src = np.frombuffer(data, dtype=np.uint8)
+    out = np.empty_like(src)
+    pos = 0
+    for (rows, cols), run in groupby(shapes):
+        n = len(list(run))
+        end = pos + n * rows * cols
+        out[pos:end].reshape(n, cols, rows)[...] = (
+            src[pos:end].reshape(n, rows, cols).transpose(0, 2, 1)
+        )
+        pos = end
+    return out
+
+
+def _section(raw: np.ndarray, shapes, deflate: bool | None):
+    """The lane section of the rows ``raw`` (entries' ``(C, L)``
+    ``shapes`` back to back) and its flags: raw, or shuffled and
+    deflated when asked (or, for ``None``, when that is smaller)."""
+    if deflate is not False:
+        planes = _transpose_blocks(raw, [(c, l * 8) for c, l in shapes])
+        packed = zlib.compress(planes, 1)
+        if deflate or len(packed) < raw.nbytes:
+            return packed, BIN_FLAG_DEFLATE
+    return raw.tobytes(), 0
 
 
 def _frame(opcode: int, flags: int, payload: bytes) -> bytes:
@@ -368,13 +405,14 @@ def feed_entry_bytes(session: str, lanes: np.ndarray) -> int:
 
 
 def encode_feed_bin(entries, *, deflate: bool | None = None) -> bytes:
-    """Encode one v2 ``feed_many`` frame.
+    """Encode one binary ``feed_many`` frame.
 
     ``entries`` is a list of ``(session, lanes)`` pairs, each ``lanes``
     a chunk's ``(C, L)`` uint64 matrix declaring its own lane count;
-    every chunk lands in one lane section.  ``deflate=None`` compresses
-    the section only when that actually wins; ``True``/``False`` force
-    it (golden fixtures pin the uncompressed form).
+    every chunk lands in one lane section.  ``deflate=None`` shuffles
+    and compresses the section only when that actually wins;
+    ``True``/``False`` force it (the raw golden fixture pins the
+    uncompressed form).
     """
     entries = list(entries)
     if not 1 <= len(entries) <= MAX_FEED_ENTRIES:
@@ -382,7 +420,7 @@ def encode_feed_bin(entries, *, deflate: bool | None = None) -> bytes:
             f"feed_many frames carry 1..{MAX_FEED_ENTRIES} entries"
         )
     table = [_U16.pack(len(entries))]
-    rows = []
+    rows, shapes = [], []
     for session, lanes in entries:
         lanes = np.ascontiguousarray(lanes, dtype="<u8")
         if lanes.ndim != 2 or not 1 <= lanes.shape[1] <= 0xFFFF:
@@ -400,33 +438,37 @@ def encode_feed_bin(entries, *, deflate: bool | None = None) -> bytes:
             bytes((len(sid),)) + sid + _ENTRY_TAIL.pack(*lanes.shape)
         )
         rows.append(lanes.reshape(-1))
-    section, flags = _deflate_maybe(np.concatenate(rows).tobytes(), deflate)
+        shapes.append(lanes.shape)
+    section, flags = _section(np.concatenate(rows), shapes, deflate)
     table.append(section)
     return _frame(BIN_OP_FEED_MANY, flags, b"".join(table))
 
 
 class _Section:
-    """A frame's lane section, inflated at most once.
+    """A frame's lane section, resolved into rows at most once.
 
-    ``sizes`` is the declared byte size of each entry's rows, in entry
-    order.  A deflated section is inflated by one call bounded by the
-    declared total; entries resolve as slices of that one buffer, as
-    they slice the frame payload when the section is raw.  The entries
-    of one frame may live on different shards, so two drain threads
-    can resolve them at the same time: the first inflates under the
-    lock and the others reuse its buffer — or its error.
+    ``shapes`` is each entry's declared ``(count, lanes)``, in entry
+    order.  A raw section holds the entries' rows back to back, and
+    entries resolve as slices of the frame payload.  A deflated section
+    is one zlib stream of the same bytes after each entry's byte
+    shuffle (:func:`_transpose_blocks`): one call bounded by the
+    declared total inflates it, one pass un-shuffles it back into rows,
+    and entries resolve as slices of that buffer.  The entries of one
+    frame may live on different shards, so two drain threads can
+    resolve them at the same time: the first inflates under the lock
+    and the others reuse its rows — or its error.
     """
 
-    __slots__ = ("deflated", "sizes", "_data", "_parts", "_lock")
+    __slots__ = ("deflated", "shapes", "_data", "_parts", "_lock")
 
-    def __init__(self, data: memoryview, deflated: bool, sizes: tuple):
+    def __init__(self, data: memoryview, deflated: bool, shapes: tuple):
         self.deflated = deflated
-        self.sizes = sizes
+        self.shapes = shapes
         self._data = data
         #: Per-entry rows once known, or the error inflating them.
         self._parts: list | str | None = None
         if not deflated:
-            self._parts = _slices(data, sizes)
+            self._parts = _slices(data, shapes)
         self._lock = threading.Lock()
 
     def part(self, index: int):
@@ -435,18 +477,29 @@ class _Section:
             with self._lock:
                 if self._parts is None:
                     try:
-                        data = _inflate(self._data, sum(self.sizes))
+                        planes = _inflate(
+                            self._data, _section_bytes(self.shapes)
+                        )
                     except ProtocolError as exc:
                         self._parts = str(exc)
                     else:
-                        self._parts = _slices(memoryview(data), self.sizes)
+                        rows = _transpose_blocks(planes, [
+                            (lanes * 8, count) for count, lanes in self.shapes
+                        ])
+                        self._parts = _slices(memoryview(rows), self.shapes)
         if isinstance(self._parts, str):
             raise ProtocolError(self._parts)
         return self._parts[index]
 
 
-def _slices(data: memoryview, sizes) -> list:
-    """``data`` cut into consecutive views of ``sizes`` bytes."""
+def _section_bytes(shapes) -> int:
+    """Lane bytes the ``(count, lanes)`` entries declare in total."""
+    return sum(count * lanes * 8 for count, lanes in shapes)
+
+
+def _slices(data: memoryview, shapes) -> list:
+    """``data`` cut into consecutive views of each entry's rows."""
+    sizes = [count * lanes * 8 for count, lanes in shapes]
     return [
         data[end - size : end]
         for size, end in zip(sizes, accumulate(sizes))
@@ -473,10 +526,10 @@ def _inflate(data: memoryview, total: int) -> bytes:
 
 @dataclass(frozen=True)
 class BinFeedFrame:
-    """One parsed entry of a v2 binary ``feed_many`` frame.
+    """One parsed entry of a binary ``feed_many`` frame.
 
     ``section`` stays encoded (possibly deflated) until the server
-    knows the session's width: :meth:`raw_lanes` inflates,
+    knows the session's width: :meth:`raw_lanes` inflates, un-shuffles,
     lane-checks and bit-validates the entry's rows in the drain
     executor, off the event loop.  ``lanes`` is the entry's declared
     lane count and ``index`` its place in the frame's shared section.
@@ -569,8 +622,8 @@ def parse_bin_feed(
         count, lanes = _ENTRY_TAIL.unpack_from(view, end)
         rows.append((bytes(view[head + 1 : end]), count, lanes))
         head = end + _ENTRY_TAIL.size
-    sizes = tuple(count * lanes * 8 for _sid, count, lanes in rows)
-    total = sum(sizes)
+    shapes = tuple((count, lanes) for _sid, count, lanes in rows)
+    total = _section_bytes(shapes)
     if n > 1 and total > MAX_FRAME_BYTES:
         raise ProtocolError(
             f"feed_many entries declare {total} lane bytes; frames of "
@@ -582,7 +635,7 @@ def parse_bin_feed(
             f"feed_many section holds {len(view) - head} bytes, "
             f"its entries declare {total}"
         )
-    section = _Section(view[head:], deflated, sizes)
+    section = _Section(view[head:], deflated, shapes)
     entries = []
     for index, (sid, count, lanes) in enumerate(rows):
         try:

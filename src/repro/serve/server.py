@@ -21,7 +21,7 @@ over stdin/stdout) and turns newline-delimited JSON frames
   N); when a shard falls behind or a client stops reading, frames
   wait in the reader coroutine, TCP flow control propagates the stall
   to the client, and memory stays bounded.  A pipelined burst of up to
-  ``queue_depth`` chunks — one ``feed_many`` frame from a v2 client —
+  ``queue_depth`` chunks — one ``feed_many`` frame from a binary client —
   is staged whole, so it is swept in one drain cycle;
 * **ordering** — ``close`` travels through the same shard queue as a
   barrier, so a session's pending feeds are always served before its
@@ -82,6 +82,12 @@ from repro.serve.shard import ShardPool
 
 __all__ = ["ServeConfig", "ServerThread", "StreamServer"]
 
+#: Seconds a connection has to deliver the rest of a frame once its
+#: first byte has arrived.  A frame still incomplete then earns an
+#: error reply and a close; a connection idle between frames has no
+#: deadline.
+FRAME_DEADLINE_S = 30.0
+
 
 @dataclass(frozen=True)
 class ServeConfig:
@@ -109,9 +115,10 @@ class ServeConfig:
     slow_ms: float | None = 100.0
     #: Span ring size of the request tracer (``0`` disables tracing).
     trace_capacity: int = 2048
-    #: ``"auto"`` negotiates wire protocol v2 (binary feed frames) with
-    #: clients that ask for it; ``"json"`` declines v2 on ``open`` and
-    #: rejects binary frames outright (debugging / packet capture).
+    #: ``"auto"`` negotiates the binary wire protocol (binary feed
+    #: frames) with clients that ask for it; ``"json"`` declines it on
+    #: ``open`` and rejects binary frames outright (debugging / packet
+    #: capture).
     proto: str = "auto"
 
     def __post_init__(self):
@@ -156,10 +163,10 @@ async def _ready(reply: dict) -> dict:
 class _EncodedChunk:
     """A feed payload whose decode is deferred to the drain executor.
 
-    Base64 text for v1, a raw (possibly deflated) binary section
-    for v2 — either way the event loop never touches the bytes; the
-    drainer resolves them on the shard executor and books the CPU under
-    ``wire_decode_seconds_total{proto=...}``.
+    Base64 text for JSON feeds, a raw (possibly deflated) binary
+    section for binary ones — either way the event loop never touches
+    the bytes; the drainer resolves them on the shard executor and
+    books the CPU under ``wire_decode_seconds_total{proto=...}``.
     """
 
     proto: str
@@ -712,21 +719,31 @@ class StreamServer:
 
         Returns ``("json", line)``, ``("bin", (opcode, flags,
         payload))``, ``("fatal", message)`` on unrecoverable framing
-        loss, or ``None`` at EOF.  v2 binary frames are detected by
-        their magic byte — 0xA7 can never open a JSON line — so both
-        protocol generations share one socket.
+        loss, or ``None`` at EOF.  Binary frames are detected by their
+        magic byte — 0xA7 can never open a JSON line — so both
+        protocol generations share one socket.  Waiting for a frame's
+        first byte has no deadline; the rest of the frame must follow
+        within :data:`FRAME_DEADLINE_S`.
         """
         while True:
             try:
                 first = await reader.readexactly(1)
             except (asyncio.IncompleteReadError, ConnectionResetError):
                 return None
-            if first[0] == BIN_MAGIC:
-                return await self._read_bin_frame(reader, first)
             if first == b"\n":
                 continue
             try:
-                line = first + await reader.readline()
+                if first[0] == BIN_MAGIC:
+                    return await asyncio.wait_for(
+                        self._read_bin_frame(reader, first), FRAME_DEADLINE_S
+                    )
+                line = first + await asyncio.wait_for(
+                    reader.readline(), FRAME_DEADLINE_S
+                )
+            except asyncio.TimeoutError:
+                return "fatal", (
+                    f"frame incomplete after {FRAME_DEADLINE_S:g} s"
+                )
             except (asyncio.LimitOverrunError, ValueError):
                 return "fatal", f"frame exceeds {MAX_FRAME_BYTES} bytes"
             if line.strip():
@@ -956,11 +973,11 @@ class StreamServer:
             "open", session=sid, shard=shard, **_echo(frame)
         )
         if frame.proto == PROTO_BIN:
-            # Negotiation: the client asked for wire protocol v2;
-            # echoing proto=2 green-lights binary feed frames on this
+            # Negotiation: the client asked for the binary protocol;
+            # echoing PROTO_BIN green-lights binary feed frames on this
             # connection.  A "--proto json" server answers 1 and the
-            # client stays on JSON.  v1 clients never send the field
-            # and never see it.
+            # client stays on JSON.  JSON-only clients never send the
+            # field and never see it.
             reply["proto"] = (
                 PROTO_BIN if self.config.proto == "auto" else PROTO_JSON
             )
@@ -1065,9 +1082,9 @@ class StreamServer:
         """Speak the frame protocol over stdin/stdout (POSIX pipes).
 
         The same pump as TCP connections — ``repro serve --stdin``
-        turns any line-oriented parent process into a client, and since
-        PR 7 the pipe accepts v2 binary frames too (replies are always
-        JSON lines either way).
+        turns any line-oriented parent process into a client, and the
+        pipe accepts binary frames too (replies are always JSON lines
+        either way).
         """
         import sys
 

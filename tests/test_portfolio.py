@@ -4,7 +4,6 @@ import json
 import math
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from repro.analysis.sweeps import make_instance
@@ -218,9 +217,8 @@ class TestStrategies:
 
     def test_race_decision_shape(self):
         model, f = self._model_with([])
-        rng = np.random.default_rng(0)
         d = DeadlineRace(budget=0.5, top_k=2).decide(
-            model, f, ("mt_greedy", "mt_genetic", "mt_annealing"), rng
+            model, f, ("mt_greedy", "mt_genetic", "mt_annealing")
         )
         assert d.mode == "race" and len(d.chosen) == 2
         assert d.budget == pytest.approx(0.5)

@@ -12,8 +12,10 @@ import os
 import pathlib
 import re
 import signal
+import socket
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -30,6 +32,7 @@ from repro.serve.protocol import (
     MAX_FEED_ENTRIES,
     encode_feed_bin,
     encode_frame,
+    error_frame,
     policy_from_spec,
 )
 from repro.serve.server import ServeConfig, ServerThread
@@ -55,6 +58,28 @@ class TestHostileInput:
             assert client.feed(sid, [1, 2, 3]).steps == 3
             assert client.close_session(sid).steps == 3
 
+
+    def test_partial_frames_hit_the_read_deadline(self, server, monkeypatch):
+        """Once a frame's first byte has arrived, the rest must follow
+        within FRAME_DEADLINE_S: one byte of a binary header, or a JSON
+        line without its newline, earns an error reply and a close and
+        counts as a protocol error.  A connection idle between frames
+        is never timed out."""
+        monkeypatch.setattr("repro.serve.server.FRAME_DEADLINE_S", 0.2)
+        with ServeClient(*server) as idle:
+            before = idle.stats()["server"]["protocol_errors"]
+            for start in (bytes((BIN_MAGIC,)), b'{"op": "st'):
+                with socket.create_connection(server, timeout=10) as sock:
+                    sock.sendall(start)
+                    received = b""
+                    while chunk := sock.recv(4096):
+                        received += chunk
+                assert received == encode_frame(
+                    error_frame("frame incomplete after 0.2 s")
+                )
+            time.sleep(0.5)  # idle past the deadline, between frames
+            after = idle.stats()["server"]["protocol_errors"]
+        assert after == before + 2
 
     def test_rejected_binary_frames_count_no_feeds(self, server):
         """A binary frame that fails to parse earns an error reply and

@@ -1,42 +1,52 @@
-"""Wire protocol v2: binary frames and negotiation.
+"""Wire protocol v3: binary frames and negotiation.
 
 Three layers of pinning:
 
 * **golden frames** (``tests/data/wire_v1_frames.jsonl``,
-  ``wire_v2_batch.bin``) — the byte-exact wire form of canonical v1
-  frames and a v2 ``feed_many`` frame.  Re-encoding the same inputs
-  must reproduce the stored bytes bit for bit (a codec change that
-  silently breaks old clients fails here first).  The binary fixture
-  is non-deflated on purpose: zlib output may vary across library
-  versions, so compression is pinned by round-trip properties instead.
+  ``wire_v3_batch.bin``, ``wire_v3_deflated.bin``) — the wire form of
+  canonical v1 frames and of raw and deflated ``feed_many`` frames.
+  Re-encoding the v1 frames and the raw frame must reproduce the
+  stored bytes bit for bit (a codec change that silently breaks old
+  clients fails here first).  zlib output may vary across library
+  versions, so the deflated fixture is pinned by decoding the stored
+  bytes — to the expected byte planes and to the expected lanes — not
+  by re-encoding.  ``wire_v2_batch.bin`` is the frame a version-2
+  client would send: a live server must refuse it.
 * **property round-trips** — raw and deflated ``feed_many`` frames,
   of one chunk and of bursts of ragged chunks over mixed widths,
   survive encode → parse → resolve across universe widths spanning
-  every lane-count boundary.
+  every lane-count boundary; a deflated section is exactly the zlib
+  stream of each entry's byte planes; and a mutation fuzzer over the
+  deflated fixture gets validated lanes or a ``ProtocolError``, never
+  anything else.
 * **served behavior** — a v1-only client completes the full
-  open/feed/close/stats flow against a v2 server unchanged; v2 clients
-  (one chunk per frame, raw or deflated, and pipelined) produce
-  bit-identical costs to the single-hub oracle over thread *and*
-  process shard pools; reserved flags and malformed binary frames earn
-  error replies on a surviving connection; a ``bin`` client that a
-  ``--proto json`` server declines leaves no session behind.
+  open/feed/close/stats flow against a v3 server unchanged; binary
+  clients (one chunk per frame, raw or deflated, and pipelined)
+  produce bit-identical costs to the single-hub oracle over thread
+  *and* process shard pools; reserved flags and malformed binary
+  frames earn error replies on a surviving connection; a version-2
+  frame earns an error reply and a close, a ``proto: 2`` open an error
+  reply; a ``bin`` client that a ``--proto json`` server declines
+  leaves no session behind.
 """
 
 from __future__ import annotations
 
 import pathlib
+import socket
 import sys
 import threading
 import zlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from repro.core.packed import masks_to_lanes
+from repro.core.packed import lane_count, masks_to_lanes
 from repro.core.switches import SwitchUniverse
 from repro.engine.stream import StreamSession
 from repro.serve.client import ServeClient, ServeError
+from repro.serve.loadgen import drifting_masks
 from repro.serve.protocol import (
     BIN_FLAG_DEFLATE,
     BIN_HEADER,
@@ -47,6 +57,8 @@ from repro.serve.protocol import (
     MAX_FEED_ENTRIES,
     MAX_FRAME_BYTES,
     MAX_REPLY_ITEM_BYTES,
+    PROTO_BIN,
+    PROTO_JSON,
     ProtocolError,
     encode_feed_bin,
     encode_frame,
@@ -105,12 +117,22 @@ V1_FRAMES = [
     {"op": "stats"},
 ]
 
-#: The feed_many fixture: two sessions of different widths (one and two
-#: lanes per row), one of them twice, in entry order.
+#: The raw feed_many fixture: two sessions of different widths (one and
+#: two lanes per row), one of them twice, in entry order.
 V2_BATCH_ENTRIES = [
     ("alpha", 8, [0b101, 0b11]),
     ("beta", 96, [(1 << 95) | 0b1, 1 << 64, 0b110]),
     ("alpha", 8, [0b10000000]),
+]
+
+#: The deflated fixture: one, two and three lanes per row, bits on both
+#: sides of the 64-bit lane boundaries, repeated rows and a one-row
+#: chunk.  ``wire_v3_deflated.bin`` is ``encode_feed_bin(..., deflate=
+#: True)`` of these entries.
+V3_DEFLATED_ENTRIES = [
+    ("alpha", 8, [0b101, 0b101, 0b111, 0b101, 0b100, 0b101]),
+    ("beta", 96, [(1 << 95) | (1 << 64) | (1 << 63)] * 5 + [1 << 70]),
+    ("gamma", 130, [(1 << 129) | (1 << 128) | 1]),
 ]
 
 
@@ -118,14 +140,31 @@ def v1_fixture_bytes() -> bytes:
     return b"".join(encode_frame(frame) for frame in V1_FRAMES)
 
 
-def v2_batch_fixture_bytes() -> bytes:
-    return encode_feed_bin(
-        [
-            (sid, masks_to_lanes(masks, width))
-            for sid, width, masks in V2_BATCH_ENTRIES
-        ],
-        deflate=False,
-    )
+def _lanes_of(entries) -> list:
+    return [
+        (sid, masks_to_lanes(masks, width)) for sid, width, masks in entries
+    ]
+
+
+def v3_batch_fixture_bytes() -> bytes:
+    return encode_feed_bin(_lanes_of(V2_BATCH_ENTRIES), deflate=False)
+
+
+def _planes(lanes: np.ndarray) -> bytes:
+    """One entry's byte planes: its ``(C, 8·L)`` row bytes transposed."""
+    rows = np.ascontiguousarray(lanes, dtype="<u8").view(np.uint8)
+    return rows.T.tobytes()
+
+
+def _section_of(wire: bytes) -> tuple[int, bytes]:
+    """A one-frame feed_many's flags and lane section."""
+    ((opcode, flags, payload),) = _split_frames(wire)
+    assert opcode == BIN_OP_FEED_MANY
+    (n,) = np.frombuffer(payload[:2], dtype="<u2")
+    head = 2
+    for _ in range(n):
+        head += 1 + payload[head] + 6
+    return flags, payload[head:]
 
 
 class TestGoldenFrames:
@@ -134,14 +173,14 @@ class TestGoldenFrames:
             v1_fixture_bytes()
         )
 
-    def test_v2_batch_frame_byte_exact(self):
-        assert (DATA / "wire_v2_batch.bin").read_bytes() == (
-            v2_batch_fixture_bytes()
+    def test_v3_batch_frame_byte_exact(self):
+        assert (DATA / "wire_v3_batch.bin").read_bytes() == (
+            v3_batch_fixture_bytes()
         )
 
-    def test_v2_batch_fixture_parses(self):
+    def test_v3_batch_fixture_parses(self):
         ((opcode, flags, payload),) = _split_frames(
-            (DATA / "wire_v2_batch.bin").read_bytes()
+            (DATA / "wire_v3_batch.bin").read_bytes()
         )
         assert opcode == BIN_OP_FEED_MANY and flags == 0
         # u16 entry count, then u8 id length | id | u32 count | u16 lanes
@@ -156,6 +195,36 @@ class TestGoldenFrames:
             assert np.array_equal(
                 entry.raw_lanes(width), masks_to_lanes(masks, width)
             )
+
+    def test_v3_deflated_fixture_decodes(self):
+        """The stored section inflates to each entry's byte planes in
+        entry order, and the entries resolve to the fixture's lanes."""
+        wire = (DATA / "wire_v3_deflated.bin").read_bytes()
+        assert wire[1] == BIN_VERSION == 3
+        flags, section = _section_of(wire)
+        assert flags == BIN_FLAG_DEFLATE
+        expected = _lanes_of(V3_DEFLATED_ENTRIES)
+        assert zlib.decompress(section) == b"".join(
+            _planes(lanes) for _sid, lanes in expected
+        )
+        ((opcode, flags, payload),) = _split_frames(wire)
+        entries = parse_bin_feed(opcode, flags, payload)
+        assert [e.session for e in entries] == ["alpha", "beta", "gamma"]
+        assert [e.lanes for e in entries] == [1, 2, 3]
+        assert all(e.deflated for e in entries)
+        for entry, (_sid, width, _masks), (_s, lanes) in zip(
+            entries, V3_DEFLATED_ENTRIES, expected
+        ):
+            assert np.array_equal(entry.raw_lanes(width), lanes)
+
+    def test_v2_fixture_is_the_raw_layout_under_a_v2_header(self):
+        """Version 3 changed the meaning of DEFLATE only: the raw
+        version-2 frame differs from the raw version-3 one in its
+        version byte alone."""
+        old = (DATA / "wire_v2_batch.bin").read_bytes()
+        new = (DATA / "wire_v3_batch.bin").read_bytes()
+        assert (old[1], new[1]) == (2, 3)
+        assert old[:1] + old[2:] == new[:1] + new[2:]
 
 
 # ---------------------------------------------------------------------------
@@ -361,13 +430,14 @@ class TestBinaryRoundTrip:
     def test_deflated_section_must_hold_its_declared_size(self):
         """The one bounded inflate rejects a stream one byte long, one
         byte short, or followed by stray bytes."""
-        raw = masks_to_lanes([1, 2, 3, 1, 2, 3], 8).tobytes()
+        lanes = masks_to_lanes([1, 2, 3, 1, 2, 3], 8)
+        planes = _planes(lanes)
         # u16 1 | "s", 6 rows, 1 lane
         head = b"\x01\x00\x01s" + (6).to_bytes(4, "little") + b"\x01\x00"
         for section in (
-            zlib.compress(raw + b"\x00"),
-            zlib.compress(raw[:-1]),
-            zlib.compress(raw) + b"junk",
+            zlib.compress(planes + b"\x00"),
+            zlib.compress(planes[:-1]),
+            zlib.compress(planes) + b"junk",
         ):
             (frame,) = parse_bin_feed(
                 BIN_OP_FEED_MANY, BIN_FLAG_DEFLATE, head + section
@@ -375,9 +445,90 @@ class TestBinaryRoundTrip:
             with pytest.raises(ProtocolError, match="declared size"):
                 frame.raw_lanes(8)
         (frame,) = parse_bin_feed(
-            BIN_OP_FEED_MANY, BIN_FLAG_DEFLATE, head + zlib.compress(raw)
+            BIN_OP_FEED_MANY, BIN_FLAG_DEFLATE, head + zlib.compress(planes)
         )
-        assert frame.raw_lanes(8).tobytes() == raw
+        assert frame.raw_lanes(8).tobytes() == lanes.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(masks_for, min_size=1, max_size=8))
+    @example([(1, [1]), (64, [1 << 63]), (65, [1 << 64, 1]), (129, [3])])
+    def test_deflated_section_is_each_entrys_planes(self, entries):
+        """A deflated section is one zlib stream of every entry's byte
+        planes in entry order — lane counts mixed, one-row chunks and
+        bits at the lane boundaries included — and resolves back to
+        the rows."""
+        chunks = [
+            (f"s{i}", masks_to_lanes(masks, width))
+            for i, (width, masks) in enumerate(entries)
+        ]
+        wire = encode_feed_bin(chunks, deflate=True)
+        flags, section = _section_of(wire)
+        assert flags == BIN_FLAG_DEFLATE
+        assert zlib.decompress(section) == b"".join(
+            _planes(lanes) for _sid, lanes in chunks
+        )
+        ((opcode, flags, payload),) = _split_frames(wire)
+        parsed = parse_bin_feed(opcode, flags, payload)
+        for entry, (_sid, lanes), (width, _masks) in zip(
+            parsed, chunks, entries
+        ):
+            assert np.array_equal(entry.raw_lanes(width), lanes)
+
+    def test_shuffle_shrinks_a_drifting_burst(self):
+        """On drifting working sets the shuffled section is at most
+        three quarters of plain zlib over the same rows."""
+        width = 96
+        chunks = [
+            (f"s{i}", masks_to_lanes(drifting_masks(width, 256, seed=i),
+                                     width))
+            for i in range(16)
+        ]
+        raw = b"".join(lanes.tobytes() for _sid, lanes in chunks)
+        flags, section = _section_of(encode_feed_bin(chunks))
+        assert flags == BIN_FLAG_DEFLATE
+        assert len(section) <= 0.75 * len(zlib.compress(raw, 1))
+
+    @settings(
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 1 << 16), st.integers(0, 255)),
+            min_size=1,
+            max_size=6,
+        ),
+        st.integers(0, 127),
+    )
+    def test_mutated_deflated_frame_resolves_or_refuses(self, edits, cut):
+        """Any byte edits (and a truncation when ``cut`` falls inside
+        the frame) of the deflated fixture: every entry resolves to
+        validated lanes or raises ProtocolError."""
+        wire = bytearray((DATA / "wire_v3_deflated.bin").read_bytes())
+        for pos, value in edits:
+            wire[pos % len(wire)] = value
+        del wire[max(cut, BIN_HEADER.size) :]
+        opcode, flags = wire[2], wire[3]
+        try:
+            entries = parse_bin_feed(
+                opcode, flags, bytes(wire[BIN_HEADER.size :])
+            )
+        except ProtocolError:
+            return
+        for entry in entries:
+            if isinstance(entry, ProtocolError):
+                continue
+            width = max(1, 64 * entry.lanes - 5)
+            try:
+                lanes = entry.raw_lanes(width)
+            except ProtocolError:
+                continue
+            assert lanes.dtype == np.uint64
+            assert lanes.shape == (entry.count, lane_count(width))
+            assert int(lanes[:, -1].max()) < 1 << (width - 64 * (
+                lane_count(width) - 1
+            ))
 
     def test_entry_cap_keeps_the_reply_in_one_frame(self):
         """Any MAX_FEED_ENTRIES reply items fit one reply line, and a
@@ -482,7 +633,7 @@ class TestServedProtocolV2:
                 assert client.close_session(sid).cost == oracle_cost
 
     def test_v1_client_full_flow_against_v2_server(self):
-        """A pre-v2 client (no proto field, JSON frames only) must see
+        """A v1-only client (no proto field, JSON frames only) must see
         exactly the old protocol."""
         with ServerThread(ServeConfig(shards=2)) as (host, port):
             with ServeClient(host, port, proto="json") as client:
@@ -636,6 +787,39 @@ class TestServedProtocolV2:
                 assert not reply["ok"] and "section" in reply["error"]
                 # The connection survives payload-level garbage.
                 assert client.feed(sid, [1, 2]).steps == 2
+
+    def test_v2_frame_refused_with_error_and_close(self):
+        """A version-2 frame (``wire_v2_batch.bin``) is refused, not
+        misread: one error reply, then the server closes the
+        connection, and the refusal counts as a protocol error."""
+        with ServerThread(ServeConfig(shards=1)) as address:
+            with socket.create_connection(address, timeout=10) as sock:
+                sock.sendall((DATA / "wire_v2_batch.bin").read_bytes())
+                received = b""
+                while chunk := sock.recv(4096):
+                    received += chunk
+            assert received == encode_frame(
+                error_frame("unsupported binary protocol version 2")
+            )
+            with ServeClient(*address) as client:
+                stats = client.stats()["server"]
+            assert stats["protocol_errors"] == 1 and stats["feeds"] == 0
+
+    def test_proto_2_open_refused_connection_survives(self):
+        """An ``open`` asking for protocol 2 earns an error reply and
+        opens nothing; the connection keeps serving."""
+        with ServerThread(ServeConfig(shards=1)) as address:
+            with ServeClient(*address, proto="json") as client:
+                client._send(encode_frame({
+                    "op": "open", "policy": "rent_or_buy", "width": 8,
+                    "w": 2.0, "session": "old", "proto": 2,
+                }))
+                assert client._recv_reply() == error_frame(
+                    f"open.proto must be {PROTO_JSON} or {PROTO_BIN}"
+                )
+                assert client.stats()["sessions"] == 0
+                assert client.open(width=8, w=2.0, session_id="old") == "old"
+                assert client.feed("old", [1, 2]).steps == 2
 
     def test_wire_counters_track_both_protocols(self):
         with ServerThread(ServeConfig(shards=1)) as (host, port):

@@ -24,12 +24,10 @@ that replaces the private kernels:
   arbitrary half-open window-union queries in O(1) lane operations
   (the private-global segmentation DP issues O(n²) of them);
 * :class:`PackedStream` is the *incremental* counterpart for online
-  scheduling: requirements arrive one lane-row (or one chunk) at a
-  time, and the state maintains the running union/popcount, a bounded
-  ring of the most recent rows, and the rolling last-``history`` window
-  union — O(L) amortized per append via two-stack sliding aggregation —
-  so the online policy cursors (:mod:`repro.solvers.online`) read their
-  working-set estimates off NumPy state instead of Python deques.
+  scheduling: requirements arrive one chunk at a time, and the state
+  is the step count plus the last ``history`` rows — exactly what the
+  online policy cursors (:mod:`repro.solvers.online`) read to form
+  working-set windows that reach back across a chunk boundary.
 
 **Bit-identity contract.**  The scalar int-mask implementations
 (:func:`repro.core.sync_cost.sync_switch_cost` and friends) remain the
@@ -80,6 +78,7 @@ __all__ = [
 LANE_BITS = 64
 _LANE_MASK = (1 << LANE_BITS) - 1
 _U64_ZERO = np.uint64(0)
+_LE_U64 = np.dtype("<u8")
 
 
 # ---------------------------------------------------------------------------
@@ -116,22 +115,24 @@ def lanes_to_masks(lanes: np.ndarray):
 
     Accepts any ``(..., L)`` array; returns nested lists of Python int
     masks matching the leading shape (a single int for 1-D input).
+    One lane is a plain ``tolist``; wider rows are read as one
+    little-endian integer each (``int.from_bytes`` over the row's
+    bytes, lane 0 least significant).
     """
-    arr = np.asarray(lanes, dtype=np.uint64)
+    arr = np.ascontiguousarray(lanes, dtype=_LE_U64)
     L = arr.shape[-1]
-    flat = arr.reshape(-1, L).tolist()
-    masks = []
-    for row in flat:
-        mask = 0
-        for lane in range(L - 1, -1, -1):
-            mask = (mask << LANE_BITS) | row[lane]
-        masks.append(mask)
+    if L == 1:
+        return arr[..., 0].tolist()
+    from_bytes = int.from_bytes
     if arr.ndim == 1:
-        return masks[0]
-    shape = arr.shape[:-1]
-    for dim in reversed(shape[1:]):
-        masks = [masks[k : k + dim] for k in range(0, len(masks), dim)]
-    return masks
+        return from_bytes(arr.tobytes(), "little")
+    masks = [
+        from_bytes(row, "little")
+        for row in arr.view(f"V{8 * L}").ravel().tolist()
+    ]
+    if arr.ndim == 2:
+        return masks
+    return np.array(masks, dtype=object).reshape(arr.shape[:-1]).tolist()
 
 
 def masks_to_u64(masks: Iterable[int]) -> np.ndarray:
@@ -776,43 +777,27 @@ class PackedStream:
     """Incremental lane-packed state of an online requirement stream.
 
     The offline structures above see the whole sequence; an online
-    policy sees requirements one reconfiguration step at a time.  This
-    is the packed window state those policies run on:
+    policy sees requirements one chunk at a time and only ever looks a
+    bounded distance back.  The stream therefore keeps two things: the
+    step count :attr:`n` and the last ``history`` rows, oldest first,
+    as one ``(history, L)`` array with zero rows in front while the
+    stream is younger than ``history``.  A zero row is the identity
+    for OR, so a window union over those rows clamps at the stream
+    start exactly as the scalar cursors' deques do.
 
-    * :meth:`append_lanes` / :meth:`append_mask` add one requirement
-      row in O(L) amortized lane work;
-    * the running union of everything seen (:attr:`union_lanes`,
-      :attr:`union_size`) is maintained incrementally;
-    * a ring of the most recent ``history`` rows backs arbitrary
-      tail-window queries (:meth:`tail_rows`), and the union of the
-      *full* last-``history`` window (:meth:`window_union_lanes`) is
-      maintained with the two-stack sliding-window aggregation — an
-      O(L) amortized dequeue/enqueue instead of re-OR-ing a Python
-      deque per step;
-    * :meth:`push` is the batched entry point: it returns the chunk
-      prefixed with the retained history rows (what a vectorized
-      cursor needs to form working-set windows that cross the chunk
-      boundary) and commits the chunk in one vectorized update.
+    * :meth:`extend` commits one ``(C, L)`` chunk;
+    * :meth:`push` returns the chunk prefixed with the retained rows
+      (what a per-session cursor needs to form working-set windows
+      that cross the chunk boundary) and commits it;
+    * :meth:`extend_many` commits one chunk per stream off the fused
+      sweep's history-prefixed block in one gather.
 
-    ``history = 0`` keeps no rows: the stream then only tracks counts
-    and the running union.
+    The rows are never written in place: every commit installs a new
+    read-only array, so a fused sweep can recognize history that
+    :meth:`extend_many` left behind and reuse it without restacking.
     """
 
-    __slots__ = (
-        "width",
-        "history",
-        "n",
-        "_L",
-        "_total",
-        "_total_size",
-        "_ring",
-        "_ring_pos",
-        "_win_len",
-        "_front_suffix",
-        "_front_n",
-        "_back_union",
-        "_back_n",
-    )
+    __slots__ = ("width", "history", "n", "_L", "_hist")
 
     def __init__(self, width: int, *, history: int = 0):
         if width < 1:
@@ -823,18 +808,8 @@ class PackedStream:
         self.history = int(history)
         self.n = 0
         self._L = lane_count(width)
-        self._total = np.zeros(self._L, dtype=np.uint64)
-        self._total_size = 0
-        self._ring = (
-            np.zeros((history, self._L), dtype=np.uint64) if history else None
-        )
-        self._ring_pos = 0
-        # Two-stack window aggregation over the last `history` rows.
-        self._win_len = 0
-        self._front_suffix = np.zeros((0, self._L), dtype=np.uint64)
-        self._front_n = 0
-        self._back_union = np.zeros(self._L, dtype=np.uint64)
-        self._back_n = 0
+        self._hist = np.zeros((history, self._L), dtype=np.uint64)
+        self._hist.setflags(write=False)
 
     # -- introspection -----------------------------------------------------
 
@@ -843,257 +818,97 @@ class PackedStream:
         return self._L
 
     @property
-    def union_lanes(self) -> np.ndarray:
-        """Running union of every requirement seen (copy)."""
-        return self._total.copy()
-
-    @property
-    def union_mask(self) -> int:
-        return lanes_to_masks(self._total)
-
-    @property
-    def union_size(self) -> int:
-        """Popcount of the running union (maintained incrementally)."""
-        return self._total_size
+    def history_rows(self) -> np.ndarray:
+        """The last ``history`` rows, oldest first, zero rows in front
+        while ``n < history`` (read-only ``(history, L)``)."""
+        return self._hist
 
     def tail_rows(self, count: int) -> np.ndarray:
         """The last ``min(count, n, history)`` rows, oldest first."""
         if count < 0:
             raise ValueError("count must be non-negative")
         count = min(count, self.n, self.history)
-        if count == 0:
-            return np.zeros((0, self._L), dtype=np.uint64)
-        idx = (self._ring_pos - count + np.arange(count)) % self.history
-        return self._ring[idx]
-
-    def window_union_lanes(self) -> np.ndarray:
-        """Union of the last ``min(history, n)`` rows, in O(L).
-
-        This is the rolling working-set estimate the online policies
-        install; reading it costs one lane OR thanks to the two-stack
-        invariant (front-suffix union | back-prefix union).
-        """
-        if not self.history:
-            raise ValueError("stream was built with history=0")
-        if self._front_n:
-            offset = self._front_suffix.shape[0] - self._front_n
-            return self._front_suffix[offset] | self._back_union
-        return self._back_union.copy()
-
-    def window_union_mask(self) -> int:
-        return lanes_to_masks(self.window_union_lanes())
+        return self._hist[self.history - count :]
 
     # -- appending ---------------------------------------------------------
 
-    def _flip(self) -> None:
-        """Move the back stack to the front as suffix unions."""
-        rows = self.tail_rows(self._back_n)
-        self._front_suffix = np.bitwise_or.accumulate(rows[::-1], axis=0)[::-1]
-        self._front_n = rows.shape[0]
-        self._back_union = np.zeros(self._L, dtype=np.uint64)
-        self._back_n = 0
-
-    def append_lanes(self, row: np.ndarray) -> None:
-        """Append one requirement row of ``L`` uint64 lanes."""
-        row = np.asarray(row, dtype=np.uint64)
-        if row.shape != (self._L,):
-            raise ValueError(f"row must have shape ({self._L},)")
-        if self.history:
-            if self._win_len == self.history:
-                if self._front_n == 0:
-                    self._flip()
-                self._front_n -= 1
-            else:
-                self._win_len += 1
-            self._back_union = self._back_union | row
-            self._back_n += 1
-            self._ring[self._ring_pos] = row
-            self._ring_pos = (self._ring_pos + 1) % self.history
-        self._total = self._total | row
-        self._total_size = int(
-            popcount_u64(self._total).sum(dtype=np.int64)
-        )
-        self.n += 1
-
-    def append_mask(self, mask: int) -> None:
-        """Append one requirement given as a Python int bitmask."""
-        self.append_lanes(masks_to_lanes([mask], self.width)[0])
-
-    def _window_commit_short(
-        self, lanes: np.ndarray, chunk_union: np.ndarray | None = None
-    ) -> None:
-        """Two-stack window update for a chunk shorter than ``history``.
-
-        Must run *after* ``self.n`` already counts the chunk.  The
-        whole chunk enters the back stack in one push (its union is
-        one lane OR), and the same number of rows leaves the front
-        stack in one pop — O(L) per chunk instead of per row.  When
-        the front stack cannot cover the pops (the scalar path would
-        flip mid-chunk) the window is re-flipped wholesale: the
-        resulting front/back *split* differs from the per-row path's,
-        but every readable quantity — ring rows, ``tail_rows``,
-        ``window_union_lanes`` — is bit-identical, which is what the
-        cursor decisions depend on.
-        """
-        h = self.history
-        C = lanes.shape[0]
-        pos = self._ring_pos
-        if pos + C <= h:
-            self._ring[pos : pos + C] = lanes
-        else:
-            split = h - pos
-            self._ring[pos:] = lanes[:split]
-            self._ring[: C - split] = lanes[split:]
-        self._ring_pos = (pos + C) % h
-        if self._win_len + C <= h or (
-            self._win_len == h and self._front_n >= C
-        ):
-            if chunk_union is None:
-                chunk_union = np.bitwise_or.reduce(lanes, axis=0)
-            if self._win_len < h:
-                self._win_len += C
-            else:
-                self._front_n -= C
-            self._back_union = self._back_union | chunk_union
-            self._back_n += C
-        else:
-            # Warmup crossing or front exhausted mid-chunk: flip the
-            # whole window into fresh suffix unions (the amortized
-            # O(h·L) event the scalar path pays one row at a time).
-            self._win_len = min(h, self.n)
-            self._back_n = self._win_len
-            self._flip()
-
     def extend(self, lanes: np.ndarray) -> None:
-        """Append a ``(C, L)`` chunk in one vectorized update."""
-        lanes = np.ascontiguousarray(lanes, dtype=np.uint64)
+        """Append a ``(C, L)`` chunk."""
+        lanes = np.asarray(lanes, dtype=np.uint64)
         if lanes.ndim != 2 or lanes.shape[1] != self._L:
             raise ValueError(f"chunk must have shape (C, {self._L})")
         C = lanes.shape[0]
-        if C == 0:
-            return
-        union = np.bitwise_or.reduce(lanes, axis=0)
-        self._total = self._total | union
-        self._total_size = int(
-            popcount_u64(self._total).sum(dtype=np.int64)
-        )
         self.n += C
-        if not self.history:
+        h = self.history
+        if not h or not C:
             return
-        if C < self.history:
-            self._window_commit_short(lanes, chunk_union=union)
-            return
-        # The chunk covers the whole window: rebuild ring + stacks.
-        tail = lanes[-self.history :]
-        self._ring[: tail.shape[0]] = tail
-        self._ring_pos = tail.shape[0] % self.history
-        self._win_len = min(self.history, self.n)
-        self._front_suffix = np.zeros((0, self._L), dtype=np.uint64)
-        self._front_n = 0
-        self._back_union = np.bitwise_or.reduce(tail, axis=0)
-        self._back_n = tail.shape[0]
+        if C >= h:
+            hist = lanes[C - h :].copy()
+        else:
+            hist = np.concatenate([self._hist[C:], lanes])
+        hist.setflags(write=False)
+        self._hist = hist
 
     @classmethod
-    def extend_many(
-        cls,
-        streams,
-        block: np.ndarray,
-        *,
-        unions: np.ndarray | None = None,
-        lengths=None,
-    ) -> None:
-        """Commit one chunk per stream in a fused update.
+    def extend_many(cls, streams, block: np.ndarray, lengths=None) -> None:
+        """Commit one chunk per stream off a history-prefixed block.
 
-        ``block`` stacks one ``(C, L)`` chunk per stream into
-        ``(S, C, L)``; every stream must share the lane width and
-        ``history``.  Bit-identical to calling :meth:`extend` per
-        stream — the running unions, popcounts, ring rebuilds and
-        two-stack window state are just computed across all streams in
-        whole-array NumPy passes instead of S separate dispatch
-        cascades (this is the stream half of the fused multi-session
-        sweep; :meth:`sweep_many` in :mod:`repro.solvers.online` is the
-        policy half).  ``unions`` optionally passes precomputed
-        ``(S, L)`` per-chunk unions so a caller that already reduced
-        the block does not pay the pass twice.
+        ``block`` is ``(S, history + Cmax, L)``: stream ``s``'s
+        :attr:`history_rows` followed by its chunk, zero-padded on the
+        right to ``Cmax`` rows — the block the fused sweep reads its
+        working-set windows from (this is the stream half of the fused
+        multi-session sweep; ``sweep_many`` in
+        :mod:`repro.solvers.online` is the policy half).  Stream ``s``
+        takes a chunk of ``lengths[s]`` rows (every stream ``Cmax``
+        when ``lengths`` is ``None``); every stream must share the lane
+        width and ``history``.
 
-        ``lengths`` commits *ragged* chunks from one zero-padded stack:
-        stream ``s`` takes ``block[s, :lengths[s]]``.  Zero padding ORs
-        as the identity, so the batched totals pass is unchanged (a
-        padded ``unions`` equals the unpadded one); only the per-stream
-        window commit walks each stream's true length.
-
-        Chunks shorter than ``history`` batch the totals the same way
-        and run the amortized :meth:`_window_commit_short` per stream
-        (one back push + one front pop per chunk, not per row).
+        Each stream's new history is rows ``lengths[s] .. lengths[s] +
+        history`` of its block row, and all of them are gathered in one
+        pass into one ``(S, history, L)`` array that the streams keep
+        as row views.  Observably identical to :meth:`extend` per
+        stream.
         """
-        S, C, L = block.shape
+        S = block.shape[0]
         if len(streams) != S:
             raise ValueError("one chunk per stream required")
-        if S == 0 or C == 0:
+        if S == 0:
             return
         h = streams[0].history
+        L = block.shape[2]
+        Cmax = block.shape[1] - h
+        if Cmax < 0:
+            raise ValueError("block must hold history + chunk rows")
+        if lengths is None:
+            counts = [Cmax] * S
+        else:
+            lengths = np.asarray(lengths, dtype=np.int64)
+            if lengths.shape != (S,) or (lengths < 0).any() or (
+                lengths > Cmax
+            ).any():
+                raise ValueError(
+                    "lengths must hold one value in [0, Cmax] per stream"
+                )
+            counts = lengths.tolist()
         for st in streams:
             if st._L != L or st.history != h:
                 raise ValueError(
                     "fused extend requires equal lane width and history"
                 )
-        if unions is None:
-            unions = np.bitwise_or.reduce(block, axis=1)
-        totals = np.stack([st._total for st in streams])
-        np.bitwise_or(totals, unions, out=totals)
-        total_sizes = popcount_u64(totals).sum(axis=1, dtype=np.int64)
-        if lengths is not None:
-            lengths = np.asarray(lengths, dtype=np.int64)
-            if lengths.shape != (S,) or (lengths < 1).any() or (
-                lengths > C
-            ).any():
-                raise ValueError(
-                    "lengths must hold one value in [1, C] per stream"
-                )
-            for s, st in enumerate(streams):
-                n_s = int(lengths[s])
-                st._total = totals[s]
-                st._total_size = int(total_sizes[s])
+        if not h:
+            for st, n_s in zip(streams, counts):
                 st.n += n_s
-                if not h:
-                    continue
-                chunk = block[s, :n_s]
-                if n_s < h:
-                    st._window_commit_short(chunk, chunk_union=unions[s])
-                else:
-                    tail = chunk[n_s - h :]
-                    st._ring[:h] = tail
-                    st._ring_pos = 0
-                    st._win_len = h
-                    st._front_suffix = np.zeros((0, L), dtype=np.uint64)
-                    st._front_n = 0
-                    st._back_union = np.bitwise_or.reduce(tail, axis=0)
-                    st._back_n = h
             return
-        if h and C < h:
-            for s, st in enumerate(streams):
-                st._total = totals[s]
-                st._total_size = int(total_sizes[s])
-                st.n += C
-                st._window_commit_short(block[s], chunk_union=unions[s])
-            return
-        if h:
-            tails = block[:, C - h :, :]
-            tail_unions = np.bitwise_or.reduce(tails, axis=1)
-            empty_front = np.zeros((0, L), dtype=np.uint64)
-        for s, st in enumerate(streams):
-            st._total = totals[s]
-            st._total_size = int(total_sizes[s])
-            st.n += C
-            if h:
-                st._ring[:h] = tails[s]
-                st._ring_pos = 0
-                st._win_len = h
-                st._front_suffix = empty_front
-                st._front_n = 0
-                st._back_union = tail_unions[s]
-                st._back_n = h
-        return
+        if lengths is None:
+            hist = block[:, Cmax:].copy()
+        else:
+            hist = block[
+                np.arange(S)[:, None], lengths[:, None] + np.arange(h)
+            ]
+        hist.setflags(write=False)
+        for s, (st, n_s) in enumerate(zip(streams, counts)):
+            st.n += n_s
+            st._hist = hist[s]
 
     def push(self, lanes: np.ndarray) -> tuple[np.ndarray, int]:
         """Commit a chunk; return ``(ext, off)`` for batched cursors.

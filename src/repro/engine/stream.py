@@ -55,6 +55,8 @@ from repro.solvers.online import OnlineRun
 
 __all__ = ["StreamBatch", "StreamEvent", "StreamHub", "StreamSession"]
 
+_U64 = np.dtype(np.uint64)
+
 
 @dataclass(frozen=True)
 class StreamEvent:
@@ -160,8 +162,16 @@ class StreamSession:
         self._chunks: list[np.ndarray] = []  # lane rows of every fed chunk
         self._scalar_masks: list[int] = []  # scalar-path requirement log
         self._n = 0
+        # Install log.  The batched path keeps one entry per chunk that
+        # installed: (step shift, (steps, lane rows), lo, hi) — rows
+        # lo..hi of install records that may be shared with the other
+        # sessions of a fused group, whose global step index is the
+        # record's step plus the shift.  They become Python ints once,
+        # in finish; the scalar path logs the ints its cursor returns.
+        self._installs: list[tuple] = []
         self._hyper_steps: list[int] = []
         self._hyper_masks: list[int] = []
+        self._hypers = 0
         self._cost = 0.0
         self._finished = False
 
@@ -174,7 +184,7 @@ class StreamSession:
 
     @property
     def hyper_count(self) -> int:
-        return len(self._hyper_steps)
+        return self._hypers
 
     @property
     def cost(self) -> float:
@@ -235,6 +245,7 @@ class StreamSession:
         if hyper:
             self._hyper_steps.append(i)
             self._hyper_masks.append(installed)
+            self._hypers += 1
         return StreamEvent(
             step=i,
             hyper=hyper,
@@ -258,13 +269,16 @@ class StreamSession:
         self._chunks.append(lanes)
         self._n += C
         flagged = np.flatnonzero(batch.hyper)
-        if flagged.size:
-            self._hyper_steps.extend((start + flagged).tolist())
-            self._hyper_masks.extend(batch.installed_masks())
+        hypers = flagged.shape[0]
+        if hypers:
+            self._installs.append(
+                (start, (flagged, batch.installed), 0, hypers)
+            )
+            self._hypers += hypers
         return StreamBatch(
             start=start,
             steps=C,
-            hypers=int(flagged.size),
+            hypers=hypers,
             cost=chunk_cost,
             cumulative_cost=self._cost,
             hyper_flags=batch.hyper,
@@ -273,14 +287,15 @@ class StreamSession:
 
     def _commit_fused(
         self,
-        log,
-        steps: int,
+        log: np.ndarray,
         hyper_flags: np.ndarray,
         sizes: np.ndarray,
         chunk_cost: float,
         new_cost: float,
-        hyper_steps=(),
-        hyper_masks=(),
+        record: tuple,
+        lo: int,
+        hi: int,
+        shift: int,
     ) -> StreamBatch:
         """Book a chunk the fused multi-session sweep already served.
 
@@ -290,20 +305,20 @@ class StreamSession:
         seeded cost cumsum for the whole group in one batched pass;
         this just appends the requirement log, records the chunk's
         installs and folds the totals in.  ``hyper_flags``/``sizes``
-        are read-only row views into the sweep's shared arrays, and
-        ``hyper_steps``/``hyper_masks`` are this session's slice of the
-        group's flat install records (chunk-relative steps, int
-        masks)."""
+        are read-only row views into the sweep's shared arrays.  This
+        session's installs are rows ``lo..hi`` of the group's
+        ``record`` (flat step indices, lane rows), and ``shift``
+        turns a flat index into a chunk step; the session keeps the
+        reference as it is until :meth:`finish`."""
         start = self._n
+        steps = log.shape[0]
         self._chunks.append(log)
         self._n += steps
         self._cost = new_cost
-        hypers = len(hyper_steps)
+        hypers = hi - lo
         if hypers:
-            # hyper_steps arrive as chunk-relative Python ints (the hub
-            # flattens the group's install columns once with .tolist()).
-            self._hyper_steps.extend(start + i for i in hyper_steps)
-            self._hyper_masks.extend(hyper_masks)
+            self._installs.append((start - shift, record, lo, hi))
+            self._hypers += hypers
         return StreamBatch(
             start=start,
             steps=steps,
@@ -381,6 +396,21 @@ class StreamSession:
                 out.extend(lanes_to_masks(lanes))
         return out
 
+    def _install_log(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(hyper steps, installed masks) of the whole session."""
+        if self._batched is None:
+            return tuple(self._hyper_steps), tuple(self._hyper_masks)
+        if not self._installs:
+            return (), ()
+        steps = np.concatenate([
+            flat[lo:hi] + shift
+            for shift, (flat, _lanes), lo, hi in self._installs
+        ])
+        lanes = np.concatenate([
+            lanes[lo:hi] for _shift, (_flat, lanes), lo, hi in self._installs
+        ])
+        return tuple(steps.tolist()), tuple(lanes_to_masks(lanes))
+
     def finish(self) -> OnlineRun:
         """Close the session into a validated :class:`OnlineRun`.
 
@@ -390,10 +420,9 @@ class StreamSession:
         """
         self._finished = True
         n = self._n
+        hyper_steps, hyper_masks = self._install_log()
         schedule = SingleTaskSchedule(
-            n=n,
-            hyper_steps=tuple(self._hyper_steps),
-            explicit_masks=tuple(self._hyper_masks),
+            n=n, hyper_steps=hyper_steps, explicit_masks=hyper_masks
         )
         if n:
             seq = RequirementSequence(self.universe, self._all_masks())
@@ -603,13 +632,14 @@ class StreamHub:
         group (the sweep gathers them as vectors).  Every group member
         completes inside the epoch-synchronous ``sweep_many`` kernel —
         triggering sessions included — and the hub books the whole
-        group with one seeded cost cumsum and one flat installed-mask
-        conversion.  Only ineligible traffic — mask iterables, empty
-        chunks, non-batched cursors — takes the per-session path.
+        group with one seeded cost cumsum, handing each session its
+        slice of the group's install records.  Only ineligible traffic
+        — mask iterables, empty chunks, non-batched cursors — takes the
+        per-session path.
         Returns (fused, fallback, group sizes, replay epochs, triggers);
         per-session batches land in ``out``.
         """
-        groups: dict[tuple, list[tuple[str, np.ndarray]]] = {}
+        groups: dict[tuple, list[tuple]] = {}  # (sid, session, lanes)
         plain: list[str] = []
         for sid, lanes in chunks.items():
             session = sessions[sid]
@@ -621,13 +651,13 @@ class StreamHub:
                 or session._finished
                 or not isinstance(lanes, np.ndarray)
                 or lanes.ndim != 2
-                or lanes.dtype != np.uint64
+                or lanes.dtype != _U64
                 or lanes.shape[0] == 0
                 or lanes.shape[1] != key[1]
             ):
                 plain.append(sid)
                 continue
-            groups.setdefault(key, []).append((sid, lanes))
+            groups.setdefault(key, []).append((sid, session, lanes))
         for sid in plain:
             out[sid] = sessions[sid].feed_many(chunks[sid])
         fused = len(chunks) - len(plain)
@@ -635,40 +665,34 @@ class StreamHub:
         group_sizes: list[int] = []
         epochs = triggers = 0
         for (cursor_cls, L, _hist), members in groups.items():
-            lengths = np.fromiter(
-                (lanes.shape[0] for _sid, lanes in members),
-                count=len(members),
-                dtype=np.int64,
-            )
-            Cmax = int(lengths.max())
-            if int(lengths.min()) == Cmax:
-                block = np.stack([lanes for _sid, lanes in members])
+            S = len(members)
+            group = [session for _sid, session, _lanes in members]
+            counts = [lanes.shape[0] for _sid, _session, lanes in members]
+            Cmax = max(counts)
+            if min(counts) == Cmax:
+                block = np.stack([lanes for _sid, _session, lanes in members])
             else:
-                block = np.zeros(
-                    (len(members), Cmax, L), dtype=np.uint64
-                )
-                for s, (_sid, lanes) in enumerate(members):
+                block = np.zeros((S, Cmax, L), dtype=np.uint64)
+                for s, (_sid, _session, lanes) in enumerate(members):
                     block[s, : lanes.shape[0]] = lanes
-            cursors = [
-                sessions[sid]._batched for sid, _lanes in members
-            ]
-            sweep = cursor_cls.sweep_many(cursors, block, lengths=lengths)
+            sweep = cursor_cls.sweep_many(
+                [session._batched for session in group],
+                block,
+                lengths=np.array(counts, dtype=np.int64),
+            )
             epochs += sweep.epochs
             triggers += sweep.triggers
             # Batched bookkeeping for the whole group: one seeded cost
             # cumsum (row-wise it is exactly the scalar session's
             # concatenate-and-cumsum — padding columns add 0.0, so the
-            # final column is every ragged session's total), one flat
-            # lanes→masks conversion for all installs, per-session
-            # slices off the shared arrays.
-            S = len(members)
+            # final column is every ragged session's total) and
+            # per-session slices off the shared arrays; the installs
+            # stay lane rows until each session finishes.
             w_vec = np.fromiter(
-                (sessions[sid].w for sid, _lanes in members),
-                count=S,
-                dtype=np.float64,
+                (session.w for session in group), count=S, dtype=np.float64
             )
             costs = np.empty((S, Cmax + 1), dtype=np.float64)
-            costs[:, 0] = [sessions[sid]._cost for sid, _lanes in members]
+            costs[:, 0] = [session._cost for session in group]
             costs[:, 1:] = sweep.sizes + np.where(
                 sweep.hyper, w_vec[:, None], 0.0
             )
@@ -678,22 +702,20 @@ class StreamHub:
             offsets = np.zeros(S + 1, dtype=np.int64)
             np.cumsum(sweep.installed_counts, out=offsets[1:])
             offs = offsets.tolist()
-            flat_masks = (
-                lanes_to_masks(sweep.installed) if sweep.triggers else []
-            )
-            step_list = np.nonzero(sweep.hyper)[1].tolist()
-            for s, (sid, _lanes) in enumerate(members):
-                n_s = int(lengths[s])
-                o0, o1 = offs[s], offs[s + 1]
-                out[sid] = sessions[sid]._commit_fused(
+            # Session s's installs at flat indices s·Cmax + chunk step.
+            record = (np.flatnonzero(sweep.hyper), sweep.installed)
+            for s, (sid, session, _lanes) in enumerate(members):
+                n_s = counts[s]
+                out[sid] = session._commit_fused(
                     block[s, :n_s],
-                    n_s,
                     sweep.hyper[s, :n_s],
                     sweep.sizes[s, :n_s],
                     chunk_costs[s],
                     new_costs[s],
-                    hyper_steps=step_list[o0:o1],
-                    hyper_masks=flat_masks[o0:o1],
+                    record,
+                    offs[s],
+                    offs[s + 1],
+                    s * Cmax,
                 )
             group_sizes.append(S)
         return fused, fallback, tuple(group_sizes), epochs, triggers

@@ -311,8 +311,10 @@ class ServeClient:
         """A burst as ``feed_many`` frames: (wire bytes, session per
         entry).  Entries fill a frame until its raw payload would pass
         ``MAX_FRAME_BYTES`` or it holds ``MAX_FEED_ENTRIES`` entries,
-        the most one reply line can answer; a chunk that alone is
-        larger travels as the only entry of its frame."""
+        the most one reply line can answer.  The server refuses any
+        frame whose lanes total more than ``MAX_FRAME_BYTES``, so a
+        chunk that alone is larger raises :class:`ValueError` here,
+        before anything is sent."""
         groups: list[list[tuple[str, object]]] = [[]]
         size = HEAD = 2  # the u16 entry count
         for sid, masks in batch:
@@ -320,6 +322,11 @@ class ServeClient:
             if len(lanes) == 0:
                 raise ValueError(
                     "feed chunks must contain at least one mask"
+                )
+            if lanes.nbytes > MAX_FRAME_BYTES:
+                raise ValueError(
+                    f"a feed chunk of {lanes.nbytes} lane bytes exceeds "
+                    f"the {MAX_FRAME_BYTES}-byte frame limit; split it"
                 )
             nbytes = feed_entry_bytes(sid, lanes)
             group = groups[-1]

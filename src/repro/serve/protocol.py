@@ -63,7 +63,8 @@ reply, and a single chunk is a frame of one entry::
 
 Lanes are little-endian uint64, row-major.  Each entry declares its
 own lane count, so the section layout never depends on server state;
-the section is at most :data:`MAX_FRAME_BYTES` when N > 1.  DEFLATE
+the lanes the entries declare total at most :data:`MAX_FRAME_BYTES`,
+deflated or not, so no frame inflates past that.  DEFLATE
 means shuffled planes, then zlib: each entry's ``(count, 8·lanes)``
 row bytes are transposed into ``8·lanes`` byte planes of ``count``
 bytes, the planes of every entry are concatenated in entry order, and
@@ -624,10 +625,12 @@ def parse_bin_feed(
         head = end + _ENTRY_TAIL.size
     shapes = tuple((count, lanes) for _sid, count, lanes in rows)
     total = _section_bytes(shapes)
-    if n > 1 and total > MAX_FRAME_BYTES:
+    if total > MAX_FRAME_BYTES:
+        # Checked before anything is inflated: a deflated section of
+        # zeros is ~1000x smaller than the rows it declares.
         raise ProtocolError(
-            f"feed_many entries declare {total} lane bytes; frames of "
-            f"several entries hold at most {MAX_FRAME_BYTES}"
+            f"feed_many entries declare {total} lane bytes; a frame "
+            f"holds at most {MAX_FRAME_BYTES}"
         )
     deflated = bool(flags & BIN_FLAG_DEFLATE)
     if not deflated and len(view) - head != total:

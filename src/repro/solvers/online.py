@@ -55,6 +55,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -140,12 +141,6 @@ class CursorBatch:
     def hyper_count(self) -> int:
         return int(self.installed.shape[0])
 
-    def installed_masks(self) -> list[int]:
-        """Installed hypercontexts as Python int masks (oracle encoding)."""
-        if self.installed.shape[0] == 0:
-            return []
-        return lanes_to_masks(self.installed)
-
 
 @dataclass(frozen=True)
 class FusedSweep:
@@ -169,7 +164,8 @@ class FusedSweep:
     installed:
         ``(T, L)`` uint64 — installed hypercontext lanes of all
         ``T`` triggers, session-major and in step order within each
-        session (matching ``np.nonzero(hyper)``).
+        session (matching ``np.nonzero(hyper)``; read-only, sessions
+        keep slices of it as their install log).
     installed_counts:
         ``(S,)`` int64 — triggers per session; cumulative sums slice
         ``installed`` into per-session runs.
@@ -197,25 +193,27 @@ class FusedSweep:
         return int(self.installed.shape[0])
 
 
-def _stack_rows(cursors, attr: str, S: int, L: int) -> np.ndarray:
-    """Stack one ``(L,)`` lane row per cursor into ``(S, L)``.
+def _stack_rows(cursors, attr: str, shape: tuple) -> np.ndarray:
+    """Stack one array per cursor (``attr`` is a dotted attribute
+    path) into ``shape``, whose first axis counts the cursors.
 
-    A sweep epilogue leaves each cursor's state as a row view of the
-    sweep's struct-of-arrays (and stamps ``_row``); when the same group
-    returns with every view intact — the steady serving state — the
-    previous array IS the stack, so it is reused instead of rebuilt.
-    Any per-session step in between replaces the cursor's row with a
-    fresh array, which defeats the aliasing check and falls back to a
-    fresh ``np.stack``.
+    A sweep epilogue leaves each cursor's state — and its stream's
+    history — as a row view of one struct-of-arrays (and stamps
+    ``_row``); when the same group returns with every view intact —
+    the steady serving state — the previous array IS the stack, so it
+    is reused instead of rebuilt.  Any per-session step in between
+    replaces the cursor's row with a fresh array, which defeats the
+    aliasing check and falls back to a fresh ``np.stack``.
     """
-    base = getattr(cursors[0], attr).base
-    if base is not None and base.shape == (S, L):
+    get = attrgetter(attr)
+    base = get(cursors[0]).base
+    if base is not None and base.shape == shape:
         for s, c in enumerate(cursors):
-            if c._row != s or getattr(c, attr).base is not base:
+            if c._row != s or get(c).base is not base:
                 break
         else:
             return base
-    return np.stack([getattr(c, attr) for c in cursors])
+    return np.stack([get(c) for c in cursors])
 
 
 def _lane_popcount(x: np.ndarray) -> np.ndarray:
@@ -246,24 +244,41 @@ class _EpochSweep:
     """Struct-of-arrays state shared by both ``sweep_many`` kernels.
 
     Holds every session's frozen hypercontext (``cur``/``cur_size``),
-    its resume offset ``pos`` into the stacked ``(S, Cmax, L)`` block
-    and the install records; the kernels only supply their policy's
-    trigger test.  Each epoch reads one window per live row, starting
-    at the row's *own* offset — no row pays for another row's dead
-    prefix — and the per-step ``sizes`` are filled once at the end, by
+    its resume offset ``pos`` into its chunk and the install records;
+    the kernels only supply their policy's trigger test.  The chunks
+    sit in one *history-prefixed* block ``ext`` of shape ``(S, H +
+    Cmax, L)``: each session's last ``H`` stream rows, oldest first
+    (zero rows in front for streams younger than ``H``), then its
+    chunk.  Chunk step ``t`` is block row ``H + t``, so every
+    working-set window ``t-H .. t`` lies inside the session's own
+    block row.  Each epoch reads one window per live row, starting at
+    the row's *own* offset — no row pays for another row's dead prefix
+    — and the per-step ``sizes`` are filled once at the end, by
     forward-filling the install records, instead of scattered epoch by
     epoch.
     """
 
     def __init__(self, cursors, block: np.ndarray, lengths, history: int):
         S, Cmax, L = block.shape
+        H = history
         self.cursors = cursors
-        self.block = block
-        self.flat = block.reshape(S * Cmax, L)
+        if H:
+            # History that extend_many left behind is reused as it
+            # stands when no per-session call replaced it.
+            ext = np.empty((S, H + Cmax, L), dtype=np.uint64)
+            ext[:, :H] = _stack_rows(
+                cursors, "stream.history_rows", (S, H, L)
+            )
+            ext[:, H:] = block
+        else:
+            ext = block
+        self.ext = ext
+        self.row_len = H + Cmax
+        self.flat = ext.reshape(S * self.row_len, L)
         self.lengths = _sweep_lengths(S, Cmax, lengths)
-        self.H = history
-        self.window = np.arange(history + 1)
-        self.cur = _stack_rows(cursors, "_cur", S, L)
+        self.H = H
+        self.window = np.arange(H + 1)
+        self.cur = _stack_rows(cursors, "_cur", (S, L))
         self.cur_size = np.fromiter(
             (c._cur_size for c in cursors), count=S, dtype=np.int64
         )
@@ -294,7 +309,7 @@ class _EpochSweep:
         if a.size == 0:
             return None
         self.epochs += 1
-        S, Cmax = self.block.shape[:2]
+        S = self.ext.shape[0]
         pa = self.pos[a]
         la = self.lengths[a]
         span = min(scan, int((la - pa).max()))
@@ -302,18 +317,25 @@ class _EpochSweep:
         lo = int(pa[0])
         steps = np.arange(span)
         if bool((pa == lo).all()) and int(n.min()) == span:
-            hi = lo + span
+            first = self.H + lo
             sub = (
-                self.block[:, lo:hi] if a.size == S
-                else self.block[a, lo:hi]
+                self.ext[:, first : first + span] if a.size == S
+                else self.ext[a, first : first + span]
             )
             return a, pa, lo + steps, sub, None, n
         cols = pa[:, None] + steps
         live = steps < n[:, None]
         # Dead cells may run past a row's end (into the next row's
         # cells or off the block); clip so the gather stays in bounds.
-        flat = np.minimum(a[:, None] * Cmax + cols, S * Cmax - 1)
+        flat = np.minimum(
+            (a * self.row_len + self.H)[:, None] + cols,
+            S * self.row_len - 1,
+        )
         return a, pa, cols, self.flat[flat], live, n
+
+    def rows_at(self, rows: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """``(A, L)`` requirement rows of ``rows`` at chunk steps ``t``."""
+        return self.flat[rows * self.row_len + self.H + t]
 
     @staticmethod
     def split(trigger: np.ndarray):
@@ -332,35 +354,17 @@ class _EpochSweep:
     def install(self, rows: np.ndarray, t: np.ndarray) -> None:
         """Hyperreconfigure ``rows`` at chunk steps ``t``.
 
-        The installed set is the OR over steps ``t-H .. t``.  Triggers
-        at least ``H`` columns into the chunk gather their whole window
-        off the block in one vectorized pass; triggers nearer the front
-        reach into the session's pre-chunk stream history row by row —
-        sessions younger than ``H`` steps clamp exactly like the scalar
-        cursors.
+        The installed set is the OR over steps ``t-H .. t``, which are
+        rows ``t .. t+H`` of the session's history-prefixed block row:
+        one gather and one OR-reduce for every due trigger, wherever in
+        the chunk it sits.  Streams younger than ``H`` read zero rows
+        in front — the identity for OR — so they clamp exactly like
+        the scalar cursors.
         """
-        block, H = self.block, self.H
-        if H == 0:
-            ws = block[rows, t]
-        else:
-            ws = np.empty((rows.size, block.shape[2]), dtype=np.uint64)
-            front = t < H
-            inner = ~front
-            if inner.any():
-                r2 = rows[inner]
-                t2 = t[inner]
-                ws[inner] = np.bitwise_or.reduce(
-                    block[r2[:, None], (t2 - H)[:, None] + self.window],
-                    axis=1,
-                )
-            for j in np.flatnonzero(front):
-                s = int(rows[j])
-                tj = int(t[j])
-                acc = np.bitwise_or.reduce(block[s, : tj + 1], axis=0)
-                tail = self.cursors[s].stream.tail_rows(H - tj)
-                if tail.shape[0]:
-                    acc = acc | np.bitwise_or.reduce(tail, axis=0)
-                ws[j] = acc
+        ws = np.bitwise_or.reduce(
+            self.flat[(rows * self.row_len + t)[:, None] + self.window],
+            axis=1,
+        )
         self.cur[rows] = ws
         sizes = _lane_popcount(ws)
         self.cur_size[rows] = sizes
@@ -375,23 +379,19 @@ class _EpochSweep:
         its row's latest install at or before it (the pre-chunk size
         before the first one), read through one index array.
         """
-        block, lengths = self.block, self.lengths
-        S, Cmax, L = block.shape
-        for s, c in enumerate(self.cursors):
+        lengths = self.lengths
+        S, _, L = self.ext.shape
+        Cmax = self.row_len - self.H
+        streams = []
+        cur_sizes = self.cur_size.tolist()
+        for s, (c, size) in enumerate(zip(self.cursors, cur_sizes)):
             c._cur = self.cur[s]
-            c._cur_size = int(self.cur_size[s])
+            c._cur_size = size
             c._row = s
+            streams.append(c.stream)
         ragged = int(lengths.min()) != Cmax
-        unions = np.empty((S, L), dtype=np.uint64)
-        for lane in range(L):  # lane by lane, see _lane_popcount
-            np.bitwise_or.reduce(
-                block[:, :, lane], axis=1, out=unions[:, lane]
-            )
         PackedStream.extend_many(
-            [c.stream for c in self.cursors],
-            block,
-            unions=unions,
-            lengths=lengths if ragged else None,
+            streams, self.ext, lengths=lengths if ragged else None
         )
         hyper = np.zeros((S, Cmax), dtype=bool)
         latest = np.zeros((S, Cmax), dtype=np.intp)
@@ -418,6 +418,7 @@ class _EpochSweep:
             sizes[np.arange(Cmax) >= lengths[:, None]] = 0
         hyper.setflags(write=False)
         sizes.setflags(write=False)
+        installed.setflags(write=False)
         return FusedSweep(
             hyper=hyper,
             sizes=sizes,
@@ -465,14 +466,16 @@ def _sweep_small(cursors, block: np.ndarray, lengths) -> FusedSweep:
         counts[s] = batch.installed.shape[0]
         installed.append(batch.installed)
         epochs = max(epochs, int(counts[s]))
-    hyper.setflags(write=False)
-    sizes.setflags(write=False)
+    installed = (
+        np.concatenate(installed, axis=0) if installed
+        else np.zeros((0, L), dtype=np.uint64)
+    )
+    for arr in (hyper, sizes, installed):
+        arr.setflags(write=False)
     return FusedSweep(
         hyper=hyper,
         sizes=sizes,
-        installed=np.concatenate(installed, axis=0)
-        if installed
-        else np.zeros((0, L), dtype=np.uint64),
+        installed=installed,
         installed_counts=counts,
         lengths=lengths,
         epochs=epochs,
@@ -809,10 +812,12 @@ class _BatchedRentOrBuyCursor:
         session's *next* trigger (misfit, regret overflow, or the
         forced first step) with one argmax, and resolves all due
         triggers in one batched install pass: working-set windows
-        gathered off the block (pre-chunk stream history for triggers
-        near the chunk front), popcounts, served resets, regret
-        resets.  Sessions with no trigger in the window
-        bank their served union and regret and resume next epoch.  The
+        gathered off the sweep's history-prefixed block (each
+        session's last ``memory - 1`` stream rows sit above its chunk,
+        so a trigger at the chunk front reads its window like any
+        other), popcounts, served resets, regret resets.  Sessions
+        with no trigger in the window bank their served union and
+        regret and resume next epoch.  The
         outer loop therefore runs once per *trigger epoch* (bounded by
         the densest chunk), never per session × step.
 
@@ -830,7 +835,7 @@ class _BatchedRentOrBuyCursor:
             return _sweep_small(cursors, block, lengths)
         sweep = _EpochSweep(cursors, block, lengths, cursors[0].memory - 1)
         cur, cur_size = sweep.cur, sweep.cur_size
-        served = _stack_rows(cursors, "_served", S, L)
+        served = _stack_rows(cursors, "_served", (S, L))
         regret = np.fromiter(
             (c._regret for c in cursors), count=S, dtype=np.float64
         )
@@ -875,14 +880,14 @@ class _BatchedRentOrBuyCursor:
                 rows = a[tr]
                 t = pa[tr] + tcol
                 sweep.install(rows, t)
-                served[rows] = block[rows, t]
+                served[rows] = sweep.rows_at(rows, t)
                 regret[rows] = 0.0
                 scan = scan_min
             else:
                 scan = min(scan * 2, scan_max)
-        for s, c in enumerate(cursors):
+        for s, (c, r) in enumerate(zip(cursors, regret.tolist())):
             c._served = served[s]
-            c._regret = float(regret[s])
+            c._regret = r
         return sweep.finish()
 
 
@@ -1058,10 +1063,11 @@ class _BatchedWindowCursor:
         per-row AND-any tests against the frozen hypercontext — no
         prefix accumulate or regret state at all.  Every due trigger
         resolves in one batched install pass (rolling ``k+1``-wide
-        window unions gathered off the block and, for triggers nearer
-        the front than ``k``, the pre-chunk stream history), and the
-        sweep resumes from per-session offsets; a cadence ``k < C``
-        triggers every epoch and still never leaves the kernel.
+        window unions gathered off the history-prefixed block, whose
+        last ``k`` stream rows per session cover triggers near the
+        chunk front), and the sweep resumes from per-session offsets;
+        a cadence ``k < C`` triggers every epoch and still never leaves
+        the kernel.
         """
         S = block.shape[0]
         if S <= SMALL_STACK_SESSIONS:

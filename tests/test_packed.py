@@ -103,6 +103,44 @@ class TestLanePrimitives:
             lanes = masks_to_lanes([1 << bit], size)
             assert lanes_to_masks(lanes) == [1 << bit]
 
+    @settings(deadline=None, max_examples=60)
+    @given(
+        st.integers(min_value=1, max_value=4),
+        st.lists(st.integers(min_value=0, max_value=3), max_size=3),
+        st.data(),
+    )
+    def test_lanes_to_masks_matches_the_lane_loop(self, L, lead, data):
+        """Any ``(..., L)`` input, bits at every 64-bit boundary: the
+        result equals folding the lanes high to low one row at a time,
+        nested like the leading shape (a bare int for 1-D input)."""
+        edges = [0, 1, 1 << 63, (1 << 64) - 1, (1 << 63) | 1]
+        lane = st.one_of(
+            st.sampled_from(edges),
+            st.integers(min_value=0, max_value=(1 << 64) - 1),
+        )
+        shape = (*lead, L)
+        cells = data.draw(
+            st.lists(lane, min_size=int(np.prod(shape)),
+                     max_size=int(np.prod(shape)))
+        )
+        arr = np.array(cells, dtype=np.uint64).reshape(shape)
+
+        def fold(row) -> int:
+            mask = 0
+            for value in reversed(row.tolist()):
+                mask = (mask << 64) | value
+            return mask
+
+        def nest(a):
+            if a.ndim == 1:
+                return fold(a)
+            return [nest(sub) for sub in a]
+
+        assert lanes_to_masks(arr) == nest(arr)
+        # Non-contiguous input reads the same rows.
+        wide = np.repeat(arr, 2, axis=-1)[..., ::2]
+        assert lanes_to_masks(wide) == nest(arr)
+
     def test_oversized_mask_rejected(self):
         with pytest.raises(ValueError):
             masks_to_lanes([1 << 64], 64)

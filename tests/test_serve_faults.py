@@ -17,9 +17,10 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
-from repro.core.packed import masks_to_lanes
+from repro.core.packed import lane_count, masks_to_lanes
 from repro.core.switches import SwitchUniverse
 from repro.engine.stream import StreamHub, StreamSession
 from repro.serve.client import ServeClient, ServeError
@@ -30,6 +31,7 @@ from repro.serve.protocol import (
     BIN_OP_FEED_MANY,
     BIN_VERSION,
     MAX_FEED_ENTRIES,
+    MAX_FRAME_BYTES,
     encode_feed_bin,
     encode_frame,
     error_frame,
@@ -243,6 +245,29 @@ class TestFeedManyFaults:
             reply = client._recv_reply()
             assert not reply["ok"]
             assert f"at most {MAX_FEED_ENTRIES}" in reply["error"]
+            costs = _finish(client, traces, 0)
+            assert client.stats()["server"]["protocol_errors"] == 1
+        assert costs == _oracle(traces)
+
+    def test_lone_entry_over_the_frame_cap_is_one_frame_error(self, server):
+        """One deflated entry declaring more lane bytes than a frame
+        holds: a frame-level error reply before anything is inflated,
+        no step served, and the connection serves on.  The client
+        refuses to send such a chunk at all."""
+        traces = _traces(2)
+        width = 192  # 3 lanes: 65536 steps declare 1.5 MiB
+        zeros = np.zeros((65536, lane_count(width)), dtype=np.uint64)
+        assert zeros.nbytes > MAX_FRAME_BYTES
+        with ServeClient(*server, proto="bin") as client:
+            self._open(client, traces)
+            wide = client.open(width=width, w=W, session_id="wide")
+            reply = _feed_many(client, [(wide, zeros)], deflate=True)
+            assert not reply["ok"]
+            assert f"at most {MAX_FRAME_BYTES}" in reply["error"]
+            with pytest.raises(ValueError, match="frame limit"):
+                client.feed(wide, zeros)
+            assert client.feed(wide, zeros[:60]).start == 0
+            assert client.close_session(wide).steps == 60
             costs = _finish(client, traces, 0)
             assert client.stats()["server"]["protocol_errors"] == 1
         assert costs == _oracle(traces)

@@ -10,9 +10,10 @@ hyper-parameters, chunkings from single steps to 4096-step blocks,
 ragged per-session chunk lengths, and adversarial trigger-every-step
 streams.  The suite also pins the satellite contracts of the fused
 PRs: batched ``PackedStream.extend_many`` vs per-stream ``extend``
-(ragged lengths included), the O(1) ``total_steps``/``total_hypers``
-counters, the galloping-scan bound tunables, and shard-placement
-independence through the fused path.
+(ragged lengths included), installs near a chunk's front that read
+the history rows stacked above it, the O(1)
+``total_steps``/``total_hypers`` counters, the galloping-scan bound
+tunables, and shard-placement independence through the fused path.
 """
 
 import numpy as np
@@ -563,19 +564,25 @@ class TestExtendMany:
         st.integers(min_value=0, max_value=9),
         st.integers(min_value=1, max_value=40),
         st.integers(min_value=2, max_value=5),
+        st.booleans(),
         st.integers(min_value=0, max_value=1000),
     )
     def test_extend_many_matches_per_stream_extend(
-        self, width, history, chunk, streams, seed
+        self, width, history, chunk, streams, ragged, seed
     ):
-        """Batched extend over S streams is observably identical to
-        per-stream extend: totals, window unions, tail rows, counts."""
+        """One extend_many over S streams' history-prefixed block is
+        observably identical to per-stream extend: counts, history
+        rows and tail rows, ragged lengths included."""
         rng = make_rng(seed)
         L = (width + 63) // 64
         block = rng.integers(
             0, 1 << 63, size=(streams, chunk, L), dtype=np.uint64
         )
-        # Seed each stream with a distinct prefix so ring state differs.
+        lengths = (
+            rng.integers(1, chunk + 1, size=streams) if ragged else None
+        )
+        # Seed each stream with a distinct prefix so histories differ
+        # (some streams stay younger than ``history``).
         prefixes = [
             rng.integers(
                 0, 1 << 63, size=(int(rng.integers(0, 2 * history + 2)), L),
@@ -586,25 +593,111 @@ class TestExtendMany:
         batched = [PackedStream(width, history=history) for _ in range(streams)]
         solo = [PackedStream(width, history=history) for _ in range(streams)]
         for s in range(streams):
-            if len(prefixes[s]):
-                batched[s].extend(prefixes[s])
-                solo[s].extend(prefixes[s])
-        PackedStream.extend_many(batched, block)
+            batched[s].extend(prefixes[s])
+            solo[s].extend(prefixes[s])
+        ext = np.concatenate(
+            [np.stack([st_.history_rows for st_ in batched]), block], axis=1
+        )
+        PackedStream.extend_many(batched, ext, lengths=lengths)
         for s in range(streams):
-            solo[s].extend(block[s])
+            n_s = chunk if lengths is None else int(lengths[s])
+            solo[s].extend(block[s, :n_s])
         for s in range(streams):
             assert batched[s].n == solo[s].n
-            assert batched[s].union_mask == solo[s].union_mask
-            assert batched[s].union_size == solo[s].union_size
-            if history:
-                assert (
-                    batched[s].window_union_mask()
-                    == solo[s].window_union_mask()
-                )
-                tail = min(batched[s].n, history)
+            np.testing.assert_array_equal(
+                batched[s].history_rows, solo[s].history_rows
+            )
+            for k in range(history + 2):
                 np.testing.assert_array_equal(
-                    batched[s].tail_rows(tail), solo[s].tail_rows(tail)
+                    batched[s].tail_rows(k), solo[s].tail_rows(k)
                 )
+
+
+def _front_drift_chunks(rng, width, history, lengths):
+    """Chunks of the given lengths whose working set changes at a
+    random step in the first ``history`` steps of every chunk, so the
+    installs there read their window partly from the previous chunks."""
+    full = (1 << width) - 1
+    nbytes = (width + 7) // 8
+
+    def fresh():
+        return int.from_bytes(rng.bytes(nbytes), "little") & full
+
+    working = fresh()
+    chunks = []
+    for length in lengths:
+        drift = int(rng.integers(0, min(history, length)))
+        chunk = []
+        for t in range(length):
+            if t == drift:
+                working = fresh()
+            chunk.append(working | (fresh() if rng.random() < 0.1 else 0))
+        chunks.append(chunk)
+    return chunks
+
+
+class TestHistoryPrefixedInstalls:
+    """Installs near a chunk's front read the stream history rows that
+    the sweep stacks above the chunk; young streams read zero rows."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        st.sampled_from(["rent_or_buy", "window"]),
+        st.one_of(
+            st.sampled_from(BOUNDARY_WIDTHS),
+            st.integers(min_value=1, max_value=140),
+        ),
+        st.integers(min_value=2, max_value=9),
+        st.integers(min_value=2, max_value=6),
+        st.integers(min_value=0, max_value=1000),
+    )
+    def test_front_installs_match_scalar_sessions(
+        self, kind, width, history, sessions, seed
+    ):
+        rng = make_rng(seed)
+        universe = SwitchUniverse.of_size(width)
+
+        def scheduler(s):
+            if kind == "window":
+                return WindowScheduler(k=history)
+            return RentOrBuyScheduler(
+                float(1 + s % 4), alpha=(0.5, 2.0)[s % 2], memory=history + 1
+            )
+
+        rounds = 4
+        plans = []
+        for s in range(sessions):
+            # Round 0 leaves every stream younger than ``history``;
+            # later chunks are ragged, shorter and longer than it.
+            lengths = [int(rng.integers(1, history))] + [
+                int(rng.integers(1, 3 * history)) for _ in range(rounds - 1)
+            ]
+            plans.append(_front_drift_chunks(rng, width, history, lengths))
+        hub = StreamHub()
+        ids = [f"u{s}" for s in range(sessions)]
+        for s, sid in enumerate(ids):
+            hub.open(scheduler(s), universe, float(1 + s % 4), session_id=sid)
+        for r in range(rounds):
+            hub.feed_many({
+                sid: masks_to_lanes(plans[s][r], width)
+                for s, sid in enumerate(ids)
+            })
+            assert hub.last_fused[:3] == (sessions, 0, (sessions,))
+        runs = hub.finish_all()
+        for s, sid in enumerate(ids):
+            oracle = StreamSession(
+                ScalarOnly(scheduler(s)), universe, float(1 + s % 4)
+            )
+            for chunk in plans[s]:
+                for mask in chunk:
+                    oracle.feed(mask)
+            expect = oracle.finish()
+            assert runs[sid].cost == expect.cost
+            assert runs[sid].schedule.hyper_steps == expect.schedule.hyper_steps
+            assert (
+                runs[sid].schedule.explicit_masks
+                == expect.schedule.explicit_masks
+            )
 
 
 class TestTotalsCounters:

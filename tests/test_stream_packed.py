@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.context import RequirementSequence
 from repro.core.cost_single import switch_cost
-from repro.core.packed import PackedStream, masks_to_lanes
+from repro.core.packed import PackedStream, lanes_to_masks, masks_to_lanes
 from repro.core.switches import SwitchUniverse
 from repro.engine.stream import StreamHub, StreamSession
 from repro.solvers.online import (
@@ -91,7 +91,7 @@ class TestBatchedCursorEquivalence:
             batch = batched.step_many(lanes[pos : pos + step])
             got_hyper.extend(bool(h) for h in batch.hyper)
             got_sizes.extend(int(s) for s in batch.sizes)
-            got_installed.extend(batch.installed_masks())
+            got_installed.extend(lanes_to_masks(batch.installed))
             pos += step
 
         assert got_hyper == ref_hyper
@@ -254,52 +254,75 @@ class TestBatchedCursorEquivalence:
 
 
 class TestPackedStream:
-    @settings(deadline=None, max_examples=40)
+    @settings(deadline=None, max_examples=100)
     @given(
         universe_sizes,
-        st.integers(min_value=1, max_value=7),
+        st.integers(min_value=0, max_value=7),
+        st.integers(min_value=1, max_value=3),
         st.data(),
     )
-    def test_window_union_matches_deque(self, size, history, data):
-        """The two-stack rolling window union equals a maxlen deque
-        under any mix of single appends and chunked extends."""
+    def test_history_matches_deque(self, size, history, streams, data):
+        """Any mix of extend, push and extend_many leaves every
+        stream's count and tail rows equal to a ``deque(maxlen=
+        history)`` of the masks it was fed: ragged lengths, chunks
+        shorter and longer than ``history``, and ``history`` 0."""
         universe = SwitchUniverse.of_size(size)
-        stream = PackedStream(size, history=history)
-        reference: deque = deque(maxlen=history)
         mask_st = st.integers(min_value=0, max_value=universe.full_mask)
-        total = 0
-        for _ in range(data.draw(st.integers(min_value=1, max_value=12))):
-            if data.draw(st.booleans()):
-                chunk = data.draw(
-                    st.lists(mask_st, min_size=1, max_size=2 * history + 3)
+        chunk_st = st.lists(mask_st, min_size=0, max_size=2 * history + 3)
+        group = [PackedStream(size, history=history) for _ in range(streams)]
+        oracle = [deque(maxlen=history) for _ in range(streams)]
+        fed = [0] * streams
+        for _ in range(data.draw(st.integers(min_value=1, max_value=8))):
+            op = data.draw(st.sampled_from(["extend", "push", "extend_many"]))
+            if op == "extend_many":
+                chunks = [data.draw(chunk_st) for _ in range(streams)]
+                cmax = max(len(c) for c in chunks)
+                block = np.zeros(
+                    (streams, cmax, group[0].lane_width), dtype=np.uint64
                 )
-                stream.extend(masks_to_lanes(chunk, size))
-                reference.extend(chunk)
-                total += len(chunk)
+                for s, chunk in enumerate(chunks):
+                    if chunk:
+                        block[s, : len(chunk)] = masks_to_lanes(chunk, size)
+                ext = np.concatenate(
+                    [np.stack([st_.history_rows for st_ in group]), block],
+                    axis=1,
+                )
+                lengths = [len(c) for c in chunks]
+                if len(set(lengths)) == 1:
+                    lengths = None  # every stream takes all Cmax rows
+                PackedStream.extend_many(group, ext, lengths=lengths)
             else:
-                mask = data.draw(mask_st)
-                stream.append_mask(mask)
-                reference.append(mask)
-                total += 1
-            window = 0
-            for m in reference:
-                window |= m
-            assert stream.window_union_mask() == window
-            assert stream.n == total
+                s = data.draw(st.integers(min_value=0, max_value=streams - 1))
+                chunks = [[] for _ in range(streams)]
+                chunks[s] = data.draw(chunk_st)
+                lanes = masks_to_lanes(chunks[s], size)
+                if op == "extend":
+                    group[s].extend(lanes)
+                else:
+                    ext, off = group[s].push(lanes)
+                    assert off == len(oracle[s])
+                    assert lanes_to_masks(ext) == [*oracle[s], *chunks[s]]
+            for s, chunk in enumerate(chunks):
+                oracle[s].extend(chunk)
+                fed[s] += len(chunk)
+            for s, stream in enumerate(group):
+                assert stream.n == len(stream) == fed[s]
+                for k in range(history + 2):
+                    kept = list(oracle[s])
+                    expect = kept[len(kept) - min(k, len(kept)) :]
+                    assert lanes_to_masks(stream.tail_rows(k)) == expect
+                padded = [0] * (history - len(oracle[s])) + list(oracle[s])
+                assert lanes_to_masks(stream.history_rows) == padded
 
-    def test_running_union_and_tail(self):
+    def test_tail_rows_oldest_first(self):
         stream = PackedStream(70, history=3)
         masks = [1 << 69, 3, 1 << 64, 5, 9]
         for m in masks:
-            stream.append_mask(m)
-        full = 0
-        for m in masks:
-            full |= m
-        assert stream.union_mask == full
-        assert stream.union_size == full.bit_count()
+            stream.extend(masks_to_lanes([m], 70))
         tail = stream.tail_rows(3)
         assert tail.shape == (3, 2)
         assert [int(t[0]) | (int(t[1]) << 64) for t in tail] == masks[-3:]
+        assert not tail.flags.writeable
 
     def test_push_returns_history_prefixed_chunk(self):
         stream = PackedStream(10, history=2)
@@ -313,9 +336,8 @@ class TestPackedStream:
         stream = PackedStream(8)
         stream.extend(masks_to_lanes([1, 2], 8))
         assert stream.n == 2
-        assert stream.union_mask == 3
-        with pytest.raises(ValueError):
-            stream.window_union_lanes()
+        assert stream.history_rows.shape == (0, 1)
+        assert stream.tail_rows(5).shape == (0, 1)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -324,7 +346,14 @@ class TestPackedStream:
             PackedStream(8, history=-1)
         stream = PackedStream(8, history=2)
         with pytest.raises(ValueError):
-            stream.append_lanes(np.zeros(2, dtype=np.uint64))
+            stream.extend(np.zeros((1, 2), dtype=np.uint64))
+        with pytest.raises(ValueError):
+            stream.tail_rows(-1)
+        other = PackedStream(8, history=3)
+        with pytest.raises(ValueError, match="equal lane width"):
+            PackedStream.extend_many(
+                [stream, other], np.zeros((2, 5, 1), dtype=np.uint64)
+            )
 
 
 class TestPackedSession:

@@ -369,6 +369,22 @@ class TestBinaryRoundTrip:
                 opcode, BIN_FLAG_DEFLATE, b"\x02\x00" + big + big
             )
 
+    def test_lone_entry_may_not_declare_more_than_a_frame(self):
+        """The declared-lanes cap holds for a frame of one entry too:
+        a deflated section is never inflated past one frame of rows."""
+        rows = MAX_FRAME_BYTES // 8
+
+        def lone(count: int) -> bytes:
+            return b"\x01\x00\x01a" + count.to_bytes(4, "little") \
+                + b"\x01\x00" + zlib.compress(bytes(8), 1)
+
+        with pytest.raises(ProtocolError, match=f"at most {MAX_FRAME_BYTES}"):
+            parse_bin_feed(BIN_OP_FEED_MANY, BIN_FLAG_DEFLATE, lone(rows + 1))
+        (entry,) = parse_bin_feed(
+            BIN_OP_FEED_MANY, BIN_FLAG_DEFLATE, lone(rows)
+        )
+        assert entry.count == rows
+
     def test_feed_many_corrupt_deflate_fails_every_entry(self):
         lanes = masks_to_lanes([1, 2, 3, 1, 2, 3], 8)
         wire = bytearray(

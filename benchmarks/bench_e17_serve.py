@@ -9,11 +9,11 @@ to the single-hub oracle (serving must change speed, never answers):
   the memory-bandwidth knee (`repro bench --sessions N` extends the
   axis further);
 * **shard scaling** — the same calm-phase workload through 1/2/4
-  thread and process shards.  Scaling is machine-bound: a box with one
-  usable core *cannot* speed up, so the ≥2× (1 → 4 process shards)
-  acceptance assertion arms only when the machine actually has ≥4
-  cores (the table itself prints everywhere, and the bit-identical
-  cost assertion always holds);
+  shards (one in-process shard; N > 1 process shards).  Scaling is
+  machine-bound: a box with one usable core *cannot* speed up, so the
+  ≥2× (1 → 4 shards) acceptance assertion arms only when the machine
+  actually has ≥4 cores (the table itself prints everywhere, and the
+  bit-identical cost assertion always holds);
 * **loopback requests/s** — a live :class:`StreamServer` per shard
   count, driven by the :mod:`repro.serve.loadgen` client fleet over
   real TCP connections, with oracle verification on.
@@ -29,13 +29,13 @@ from repro.obs.histogram import Histogram
 from repro.serve.client import ServeClient
 from repro.serve.loadgen import drifting_masks, run_loadgen
 from repro.serve.server import ServeConfig, ServerThread
-from repro.serve.shard import ShardPool
+from repro.serve.shard import ShardPool, shard_kind
 from repro.solvers.online import RentOrBuyScheduler, WindowScheduler
 from repro.util.texttable import format_table
 
-#: Shard-scaling acceptance: ≥2× aggregate steps/s from 1 to 4 process
-#: shards on the calm-phase workload — armed when the machine has the
-#: cores to show it (a 1-core box physically cannot).
+#: Shard-scaling acceptance: ≥2× aggregate steps/s from 1 to 4 shards
+#: on the calm-phase workload — armed when the machine has the cores to
+#: show it (a 1-core box physically cannot).
 SCALING_SHARDS = 4
 MIN_SCALING = 2.0
 
@@ -137,7 +137,7 @@ def test_bench_serve_sessions_knee(
 
 
 def test_bench_serve_shard_scaling(benchmark, smoke, bench_artifact):
-    """Calm-phase workload across 1/2/4 thread and process shards."""
+    """Calm-phase workload across 1/2/4 shards."""
     width = 256
     per_session = 1_000 if smoke else 4_000
     sessions = 16 if smoke else 32
@@ -151,55 +151,52 @@ def test_bench_serve_shard_scaling(benchmark, smoke, bench_artifact):
     trajectory = []
     reference_costs = None
     reference_hists = None
-    proc_rates: dict[int, float] = {}
-    for procs in (False, True):
-        for shards in (1, 2, SCALING_SHARDS):
-            with ShardPool(shards, procs=procs) as pool:
-                for sid in feeds:
-                    pool.open(
-                        RentOrBuyScheduler(w, alpha=2.0, memory=8),
-                        universe,
-                        w,
-                        session_id=sid,
-                    )
-                t0 = time.perf_counter()
-                for lo in range(0, per_session, chunk):
-                    pool.feed_many({
-                        sid: lanes[lo : lo + chunk]
-                        for sid, lanes in feeds.items()
-                    })
-                elapsed = time.perf_counter() - t0
-                runs = pool.finish_all()
-                merged = pool.merged_histograms()
-            costs = {sid: run.cost for sid, run in runs.items()}
-            hists = {
-                name: merged[name].aggregate()
-                for name in DETERMINISTIC_FAMILIES
-            }
-            # Shard placement must never change an answer — nor a
-            # distribution: every pool shape's merged deterministic
-            # histograms are bit-identical to the 1-shard (single-hub)
-            # aggregates for the same traffic.
-            if reference_costs is None:
-                reference_costs, reference_hists = costs, hists
-            else:
-                assert costs == reference_costs
-                assert hists == reference_hists
-            total = sessions * per_session
-            rate = total / elapsed
-            if procs:
-                proc_rates[shards] = rate
-            rows.append([
-                "proc" if procs else "thread",
-                shards,
-                round(1e3 * elapsed, 1),
-                f"{rate:,.0f}",
-            ])
-            trajectory.append({
-                "kind": "proc" if procs else "thread",
-                "shards": shards,
-                "steps_per_s": rate,
-            })
+    rates: dict[int, float] = {}
+    for shards in (1, 2, SCALING_SHARDS):
+        with ShardPool(shards) as pool:
+            for sid in feeds:
+                pool.open(
+                    RentOrBuyScheduler(w, alpha=2.0, memory=8),
+                    universe,
+                    w,
+                    session_id=sid,
+                )
+            t0 = time.perf_counter()
+            for lo in range(0, per_session, chunk):
+                pool.feed_many({
+                    sid: lanes[lo : lo + chunk]
+                    for sid, lanes in feeds.items()
+                })
+            elapsed = time.perf_counter() - t0
+            runs = pool.finish_all()
+            merged = pool.merged_histograms()
+        costs = {sid: run.cost for sid, run in runs.items()}
+        hists = {
+            name: merged[name].aggregate()
+            for name in DETERMINISTIC_FAMILIES
+        }
+        # Shard placement must never change an answer — nor a
+        # distribution: every pool shape's merged deterministic
+        # histograms are bit-identical to the 1-shard (single-hub)
+        # aggregates for the same traffic.
+        if reference_costs is None:
+            reference_costs, reference_hists = costs, hists
+        else:
+            assert costs == reference_costs
+            assert hists == reference_hists
+        total = sessions * per_session
+        rates[shards] = rate = total / elapsed
+        rows.append([
+            shard_kind(shards),
+            shards,
+            round(1e3 * elapsed, 1),
+            f"{rate:,.0f}",
+        ])
+        trajectory.append({
+            "kind": shard_kind(shards),
+            "shards": shards,
+            "steps_per_s": rate,
+        })
     bench_artifact.record("e17", "shard_scaling", trajectory)
 
     def once():
@@ -210,14 +207,14 @@ def test_bench_serve_shard_scaling(benchmark, smoke, bench_artifact):
 
     benchmark.pedantic(once, iterations=1, rounds=1)
 
-    scaling = proc_rates[SCALING_SHARDS] / proc_rates[1]
+    scaling = rates[SCALING_SHARDS] / rates[1]
     print()
     print(format_table(
         ["shard kind", "shards", "wall ms", "steps/s"],
         rows,
         title=f"E17: shard scaling, calm phases "
               f"({sessions} sessions × {per_session} steps, "
-              f"{cores} usable core(s), 1→{SCALING_SHARDS} proc shards "
+              f"{cores} usable core(s), 1→{SCALING_SHARDS} shards "
               f"{scaling:.2f}×)",
     ))
     if not smoke and cores >= SCALING_SHARDS:
@@ -287,6 +284,7 @@ def test_bench_serve_loopback_requests(benchmark, smoke, bench_artifact):
             ms = 1e3
             rows.append([
                 shards,
+                shard_kind(shards),
                 proto,
                 result.sessions,
                 result.frames,
@@ -303,6 +301,7 @@ def test_bench_serve_loopback_requests(benchmark, smoke, bench_artifact):
             ])
             trajectory.append({
                 "shards": shards,
+                "kind": shard_kind(shards),
                 "proto": proto,
                 "sessions": result.sessions,
                 # Requests/s; the key stays, so the regression guard
@@ -328,7 +327,8 @@ def test_bench_serve_loopback_requests(benchmark, smoke, bench_artifact):
 
     print()
     print(format_table(
-        ["shards", "proto", "sessions", "requests", "wall s", "requests/s",
+        ["shards", "kind", "proto", "sessions", "requests", "wall s",
+         "requests/s",
          "steps/s", "req bytes", "decode ms",
          "client p50/p95/p99 ms", "drain p50/p95/p99 ms", "fused %"],
         rows,

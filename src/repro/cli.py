@@ -13,10 +13,10 @@ Subcommands cover the common workflows without writing Python:
   multistart fan-out and surface its per-restart stats);
 * ``repro stream [apps…]`` — replay app traces as live requirement
   streams through the sharded serving layer
-  (:class:`~repro.serve.shard.ShardPool`; ``--shards``/``--shard-procs``
-  pick the fleet shape, 1 thread shard by default) and print
-  per-session accounting plus steps/sec and hyper-rate metrics —
-  finite replays and live sockets share this code path;
+  (:class:`~repro.serve.shard.ShardPool`; ``--shards N`` picks the
+  fleet shape: 1 in-process shard by default, N > 1 process shards)
+  and print per-session accounting plus steps/sec and hyper-rate
+  metrics — finite replays and live sockets share this code path;
 * ``repro serve`` — run the network serving process: asyncio TCP (or
   ``--stdin``) front door over the shard pool, speaking the framed
   JSON protocol of :mod:`repro.serve.protocol`
@@ -349,7 +349,7 @@ def _stream_policy(args, w: float):
 
 
 def cmd_stream(args) -> int:
-    from repro.serve.shard import ShardPool, shard_index
+    from repro.serve.shard import ShardPool, shard_index, shard_kind
 
     if args.sessions < 1 or args.repeat < 1 or args.chunk < 1:
         print("--sessions, --repeat and --chunk must be at least 1",
@@ -376,7 +376,7 @@ def cmd_stream(args) -> int:
     # Finite replays run through the same shard layer a live socket
     # fleet does (repro serve); a 1-shard pool is the old single-hub
     # behavior, per-session results are identical for any shape.
-    pool = ShardPool(args.shards, procs=args.shard_procs)
+    pool = ShardPool(args.shards)
     try:
         sessions = []  # (session_id, app, masks)
         for app in apps:
@@ -442,12 +442,11 @@ def cmd_stream(args) -> int:
             run.schedule.r,
             round(run.cost, 1),
         ])
-    kind = "proc" if args.shard_procs else "thread"
     print(format_table(
         ["session", "policy", "steps", "hypers", "cost"],
         rows,
         title=f"stream: {len(sessions)} session(s), "
-              f"{args.shards} {kind} shard(s), "
+              f"{args.shards} {shard_kind(args.shards)} shard(s), "
               f"chunk={args.chunk}, repeat={args.repeat}",
     ))
     print()
@@ -459,20 +458,19 @@ def cmd_serve(args) -> int:
     import asyncio
 
     from repro.serve.server import ServeConfig, StreamServer
+    from repro.serve.shard import shard_kind
 
     try:
         config = ServeConfig(
             host=args.host,
             port=args.port,
             shards=args.shards,
-            shard_procs=args.shard_procs,
             max_sessions=args.max_sessions,
             max_chunk_steps=args.max_chunk,
             queue_depth=args.queue_depth,
             metrics_port=args.metrics_port,
             stats_interval=args.stats_interval,
             slow_ms=args.slow_ms,
-            proto=args.proto,
         )
     except ValueError as exc:
         print(exc, file=sys.stderr)
@@ -507,8 +505,7 @@ def cmd_serve(args) -> int:
             else:
                 host, port = server.address
                 print(f"serving on {host}:{port} "
-                      f"({config.shards} "
-                      f"{'proc' if config.shard_procs else 'thread'} "
+                      f"({config.shards} {shard_kind(config.shards)} "
                       f"shard(s))", file=sys.stderr)
                 if server.metrics_address is not None:
                     mhost, mport = server.metrics_address
@@ -572,6 +569,7 @@ def cmd_serve_stats(args) -> int:
 def cmd_serve_bench(args) -> int:
     from repro.serve.loadgen import run_loadgen
     from repro.serve.server import ServeConfig, ServerThread
+    from repro.serve.shard import shard_kind
 
     if args.sessions < 1 or args.steps < 1 or args.chunk < 1:
         print("--sessions, --steps and --chunk must be at least 1",
@@ -595,7 +593,6 @@ def cmd_serve_bench(args) -> int:
     for shards in shard_counts:
         config = ServeConfig(
             shards=shards,
-            shard_procs=args.shard_procs,
             max_sessions=max(4096, args.sessions + 1),
         )
         with ServerThread(config) as (host, port):
@@ -633,6 +630,7 @@ def cmd_serve_bench(args) -> int:
         decode_ms = sum(decode.values()) * ms
         rows.append([
             shards,
+            shard_kind(shards),
             result.proto,
             result.sessions,
             result.steps,
@@ -649,6 +647,7 @@ def cmd_serve_bench(args) -> int:
         ])
         payload.append({
             "shards": shards,
+            "kind": shard_kind(shards),
             "proto": result.proto,
             "pipeline": args.pipeline,
             "sessions": result.sessions,
@@ -673,13 +672,12 @@ def cmd_serve_bench(args) -> int:
         json.dump(payload, sys.stdout, indent=2)
         print()
         return 0
-    kind = "proc" if args.shard_procs else "thread"
     print(format_table(
-        ["shards", "proto", "sessions", "steps", "wall s", "steps/s",
+        ["shards", "kind", "proto", "sessions", "steps", "wall s", "steps/s",
          "fused %", "requests/s", "req bytes", "decode ms",
          "client p50/p95/p99 ms", "drain p50/p95/p99 ms", "verified"],
         rows,
-        title=f"serve-bench: loopback, {kind} shards, "
+        title=f"serve-bench: loopback, "
               f"{args.clients} client(s), chunk={args.chunk}, "
               f"policy={args.policy}",
     ))
@@ -1053,11 +1051,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_stream.add_argument(
         "--shards", type=int, default=1,
-        help="hub shards the sessions hash-partition across",
-    )
-    p_stream.add_argument(
-        "--shard-procs", action="store_true",
-        help="process shards instead of threads (true parallelism)",
+        help="hub shards the sessions hash-partition across "
+             "(1 runs in-process, more run one process each)",
     )
     p_stream.add_argument(
         "--naive", action="store_true",
@@ -1078,11 +1073,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--shards", type=int, default=1,
-        help="hub shards the sessions hash-partition across",
-    )
-    p_serve.add_argument(
-        "--shard-procs", action="store_true",
-        help="process shards instead of threads",
+        help="hub shards the sessions hash-partition across "
+             "(1 runs in-process, more run one process each)",
     )
     p_serve.add_argument(
         "--max-sessions", type=int, default=4096,
@@ -1099,12 +1091,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "--stdin", action="store_true",
         help="speak the protocol over stdin/stdout instead of TCP",
-    )
-    p_serve.add_argument(
-        "--proto", choices=["auto", "json"], default="auto",
-        help="wire protocols to accept: auto negotiates binary v3 "
-             "frames with willing clients, json declines them "
-             "(default: auto)",
     )
     p_serve.add_argument(
         "--metrics-port", type=int, default=None, metavar="PORT",
@@ -1170,11 +1156,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sbench.add_argument(
         "--shard-counts", type=int, nargs="*", metavar="N",
-        help="shard counts to sweep (default: 1 2 4)",
-    )
-    p_sbench.add_argument(
-        "--shard-procs", action="store_true",
-        help="process shards instead of threads",
+        help="shard counts to sweep (default: 1 2 4; 1 runs in-process, "
+             "more run one process each)",
     )
     p_sbench.add_argument(
         "--policy", choices=["rent_or_buy", "window"], default="rent_or_buy",
@@ -1188,8 +1171,8 @@ def build_parser() -> argparse.ArgumentParser:
              "exact per-session cost equality",
     )
     p_sbench.add_argument(
-        "--proto", choices=["auto", "json", "bin"], default="auto",
-        help="client wire protocol (default: auto-negotiate binary v3)",
+        "--proto", choices=["json", "bin"], default="bin",
+        help="client wire protocol (default: bin, binary v3 feed frames)",
     )
     p_sbench.add_argument(
         "--pipeline", action="store_true",

@@ -142,6 +142,7 @@ CATALOG: tuple[Metric, ...] = (
     Metric("uptime_seconds", "gauge", "uptime_s", "Seconds since the server started", core=True),
     Metric("sessions", "gauge", "sessions", "Live streaming sessions", core=True),
     Metric("shard_sessions", "gauge", "shards.*.sessions", "Live sessions per shard", ("shard",)),
+    Metric("shard_up", "gauge", "shards.*.up", "1 while the shard can serve, 0 once its worker process is gone", ("shard",), core=True),
     Metric("shard_queue_depth", "gauge", "shards.*.queue_depth", "Jobs waiting in each bounded shard queue", ("shard",), core=True),
     # -- histograms (buckets from the merged shard-pool families);
     # fused_group_sessions depends on shard placement: not deterministic

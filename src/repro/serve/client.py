@@ -21,15 +21,14 @@ The client remembers each opened session's universe width, so
 :meth:`feed` accepts plain int masks *or* pre-packed ``(C, L)`` lane
 arrays and encodes them itself.
 
-Wire protocol negotiation (``proto=``):
+Wire protocol (``proto=``):
 
-* ``"auto"`` (default) — ask for the binary protocol (``proto: 3``)
-  on the first ``open``; speak binary feed frames if the server
-  answers ``proto: 3``, JSON lines if it answers ``proto: 1``
-  (``repro serve --proto json``).
-* ``"json"`` — classic v1 JSON frames only.
-* ``"bin"`` — require the binary protocol; if the server declines,
-  close the session it opened and raise :class:`ServeError`.
+* ``"bin"`` (default) — every ``open`` asks for the binary protocol
+  (``proto: 3``) and feeds go out as binary frames.  Every server
+  accepts them; an open reply that does not confirm ``proto: 3`` is
+  answered by closing the session it opened and raising
+  :class:`ServeError`.
+* ``"json"`` — classic v1 JSON frames only (debugging, packet capture).
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ from repro.serve.protocol import (
     MAX_FEED_ENTRIES,
     MAX_FRAME_BYTES,
     PROTO_BIN,
-    PROTO_JSON,
     _as_lanes,
     decode_frame,
     encode_feed_bin,
@@ -101,8 +99,8 @@ class ServeClient:
     timeout:
         Socket timeout per reply, seconds.
     proto:
-        Wire protocol preference: ``"auto"`` | ``"json"`` | ``"bin"``
-        (see the module docstring).
+        Wire protocol: ``"bin"`` | ``"json"`` (see the module
+        docstring).
     """
 
     def __init__(
@@ -111,13 +109,12 @@ class ServeClient:
         port: int,
         *,
         timeout: float = 60.0,
-        proto: str = "auto",
+        proto: str = "bin",
     ):
-        if proto not in ("auto", "json", "bin"):
+        if proto not in ("json", "bin"):
             raise ValueError(f"unknown wire protocol {proto!r}")
-        self._proto = proto
-        #: None until the first open settles negotiation.
-        self._bin: bool | None = False if proto == "json" else None
+        #: The wire protocol feeds go out in.
+        self.proto = proto
         self._sock = socket.create_connection((host, port), timeout=timeout)
         self._recv = bytearray()
         self._widths: dict[str, int] = {}
@@ -126,13 +123,6 @@ class ServeClient:
         self.bytes_received = 0
 
     # -- plumbing ----------------------------------------------------------
-
-    @property
-    def proto(self) -> str:
-        """The negotiated wire protocol (``"auto"`` until settled)."""
-        if self._bin is None:
-            return "auto"
-        return "bin" if self._bin else "json"
 
     def _send(self, data: bytes) -> None:
         if self._closed:
@@ -186,7 +176,7 @@ class ServeClient:
     ) -> str:
         """Open a session; returns its (possibly generated) id.
 
-        The first open on the connection settles protocol negotiation
+        A binary client requires the reply to confirm ``proto: 3``
         (see the module docstring).  ``trace`` is an optional
         client-chosen trace id: the server echoes it in the reply and
         attaches it to its span events (same on :meth:`feed` /
@@ -198,21 +188,18 @@ class ServeClient:
         if trace is not None:
             frame["trace"] = trace
         frame.update(params)
-        if self._bin is None or self._bin:
+        if self.proto == "bin":
             frame["proto"] = PROTO_BIN
         reply = self.call(frame)
         sid = reply["session"]
-        if self._bin is None:
-            accepted = reply.get("proto") == PROTO_BIN
-            if not accepted and self._proto == "bin":
-                # The server opened the session all the same: close it,
-                # so its id is free again and it holds no server state.
-                self.call({"op": "close", "session": sid})
-                raise ServeError(
-                    "server declined binary wire protocol "
-                    f"(answered proto={reply.get('proto', PROTO_JSON)})"
-                )
-            self._bin = accepted
+        if self.proto == "bin" and reply.get("proto") != PROTO_BIN:
+            # The server opened the session all the same: close it, so
+            # its id is free again and it holds no server state.
+            self.call({"op": "close", "session": sid})
+            raise ServeError(
+                "server did not confirm binary wire protocol "
+                f"(answered proto={reply.get('proto')!r})"
+            )
         self._widths[sid] = width
         return sid
 
@@ -251,7 +238,7 @@ class ServeClient:
         frame.  Traced feeds ride JSON even there — the binary frame has
         no trace field, and tracing already opted into the verbose path.
         """
-        if self._bin and trace is None:
+        if self.proto == "bin" and trace is None:
             return self.feed_pipelined([(session_id, masks)])[0]
         self._send(self._encode_feed(session_id, masks, trace=trace))
         return _feed_result(session_id, self._reply_ok())
@@ -273,7 +260,7 @@ class ServeClient:
         """
         if not batch:
             return []
-        if self._bin:
+        if self.proto == "bin":
             frames = self._feed_many_frames(batch)
         else:
             frames = [

@@ -15,7 +15,7 @@ actually batch.  With ``pipeline=True`` each round goes out as one
 :meth:`~repro.serve.client.ServeClient.feed_pipelined` burst per
 client, so a whole fleet round costs one round trip instead of one per
 session.  ``proto`` selects the wire protocol per client
-(``"auto"``/``"json"``/``"bin"``); the result carries the bytes each
+(``"bin"``/``"json"``); the result carries the bytes each
 generation actually put on the wire.
 """
 
@@ -72,7 +72,7 @@ class LoadgenResult:
     wall_s: float
     costs: dict[str, float] = field(default_factory=dict)
     verified: bool | None = None
-    #: wire protocol the clients ran ("json" | "bin" | "auto").
+    #: wire protocol the clients ran ("json" | "bin").
     proto: str = "json"
     #: request bytes the clients put on the wire / reply bytes read
     #: back, summed over every client connection.
@@ -163,7 +163,7 @@ def run_loadgen(
     phase: int = 600,
     seed: int = 0,
     verify: bool = False,
-    proto: str = "auto",
+    proto: str = "bin",
     pipeline: bool = False,
 ) -> LoadgenResult:
     """Drive a serving process with a synthetic fleet; see module doc.

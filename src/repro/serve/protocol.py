@@ -86,9 +86,10 @@ fits one frame: an item holds at most :data:`MAX_REPLY_ITEM_BYTES`
 declaring more entries earns a frame-level error reply.
 
 Version negotiation rides the JSON ``open`` frame: a binary client
-sends ``"proto": 3`` and switches to binary feeds only when the reply
-echoes ``"proto": 3``; servers detect binary frames by the magic byte,
-so both protocols interleave freely on one connection.  JSON-only
+sends ``"proto": 3``, every server confirms it with ``"proto": 3`` in
+the reply, and a client refuses a reply that does not; servers detect
+binary frames by the magic byte, so both protocols interleave freely
+on one connection.  JSON-only
 clients never see any of this.  The negotiated version is the version
 in the frame headers, so an older binary client is refused, never
 misread: ``"proto": 2`` on an ``open`` earns an error reply on a
@@ -197,8 +198,8 @@ class OpenFrame:
 
     ``proto`` is the client's highest supported protocol version
     (:data:`PROTO_JSON` when absent — every JSON-only client); the
-    server echoes ``proto: 3`` (:data:`PROTO_BIN`) in the reply when
-    binary feeds are enabled.
+    server answers ``proto: 3`` (:data:`PROTO_BIN`) to every open that
+    asks for it.
     """
 
     session: str | None

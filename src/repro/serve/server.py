@@ -62,7 +62,6 @@ from repro.serve.protocol import (
     MAX_FRAME_BYTES,
     BinFeedFrame,
     PROTO_BIN,
-    PROTO_JSON,
     CloseFrame,
     FeedFrame,
     MetricsFrame,
@@ -91,12 +90,18 @@ FRAME_DEADLINE_S = 30.0
 
 @dataclass(frozen=True)
 class ServeConfig:
-    """Knobs of one serving process."""
+    """Knobs of one serving process.
+
+    ``shards`` also decides where the hubs run: one shard runs in this
+    process, more run one child process each (see
+    :mod:`repro.serve.shard`).  Every connection may send binary v3
+    feed frames; a client that wants plain JSON simply never asks for
+    them.
+    """
 
     host: str = "127.0.0.1"
     port: int = 0  # 0 = ephemeral (the bound port is in .address)
     shards: int = 1
-    shard_procs: bool = False
     max_sessions: int = 4096
     max_chunk_steps: int = 65536
     queue_depth: int = 64
@@ -115,11 +120,6 @@ class ServeConfig:
     slow_ms: float | None = 100.0
     #: Span ring size of the request tracer (``0`` disables tracing).
     trace_capacity: int = 2048
-    #: ``"auto"`` negotiates the binary wire protocol (binary feed
-    #: frames) with clients that ask for it; ``"json"`` declines it on
-    #: ``open`` and rejects binary frames outright (debugging / packet
-    #: capture).
-    proto: str = "auto"
 
     def __post_init__(self):
         if self.shards < 1:
@@ -144,8 +144,6 @@ class ServeConfig:
             raise ValueError("slow_ms must be non-negative")
         if self.trace_capacity < 0:
             raise ValueError("trace_capacity must be non-negative")
-        if self.proto not in ("auto", "json"):
-            raise ValueError('proto must be "auto" or "json"')
 
 
 def _echo(frame) -> dict:
@@ -326,11 +324,7 @@ class StreamServer:
         self.pool = (
             pool
             if pool is not None
-            else ShardPool(
-                self.config.shards,
-                procs=self.config.shard_procs,
-                tracer=self.tracer,
-            )
+            else ShardPool(self.config.shards, tracer=self.tracer)
         )
         if self.pool.shards != self.config.shards:
             raise ValueError("pool shard count disagrees with the config")
@@ -859,10 +853,6 @@ class StreamServer:
         entry that is malformed or names an unknown session fails
         alone, with an error reply item of its own.
         """
-        if self.config.proto == "json":
-            raise ProtocolError(
-                "binary frames are disabled (server runs --proto json)"
-            )
         entries = parse_bin_feed(
             opcode, flags, data,
             max_chunk_steps=self.config.max_chunk_steps,
@@ -973,14 +963,11 @@ class StreamServer:
             "open", session=sid, shard=shard, **_echo(frame)
         )
         if frame.proto == PROTO_BIN:
-            # Negotiation: the client asked for the binary protocol;
-            # echoing PROTO_BIN green-lights binary feed frames on this
-            # connection.  A "--proto json" server answers 1 and the
-            # client stays on JSON.  JSON-only clients never send the
-            # field and never see it.
-            reply["proto"] = (
-                PROTO_BIN if self.config.proto == "auto" else PROTO_JSON
-            )
+            # Negotiation: the client asked for the binary protocol,
+            # and every server accepts binary frames, so the reply
+            # confirms it.  JSON-only clients never send the field and
+            # never see it.
+            reply["proto"] = PROTO_BIN
         return reply
 
     async def _handle_stats(self, _frame: StatsFrame) -> dict:

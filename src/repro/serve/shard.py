@@ -2,17 +2,31 @@
 
 A single :class:`~repro.engine.stream.StreamHub` advances sessions back
 to back in one thread.  Sessions are independent, so the serving layer
-hash-partitions them across a pool of *shards*, each wrapping one hub:
+hash-partitions them across a pool of *shards*, each wrapping one hub.
+The shard count decides where the hubs run:
 
-* **thread shards** (default) keep every hub in-process behind a lock;
-  NumPy releases the GIL on large lane chunks, so concurrent
-  ``feed_many`` calls across shards overlap on multicore machines with
-  zero serialization cost;
-* **process shards** (``procs=True``) give each hub its own
-  interpreter — true parallelism for Python-bound workloads.  Each
-  drain cycle's lane chunks cross the process boundary pickled, as one
-  pipe message; the lane bytes land in the pool metrics as bytes
-  shipped.
+* **one shard** runs its hub in-process behind a lock — nothing
+  crosses a process boundary;
+* **N > 1 shards** run one hub per child process.  Each drain cycle's
+  lane chunks cross the process boundary pickled, as one pipe message;
+  the lane bytes land in the pool metrics as bytes shipped.
+
+Hubs on threads of one process share its GIL.  Through a loopback
+``repro serve`` on 2 vCPUs (client in its own process, 64 rent-or-buy
+sessions of width 96, 256-step chunks, one binary burst per round;
+median steps/s and quartiles of 5–6 alternating runs), hubs on
+threads lost every run to hubs in processes::
+
+    working set drifts   shards   thread hubs          process hubs
+    every 600 steps      2        0.65M (0.65-0.68M)   0.80M (0.77-0.83M)
+    every 600 steps      4        0.41M (0.40-0.42M)   0.62M (0.59-0.64M)
+    every 40 steps       2        0.32M (0.32-0.32M)   0.55M (0.50-0.56M)
+    every 40 steps       4        0.19M (0.18-0.20M)   0.40M (0.38-0.40M)
+
+A process shard whose worker dies is marked down: its sessions' feeds
+and closes fail with an error naming the shard, and :meth:`ShardPool.stats`
+reports it with ``up: False`` while the other shards keep serving.
+Nothing respawns it.
 
 Placement is **decision-free**: a session's shard is
 ``crc32(session_id) % shards`` (stable across runs and processes), and
@@ -44,7 +58,9 @@ from repro.obs.catalog import DRAIN_CYCLE
 from repro.obs.histogram import HistogramFamily
 from repro.solvers.online import OnlineRun
 
-__all__ = ["BatchSummary", "ShardPool", "shard_index"]
+__all__ = [
+    "BatchSummary", "ShardDown", "ShardPool", "shard_index", "shard_kind",
+]
 
 
 def shard_index(session_id: str, shards: int) -> int:
@@ -53,6 +69,16 @@ def shard_index(session_id: str, shards: int) -> int:
     if shards < 1:
         raise ValueError("shards must be at least 1")
     return zlib.crc32(session_id.encode()) % shards
+
+
+def shard_kind(shards: int) -> str:
+    """Where a pool of ``shards`` runs its hubs: ``"thread"`` (one hub,
+    in-process) or ``"proc"`` (one child process per hub)."""
+    return "thread" if shards == 1 else "proc"
+
+
+class ShardDown(RuntimeError):
+    """A process shard's worker is gone; its sessions cannot be served."""
 
 
 @dataclass(frozen=True)
@@ -87,6 +113,7 @@ class _ThreadShard:
     touch different shards concurrently, never one shard twice)."""
 
     kind = "thread"
+    up = True
 
     def __init__(self):
         # The shard hub keeps its own private metrics (the pool
@@ -176,12 +203,19 @@ _ERROR_TYPES = {
 
 
 class _ProcShard:
-    """One hub in a child process, commands over a duplex pipe."""
+    """One hub in a child process, commands over a duplex pipe.
+
+    A pipe error means the worker is gone: the shard marks itself down
+    and every later call raises :class:`ShardDown` without touching
+    the pipe.
+    """
 
     kind = "proc"
 
-    def __init__(self):
+    def __init__(self, index: int):
         parent, child = multiprocessing.Pipe()
+        self.index = index
+        self.up = True
         self._conn = parent
         self._proc = multiprocessing.Process(
             target=_shard_worker, args=(child,), daemon=True
@@ -192,8 +226,17 @@ class _ProcShard:
 
     def _call(self, *msg):
         with self.lock:
-            self._conn.send(msg)
-            reply = self._conn.recv()
+            if not self.up:
+                raise ShardDown(f"shard {self.index} is down")
+            try:
+                self._conn.send(msg)
+                reply = self._conn.recv()
+            except (EOFError, OSError) as exc:
+                self.up = False
+                raise ShardDown(
+                    f"shard {self.index} is down "
+                    f"({type(exc).__name__}: {exc})"
+                ) from exc
         if reply[0] == "ok":
             return reply[1]
         _tag, name, text = reply
@@ -240,15 +283,14 @@ class ShardPool:
     ``finish`` keep their shapes, chunks are partitioned by the owning
     shard and advanced concurrently (one executor worker per shard),
     and per-session results are bit-identical to the single-hub replay
-    regardless of ``shards``/``procs``.
+    regardless of ``shards``.
 
     Parameters
     ----------
     shards:
-        Number of hub workers.
-    procs:
-        ``True`` runs each shard in its own process (commands and
-        pickled lane chunks over a pipe); default is in-process threads.
+        Number of hub workers: one runs in-process, more run one child
+        process each (commands and pickled lane chunks over a pipe;
+        see the module docstring for why).
     metrics:
         Parent-side :class:`EngineMetrics` all aggregate streaming
         counters land in (created when omitted).
@@ -261,19 +303,18 @@ class ShardPool:
         self,
         shards: int = 1,
         *,
-        procs: bool = False,
         metrics: EngineMetrics | None = None,
         tracer=None,
     ):
         if shards < 1:
             raise ValueError("shards must be at least 1")
         self.shards = shards
-        self.procs = procs
         self.tracer = tracer
         self.metrics = metrics if metrics is not None else EngineMetrics()
-        self._shards = [
-            _ProcShard() if procs else _ThreadShard() for _ in range(shards)
-        ]
+        self._shards = (
+            [_ThreadShard()] if shards == 1
+            else [_ProcShard(i) for i in range(shards)]
+        )
         self._executor = ThreadPoolExecutor(
             max_workers=shards, thread_name_prefix="shard"
         )
@@ -455,21 +496,26 @@ class ShardPool:
         over the pipe.  The fixed bucket boundaries make the fold pure
         addition, so the aggregate of each deterministic family is
         bit-identical to what a single hub records for the same
-        traffic, no matter the pool shape.
+        traffic, no matter the pool shape.  A down shard's families are
+        gone with its process and are skipped.
         """
         merged = {
             name: HistogramFamily.from_wire(wire)
             for name, wire in self.metrics.hist_wire().items()
         }
         for i, shard in enumerate(self._shards):
-            for name, wire in shard.hist_wire().items():
+            try:
+                wires = shard.hist_wire()
+            except ShardDown:
+                continue
+            for name, wire in wires.items():
                 merged[name].merge_wire(wire, extra_labels={"shard": str(i)})
         return merged
 
     def stats(self, merged: dict[str, HistogramFamily] | None = None) -> dict:
         """Aggregate snapshot: engine counters, merged histograms (or
         the ``merged`` the caller already took), and per-shard
-        occupancy + drain-cycle latency quantiles."""
+        liveness, occupancy and drain-cycle latency quantiles."""
         with self._lock:
             occupancy = [0] * self.shards
             for shard in self._placement.values():
@@ -485,6 +531,7 @@ class ShardPool:
             row = {
                 "shard": i,
                 "kind": self._shards[i].kind,
+                "up": self._shards[i].up,
                 "sessions": occupancy[i],
             }
             drain = drain_by_shard.get(str(i))
@@ -518,6 +565,6 @@ class ShardPool:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"ShardPool(shards={self.shards}, "
-            f"kind={'proc' if self.procs else 'thread'}, "
+            f"kind={shard_kind(self.shards)}, "
             f"live={len(self._placement)})"
         )

@@ -1,10 +1,11 @@
 """The metric catalogue drives every view of the telemetry.
 
 Pins what the catalogue must keep: the exposed families (names, types
-and label keys) of a live server, thread and process shards alike; a
-``# HELP`` line on every family; the version-1 ``snapshot_json``
-format and the ``snapshot()`` key shape; the README metrics table;
-the ``shard_queue_depth`` gauge; and the ``--stats-interval`` line.
+and label keys) of a live server, one in-process shard and a pool of
+process shards alike; a ``# HELP`` line on every family; the version-1
+``snapshot_json`` format and the ``snapshot()`` key shape; the README
+metrics table; the ``shard_queue_depth`` and ``shard_up`` gauges; and
+the ``--stats-interval`` line.
 """
 
 import asyncio
@@ -80,6 +81,7 @@ PARENT_FAMILIES = """
 #: Families added since, with the same columns.
 ADDED_FAMILIES = """
     shard_queue_depth                  gauge     shard  shard
+    shard_up                           gauge     shard  shard
 """
 
 
@@ -118,10 +120,11 @@ def _families(text: str) -> set:
     return out
 
 
-@pytest.fixture(scope="module", params=[False, True], ids=["thread", "proc"])
+@pytest.fixture(scope="module", params=[1, 2], ids=["thread", "proc"])
 def scrapes(request):
-    """Exposition of a 2-shard server, idle and after 3 sessions fed."""
-    config = ServeConfig(shards=2, shard_procs=request.param, max_sessions=64)
+    """Exposition of a 1-shard (in-process) and a 2-shard (process)
+    server, idle and after 3 sessions fed, and its shard count."""
+    config = ServeConfig(shards=request.param, max_sessions=64)
     with ServerThread(config) as address:
         with ServeClient(*address) as client:
             idle = client.metrics()["exposition"]
@@ -135,7 +138,7 @@ def scrapes(request):
             for sid in sids:
                 client.close_session(sid)
             fed = client.metrics()["exposition"]
-    return idle, fed
+    return idle, fed, request.param
 
 
 class TestExposedFamilies:
@@ -148,10 +151,14 @@ class TestExposedFamilies:
         assert _families(scrapes[1]) == want
 
     def test_idle_server_shows_an_empty_queue_per_shard(self, scrapes):
-        idle = scrapes[0]
+        idle, _fed, shards = scrapes
         assert "# HELP repro_shard_queue_depth " in idle
-        rows = parse_exposition(idle)["repro_shard_queue_depth"]
-        assert rows == [({"shard": "0"}, 0.0), ({"shard": "1"}, 0.0)]
+        series = parse_exposition(idle)
+        labels = [{"shard": str(i)} for i in range(shards)]
+        assert series["repro_shard_queue_depth"] == [
+            (label, 0.0) for label in labels
+        ]
+        assert series["repro_shard_up"] == [(label, 1.0) for label in labels]
 
 
 def test_queue_depth_counts_waiting_jobs():

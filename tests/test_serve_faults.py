@@ -16,6 +16,7 @@ import socket
 import subprocess
 import sys
 import time
+import urllib.request
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ import pytest
 from repro.core.packed import lane_count, masks_to_lanes
 from repro.core.switches import SwitchUniverse
 from repro.engine.stream import StreamHub, StreamSession
+from repro.obs.expo import parse_exposition
 from repro.serve.client import ServeClient, ServeError
 from repro.serve.loadgen import drifting_masks
 from repro.serve.protocol import (
@@ -312,13 +314,12 @@ class TestFeedManyFaults:
             costs = _finish(client, traces, 60)
         assert costs == _oracle(traces)
 
-    @pytest.mark.parametrize("procs", [False, True])
-    def test_frame_spanning_two_shards(self, procs):
+    def test_frame_spanning_two_shards(self):
         """One deflated frame per burst, its entries on both shards of
-        a thread or process pool: two drain cycles resolve the shared
-        section, and every cost matches the oracle."""
+        a process pool: two drain cycles resolve the shared section,
+        and every cost matches the oracle."""
         traces = _traces(8)
-        config = ServeConfig(shards=2, shard_procs=procs)
+        config = ServeConfig(shards=2)
         with ServerThread(config) as address:
             with ServeClient(*address, proto="bin") as client:
                 self._open(client, traces)
@@ -357,11 +358,13 @@ class TestUnexpectedExceptions:
             assert stats["server"]["errors"] == 1
 
     def test_dead_process_shard_error_names_the_exception(self):
-        """A killed process shard fails its sessions' feeds with an
-        error naming the exception (a BrokenPipeError's first arg is
-        its bare errno), while the live shard's sessions still feed."""
+        """A killed process shard fails its sessions' feeds and closes
+        with an error naming the shard and the exception (a
+        BrokenPipeError's first arg is its bare errno), while the live
+        shard's sessions still feed; ``stats`` and a ``/metrics``
+        scrape keep answering, with shard 0 down and shard 1 up."""
         traces = _traces(8)
-        host = ServerThread(ServeConfig(shards=2, shard_procs=True))
+        host = ServerThread(ServeConfig(shards=2, metrics_port=0))
         address = host.start()
         try:
             with ServeClient(*address, timeout=20) as client:
@@ -380,8 +383,25 @@ class TestUnexpectedExceptions:
                     client.feed(victim, traces[victim][:30])
                 message = str(info.value)
                 assert re.search(r"[A-Za-z]+Error", message), message
+                assert "shard 0" in message, message
                 assert not message.strip().isdigit()
                 assert client.feed(spared, traces[spared][:30]).steps == 30
+                with pytest.raises(ServeError, match="shard 0 is down"):
+                    client.close_session(victim)
+                rows = client.stats()["shards"]
+                assert [(r["shard"], r["up"]) for r in rows] == [
+                    (0, False), (1, True),
+                ]
+                assert rows[1]["sessions"] >= 1
+                mhost, mport = host.server.metrics_address
+                with urllib.request.urlopen(
+                    f"http://{mhost}:{mport}/metrics", timeout=20
+                ) as reply:
+                    series = parse_exposition(reply.read().decode())
+                assert series["repro_shard_up"] == [
+                    ({"shard": "0"}, 0.0), ({"shard": "1"}, 1.0),
+                ]
+                assert client.close_session(spared).steps == 30
         finally:
             host.stop()
 

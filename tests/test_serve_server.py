@@ -223,6 +223,17 @@ class TestStatsAndOrdering:
             for sid in sids:
                 client.close_session(sid)
 
+    @pytest.mark.parametrize(("shards", "kind"), [(1, "thread"), (2, "proc")])
+    def test_shard_count_picks_the_kind(self, shards, kind):
+        """One shard runs in the server process; more run one process
+        each, and every row reports its shard live."""
+        with ServerThread(ServeConfig(shards=shards)) as address:
+            with ServeClient(*address) as client:
+                rows = client.stats()["shards"]
+        assert [(r["shard"], r["kind"], r["up"]) for r in rows] == [
+            (i, kind, True) for i in range(shards)
+        ]
+
     def test_close_after_feeds_sees_all_steps(self, server):
         """The close barrier rides the same shard queue as the feeds,
         so the finished run always accounts every acknowledged chunk."""

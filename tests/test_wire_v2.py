@@ -22,11 +22,12 @@ Three layers of pinning:
 * **served behavior** — a v1-only client completes the full
   open/feed/close/stats flow against a v3 server unchanged; binary
   clients (one chunk per frame, raw or deflated, and pipelined)
-  produce bit-identical costs to the single-hub oracle over thread
-  *and* process shard pools; reserved flags and malformed binary
-  frames earn error replies on a surviving connection; a version-2
-  frame earns an error reply and a close, a ``proto: 2`` open an error
-  reply; a ``bin`` client that a ``--proto json`` server declines
+  produce bit-identical costs to the single-hub oracle over an
+  in-process shard *and* a pool of process shards; every open that
+  asks for v3 is answered ``proto: 3``; reserved flags and malformed
+  binary frames earn error replies on a surviving connection; a
+  version-2 frame earns an error reply and a close, a ``proto: 2``
+  open an error reply; a ``bin`` client whose open is not confirmed
   leaves no session behind.
 """
 
@@ -68,7 +69,7 @@ from repro.serve.protocol import (
     parse_bin_feed,
     policy_from_spec,
 )
-from repro.serve.server import ServeConfig, ServerThread
+from repro.serve.server import ServeConfig, ServerThread, StreamServer
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -629,8 +630,9 @@ class TestServedProtocolV2:
     ):
         """``deflate=None`` feeds through ``ServeClient.feed``; a forced
         raw or deflated section goes out as an encoder-built frame of
-        one entry."""
-        config = ServeConfig(shards=2, shard_procs=procs)
+        one entry.  ``procs`` serves through two process shards, else
+        through one in-process shard."""
+        config = ServeConfig(shards=2 if procs else 1)
         with ServerThread(config) as (host, port):
             with ServeClient(host, port, proto=proto) as client:
                 sid = client.open(width=WIDTH, w=5.0)
@@ -849,19 +851,44 @@ class TestServedProtocolV2:
             assert wire["json"]["frames_in"] >= 3  # open/close/stats
             assert wire["json"]["bytes_out"] > 0
 
-    def test_declined_v2_open_leaves_no_session(self):
-        """A ``bin`` client refused v2 closes the session the server
-        opened before it raises, so the id can be opened again."""
-        with ServerThread(ServeConfig(shards=1, proto="json")) as address:
+    def test_every_v3_open_is_confirmed(self):
+        """The server answers ``proto: 3`` to every open that asks for
+        it, and never to one that does not."""
+        with ServerThread(ServeConfig(shards=1)) as address:
+            with ServeClient(*address, proto="json") as client:
+                for i in range(4):
+                    frame = {"op": "open", "policy": "rent_or_buy",
+                             "width": 8, "w": 2.0, "session": f"o{i}"}
+                    if i % 2:
+                        frame["proto"] = PROTO_BIN
+                    reply = client.call(frame)
+                    assert reply.get("proto") == (
+                        PROTO_BIN if i % 2 else None
+                    )
+
+    def test_unknown_client_proto_rejected(self):
+        with pytest.raises(ValueError, match="auto"):
+            ServeClient("127.0.0.1", 1, proto="auto")
+
+    def test_declined_v2_open_leaves_no_session(self, monkeypatch):
+        """A ``bin`` client whose open reply does not confirm v3 (outside
+        input: a server that strips the field) closes the session the
+        server opened before it raises, so the id can be opened again."""
+        real = StreamServer._handle_open
+
+        async def unconfirmed(self, frame):
+            reply = await real(self, frame)
+            reply.pop("proto", None)
+            return reply
+
+        monkeypatch.setattr(StreamServer, "_handle_open", unconfirmed)
+        with ServerThread(ServeConfig(shards=1)) as address:
             with ServeClient(*address, proto="bin") as client:
-                with pytest.raises(ServeError, match="declined"):
+                with pytest.raises(ServeError, match="did not confirm"):
                     client.open(width=8, w=2.0, session_id="x")
                 assert client.stats()["sessions"] == 0
-                # Negotiation stays unsettled: a second open is refused
-                # the same way instead of falling back to JSON.
-                with pytest.raises(ServeError, match="declined"):
+                with pytest.raises(ServeError, match="did not confirm"):
                     client.open(width=8, w=2.0, session_id="x")
-                assert client.proto == "auto"
             with ServeClient(*address, proto="json") as client:
                 assert client.open(width=8, w=2.0, session_id="x") == "x"
                 assert client.feed("x", [1, 2]).steps == 2

@@ -116,22 +116,16 @@ def test_bench_stream_single_session(benchmark, smoke):
                 packed_s = min(packed_s, time.perf_counter() - t0)
 
             # Bit-identical accounting — the packed path changes
-            # speed, never answers (finish() also cross-checks).
-            assert packed.cost == scalar.cost
-            assert packed.hyper_count == scalar.hyper_count
-            run_packed = packed.finish()
+            # speed, never answers.
             run_scalar = scalar.finish()
-            assert (
-                run_packed.schedule.hyper_steps
-                == run_scalar.schedule.hyper_steps
-            )
+            assert packed.finish() == run_scalar
 
             if phase == TARGET_PHASE:
                 accept[scheduler.name] = scalar_s / packed_s
             rows.append([
                 scheduler.name,
                 phase,
-                run_scalar.schedule.r,
+                run_scalar.hypers,
                 round(1e6 * scalar_s / n, 2),
                 round(1e6 * packed_s / n, 2),
                 f"{scalar_s / packed_s:.1f}×",

@@ -111,10 +111,15 @@ def compare(
                 else:
                     ratio = ref / value
                 if ratio > 1.0 + tolerance:
-                    direction = "rose" if _lower_is_better(field) else "fell"
+                    # The size of the move relative to the baseline: a
+                    # throughput halving "fell 50%", not "fell 100%".
+                    if _lower_is_better(field):
+                        direction, change = "rose", value / ref - 1.0
+                    else:
+                        direction, change = "fell", 1.0 - value / ref
                     failures.append(
                         f"{label}:{table}: {field} {direction} "
-                        f"{(ratio - 1.0) * 100:.1f}% past tolerance "
+                        f"{change * 100:.1f}% past tolerance "
                         f"(baseline {ref:,.1f} -> fresh {value:,.1f}, "
                         f"row {dict(_row_key(row))})"
                     )

@@ -423,8 +423,8 @@ def cmd_stream(args) -> int:
                 "app": app,
                 "shard": shard_index(sid, args.shards),
                 "solver": runs[sid].solver,
-                "steps": runs[sid].schedule.n,
-                "hypers": runs[sid].schedule.r,
+                "steps": runs[sid].steps,
+                "hypers": runs[sid].hypers,
                 "cost": runs[sid].cost,
             }
             for sid, app, _masks in sessions
@@ -438,8 +438,8 @@ def cmd_stream(args) -> int:
         rows.append([
             sid,
             run.solver,
-            run.schedule.n,
-            run.schedule.r,
+            run.steps,
+            run.hypers,
             round(run.cost, 1),
         ])
     print(format_table(
@@ -1167,8 +1167,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sbench.add_argument("-k", "--window", type=int, default=8)
     p_sbench.add_argument(
         "--verify", action="store_true",
-        help="replay every trace through a single StreamHub and require "
-             "exact per-session cost equality",
+        help="check each served cost against a single-hub replay, a "
+             "scalar session (exact) and the offline evaluator (1e-6)",
     )
     p_sbench.add_argument(
         "--proto", choices=["json", "bin"], default="bin",

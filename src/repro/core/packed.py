@@ -59,6 +59,7 @@ from repro.util.bitset import popcount_u64
 __all__ = [
     "LANE_BITS",
     "lane_count",
+    "lanes_fit",
     "masks_to_lanes",
     "lanes_to_masks",
     "masks_to_u64",
@@ -91,6 +92,22 @@ def lane_count(width: int) -> int:
     if width < 0:
         raise ValueError("universe width must be non-negative")
     return max(1, -(-width // LANE_BITS))
+
+
+def lanes_fit(lanes: np.ndarray, width: int) -> bool:
+    """Whether ``(..., L)`` lanes hold only switches of a ``width``-switch
+    universe: ``L`` is its lane count and no row sets a bit at or above
+    ``width``.  The one range check of every lane-packed ingest path
+    (the wire decoders and :meth:`StreamSession.feed_many`)."""
+    L = lane_count(width)
+    if lanes.shape[-1] != L:
+        return False
+    # Some row sets a bit at or above ``width`` exactly when the OR of
+    # the top lanes does at or above the top lane's share of the width.
+    tail_bits = width - (L - 1) * LANE_BITS
+    return tail_bits == LANE_BITS or not (
+        int(np.bitwise_or.reduce(lanes[..., L - 1], axis=None)) >> tail_bits
+    )
 
 
 def masks_to_lanes(masks: Iterable[int], width: int) -> np.ndarray:

@@ -52,6 +52,7 @@ from repro.engine.requests import (
     packed_problem_key,
 )
 from repro.engine.stream import (
+    CloseResult,
     StreamBatch,
     StreamEvent,
     StreamHub,
@@ -76,6 +77,7 @@ __all__ = [
     "canonical_key",
     "packed_problem_key",
     "canonicalize",
+    "CloseResult",
     "StreamBatch",
     "StreamEvent",
     "StreamHub",

@@ -27,35 +27,63 @@ reconfiguration step at a time.  Two serving APIs cover that mode:
   so the operator report shows streaming steps/sec and the fleet-wide
   hyper rate next to the batch counters.
 
-:meth:`StreamSession.finish` closes a session into an
-:class:`~repro.solvers.online.OnlineRun` whose schedule carries the
-exact hypercontexts the session installed; the accumulated cost is
-cross-checked against the offline evaluator, so streaming and batch
-accounting can never drift apart.  The incremental total is accumulated
-in the exact order the scalar session used (a seeded cumulative sum),
-so packed and scalar sessions agree bit for bit, not approximately.
+A session is its policy cursor plus three counters — steps, hypers
+and cost — which is all the switch model charges for, so its memory is
+bounded by the policy's history, not by how long it has run.  It keeps
+no requirement or install log: :meth:`StreamSession.finish` returns a
+:class:`CloseResult` of the counters in O(1).  The incremental total is
+accumulated in the exact order the scalar session used (a seeded
+cumulative sum), so packed and scalar sessions agree bit for bit, not
+approximately; the cost is checked against the offline evaluator by
+the oracle test suites and by ``repro serve-bench --verify``, not at
+close.
 """
 
 from __future__ import annotations
 
 import time
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import count
 
 import numpy as np
 
 from repro.core.context import RequirementSequence
-from repro.core.cost_single import switch_cost
-from repro.core.packed import lanes_to_masks, masks_to_lanes
-from repro.core.schedule import SingleTaskSchedule
+from repro.core.packed import lanes_fit, lanes_to_masks, masks_to_lanes
 from repro.core.switches import SwitchUniverse
 from repro.engine.metrics import EngineMetrics
-from repro.solvers.online import OnlineRun
 
-__all__ = ["StreamBatch", "StreamEvent", "StreamHub", "StreamSession"]
+__all__ = [
+    "CloseResult", "StreamBatch", "StreamEvent", "StreamHub", "StreamSession",
+]
 
 _U64 = np.dtype(np.uint64)
+
+
+@dataclass(frozen=True)
+class CloseResult:
+    """Accounting of one finished session — the switch-model counters.
+
+    Attributes
+    ----------
+    solver:
+        Name of the policy that served the session.
+    steps:
+        Requirements served.
+    hypers:
+        Hyperreconfigurations installed.
+    cost:
+        Total cost, ``w·hypers + Σ|h|`` over the served steps.
+    session:
+        The session's id where a hub, pool or server knows it
+        (``None`` from a bare :meth:`StreamSession.finish`).
+    """
+
+    solver: str
+    steps: int
+    hypers: int
+    cost: float
+    session: str | None = None
 
 
 @dataclass(frozen=True)
@@ -159,18 +187,7 @@ class StreamSession:
             )
         else:
             self._fuse_key = None
-        self._chunks: list[np.ndarray] = []  # lane rows of every fed chunk
-        self._scalar_masks: list[int] = []  # scalar-path requirement log
         self._n = 0
-        # Install log.  The batched path keeps one entry per chunk that
-        # installed: (step shift, (steps, lane rows), lo, hi) — rows
-        # lo..hi of install records that may be shared with the other
-        # sessions of a fused group, whose global step index is the
-        # record's step plus the shift.  They become Python ints once,
-        # in finish; the scalar path logs the ints its cursor returns.
-        self._installs: list[tuple] = []
-        self._hyper_steps: list[int] = []
-        self._hyper_masks: list[int] = []
         self._hypers = 0
         self._cost = 0.0
         self._finished = False
@@ -240,11 +257,8 @@ class StreamSession:
         hyper = installed is not None
         step_cost = (self.w if hyper else 0.0) + current.bit_count()
         self._cost += step_cost
-        self._scalar_masks.append(mask)
         self._n += 1
         if hyper:
-            self._hyper_steps.append(i)
-            self._hyper_masks.append(installed)
             self._hypers += 1
         return StreamEvent(
             step=i,
@@ -256,7 +270,6 @@ class StreamSession:
 
     def _apply_lanes(self, lanes: np.ndarray) -> StreamBatch:
         """Advance the batched cursor by a pre-validated lane chunk."""
-        start = self._n
         batch = self._batched.step_many(lanes)
         C = batch.steps
         # Per-step charge w·hyper + |h|, accumulated in the scalar
@@ -264,61 +277,31 @@ class StreamSession:
         # total so float rounding matches step-by-step accumulation.
         step_costs = np.where(batch.hyper, self.w, 0.0) + batch.sizes
         cum = np.cumsum(np.concatenate(([self._cost], step_costs)))
-        chunk_cost = float(cum[-1] - self._cost)
-        self._cost = float(cum[-1])
-        self._chunks.append(lanes)
-        self._n += C
-        flagged = np.flatnonzero(batch.hyper)
-        hypers = flagged.shape[0]
-        if hypers:
-            self._installs.append(
-                (start, (flagged, batch.installed), 0, hypers)
-            )
-            self._hypers += hypers
-        return StreamBatch(
-            start=start,
-            steps=C,
-            hypers=hypers,
-            cost=chunk_cost,
-            cumulative_cost=self._cost,
-            hyper_flags=batch.hyper,
-            sizes=batch.sizes,
+        new_cost = float(cum[-1])
+        return self._commit(
+            C, int(np.count_nonzero(batch.hyper)),
+            new_cost - self._cost, new_cost, batch.hyper, batch.sizes,
         )
 
-    def _commit_fused(
+    def _commit(
         self,
-        log: np.ndarray,
-        hyper_flags: np.ndarray,
-        sizes: np.ndarray,
+        steps: int,
+        hypers: int,
         chunk_cost: float,
         new_cost: float,
-        record: tuple,
-        lo: int,
-        hi: int,
-        shift: int,
+        hyper_flags: np.ndarray,
+        sizes: np.ndarray,
     ) -> StreamBatch:
-        """Book a chunk the fused multi-session sweep already served.
+        """Fold a served chunk into the counters; returns its batch.
 
-        The cursor and stream state were advanced inside
-        ``sweep_many`` — quiet sessions in its first epoch, triggering
-        ones through batched trigger replay — and the hub computed the
-        seeded cost cumsum for the whole group in one batched pass;
-        this just appends the requirement log, records the chunk's
-        installs and folds the totals in.  ``hyper_flags``/``sizes``
-        are read-only row views into the sweep's shared arrays.  This
-        session's installs are rows ``lo..hi`` of the group's
-        ``record`` (flat step indices, lane rows), and ``shift``
-        turns a flat index into a chunk step; the session keeps the
-        reference as it is until :meth:`finish`."""
+        The batched cursor (or, for a fused group, ``sweep_many``)
+        already advanced the policy state, and the caller computed the
+        seeded cost cumsum.  ``hyper_flags``/``sizes`` go to the caller
+        only: the session keeps no reference to them."""
         start = self._n
-        steps = log.shape[0]
-        self._chunks.append(log)
         self._n += steps
+        self._hypers += hypers
         self._cost = new_cost
-        hypers = hi - lo
-        if hypers:
-            self._installs.append((start - shift, record, lo, hi))
-            self._hypers += hypers
         return StreamBatch(
             start=start,
             steps=steps,
@@ -333,20 +316,21 @@ class StreamSession:
         """Serve a chunk of requirements in one vectorized call.
 
         ``masks`` is an iterable of int masks, a
-        :class:`~repro.core.context.RequirementSequence`, an already
-        lane-packed ``(C, L)`` uint64 array (fast path; lanes are
-        trusted to fit the universe).  The session keeps its own copy of
-        the chunk, so callers may reuse one preallocated buffer across
-        feeds.
+        :class:`~repro.core.context.RequirementSequence`, or an already
+        lane-packed ``(C, L)`` uint64 array (fast path).  Either way the
+        chunk is validated against the universe before any state
+        changes.  The session keeps no reference to the chunk, so
+        callers may reuse one preallocated buffer across feeds.
         """
         if self._finished:
             raise RuntimeError("session already finished")
         if isinstance(masks, np.ndarray) and masks.ndim == 2:
             lanes = np.ascontiguousarray(masks, dtype=np.uint64)
-            if np.shares_memory(lanes, masks):
-                # The requirement log must survive the caller reusing
-                # or mutating their buffer after this call.
-                lanes = lanes.copy()
+            if not lanes_fit(lanes, self.universe.size):
+                raise ValueError(
+                    f"lane chunk of shape {lanes.shape} does not fit the "
+                    f"{self.universe.size}-switch universe"
+                )
             int_masks = None
         else:
             if isinstance(masks, RequirementSequence):
@@ -387,52 +371,45 @@ class StreamSession:
 
     # -- closing -----------------------------------------------------------
 
-    def _all_masks(self) -> list[int]:
-        if self._batched is None:
-            return self._scalar_masks
-        out: list[int] = []
-        for lanes in self._chunks:
-            if lanes.shape[0]:
-                out.extend(lanes_to_masks(lanes))
-        return out
+    def finish(self) -> CloseResult:
+        """Close the session into its counters, in O(1).
 
-    def _install_log(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """(hyper steps, installed masks) of the whole session."""
-        if self._batched is None:
-            return tuple(self._hyper_steps), tuple(self._hyper_masks)
-        if not self._installs:
-            return (), ()
-        steps = np.concatenate([
-            flat[lo:hi] + shift
-            for shift, (flat, _lanes), lo, hi in self._installs
-        ])
-        lanes = np.concatenate([
-            lanes[lo:hi] for _shift, (_flat, lanes), lo, hi in self._installs
-        ])
-        return tuple(steps.tolist()), tuple(lanes_to_masks(lanes))
-
-    def finish(self) -> OnlineRun:
-        """Close the session into a validated :class:`OnlineRun`.
-
-        The returned schedule carries the session's exact installed
-        hypercontexts; its offline-evaluated cost must equal the
-        incrementally accumulated one (asserted, not assumed).
+        The session keeps no requirement or install log, so there is
+        nothing to re-evaluate here: the oracle suites and
+        ``repro serve-bench --verify`` check the accumulated cost
+        against the scalar session and the offline evaluator instead.
         """
         self._finished = True
-        n = self._n
-        hyper_steps, hyper_masks = self._install_log()
-        schedule = SingleTaskSchedule(
-            n=n, hyper_steps=hyper_steps, explicit_masks=hyper_masks
+        return CloseResult(
+            solver=self.solver, steps=self._n, hypers=self._hypers,
+            cost=self._cost,
         )
-        if n:
-            seq = RequirementSequence(self.universe, self._all_masks())
-            offline = switch_cost(seq, schedule, w=self.w)
-            if abs(offline - self._cost) > 1e-6:  # pragma: no cover
-                raise AssertionError(
-                    f"incremental cost {self._cost} disagrees with offline "
-                    f"evaluation {offline}"
+
+
+def _stack_group(members: list[tuple], L: int) -> tuple[np.ndarray, list]:
+    """One fused group's ``(S, Cmax, L)`` block (ragged chunks
+    zero-padded) and chunk lengths off its ``(sid, session, lanes)``
+    members.  The range check runs once on the block, against the
+    narrowest member universe (the lane count, not the width, keys a
+    group); only a failure is resolved member by member, so the error
+    names the offending session."""
+    counts = [lanes.shape[0] for _sid, _session, lanes in members]
+    Cmax = max(counts)
+    if min(counts) == Cmax:
+        block = np.stack([lanes for _sid, _session, lanes in members])
+    else:
+        block = np.zeros((len(members), Cmax, L), dtype=np.uint64)
+        for s, (_sid, _session, lanes) in enumerate(members):
+            block[s, : lanes.shape[0]] = lanes
+    narrowest = min(session.universe.size for _sid, session, _l in members)
+    if not lanes_fit(block, narrowest):
+        for sid, session, lanes in members:
+            if not lanes_fit(lanes, session.universe.size):
+                raise ValueError(
+                    f"session {sid!r}: lane chunk sets switches beyond "
+                    f"its {session.universe.size}-switch universe"
                 )
-        return OnlineRun(schedule=schedule, cost=self._cost, solver=self.solver)
+    return block, counts
 
 
 class StreamHub:
@@ -457,10 +434,10 @@ class StreamHub:
         tracer=None,
         fused: bool = True,
     ):
-        """``retain_runs=False`` drops finished runs after handing them
+        """``retain_runs=False`` drops close records after handing them
         to the caller (and releases their session ids for reuse) — the
-        long-running-service mode the shard pool uses, where retaining
-        every closed session forever would leak O(steps) per user.
+        long-running-service mode the shard pool uses, where reserving
+        every closed id forever would grow without bound.
         ``tracer`` is an optional
         :class:`~repro.obs.trace.TraceRecorder`; the hub records
         open/feed/close spans into it.  ``fused=False`` disables the
@@ -472,7 +449,7 @@ class StreamHub:
         self.tracer = tracer
         self.fused = fused
         self._sessions: dict[str, StreamSession] = {}
-        self._runs: dict[str, OnlineRun] = {}
+        self._runs: dict[str, CloseResult] = {}
         self._auto_id = count()
         # O(1) fleet totals (satellite of the fused-sweep PR): steps
         # and hypers of live sessions and retained runs, maintained on
@@ -632,8 +609,7 @@ class StreamHub:
         group (the sweep gathers them as vectors).  Every group member
         completes inside the epoch-synchronous ``sweep_many`` kernel —
         triggering sessions included — and the hub books the whole
-        group with one seeded cost cumsum, handing each session its
-        slice of the group's install records.  Only ineligible traffic
+        group with one seeded cost cumsum.  Only ineligible traffic
         — mask iterables, empty chunks, non-batched cursors — takes the
         per-session path.
         Returns (fused, fallback, group sizes, replay epochs, triggers);
@@ -658,23 +634,22 @@ class StreamHub:
                 plain.append(sid)
                 continue
             groups.setdefault(key, []).append((sid, session, lanes))
+        # Stack and validate every group before any session state
+        # changes: a lane chunk with bits beyond its universe fails the
+        # whole call, naming its session, with nothing served.
+        stacks = [
+            (key[0], members, _stack_group(members, key[1]))
+            for key, members in groups.items()
+        ]
         for sid in plain:
             out[sid] = sessions[sid].feed_many(chunks[sid])
         fused = len(chunks) - len(plain)
         fallback = len(plain)
         group_sizes: list[int] = []
         epochs = triggers = 0
-        for (cursor_cls, L, _hist), members in groups.items():
+        for cursor_cls, members, (block, counts) in stacks:
             S = len(members)
             group = [session for _sid, session, _lanes in members]
-            counts = [lanes.shape[0] for _sid, _session, lanes in members]
-            Cmax = max(counts)
-            if min(counts) == Cmax:
-                block = np.stack([lanes for _sid, _session, lanes in members])
-            else:
-                block = np.zeros((S, Cmax, L), dtype=np.uint64)
-                for s, (_sid, _session, lanes) in enumerate(members):
-                    block[s, : lanes.shape[0]] = lanes
             sweep = cursor_cls.sweep_many(
                 [session._batched for session in group],
                 block,
@@ -686,12 +661,11 @@ class StreamHub:
             # cumsum (row-wise it is exactly the scalar session's
             # concatenate-and-cumsum — padding columns add 0.0, so the
             # final column is every ragged session's total) and
-            # per-session slices off the shared arrays; the installs
-            # stay lane rows until each session finishes.
+            # per-session row views off the shared arrays.
             w_vec = np.fromiter(
                 (session.w for session in group), count=S, dtype=np.float64
             )
-            costs = np.empty((S, Cmax + 1), dtype=np.float64)
+            costs = np.empty((S, block.shape[1] + 1), dtype=np.float64)
             costs[:, 0] = [session._cost for session in group]
             costs[:, 1:] = sweep.sizes + np.where(
                 sweep.hyper, w_vec[:, None], 0.0
@@ -699,23 +673,16 @@ class StreamHub:
             cum = np.cumsum(costs, axis=1)
             new_costs = cum[:, -1].tolist()
             chunk_costs = (cum[:, -1] - cum[:, 0]).tolist()
-            offsets = np.zeros(S + 1, dtype=np.int64)
-            np.cumsum(sweep.installed_counts, out=offsets[1:])
-            offs = offsets.tolist()
-            # Session s's installs at flat indices s·Cmax + chunk step.
-            record = (np.flatnonzero(sweep.hyper), sweep.installed)
+            hypers = sweep.installed_counts.tolist()
             for s, (sid, session, _lanes) in enumerate(members):
                 n_s = counts[s]
-                out[sid] = session._commit_fused(
-                    block[s, :n_s],
-                    sweep.hyper[s, :n_s],
-                    sweep.sizes[s, :n_s],
+                out[sid] = session._commit(
+                    n_s,
+                    hypers[s],
                     chunk_costs[s],
                     new_costs[s],
-                    record,
-                    offs[s],
-                    offs[s + 1],
-                    s * Cmax,
+                    sweep.hyper[s, :n_s],
+                    sweep.sizes[s, :n_s],
                 )
             group_sizes.append(S)
         return fused, fallback, tuple(group_sizes), epochs, triggers
@@ -754,35 +721,34 @@ class StreamHub:
 
     # -- closing -----------------------------------------------------------
 
-    def finish(self, session_id: str) -> OnlineRun:
-        """Close one session (validated).
+    def finish(self, session_id: str) -> CloseResult:
+        """Close one session into its :class:`CloseResult`.
 
-        With ``retain_runs`` (default) the run is kept in :meth:`runs`
-        and the id stays reserved; otherwise the run goes only to the
-        caller and the id is immediately reusable.
+        With ``retain_runs`` (default) the record is kept in
+        :meth:`runs` and the id stays reserved; otherwise the record
+        goes only to the caller and the id is immediately reusable.
         """
-        session = self.session(session_id)
-        run = session.finish()
+        close = replace(self.session(session_id).finish(), session=session_id)
         self.metrics.record_session_close(
-            solver=run.solver, cost=run.cost, steps=run.schedule.n
+            solver=close.solver, cost=close.cost, steps=close.steps
         )
         if self.tracer is not None:
-            self.tracer.record("close", session=session_id, steps=run.schedule.n)
-        self._live_steps -= run.schedule.n
-        self._live_hypers -= run.schedule.r
+            self.tracer.record("close", session=session_id, steps=close.steps)
+        self._live_steps -= close.steps
+        self._live_hypers -= close.hypers
         if self.retain_runs:
-            self._runs[session_id] = run
-            self._closed_steps += run.schedule.n
-            self._closed_hypers += run.schedule.r
+            self._runs[session_id] = close
+            self._closed_steps += close.steps
+            self._closed_hypers += close.hypers
         del self._sessions[session_id]
-        return run
+        return close
 
-    def finish_all(self) -> dict[str, OnlineRun]:
-        """Close every live session; returns id → validated run."""
+    def finish_all(self) -> dict[str, CloseResult]:
+        """Close every live session; returns id → close record."""
         return {sid: self.finish(sid) for sid in tuple(self._sessions)}
 
-    def runs(self) -> dict[str, OnlineRun]:
-        """Validated runs of the sessions finished so far."""
+    def runs(self) -> dict[str, CloseResult]:
+        """Close records of the sessions finished so far."""
         return dict(self._runs)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

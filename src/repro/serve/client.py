@@ -36,6 +36,7 @@ from __future__ import annotations
 import socket
 from dataclasses import dataclass
 
+from repro.engine.stream import CloseResult
 from repro.serve.protocol import (
     MAX_FEED_ENTRIES,
     MAX_FRAME_BYTES,
@@ -65,17 +66,6 @@ class FeedResult:
     hypers: int
     cost: float
     cumulative_cost: float
-
-
-@dataclass(frozen=True)
-class CloseResult:
-    """Accounting of one finished session."""
-
-    session: str
-    solver: str
-    steps: int
-    hypers: int
-    cost: float
 
 
 def _feed_result(session: str, reply: dict) -> FeedResult:
@@ -336,12 +326,15 @@ class ServeClient:
     def close_session(
         self, session_id: str, *, trace: str | None = None
     ) -> CloseResult:
-        """Finish one session into its validated accounting."""
+        """Close one session; returns its :class:`CloseResult`."""
         frame = {"op": "close", "session": session_id}
         if trace is not None:
             frame["trace"] = trace
-        reply = self.call(frame)
-        self._widths.pop(session_id, None)
+        try:
+            reply = self.call(frame)
+        finally:
+            # The server forgets the id whatever the close's outcome.
+            self._widths.pop(session_id, None)
         return CloseResult(
             session=session_id,
             solver=reply["solver"],

@@ -4,9 +4,9 @@
 open S sessions through real client connections, feed every session a
 phased requirement stream chunk by chunk, close everything, and report
 throughput — optionally cross-checking every per-session cost against
-a single-threaded :class:`~repro.engine.stream.StreamHub` replay of
-the same traces (the serving layer must never change an answer, only
-how fast it arrives).
+single-threaded replays of the same traces and the offline evaluator
+(the serving layer must never change an answer, only how fast it
+arrives).
 
 Clients run on threads, each owning an equal slice of the fleet and
 feeding it round-robin (all sessions advance chunk 0, then chunk 1, …)
@@ -168,9 +168,9 @@ def run_loadgen(
 ) -> LoadgenResult:
     """Drive a serving process with a synthetic fleet; see module doc.
 
-    ``verify=True`` replays every trace through a local single-threaded
-    :class:`StreamHub` and requires exact per-session cost equality
-    (raises ``AssertionError`` otherwise, with the offending session).
+    ``verify=True`` checks every served cost against three oracles (see
+    :func:`_verify`) and raises ``AssertionError`` on a mismatch, naming
+    the offending session.
     """
     if sessions < 1 or steps < 1 or chunk < 1 or clients < 1:
         raise ValueError(
@@ -238,10 +238,14 @@ def run_loadgen(
 
 
 def _verify(traces, costs, width, w, policy, policy_params) -> bool:
-    """Single-hub oracle replay; exact equality per session."""
+    """Each served cost must equal a single-hub replay and a scalar
+    session replay exactly, and :func:`~repro.solvers.online.run_online`
+    within 1e-6 (sessions keep no log to re-check at close)."""
+    from repro.core.context import RequirementSequence
     from repro.core.switches import SwitchUniverse
-    from repro.engine.stream import StreamHub
+    from repro.engine.stream import StreamHub, StreamSession
     from repro.serve.protocol import policy_from_spec
+    from repro.solvers.online import ScalarOnly, run_online
 
     universe = SwitchUniverse.of_size(width)
     hub = StreamHub()
@@ -249,11 +253,24 @@ def _verify(traces, costs, width, w, policy, policy_params) -> bool:
         scheduler = policy_from_spec(policy, w, policy_params)
         hub.open(scheduler, universe, w, session_id=sid)
         hub.feed_many({sid: masks})
-    runs = hub.finish_all()
+    closes = hub.finish_all()
+    # run_online needs the bare policy's plan(), never a ScalarOnly.
+    bare = {k: v for k, v in policy_params.items() if k != "scalar"}
     for sid, masks in traces.items():
-        if runs[sid].cost != costs[sid]:
-            raise AssertionError(
-                f"session {sid}: served cost {costs[sid]} != "
-                f"single-hub replay {runs[sid].cost}"
-            )
+        served = costs[sid]
+        scheduler = policy_from_spec(policy, w, bare)
+        scalar = StreamSession(ScalarOnly(scheduler), universe, w)
+        scalar.feed_many(masks)
+        offline = run_online(
+            scheduler, RequirementSequence(universe, masks), w
+        ).cost
+        for oracle, expect, tol in (
+            ("single-hub replay", closes[sid].cost, 0.0),
+            ("scalar session", scalar.cost, 0.0),
+            ("offline evaluation", offline, 1e-6),
+        ):
+            if not abs(served - expect) <= tol:  # NaN fails too
+                raise AssertionError(
+                    f"session {sid}: served cost {served} != {oracle} {expect}"
+                )
     return True

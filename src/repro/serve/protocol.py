@@ -110,7 +110,7 @@ from itertools import accumulate, groupby
 
 import numpy as np
 
-from repro.core.packed import lane_count
+from repro.core.packed import lane_count, lanes_fit
 
 __all__ = [
     "BIN_FLAG_DEFLATE",
@@ -339,15 +339,10 @@ def lanes_from_bytes(raw: bytes, count: int, width: int) -> np.ndarray:
     )
     # Bits above the universe width are a protocol violation, not a
     # subtle downstream surprise.
-    tail_bits = width - (L - 1) * 64
-    if tail_bits < 64 and count:
-        # A row sets a bit at or above the tail exactly when its top
-        # lane exceeds the all-ones tail mask.
-        top = np.uint64((1 << tail_bits) - 1)
-        if lanes[:, L - 1].max() > top:
-            raise ProtocolError(
-                f"mask sets switches beyond the {width}-switch universe"
-            )
+    if not lanes_fit(lanes, width):
+        raise ProtocolError(
+            f"mask sets switches beyond the {width}-switch universe"
+        )
     return lanes
 
 

@@ -25,7 +25,7 @@ over stdin/stdout) and turns newline-delimited JSON frames
   is staged whole, so it is swept in one drain cycle;
 * **ordering** — ``close`` travels through the same shard queue as a
   barrier, so a session's pending feeds are always served before its
-  run is finished and validated.  Each ``feed_many`` entry is staged
+  counters are closed.  Each ``feed_many`` entry is staged
   as its own shard job, in entry order, so batching a burst into one
   frame changes neither shard routing nor per-session order.
 
@@ -506,7 +506,7 @@ class StreamServer:
             for job in closes:
                 t0 = time.perf_counter()
                 try:
-                    run = await loop.run_in_executor(
+                    close = await loop.run_in_executor(
                         drain_thread, self.pool.finish, job.session
                     )
                 except asyncio.CancelledError:
@@ -517,10 +517,10 @@ class StreamServer:
                 else:
                     self._span(
                         "close", job, t0, time.perf_counter() - t0, shard,
-                        steps=run.schedule.n,
+                        steps=close.steps,
                     )
                     if not job.future.done():
-                        job.future.set_result(run)
+                        job.future.set_result(close)
 
     def _run_cycle(self, shard: int, chunks: dict):
         """One executor hop: resolve deferred decodes, feed the shard.
@@ -903,16 +903,19 @@ class StreamServer:
     async def _finish_close(
         self, frame: CloseFrame, future: asyncio.Future
     ) -> dict:
-        run = await future
-        with self._sessions_lock:
-            self._sessions.pop(frame.session, None)
+        try:
+            close = await future
+        finally:
+            # A failed close (a down shard, say) must not pin the id.
+            with self._sessions_lock:
+                self._sessions.pop(frame.session, None)
         return ok_frame(
             "close",
             session=frame.session,
-            solver=run.solver,
-            steps=run.schedule.n,
-            hypers=run.schedule.r,
-            cost=run.cost,
+            solver=close.solver,
+            steps=close.steps,
+            hypers=close.hypers,
+            cost=close.cost,
             **_echo(frame),
         )
 

@@ -26,7 +26,8 @@ threads lost every run to hubs in processes::
 A process shard whose worker dies is marked down: its sessions' feeds
 and closes fail with an error naming the shard, and :meth:`ShardPool.stats`
 reports it with ``up: False`` while the other shards keep serving.
-Nothing respawns it.
+A close on a down shard still frees the session's slot.  Nothing
+respawns the shard.
 
 Placement is **decision-free**: a session's shard is
 ``crc32(session_id) % shards`` (stable across runs and processes), and
@@ -53,10 +54,9 @@ import numpy as np
 
 from repro.core.switches import SwitchUniverse
 from repro.engine.metrics import DETERMINISTIC_FAMILIES, EngineMetrics
-from repro.engine.stream import StreamBatch, StreamHub
+from repro.engine.stream import CloseResult, StreamBatch, StreamHub
 from repro.obs.catalog import DRAIN_CYCLE
 from repro.obs.histogram import HistogramFamily
-from repro.solvers.online import OnlineRun
 
 __all__ = [
     "BatchSummary", "ShardDown", "ShardPool", "shard_index", "shard_kind",
@@ -141,7 +141,7 @@ class _ThreadShard:
             fused,
         )
 
-    def finish(self, session_id) -> OnlineRun:
+    def finish(self, session_id) -> CloseResult:
         with self.lock:
             return self.hub.finish(session_id)
 
@@ -248,7 +248,7 @@ class _ProcShard:
     def feed_many(self, chunks):
         return self._call("feed_many", chunks)
 
-    def finish(self, session_id) -> OnlineRun:
+    def finish(self, session_id) -> CloseResult:
         return self._call("finish", session_id)
 
     def hist_wire(self) -> dict:
@@ -466,25 +466,28 @@ class ShardPool:
 
     # -- closing -----------------------------------------------------------
 
-    def finish(self, session_id: str) -> OnlineRun:
-        """Close one session (validated); the id becomes reusable."""
+    def finish(self, session_id: str) -> CloseResult:
+        """Close one session into its :class:`CloseResult`; the id
+        becomes reusable.  A close that fails — :class:`ShardDown`
+        from a dead shard — frees the session's slot all the same."""
         shard = self.shard_of(session_id)
-        run = self._shards[shard].finish(session_id)
-        with self._lock:
-            self._placement.pop(session_id, None)
+        try:
+            close = self._shards[shard].finish(session_id)
+        finally:
+            with self._lock:
+                self._placement.pop(session_id, None)
         # Counter only: the shard's hub recorded the deterministic
         # cost/steps histograms where the session actually ran, so the
         # merged view counts every close exactly once.
         self.metrics.record_session_close()
         if self.tracer is not None:
             self.tracer.record(
-                "close", session=session_id, shard=shard,
-                steps=run.schedule.n,
+                "close", session=session_id, shard=shard, steps=close.steps,
             )
-        return run
+        return close
 
-    def finish_all(self) -> dict[str, OnlineRun]:
-        """Close every live session; returns id → validated run."""
+    def finish_all(self) -> dict[str, CloseResult]:
+        """Close every live session; returns id → close record."""
         return {sid: self.finish(sid) for sid in self.session_ids()}
 
     def merged_histograms(self) -> dict[str, HistogramFamily]:

@@ -164,8 +164,7 @@ class FusedSweep:
     installed:
         ``(T, L)`` uint64 — installed hypercontext lanes of all
         ``T`` triggers, session-major and in step order within each
-        session (matching ``np.nonzero(hyper)``; read-only, sessions
-        keep slices of it as their install log).
+        session (matching ``np.nonzero(hyper)``; read-only).
     installed_counts:
         ``(S,)`` int64 — triggers per session; cumulative sums slice
         ``installed`` into per-session runs.

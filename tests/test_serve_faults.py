@@ -40,6 +40,7 @@ from repro.serve.protocol import (
     policy_from_spec,
 )
 from repro.serve.server import ServeConfig, ServerThread
+from repro.serve.shard import shard_index
 
 WIDTH, W = 40, 5.0
 
@@ -402,6 +403,37 @@ class TestUnexpectedExceptions:
                     ({"shard": "0"}, 0.0), ({"shard": "1"}, 1.0),
                 ]
                 assert client.close_session(spared).steps == 30
+        finally:
+            host.stop()
+
+    def test_close_on_a_dead_shard_frees_its_slot(self):
+        """A full server whose sessions all sit on a killed shard: each
+        close answers ``shard 0 is down`` and frees its slot, so the
+        server is empty afterwards and a session hashing to the live
+        shard opens."""
+        ids = [f"d{i}" for i in range(64) if shard_index(f"d{i}", 2) == 0]
+        victims, fresh = ids[:4], next(
+            f"n{i}" for i in range(64) if shard_index(f"n{i}", 2) == 1
+        )
+        host = ServerThread(ServeConfig(shards=2, max_sessions=4))
+        address = host.start()
+        try:
+            with ServeClient(*address, timeout=20) as client:
+                for sid in victims:
+                    client.open(width=WIDTH, w=W, session_id=sid)
+                with pytest.raises(ServeError, match="server full"):
+                    client.open(width=WIDTH, w=W, session_id=fresh)
+                proc = host.server.pool._shards[0]._proc
+                proc.kill()
+                proc.join(timeout=5)
+                for sid in victims:
+                    with pytest.raises(ServeError, match="shard 0 is down"):
+                        client.close_session(sid)
+                assert client.stats()["sessions"] == 0
+                assert not host.server._sessions and not client._widths
+                assert client.open(width=WIDTH, w=W, session_id=fresh) == fresh
+                client.feed(fresh, drifting_masks(WIDTH, 120, seed=0))
+                assert client.close_session(fresh).steps == 120
         finally:
             host.stop()
 

@@ -30,8 +30,10 @@ def _scheduler(s: int):
 
 
 @pytest.fixture(scope="module")
-def fleet():
-    """12 sessions with phased traces plus their single-hub oracle."""
+def fleet(stream_oracle):
+    """12 sessions with phased traces plus their single-hub close
+    records, themselves checked against the scalar session and the
+    offline evaluator."""
     universe = SwitchUniverse.of_size(WIDTH)
     traces = {
         f"user-{s}": drifting_masks(WIDTH, 240, seed=s, phase=40)
@@ -40,13 +42,11 @@ def fleet():
     hub = StreamHub()
     for s, (sid, masks) in enumerate(traces.items()):
         hub.open(_scheduler(s), universe, W, session_id=sid)
-        hub.feed_many({sid: masks})
-    runs = hub.finish_all()
-    oracle = {
-        sid: (run.cost, run.schedule.hyper_steps, run.schedule.explicit_masks)
-        for sid, run in runs.items()
-    }
-    return universe, traces, oracle
+        batch = hub.feed_many({sid: masks})[sid]
+        stream_oracle(
+            _scheduler(s), universe, W, masks, hub.finish(sid), [batch]
+        )
+    return universe, traces, hub.runs()
 
 
 class TestPlacementIndependence:
@@ -75,11 +75,7 @@ class TestPlacementIndependence:
             runs = pool.finish_all()
         finally:
             pool.close()
-        for sid in traces:
-            cost, hyper_steps, explicit = oracle[sid]
-            assert runs[sid].cost == cost
-            assert runs[sid].schedule.hyper_steps == hyper_steps
-            assert runs[sid].schedule.explicit_masks == explicit
+        assert runs == oracle
 
     def test_cumulative_summaries_match_oracle_totals(self, fleet):
         universe, traces, oracle = fleet
@@ -95,7 +91,7 @@ class TestPlacementIndependence:
                 last = {sid: b.cumulative_cost for sid, b in out.items()}
                 pos += 60
             for sid, cum in last.items():
-                assert cum == oracle[sid][0]
+                assert cum == oracle[sid].cost
             pool.finish_all()
 
 
@@ -118,8 +114,8 @@ class TestPlacementAndLifecycle:
             with pytest.raises(ValueError):
                 pool.open(WindowScheduler(k=2), universe, 4.0, session_id=sid)
             pool.feed_many({sid: [3, 1, 2]})
-            run = pool.finish(sid)
-            assert run.schedule.n == 3
+            close = pool.finish(sid)
+            assert (close.session, close.steps) == (sid, 3)
             assert sid not in pool
             with pytest.raises(KeyError):
                 pool.feed_many({sid: [1]})
@@ -133,7 +129,7 @@ class TestPlacementAndLifecycle:
             )
             assert again == sid
             pool.feed_many({sid: [1]})
-            assert pool.finish(sid).schedule.n == 1
+            assert pool.finish(sid).steps == 1
 
     def test_proc_shard_errors_cross_the_pipe(self):
         universe = SwitchUniverse.of_size(8)
@@ -191,10 +187,7 @@ class TestProcShardTransport:
         for s, sid in enumerate(chunks):
             hub.open(_scheduler(s), universe, W, session_id=sid)
         hub.feed_many(chunks)
-        oracle = {
-            sid: (run.cost, run.schedule.hyper_steps)
-            for sid, run in hub.finish_all().items()
-        }
+        oracle = hub.finish_all()
         with ShardPool(2) as pool:
             for s, sid in enumerate(chunks):
                 pool.open(_scheduler(s), universe, W, session_id=sid)
@@ -207,8 +200,4 @@ class TestProcShardTransport:
         assert lane_bytes == 4 * steps * 16  # 96 switches: 2 lanes/step
         assert snap["bytes_shipped"] == lane_bytes
         assert snap["bytes_shared"] == 0
-        served = {
-            sid: (run.cost, run.schedule.hyper_steps)
-            for sid, run in runs.items()
-        }
-        assert served == oracle
+        assert runs == oracle

@@ -25,11 +25,7 @@ from repro.core.switches import SwitchUniverse
 from repro.engine.stream import StreamHub, StreamSession
 from repro.serve.shard import ShardPool
 from repro.solvers import online
-from repro.solvers.online import (
-    RentOrBuyScheduler,
-    ScalarOnly,
-    WindowScheduler,
-)
+from repro.solvers.online import RentOrBuyScheduler, WindowScheduler
 from repro.util.rng import make_rng
 
 #: Universe sizes straddling the uint64 lane boundary.
@@ -79,11 +75,13 @@ def _mixed_scheduler(idx, w, k=5):
 
 
 def _run_hub(fleet, *, fused, chunk_sizes):
-    """Feed every session the same chunking; return costs + schedules."""
+    """Feed every session the same chunking; return the close records,
+    every session's per-chunk batches, and the hub."""
     hub = StreamHub(fused=fused)
     for sid, (universe, w, scheduler, _masks, lanes) in fleet.items():
         hub.open(scheduler, universe, w, session_id=sid)
     pos = {sid: 0 for sid in fleet}
+    batches = {sid: [] for sid in fleet}
     for size in chunk_sizes:
         chunks = {}
         for sid, (_u, _w, _s, _m, lanes) in fleet.items():
@@ -93,20 +91,27 @@ def _run_hub(fleet, *, fused, chunk_sizes):
             chunks[sid] = lanes[lo : lo + size]
             pos[sid] = lo + len(chunks[sid])
         if chunks:
-            hub.feed_many(chunks)
-    runs = hub.finish_all()
-    return (
-        {sid: run.cost for sid, run in runs.items()},
-        {sid: run.schedule.hyper_steps for sid, run in runs.items()},
-        hub,
-    )
+            for sid, batch in hub.feed_many(chunks).items():
+                batches[sid].append(batch)
+    return hub.finish_all(), batches, hub
 
 
-def _oracle(universe, w, scheduler, masks):
-    session = StreamSession(ScalarOnly(scheduler), universe, w)
-    for mask in masks:
-        session.feed(mask)
-    return session.cost, session.finish().schedule.hyper_steps
+def _per_step(batches):
+    """sid → (hyper steps, per-step |h|) off the per-chunk batches."""
+    out = {}
+    for sid, chunks in batches.items():
+        flags = np.concatenate([b.hyper_flags for b in chunks])
+        sizes = np.concatenate([b.sizes for b in chunks])
+        out[sid] = (tuple(np.flatnonzero(flags).tolist()), sizes.tolist())
+    return out
+
+
+def _check_fleet(stream_oracle, fleet, closes, batches):
+    """Every session of ``fleet`` against the scalar and offline oracles."""
+    for sid, (universe, w, scheduler, masks, _lanes) in fleet.items():
+        stream_oracle(
+            scheduler, universe, w, masks, closes[sid], batches[sid]
+        )
 
 
 @st.composite
@@ -158,7 +163,7 @@ def fused_fleets(draw):
 class TestFusedHubEquivalence:
     @settings(deadline=None, max_examples=60)
     @given(fused_fleets())
-    def test_fused_equals_sequential_equals_scalar(self, case):
+    def test_fused_equals_sequential_equals_scalar(self, stream_oracle, case):
         """Costs and hyper schedules are identical on the fused path,
         the per-session path, and the scalar oracle, for every fleet
         mix and chunking hypothesis finds."""
@@ -167,22 +172,21 @@ class TestFusedHubEquivalence:
         total = max(len(m) for *_rest, m, _l in
                     ((u, w, s, m, l) for u, w, s, m, l in fleet.values()))
         sizes = list(sizes) + [total]
-        fused_costs, fused_scheds, _ = _run_hub(
+        fused_closes, fused_batches, _ = _run_hub(
             fleet, fused=True, chunk_sizes=sizes
         )
-        seq_costs, seq_scheds, _ = _run_hub(
+        seq_closes, seq_batches, _ = _run_hub(
             fleet, fused=False, chunk_sizes=sizes
         )
-        assert fused_costs == seq_costs
-        assert fused_scheds == seq_scheds
-        for sid, (universe, w, scheduler, masks, _lanes) in fleet.items():
-            cost, sched = _oracle(universe, w, scheduler, masks)
-            assert fused_costs[sid] == cost
-            assert fused_scheds[sid] == sched
+        assert fused_closes == seq_closes
+        assert _per_step(fused_batches) == _per_step(seq_batches)
+        _check_fleet(stream_oracle, fleet, fused_closes, fused_batches)
 
     @pytest.mark.parametrize("width", BOUNDARY_WIDTHS)
     @pytest.mark.parametrize("chunk", [1, 3, 64, 777, 4096])
-    def test_chunk_size_sweep_at_lane_boundary(self, width, chunk):
+    def test_chunk_size_sweep_at_lane_boundary(
+        self, stream_oracle, width, chunk
+    ):
         """Single-step through 4096-step chunkings at 63/64/65 switches
         all reproduce the scalar oracle bit for bit."""
         n = 4096
@@ -206,20 +210,17 @@ class TestFusedHubEquivalence:
                 masks_to_lanes(masks, width),
             )
         sizes = [chunk] * ((n + chunk - 1) // chunk)
-        fused_costs, fused_scheds, hub = _run_hub(
-            fleet, fused=True, chunk_sizes=sizes
-        )
-        for idx, (sid, (u, _w, _s, masks, _l)) in enumerate(fleet.items()):
-            cost, sched = _oracle(u, w, scheduler_for(idx), masks)
-            assert fused_costs[sid] == cost
-            assert fused_scheds[sid] == sched
+        closes, batches, hub = _run_hub(fleet, fused=True, chunk_sizes=sizes)
+        _check_fleet(stream_oracle, fleet, closes, batches)
         # The kernel actually engaged somewhere on calm stretches
         # (wide chunks on drifting streams always trigger; narrow
         # ones mostly don't).
         m = hub.metrics
         assert m.stream_fused + m.stream_fused_fallback > 0
 
-    def test_trigger_heavy_stream_fuses_with_batched_replay(self):
+    def test_trigger_heavy_stream_fuses_with_batched_replay(
+        self, stream_oracle
+    ):
         """Adversarial streams that misfit every chunk: batched trigger
         replay keeps every session inside the kernel — zero per-session
         fallback — and stays bit-identical to the oracle."""
@@ -243,22 +244,15 @@ class TestFusedHubEquivalence:
                 masks_to_lanes(masks, width),
             )
         sizes = [chunk] * (n // chunk)
-        fused_costs, fused_scheds, hub = _run_hub(
-            fleet, fused=True, chunk_sizes=sizes
-        )
+        closes, batches, hub = _run_hub(fleet, fused=True, chunk_sizes=sizes)
         assert hub.metrics.stream_fused == len(fleet) * len(sizes)
         assert hub.metrics.stream_fused_fallback == 0
         assert hub.metrics.stream_replay_epochs > 0
         assert hub.metrics.stream_replay_triggers > 0
-        for sid, (u, _w, s, masks, _l) in fleet.items():
-            cost, sched = _oracle(
-                u, w, RentOrBuyScheduler(w, alpha=0.5, memory=1), masks
-            )
-            assert fused_costs[sid] == cost
-            assert fused_scheds[sid] == sched
+        _check_fleet(stream_oracle, fleet, closes, batches)
         # Replay telemetry counts real installs: every session installs
         # at least once, and the counter is bounded by total steps.
-        total_installs = sum(len(s) for s in fused_scheds.values())
+        total_installs = sum(c.hypers for c in closes.values())
         assert hub.metrics.stream_replay_triggers == total_installs
 
     def test_fused_flag_off_never_records_fused(self):
@@ -286,7 +280,7 @@ class TestBatchedTriggerReplay:
     ragged chunk lengths.  Every case pins fused ≡ sequential ≡ scalar."""
 
     @pytest.mark.parametrize("width", BOUNDARY_WIDTHS)
-    def test_every_step_window_trigger(self, width):
+    def test_every_step_window_trigger(self, stream_oracle, width):
         """WindowScheduler(k=1) installs on every step — the densest
         possible trigger epoch sequence."""
         universe = SwitchUniverse.of_size(width)
@@ -305,20 +299,15 @@ class TestBatchedTriggerReplay:
                 masks_to_lanes(masks, width),
             )
         sizes = [chunk] * (n // chunk)
-        fused_costs, fused_scheds, hub = _run_hub(
-            fleet, fused=True, chunk_sizes=sizes
-        )
+        closes, batches, hub = _run_hub(fleet, fused=True, chunk_sizes=sizes)
         assert hub.metrics.stream_fused == len(fleet) * len(sizes)
         assert hub.metrics.stream_fused_fallback == 0
         # k=1 cadence fires every step.
         assert hub.metrics.stream_replay_triggers == len(fleet) * n
-        for sid, (u, _w, _s, masks, _l) in fleet.items():
-            cost, sched = _oracle(u, w, WindowScheduler(k=1), masks)
-            assert fused_costs[sid] == cost
-            assert fused_scheds[sid] == sched
-            assert len(sched) == n
+        _check_fleet(stream_oracle, fleet, closes, batches)
+        assert all(close.hypers == n for close in closes.values())
 
-    def test_mixed_quiet_and_hectic_sessions_one_group(self):
+    def test_mixed_quiet_and_hectic_sessions_one_group(self, stream_oracle):
         """Calm and every-step-trigger sessions sharing one group key
         sweep together: the quiet rows coast to the epoch horizon while
         the hectic rows replay, with no cross-contamination."""
@@ -343,27 +332,24 @@ class TestBatchedTriggerReplay:
                 masks_to_lanes(masks, width),
             )
         sizes = [chunk] * (n // chunk)
-        fused_costs, fused_scheds, hub = _run_hub(
+        fused_closes, fused_batches, hub = _run_hub(
             fleet, fused=True, chunk_sizes=sizes
         )
-        seq_costs, seq_scheds, _ = _run_hub(
+        seq_closes, seq_batches, _ = _run_hub(
             fleet, fused=False, chunk_sizes=sizes
         )
-        assert fused_costs == seq_costs
-        assert fused_scheds == seq_scheds
+        assert fused_closes == seq_closes
+        assert _per_step(fused_batches) == _per_step(seq_batches)
         assert hub.metrics.stream_fused == len(fleet) * len(sizes)
         assert hub.metrics.stream_fused_fallback == 0
         # All six sessions share (type, lanes, history): one group.
         assert hub.last_fused[2] == (len(fleet),)
-        for sid, (u, _w, _s, masks, _l) in fleet.items():
-            cost, sched = _oracle(
-                u, w, RentOrBuyScheduler(w, alpha=0.5, memory=1), masks
-            )
-            assert fused_costs[sid] == cost
-            assert fused_scheds[sid] == sched
+        _check_fleet(stream_oracle, fleet, fused_closes, fused_batches)
 
     @pytest.mark.parametrize("width", BOUNDARY_WIDTHS)
-    def test_ragged_chunk_lengths_fuse_in_one_group(self, width):
+    def test_ragged_chunk_lengths_fuse_in_one_group(
+        self, stream_oracle, width
+    ):
         """Sessions with different chunk lengths in the same feed_many
         call fuse under the length-free group key — including lone
         sessions that previously short-circuited — and reproduce the
@@ -387,6 +373,7 @@ class TestBatchedTriggerReplay:
             for sid, (u, _w, s, _m, _l) in fleet.items():
                 hub.open(s, u, w, session_id=sid)
             pos = {sid: 0 for sid in fleet}
+            batches = {sid: [] for sid in fleet}
             # Ragged rounds: session idx advances by a per-session
             # stride, so each feed_many carries mixed chunk lengths.
             strides = [7, 16, 23, 1, 31]
@@ -399,22 +386,17 @@ class TestBatchedTriggerReplay:
                         continue
                     chunks[sid] = ln[lo : lo + strides[idx]]
                     pos[sid] = lo + len(chunks[sid])
-                hub.feed_many(chunks)
+                for sid, batch in hub.feed_many(chunks).items():
+                    batches[sid].append(batch)
             if fused:
                 assert hub.metrics.stream_fused > 0
                 assert hub.metrics.stream_fused_fallback == 0
                 # The final round is a lone leftover session — the old
                 # singleton short-circuit would have skipped it.
                 assert max(hub.last_fused[2], default=0) >= 1
-            runs = hub.finish_all()
-            for sid, (u, _w, _s, masks, _l) in fleet.items():
-                cost, sched = _oracle(
-                    u, w, RentOrBuyScheduler(w, **scheduler_args), masks
-                )
-                assert runs[sid].cost == cost
-                assert runs[sid].schedule.hyper_steps == sched
+            _check_fleet(stream_oracle, fleet, hub.finish_all(), batches)
 
-    def test_lone_session_group_fuses(self):
+    def test_lone_session_group_fuses(self, stream_oracle):
         """A single-session feed_many goes through the kernel: the
         lone-session short-circuit is gone."""
         width = 64
@@ -423,22 +405,18 @@ class TestBatchedTriggerReplay:
         masks = _drift_masks(width, 200, seed=3, phase=25)
         lanes = masks_to_lanes(masks, width)
         hub = StreamHub(fused=True)
-        sid = hub.open(
-            RentOrBuyScheduler(w, alpha=1.0, memory=2), universe, w
-        )
-        for lo in range(0, 200, 50):
-            hub.feed_many({sid: lanes[lo : lo + 50]})
+        scheduler = RentOrBuyScheduler(w, alpha=1.0, memory=2)
+        sid = hub.open(scheduler, universe, w)
+        batches = [
+            hub.feed_many({sid: lanes[lo : lo + 50]})[sid]
+            for lo in range(0, 200, 50)
+        ]
         assert hub.metrics.stream_fused == 4
         assert hub.metrics.stream_fused_fallback == 0
-        cost, sched = _oracle(
-            universe, w, RentOrBuyScheduler(w, alpha=1.0, memory=2), masks
-        )
-        run = hub.finish(sid)
-        assert run.cost == cost
-        assert run.schedule.hyper_steps == sched
+        stream_oracle(scheduler, universe, w, masks, hub.finish(sid), batches)
 
     @pytest.mark.default_crossover
-    def test_small_stack_crossover_is_equivalent(self):
+    def test_small_stack_crossover_is_equivalent(self, stream_oracle):
         """At the production threshold, small groups delegate to
         per-cursor ``step_many`` inside the sweep contract: the hub
         still reports every session fused (no fallback branch), replay
@@ -460,20 +438,13 @@ class TestBatchedTriggerReplay:
                 masks_to_lanes(masks, width),
             )
         sizes = [chunk] * (n // chunk)
-        fused_costs, fused_scheds, hub = _run_hub(
-            fleet, fused=True, chunk_sizes=sizes
-        )
+        closes, batches, hub = _run_hub(fleet, fused=True, chunk_sizes=sizes)
         assert hub.metrics.stream_fused == len(fleet) * len(sizes)
         assert hub.metrics.stream_fused_fallback == 0
-        total_installs = sum(len(s) for s in fused_scheds.values())
+        total_installs = sum(c.hypers for c in closes.values())
         assert hub.metrics.stream_replay_triggers == total_installs
         assert hub.metrics.stream_replay_epochs > 0
-        for sid, (u, _w, _s, masks, _l) in fleet.items():
-            cost, sched = _oracle(
-                u, w, RentOrBuyScheduler(w, alpha=1.0, memory=2), masks
-            )
-            assert fused_costs[sid] == cost
-            assert fused_scheds[sid] == sched
+        _check_fleet(stream_oracle, fleet, closes, batches)
 
 
 class TestRowAlignedEpochs:
@@ -652,7 +623,7 @@ class TestHistoryPrefixedInstalls:
         st.integers(min_value=0, max_value=1000),
     )
     def test_front_installs_match_scalar_sessions(
-        self, kind, width, history, sessions, seed
+        self, stream_oracle, kind, width, history, sessions, seed
     ):
         rng = make_rng(seed)
         universe = SwitchUniverse.of_size(width)
@@ -677,26 +648,21 @@ class TestHistoryPrefixedInstalls:
         ids = [f"u{s}" for s in range(sessions)]
         for s, sid in enumerate(ids):
             hub.open(scheduler(s), universe, float(1 + s % 4), session_id=sid)
+        batches = {sid: [] for sid in ids}
         for r in range(rounds):
-            hub.feed_many({
+            out = hub.feed_many({
                 sid: masks_to_lanes(plans[s][r], width)
                 for s, sid in enumerate(ids)
             })
             assert hub.last_fused[:3] == (sessions, 0, (sessions,))
-        runs = hub.finish_all()
+            for sid, batch in out.items():
+                batches[sid].append(batch)
+        closes = hub.finish_all()
         for s, sid in enumerate(ids):
-            oracle = StreamSession(
-                ScalarOnly(scheduler(s)), universe, float(1 + s % 4)
-            )
-            for chunk in plans[s]:
-                for mask in chunk:
-                    oracle.feed(mask)
-            expect = oracle.finish()
-            assert runs[sid].cost == expect.cost
-            assert runs[sid].schedule.hyper_steps == expect.schedule.hyper_steps
-            assert (
-                runs[sid].schedule.explicit_masks
-                == expect.schedule.explicit_masks
+            masks = [mask for chunk in plans[s] for mask in chunk]
+            stream_oracle(
+                scheduler(s), universe, float(1 + s % 4), masks,
+                closes[sid], batches[sid],
             )
 
 
@@ -728,8 +694,8 @@ class TestTotalsCounters:
         # Closing with retained runs keeps the totals; the counters
         # must agree with what a re-sum would have said.
         runs = hub.finish_all()
-        assert hub.total_steps == sum(r.schedule.n for r in runs.values())
-        assert hub.total_hypers == sum(r.schedule.r for r in runs.values())
+        assert hub.total_steps == sum(r.steps for r in runs.values())
+        assert hub.total_hypers == sum(r.hypers for r in runs.values())
 
     def test_counters_drop_on_unretained_finish(self):
         width = 40
@@ -747,13 +713,12 @@ class TestTotalsCounters:
 
 
 class TestScanBoundTunables:
-    def test_scan_bounds_never_change_decisions(self):
+    def test_scan_bounds_never_change_decisions(self, stream_oracle):
         width = 72
         universe = SwitchUniverse.of_size(width)
         w = float(width)
         masks = _drift_masks(width, 600, seed=9, phase=37)
         lanes = masks_to_lanes(masks, width)
-        reference = None
         for scan_min, scan_max in [
             (None, None), (1, 1), (1, 8), (5, 4096), (4096, 4096),
         ]:
@@ -762,17 +727,13 @@ class TestScanBoundTunables:
                 scan_min=scan_min, scan_max=scan_max,
             )
             session = StreamSession(scheduler, universe, w)
-            for lo in range(0, len(lanes), 50):
+            batches = [
                 session.feed_many(lanes[lo : lo + 50])
-            run = session.finish()
-            key = (run.cost, run.schedule.hyper_steps)
-            if reference is None:
-                reference = key
-            assert key == reference
-        cost, sched = _oracle(
-            universe, w, RentOrBuyScheduler(w, alpha=1.5, memory=3), masks
-        )
-        assert reference == (cost, sched)
+                for lo in range(0, len(lanes), 50)
+            ]
+            stream_oracle(
+                scheduler, universe, w, masks, session.finish(), batches
+            )
 
     def test_scan_bound_validation(self):
         with pytest.raises(ValueError):

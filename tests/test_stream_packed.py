@@ -17,7 +17,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.context import RequirementSequence
-from repro.core.cost_single import switch_cost
 from repro.core.packed import PackedStream, lanes_to_masks, masks_to_lanes
 from repro.core.switches import SwitchUniverse
 from repro.engine.stream import StreamHub, StreamSession
@@ -138,7 +137,9 @@ class TestBatchedCursorEquivalence:
             _BatchedRentOrBuyCursor._SCAN_MIN = old_min
             _BatchedRentOrBuyCursor._SCAN_MAX = old_max
 
-    def test_hectic_stream_resolves_triggers_on_the_multi_trigger_path(self):
+    def test_hectic_stream_resolves_triggers_on_the_multi_trigger_path(
+        self, stream_oracle
+    ):
         """A working-set drift every few steps makes misfits the
         dominant trigger; most of them must resolve on the
         multi-trigger fast path (no full-window sweep recompute) and
@@ -165,14 +166,15 @@ class TestBatchedCursorEquivalence:
         for mask in masks:
             scalar.feed(mask)
         packed = StreamSession(scheduler, universe, float(width))
-        for lo in range(0, 3000, 512):
+        batches = [
             packed.feed_many(masks[lo : lo + 512])
+            for lo in range(0, 3000, 512)
+        ]
         assert packed.cost == scalar.cost
         assert packed.hyper_count == scalar.hyper_count
-        run_packed, run_scalar = packed.finish(), scalar.finish()
-        assert (
-            run_packed.schedule.explicit_masks
-            == run_scalar.schedule.explicit_masks
+        stream_oracle(
+            scheduler, universe, float(width), masks, packed.finish(),
+            batches,
         )
         hits = packed._batched.multi_trigger_hits
         assert hits > packed.hyper_count // 2  # the fast path carries it
@@ -360,11 +362,12 @@ class TestPackedSession:
     @settings(deadline=None, max_examples=40)
     @given(stream_instances(), st.data())
     def test_packed_session_bit_identical_to_scalar_session(
-        self, instance, data
+        self, stream_oracle, instance, data
     ):
-        """Costs, hyper counts and finished schedules of the packed
-        session equal the scalar-cursor session exactly (the cost is
-        accumulated in the same float order, so == not approx)."""
+        """Costs, hyper counts, close records and per-chunk accounting
+        of the packed session equal the scalar-cursor session exactly
+        (the cost is accumulated in the same float order, so == not
+        approx) and match run_online's schedule."""
         universe, masks, scheduler = instance
         w = float(getattr(scheduler, "w", 0.0) or universe.size)
         scalar = StreamSession(ScalarOnly(scheduler), universe, w)
@@ -373,23 +376,17 @@ class TestPackedSession:
         for mask in masks:
             scalar.feed(mask)
         pos = 0
+        batches = []
         while pos < len(masks):
             step = data.draw(st.integers(min_value=1, max_value=len(masks)))
-            batch = packed.feed_many(masks[pos : pos + step])
-            assert batch.cumulative_cost == packed.cost
+            batches.append(packed.feed_many(masks[pos : pos + step]))
+            assert batches[-1].cumulative_cost == packed.cost
             pos += step
         assert packed.cost == scalar.cost
         assert packed.steps == scalar.steps
         assert packed.hyper_count == scalar.hyper_count
         assert packed.current_hypercontext == scalar.current_hypercontext
-        run_packed = packed.finish()
-        run_scalar = scalar.finish()
-        assert run_packed.cost == run_scalar.cost
-        assert run_packed.schedule.hyper_steps == run_scalar.schedule.hyper_steps
-        assert (
-            run_packed.schedule.explicit_masks
-            == run_scalar.schedule.explicit_masks
-        )
+        stream_oracle(scheduler, universe, w, masks, packed.finish(), batches)
 
     def test_feed_events_match_scalar_path(self):
         universe = SwitchUniverse.of_size(70)
@@ -411,27 +408,41 @@ class TestPackedSession:
         assert session.steps == 4
         session.finish()
 
-    def test_feed_many_copies_reused_lane_buffers(self):
+    @pytest.mark.parametrize("chunk", [2, 5])
+    @pytest.mark.parametrize("kind", ["rent_or_buy", "window", "scalar"])
+    def test_feed_many_keeps_no_reference_to_lane_buffers(
+        self, stream_oracle, kind, chunk
+    ):
         """A serving loop may reuse one preallocated buffer across
-        feeds; the session's requirement log must not alias it."""
+        feeds: scribbling over it right after each feed changes no
+        later decision, for chunks shorter and longer than the
+        policy's history (no cursor or stream row aliases it)."""
         universe = SwitchUniverse.of_size(12)
-        session = StreamSession(WindowScheduler(k=3), universe, 4.0)
-        rounds = [[1, 2, 4], [8, 1, 2], [4, 4, 1]]
-        buffer = np.zeros((3, 1), dtype=np.uint64)
-        fed = []
-        for masks in rounds:
-            buffer[:, 0] = masks
-            session.feed_many(buffer)
-            fed.extend(masks)
-        run = session.finish()  # would raise if the log aliased buffer
-        seq = RequirementSequence(universe, fed)
-        assert run.cost == pytest.approx(switch_cost(seq, run.schedule, w=4.0))
+        scheduler = (
+            WindowScheduler(k=3) if kind == "window"
+            else RentOrBuyScheduler(4.0, alpha=0.5, memory=3)
+        )
+        session = StreamSession(
+            ScalarOnly(scheduler) if kind == "scalar" else scheduler,
+            universe, 4.0,
+        )
+        rng = np.random.default_rng(5)
+        fed = [int(x) for x in rng.integers(0, 1 << 12, 12 * chunk)]
+        buffer = np.zeros((chunk, 1), dtype=np.uint64)
+        batches = []
+        for lo in range(0, len(fed), chunk):
+            buffer[:, 0] = fed[lo : lo + chunk]
+            batches.append(session.feed_many(buffer))
+            buffer[:] = universe.full_mask
+        stream_oracle(scheduler, universe, 4.0, fed, session.finish(), batches)
 
 
 class TestStreamHub:
-    def test_hub_accounting_cross_checked_against_switch_cost(self):
-        """Every finished hub session validates against the offline
-        evaluator, and the aggregate counters add up."""
+    def test_hub_accounting_cross_checked_against_switch_cost(
+        self, stream_oracle
+    ):
+        """Every finished hub session matches the scalar session and
+        the offline evaluator, and the aggregate counters add up."""
         universe = SwitchUniverse.of_size(96)
         rng = np.random.default_rng(7)
         hub = StreamHub()
@@ -448,27 +459,27 @@ class TestStreamHub:
                 for _ in range(40)
             ]
             sid = hub.open(scheduler, universe, 8.0, session_id=f"u{s}")
-            expected[sid] = masks
+            expected[sid] = (scheduler, masks)
         # interleaved chunks across sessions
+        batches = {sid: [] for sid in expected}
         for lo in range(0, 40, 7):
-            hub.feed_many(
-                {sid: masks[lo : lo + 7] for sid, masks in expected.items()}
-            )
+            out = hub.feed_many({
+                sid: masks[lo : lo + 7]
+                for sid, (_scheduler, masks) in expected.items()
+            })
+            for sid, batch in out.items():
+                batches[sid].append(batch)
         runs = hub.finish_all()
         assert set(runs) == set(expected)
         total_cost = 0.0
         total_steps = total_hypers = 0
-        for sid, masks in expected.items():
+        for sid, (scheduler, masks) in expected.items():
             run = runs[sid]
-            seq = RequirementSequence(universe, masks)
-            # finish() asserts the incremental total internally; check
-            # the offline evaluation again from first principles.
-            assert run.cost == pytest.approx(
-                switch_cost(seq, run.schedule, w=8.0)
-            )
+            assert run.session == sid
+            stream_oracle(scheduler, universe, 8.0, masks, run, batches[sid])
             total_cost += run.cost
-            total_steps += run.schedule.n
-            total_hypers += run.schedule.r
+            total_steps += run.steps
+            total_hypers += run.hypers
         assert hub.total_steps == total_steps == hub.metrics.stream_steps
         assert hub.total_hypers == total_hypers == hub.metrics.stream_hypers
         assert hub.total_cost == pytest.approx(total_cost)
@@ -515,7 +526,7 @@ class TestStreamHub:
             assert sid == "user"
             hub.feed_many({sid: [1, 3]})
             run = hub.finish(sid)
-            assert run.schedule.n == 2
+            assert (run.session, run.steps) == ("user", 2)
         assert hub.runs() == {}
         assert hub.total_steps == 0  # no retained history, by design
 

@@ -7,7 +7,7 @@ The bench harness writes ``BENCH_e16.json`` / ``BENCH_e17.json`` /
 artifacts are committed — they *are* the performance baseline of the
 last merged PR.  This script compares a freshly measured artifact
 against the committed baseline row by row and exits nonzero when any
-throughput metric regressed by more than the tolerance.
+metric's slowdown ratio exceeds ``1 + tolerance``.
 
 Matching is strict like-for-like: rows pair up only when every
 non-metric field agrees — including the ``smoke`` flag, so reduced-size
@@ -20,6 +20,12 @@ Metrics and direction:
 
 * ``*_per_s`` (steps/s, frames/s, requests/s) — higher is better;
 * ``us_per_step`` / ``*_us`` / ``wall_ms`` — lower is better.
+
+The slowdown ratio is ``baseline / fresh`` for a higher-is-better
+metric and ``fresh / baseline`` for a lower-is-better one.  So with
+``--tolerance 0.30`` a time metric fails when it rises more than 30%,
+but a throughput metric fails when it falls more than
+``tol / (1 + tol)`` ≈ 23.1% (1/1.30 of the baseline), not 30%.
 
 ``speedup`` and ``fused_fraction`` columns are informational ratios and
 are deliberately not guarded — the absolute throughputs they derive
@@ -141,8 +147,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--tolerance", type=float, default=0.30,
-        help="allowed fractional regression before failing "
-             "(default 0.30 = 30%%)",
+        help="allowed slowdown ratio above 1 before failing "
+             "(default 0.30: a time may rise 30%%, a throughput may "
+             "fall about 23.1%%)",
     )
     args = parser.parse_args(argv)
 
@@ -166,12 +173,12 @@ def main(argv: list[str] | None = None) -> int:
         all_failures.extend(failures)
 
     if all_failures:
-        print(f"\nFAIL: {len(all_failures)} metric(s) regressed more "
-              f"than {args.tolerance * 100:.0f}%:", file=sys.stderr)
+        print(f"\nFAIL: {len(all_failures)} metric(s) slowed past a "
+              f"ratio of {1 + args.tolerance:.2f}:", file=sys.stderr)
         for msg in all_failures:
             print(f"  {msg}", file=sys.stderr)
         return 1
-    print(f"OK: no regression past {args.tolerance * 100:.0f}% "
+    print(f"OK: no slowdown ratio past {1 + args.tolerance:.2f} "
           f"across {total_compared} compared rows")
     return 0
 

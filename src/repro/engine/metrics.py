@@ -258,7 +258,7 @@ class EngineMetrics:
                         self.hist["drain_cycle_seconds"].observe(
                             seconds, shard=str(drain_shard)
                         )
-                if chunk_steps:
+                if len(chunk_steps):
                     # One bucket-count pass over the whole batch; step
                     # counts are small ints, so the float total stays
                     # exact and the family remains deterministic.

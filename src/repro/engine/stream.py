@@ -21,8 +21,14 @@ reconfiguration step at a time.  Two serving APIs cover that mode:
 * :class:`StreamHub` multiplexes many concurrent sessions — one per
   user/machine — under string session ids, with per-session policy,
   universe and ``w``.  ``feed_many`` takes a mapping of per-session
-  chunks and advances each session on its packed state;
-  aggregate counters (sessions, steps, hyperreconfigurations, wall
+  chunks, validates every chunk before any session moves, advances
+  each session on its packed state and returns a :class:`FeedRows`:
+  the call's per-session counters as arrays, readable as a mapping of
+  session id to :class:`StreamBatch` whose per-step arrays are built
+  only when a row is read.  A fused group is booked as array
+  bookkeeping — steps, hypers and costs come straight off the sweep's
+  arrays and one seeded cost cumsum, with no per-session batch object.
+  Aggregate counters (sessions, steps, hyperreconfigurations, wall
   time) flow into a shared :class:`~repro.engine.metrics.EngineMetrics`
   so the operator report shows streaming steps/sec and the fleet-wide
   hyper rate next to the batch counters.
@@ -44,7 +50,7 @@ from __future__ import annotations
 import time
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, replace
-from itertools import count
+from itertools import chain, count
 
 import numpy as np
 
@@ -54,7 +60,8 @@ from repro.core.switches import SwitchUniverse
 from repro.engine.metrics import EngineMetrics
 
 __all__ = [
-    "CloseResult", "StreamBatch", "StreamEvent", "StreamHub", "StreamSession",
+    "CloseResult", "FeedRows", "StreamBatch", "StreamEvent", "StreamHub",
+    "StreamSession",
 ]
 
 _U64 = np.dtype(np.uint64)
@@ -117,7 +124,9 @@ class StreamBatch:
 
     The hot path serves thousands of steps per call; this is the
     chunk-level view (no per-step event objects).  ``hyper_flags`` and
-    ``sizes`` are the per-step arrays for callers that want them.
+    ``sizes`` are the per-step arrays for callers that want them;
+    they are ``None`` in a batch read off counters-only
+    :class:`FeedRows` (a pickled or shard-pool result).
 
     Attributes
     ----------
@@ -142,8 +151,8 @@ class StreamBatch:
     hypers: int
     cost: float
     cumulative_cost: float
-    hyper_flags: np.ndarray
-    sizes: np.ndarray
+    hyper_flags: np.ndarray | None
+    sizes: np.ndarray | None
 
 
 class StreamSession:
@@ -271,46 +280,25 @@ class StreamSession:
     def _apply_lanes(self, lanes: np.ndarray) -> StreamBatch:
         """Advance the batched cursor by a pre-validated lane chunk."""
         batch = self._batched.step_many(lanes)
-        C = batch.steps
         # Per-step charge w·hyper + |h|, accumulated in the scalar
         # session's order: seed the cumulative sum with the running
         # total so float rounding matches step-by-step accumulation.
         step_costs = np.where(batch.hyper, self.w, 0.0) + batch.sizes
         cum = np.cumsum(np.concatenate(([self._cost], step_costs)))
         new_cost = float(cum[-1])
-        return self._commit(
-            C, int(np.count_nonzero(batch.hyper)),
-            new_cost - self._cost, new_cost, batch.hyper, batch.sizes,
-        )
-
-    def _commit(
-        self,
-        steps: int,
-        hypers: int,
-        chunk_cost: float,
-        new_cost: float,
-        hyper_flags: np.ndarray,
-        sizes: np.ndarray,
-    ) -> StreamBatch:
-        """Fold a served chunk into the counters; returns its batch.
-
-        The batched cursor (or, for a fused group, ``sweep_many``)
-        already advanced the policy state, and the caller computed the
-        seeded cost cumsum.  ``hyper_flags``/``sizes`` go to the caller
-        only: the session keeps no reference to them."""
-        start = self._n
-        self._n += steps
-        self._hypers += hypers
-        self._cost = new_cost
-        return StreamBatch(
-            start=start,
-            steps=steps,
-            hypers=hypers,
-            cost=chunk_cost,
+        out = StreamBatch(
+            start=self._n,
+            steps=batch.steps,
+            hypers=int(np.count_nonzero(batch.hyper)),
+            cost=new_cost - self._cost,
             cumulative_cost=new_cost,
-            hyper_flags=hyper_flags,
-            sizes=sizes,
+            hyper_flags=batch.hyper,
+            sizes=batch.sizes,
         )
+        self._n += out.steps
+        self._hypers += out.hypers
+        self._cost = new_cost
+        return out
 
     def feed_many(self, masks) -> StreamBatch:
         """Serve a chunk of requirements in one vectorized call.
@@ -322,6 +310,12 @@ class StreamSession:
         changes.  The session keeps no reference to the chunk, so
         callers may reuse one preallocated buffer across feeds.
         """
+        return self._serve(self._prepare(masks))
+
+    def _prepare(self, masks):
+        """Validate and convert a chunk without touching any state:
+        ``(C, L)`` lanes for a batched cursor, a list of int masks for
+        the scalar one."""
         if self._finished:
             raise RuntimeError("session already finished")
         if isinstance(masks, np.ndarray) and masks.ndim == 2:
@@ -331,29 +325,33 @@ class StreamSession:
                     f"lane chunk of shape {lanes.shape} does not fit the "
                     f"{self.universe.size}-switch universe"
                 )
-            int_masks = None
-        else:
-            if isinstance(masks, RequirementSequence):
-                masks = masks.masks
-            int_masks = self._check_masks(masks)
-            lanes = masks_to_lanes(int_masks, self.universe.size)
+            if self._batched is not None:
+                return lanes
+            return lanes_to_masks(lanes) if lanes.shape[0] else []
+        if isinstance(masks, RequirementSequence):
+            masks = masks.masks
+        int_masks = self._check_masks(masks)
         if self._batched is not None:
-            return self._apply_lanes(lanes)
-        if int_masks is None:
-            int_masks = lanes_to_masks(lanes) if lanes.shape[0] else []
+            return masks_to_lanes(int_masks, self.universe.size)
+        return int_masks
+
+    def _serve(self, prepared) -> StreamBatch:
+        """Serve a chunk :meth:`_prepare` returned."""
+        if self._batched is not None:
+            return self._apply_lanes(prepared)
         start = self._n
         cost_before = self._cost
-        hypers_before = self.hyper_count
-        hyper_flags = np.zeros(len(int_masks), dtype=bool)
-        sizes = np.zeros(len(int_masks), dtype=np.int64)
-        for j, mask in enumerate(int_masks):
+        hypers_before = self._hypers
+        hyper_flags = np.zeros(len(prepared), dtype=bool)
+        sizes = np.zeros(len(prepared), dtype=np.int64)
+        for j, mask in enumerate(prepared):
             event = self._feed_scalar(mask)
             hyper_flags[j] = event.hyper
             sizes[j] = event.hypercontext.bit_count()
         return StreamBatch(
             start=start,
-            steps=len(int_masks),
-            hypers=self.hyper_count - hypers_before,
+            steps=len(prepared),
+            hypers=self._hypers - hypers_before,
             cost=self._cost - cost_before,
             cumulative_cost=self._cost,
             hyper_flags=hyper_flags,
@@ -386,30 +384,150 @@ class StreamSession:
         )
 
 
-def _stack_group(members: list[tuple], L: int) -> tuple[np.ndarray, list]:
-    """One fused group's ``(S, Cmax, L)`` block (ragged chunks
-    zero-padded) and chunk lengths off its ``(sid, session, lanes)``
-    members.  The range check runs once on the block, against the
-    narrowest member universe (the lane count, not the width, keys a
-    group); only a failure is resolved member by member, so the error
-    names the offending session."""
-    counts = [lanes.shape[0] for _sid, _session, lanes in members]
-    Cmax = max(counts)
-    if min(counts) == Cmax:
-        block = np.stack([lanes for _sid, _session, lanes in members])
-    else:
-        block = np.zeros((len(members), Cmax, L), dtype=np.uint64)
-        for s, (_sid, _session, lanes) in enumerate(members):
-            block[s, : lanes.shape[0]] = lanes
-    narrowest = min(session.universe.size for _sid, session, _l in members)
-    if not lanes_fit(block, narrowest):
-        for sid, session, lanes in members:
-            if not lanes_fit(lanes, session.universe.size):
-                raise ValueError(
-                    f"session {sid!r}: lane chunk sets switches beyond "
-                    f"its {session.universe.size}-switch universe"
+_ROW_FIELDS = (
+    ("start", np.int64),
+    ("steps", np.int64),
+    ("hypers", np.int64),
+    ("cost", np.float64),
+    ("cumulative_cost", np.float64),
+)
+
+
+class FeedRows(Mapping):
+    """One :meth:`StreamHub.feed_many` call's accounting, as rows.
+
+    A read-only mapping of session id to :class:`StreamBatch`, in the
+    caller's order, so ``rows[sid].cost`` reads as it would off a
+    dict.  The counters themselves are arrays with one row per
+    session:
+
+    ``ids``
+        Session ids, in row order.
+    ``start``, ``steps``, ``hypers``
+        int64 — each session's first step index in the call, the
+        steps served and the hyperreconfigurations installed.
+    ``cost``, ``cumulative_cost``
+        float64 — the cost the call charged and the session's total
+        after it.
+
+    ``rows[sid]`` builds its batch only when read, its per-step arrays
+    row views of the fused group's sweep arrays (or of the arrays a
+    plain-path chunk was served with).  :meth:`counters` and
+    pickling keep the five arrays and drop the per-step sources, so a
+    shard's reply carries no per-step array across a process pipe;
+    batches read off such rows have ``hyper_flags`` and ``sizes``
+    ``None``.
+    """
+
+    __slots__ = (
+        "ids", "start", "steps", "hypers", "cost", "cumulative_cost",
+        "_per_step", "_index",
+    )
+
+    def __init__(
+        self, ids, start, steps, hypers, cost, cumulative_cost,
+        per_step=None,
+    ):
+        """``per_step`` is ``(sources, source_of, member_of)``: a list
+        of ``(S, C)`` ``(hyper, sizes)`` array pairs — one per fused
+        group, one single-row pair per plain-path chunk — and each
+        row's source and row within it; ``None`` keeps counters
+        only."""
+        self.ids = tuple(ids)
+        for (name, _dtype), arr in zip(
+            _ROW_FIELDS, (start, steps, hypers, cost, cumulative_cost)
+        ):
+            arr.setflags(write=False)
+            setattr(self, name, arr)
+        self._per_step = per_step
+        self._index = None
+
+    @classmethod
+    def concat(cls, parts) -> "FeedRows":
+        """The rows of ``parts`` in order, counters only (a single
+        part is returned as it is)."""
+        parts = tuple(parts)
+        if len(parts) == 1:
+            return parts[0]
+        return cls(
+            chain.from_iterable(part.ids for part in parts),
+            *(
+                np.concatenate(
+                    [np.zeros(0, dtype)] + [getattr(p, name) for p in parts]
                 )
-    return block, counts
+                for name, dtype in _ROW_FIELDS
+            ),
+        )
+
+    def counters(self) -> "FeedRows":
+        """These rows without their per-step sources."""
+        return FeedRows(self.ids, *self._arrays())
+
+    def __reduce__(self):
+        return FeedRows, (self.ids, *self._arrays())
+
+    def _arrays(self) -> list[np.ndarray]:
+        return [getattr(self, name) for name, _dtype in _ROW_FIELDS]
+
+    def _rows(self) -> dict[str, int]:
+        if self._index is None:
+            self._index = {sid: i for i, sid in enumerate(self.ids)}
+        return self._index
+
+    def __getitem__(self, sid: str) -> StreamBatch:
+        i = self._rows()[sid]
+        n = int(self.steps[i])
+        hyper_flags = sizes = None
+        if self._per_step is not None:
+            sources, source_of, member_of = self._per_step
+            hyper, step_sizes = sources[source_of[i]]
+            member = member_of[i]
+            hyper_flags, sizes = hyper[member, :n], step_sizes[member, :n]
+        return StreamBatch(
+            start=int(self.start[i]),
+            steps=n,
+            hypers=int(self.hypers[i]),
+            cost=float(self.cost[i]),
+            cumulative_cost=float(self.cumulative_cost[i]),
+            hyper_flags=hyper_flags,
+            sizes=sizes,
+        )
+
+    def __contains__(self, sid) -> bool:
+        return sid in self._rows()
+
+    def __iter__(self):
+        return iter(self.ids)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+
+def _stack_group(
+    ids: tuple[str, ...], rows: list[int], group: list, lanes: list,
+    counts: list[int], L: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """One fused group's ``(S, Cmax, L)`` block (ragged chunks
+    zero-padded) and int64 chunk lengths.  The range check runs once
+    on the block, against the narrowest member universe (the lane
+    count, not the width, keys a group); only a failure is resolved
+    member by member, so the error names the offending session."""
+    S, Cmax = len(group), max(counts)
+    if min(counts) == Cmax:
+        block = np.concatenate(lanes).reshape(S, Cmax, L)
+    else:
+        block = np.zeros((S, Cmax, L), dtype=np.uint64)
+        for s, chunk in enumerate(lanes):
+            block[s, : counts[s]] = chunk
+    narrowest = min(session.universe.size for session in group)
+    if not lanes_fit(block, narrowest):
+        for row, session, chunk in zip(rows, group, lanes):
+            if not lanes_fit(chunk, session.universe.size):
+                raise ValueError(
+                    f"session {ids[row]!r}: lane chunk sets switches "
+                    f"beyond its {session.universe.size}-switch universe"
+                )
+    return block, np.array(counts, dtype=np.int64)
 
 
 class StreamHub:
@@ -529,51 +647,104 @@ class StreamHub:
             )
         return event
 
-    def feed_many(self, chunks: Mapping[str, object]) -> dict[str, StreamBatch]:
-        """Serve one chunk per session; returns per-session batches.
+    def feed_many(self, chunks: Mapping[str, object]) -> FeedRows:
+        """Serve one chunk per session; returns the call's :class:`FeedRows`.
 
         ``chunks`` maps session ids to whatever
         :meth:`StreamSession.feed_many` accepts (mask iterables or
-        lane-packed arrays).  With :attr:`fused` (the default) the hub
+        lane-packed arrays).  Every chunk is converted and validated
+        first: a bad one fails the call, naming its session, before
+        any session moves.  With :attr:`fused` (the default) the hub
         groups compatible lane chunks — same cursor kind, lane width
         and history; chunk lengths may be ragged — and advances each
         group through the policy's epoch-synchronous ``sweep_many``
         kernel: quiet sessions complete in the first struct-of-arrays
         epoch, and triggering sessions stay stacked through batched
         trigger replay instead of ejecting to per-session Python
-        (bit-identical decisions either way).  The call's wall time,
-        aggregate step/hyper counts, fused/fallback session counts and
-        replay-epoch/trigger totals land in the hub metrics.
+        (bit-identical decisions either way).  A group is booked as
+        arrays — steps, hypers and one seeded cost cumsum straight off
+        the sweep — and the returned rows build a session's
+        :class:`StreamBatch` only when it is read.  The call's wall
+        time, aggregate step/hyper counts, fused/fallback session
+        counts and replay-epoch/trigger totals land in the hub metrics.
         """
-        sessions = {sid: self.session(sid) for sid in chunks}
-        out: dict[str, StreamBatch] = {}
-        start = time.perf_counter()
-        fused = fallback = 0
-        group_sizes: tuple[int, ...] = ()
-        epochs = triggers = 0
-        if self.fused:
-            fused, fallback, group_sizes, epochs, triggers = (
-                self._feed_many_fused(sessions, chunks, out)
+        ids = tuple(chunks)
+        sessions = [self.session(sid) for sid in ids]
+        start_time = time.perf_counter()
+        stacks, plain = self._validate(ids, sessions, chunks)
+        n = len(ids)
+        start, steps, hypers, cost, cumulative = (
+            np.empty(n, dtype) for _name, dtype in _ROW_FIELDS
+        )
+        source_of = np.empty(n, dtype=np.intp)
+        member_of = np.zeros(n, dtype=np.intp)
+        sources: list[tuple[np.ndarray, np.ndarray]] = []
+        for row, prepared in plain:
+            batch = sessions[row]._serve(prepared)
+            start[row], steps[row], hypers[row] = (
+                batch.start, batch.steps, batch.hypers,
             )
-        else:
-            for sid, masks in chunks.items():
-                out[sid] = sessions[sid].feed_many(masks)
-        if len(out) != len(chunks):  # pragma: no cover - defensive
-            raise RuntimeError("fused dispatch lost a session chunk")
-        out = {sid: out[sid] for sid in chunks}  # caller's order
-        steps = hypers = 0
-        for batch in out.values():
-            steps += batch.steps
-            hypers += batch.hypers
-        elapsed = time.perf_counter() - start
-        self._live_steps += steps
-        self._live_hypers += hypers
+            cost[row], cumulative[row] = batch.cost, batch.cumulative_cost
+            source_of[row] = len(sources)
+            sources.append((batch.hyper_flags[None], batch.sizes[None]))
+        epochs = triggers = 0
+        for cursor_cls, rows, group, block, lengths in stacks:
+            sweep = cursor_cls.sweep_many(
+                [session._batched for session in group], block,
+                lengths=lengths,
+            )
+            epochs += sweep.epochs
+            triggers += sweep.triggers
+            # The whole group's accounting as arrays: one seeded cost
+            # cumsum (row-wise it is exactly the scalar session's
+            # concatenate-and-cumsum — padding columns add 0.0, so the
+            # final column is every ragged session's total); steps are
+            # the chunk lengths and hypers the sweep's install counts.
+            S = len(group)
+            w_vec = np.fromiter(
+                (session.w for session in group), count=S, dtype=np.float64
+            )
+            costs = np.empty((S, block.shape[1] + 1), dtype=np.float64)
+            costs[:, 0] = [session._cost for session in group]
+            costs[:, 1:] = sweep.sizes + np.where(
+                sweep.hyper, w_vec[:, None], 0.0
+            )
+            cum = np.cumsum(costs, axis=1)
+            totals = cum[:, -1]
+            rows = np.array(rows, dtype=np.intp)
+            start[rows] = [session._n for session in group]
+            steps[rows] = lengths
+            hypers[rows] = sweep.installed_counts
+            cost[rows] = totals - cum[:, 0]
+            cumulative[rows] = totals
+            source_of[rows] = len(sources)
+            member_of[rows] = np.arange(S)
+            sources.append((sweep.hyper, sweep.sizes))
+            for session, n_s, h_s, c_s in zip(
+                group, lengths.tolist(), sweep.installed_counts.tolist(),
+                totals.tolist(),
+            ):
+                session._n += n_s
+                session._hypers += h_s
+                session._cost = c_s
+        out = FeedRows(
+            ids, start, steps, hypers, cost, cumulative,
+            per_step=(sources, source_of, member_of),
+        )
+        total_steps = int(steps.sum())
+        total_hypers = int(hypers.sum())
+        elapsed = time.perf_counter() - start_time
+        self._live_steps += total_steps
+        self._live_hypers += total_hypers
+        fallback = len(plain) if self.fused else 0
+        fused = n - len(plain)
+        group_sizes = tuple(len(stack[2]) for stack in stacks)
         self._last_fused = (fused, fallback, group_sizes, epochs, triggers)
         self.metrics.record_stream(
-            steps=steps,
-            hypers=hypers,
+            steps=total_steps,
+            hypers=total_hypers,
             seconds=elapsed,
-            chunk_steps=tuple(b.steps for b in out.values()),
+            chunk_steps=steps,
         )
         if fused or fallback:
             self.metrics.record_fused(
@@ -587,105 +758,72 @@ class StreamHub:
             self.tracer.record(
                 "feed",
                 duration=elapsed,
-                steps=steps,
-                sessions=len(out),
+                steps=total_steps,
+                sessions=n,
             )
         return out
 
-    def _feed_many_fused(
+    def _validate(
         self,
-        sessions: dict[str, StreamSession],
+        ids: tuple[str, ...],
+        sessions: list[StreamSession],
         chunks: Mapping[str, object],
-        out: dict[str, StreamBatch],
-    ) -> tuple[int, int, tuple[int, ...], int, int]:
-        """Group-and-sweep core of the fused :meth:`feed_many` path.
+    ) -> tuple[list[tuple], list[tuple[int, object]]]:
+        """First pass of :meth:`feed_many`: convert and check every
+        chunk, moving no session.
 
-        Eligible chunks (lane-packed, on a batched-cursor session) are
-        grouped by ``(cursor kind, lane width, history)`` — ragged
-        chunk lengths fuse into one zero-padded stack, so sessions that
-        differ only in chunk length (including singletons left alone by
-        the old equal-length grouping) share a sweep; history equality
-        pins ``memory``/``k``, while ``w``/``alpha`` may vary inside a
-        group (the sweep gathers them as vectors).  Every group member
-        completes inside the epoch-synchronous ``sweep_many`` kernel —
-        triggering sessions included — and the hub books the whole
-        group with one seeded cost cumsum.  Only ineligible traffic
-        — mask iterables, empty chunks, non-batched cursors — takes the
-        per-session path.
-        Returns (fused, fallback, group sizes, replay epochs, triggers);
-        per-session batches land in ``out``.
+        With :attr:`fused`, eligible chunks (lane-packed, on a
+        batched-cursor session) are grouped by ``(cursor kind, lane
+        width, history)`` — ragged chunk lengths fuse into one
+        zero-padded stack, so sessions that differ only in chunk length
+        share a sweep; history equality pins ``memory``/``k``, while
+        ``w``/``alpha`` may vary inside a group (the sweep gathers them
+        as vectors) — and each group is stacked and range-checked.
+        Every other chunk — all of them without :attr:`fused`; mask
+        iterables, empty chunks and non-batched cursors otherwise — is
+        prepared for the per-session path.  Returns the stacks
+        ``(cursor kind, rows, sessions, block, lengths)`` and the
+        plain ``(row, prepared chunk)`` pairs; rows index ``ids``.
         """
-        groups: dict[tuple, list[tuple]] = {}  # (sid, session, lanes)
-        plain: list[str] = []
-        for sid, lanes in chunks.items():
-            session = sessions[sid]
+        groups: dict[tuple, tuple[list, list, list, list]] = {}
+        plain: list[tuple[int, object]] = []
+        fused = self.fused
+        for row, (session, chunk) in enumerate(
+            zip(sessions, chunks.values())
+        ):
             key = session._fuse_key
             # No ascontiguousarray here: the stacked group block copies
             # the rows into owned storage anyway.
             if (
-                key is None
-                or session._finished
-                or not isinstance(lanes, np.ndarray)
-                or lanes.ndim != 2
-                or lanes.dtype != _U64
-                or lanes.shape[0] == 0
-                or lanes.shape[1] != key[1]
+                fused
+                and key is not None
+                and not session._finished
+                and isinstance(chunk, np.ndarray)
+                and chunk.dtype == _U64
+                and chunk.ndim == 2
             ):
-                plain.append(sid)
-                continue
-            groups.setdefault(key, []).append((sid, session, lanes))
-        # Stack and validate every group before any session state
-        # changes: a lane chunk with bits beyond its universe fails the
-        # whole call, naming its session, with nothing served.
+                C, L = chunk.shape
+                if C and L == key[1]:
+                    members = groups.get(key)
+                    if members is None:
+                        members = groups[key] = ([], [], [], [])
+                    members[0].append(row)
+                    members[1].append(session)
+                    members[2].append(chunk)
+                    members[3].append(C)
+                    continue
+            try:
+                plain.append((row, session._prepare(chunk)))
+            except (ValueError, RuntimeError) as exc:
+                raise type(exc)(f"session {ids[row]!r}: {exc}") from None
         stacks = [
-            (key[0], members, _stack_group(members, key[1]))
-            for key, members in groups.items()
+            (
+                key[0], rows, group,
+                *_stack_group(ids, rows, group, lanes, counts, key[1]),
+            )
+            for key, (rows, group, lanes, counts) in groups.items()
         ]
-        for sid in plain:
-            out[sid] = sessions[sid].feed_many(chunks[sid])
-        fused = len(chunks) - len(plain)
-        fallback = len(plain)
-        group_sizes: list[int] = []
-        epochs = triggers = 0
-        for cursor_cls, members, (block, counts) in stacks:
-            S = len(members)
-            group = [session for _sid, session, _lanes in members]
-            sweep = cursor_cls.sweep_many(
-                [session._batched for session in group],
-                block,
-                lengths=np.array(counts, dtype=np.int64),
-            )
-            epochs += sweep.epochs
-            triggers += sweep.triggers
-            # Batched bookkeeping for the whole group: one seeded cost
-            # cumsum (row-wise it is exactly the scalar session's
-            # concatenate-and-cumsum — padding columns add 0.0, so the
-            # final column is every ragged session's total) and
-            # per-session row views off the shared arrays.
-            w_vec = np.fromiter(
-                (session.w for session in group), count=S, dtype=np.float64
-            )
-            costs = np.empty((S, block.shape[1] + 1), dtype=np.float64)
-            costs[:, 0] = [session._cost for session in group]
-            costs[:, 1:] = sweep.sizes + np.where(
-                sweep.hyper, w_vec[:, None], 0.0
-            )
-            cum = np.cumsum(costs, axis=1)
-            new_costs = cum[:, -1].tolist()
-            chunk_costs = (cum[:, -1] - cum[:, 0]).tolist()
-            hypers = sweep.installed_counts.tolist()
-            for s, (sid, session, _lanes) in enumerate(members):
-                n_s = counts[s]
-                out[sid] = session._commit(
-                    n_s,
-                    hypers[s],
-                    chunk_costs[s],
-                    new_costs[s],
-                    sweep.hyper[s, :n_s],
-                    sweep.sizes[s, :n_s],
-                )
-            group_sizes.append(S)
-        return fused, fallback, tuple(group_sizes), epochs, triggers
+        return stacks, plain
 
     @property
     def last_fused(self) -> tuple[int, int, tuple[int, ...], int, int]:

@@ -53,10 +53,9 @@ from repro.serve.protocol import (
     policy_from_spec,
 )
 from repro.serve.server import ServeConfig, ServerThread, StreamServer
-from repro.serve.shard import BatchSummary, ShardPool, shard_index
+from repro.serve.shard import ShardPool, shard_index
 
 __all__ = [
-    "BatchSummary",
     "CloseFrame",
     "CloseResult",
     "FeedFrame",

@@ -497,12 +497,13 @@ class StreamServer:
                         if not job.future.done():
                             job.future.set_exception(exc)
                     for sid, job in feeds.items():
+                        summary = summaries[sid]  # one row of the cycle
                         self._span(
                             "feed", job, t0, service, shard,
-                            steps=summaries[sid].steps,
+                            steps=summary.steps,
                         )
                         if not job.future.done():
-                            job.future.set_result(summaries[sid])
+                            job.future.set_result(summary)
             for job in closes:
                 t0 = time.perf_counter()
                 try:
@@ -546,10 +547,7 @@ class StreamServer:
                 )
         for proto, seconds in decode.items():
             self.pool.metrics.record_wire(proto, decode_seconds=seconds)
-        summaries = (
-            self.pool.feed_shard(shard, resolved) if resolved else {}
-        )
-        return summaries, failed
+        return self.pool.feed_shard(shard, resolved), failed
 
     def _span(
         self, kind: str, job: _Job, t0: float, service: float,

@@ -11,6 +11,10 @@ The shard count decides where the hubs run:
   lane chunks cross the process boundary pickled, as one pipe message;
   the lane bytes land in the pool metrics as bytes shipped.
 
+Either kind replies to a drain cycle with its hub's
+:class:`~repro.engine.stream.FeedRows`, counters only: the session ids
+and five counter arrays, no per-step array and no per-session object.
+
 Hubs on threads of one process share its GIL.  Through a loopback
 ``repro serve`` on 2 vCPUs (client in its own process, 64 rent-or-buy
 sessions of width 96, 256-step chunks, one binary burst per round;
@@ -47,20 +51,17 @@ import threading
 import time
 import zlib
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from itertools import count
 
 import numpy as np
 
 from repro.core.switches import SwitchUniverse
 from repro.engine.metrics import DETERMINISTIC_FAMILIES, EngineMetrics
-from repro.engine.stream import CloseResult, StreamBatch, StreamHub
+from repro.engine.stream import CloseResult, FeedRows, StreamHub
 from repro.obs.catalog import DRAIN_CYCLE
 from repro.obs.histogram import HistogramFamily
 
-__all__ = [
-    "BatchSummary", "ShardDown", "ShardPool", "shard_index", "shard_kind",
-]
+__all__ = ["ShardDown", "ShardPool", "shard_index", "shard_kind"]
 
 
 def shard_index(session_id: str, shards: int) -> int:
@@ -79,28 +80,6 @@ def shard_kind(shards: int) -> str:
 
 class ShardDown(RuntimeError):
     """A process shard's worker is gone; its sessions cannot be served."""
-
-
-@dataclass(frozen=True)
-class BatchSummary:
-    """Wire-sized view of one :class:`StreamBatch` (no per-step arrays;
-    what a reply frame or a cross-process pipe actually needs)."""
-
-    start: int
-    steps: int
-    hypers: int
-    cost: float
-    cumulative_cost: float
-
-
-def _summarize(batch: StreamBatch) -> BatchSummary:
-    return BatchSummary(
-        start=batch.start,
-        steps=batch.steps,
-        hypers=batch.hypers,
-        cost=batch.cost,
-        cumulative_cost=batch.cumulative_cost,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -130,16 +109,14 @@ class _ThreadShard:
             )
 
     def feed_many(self, chunks):
-        """One drain cycle: summaries plus the hub's fused/fallback
+        """One drain cycle: the hub's rows, counters only (as a process
+        shard's pickled reply carries them), plus its fused/fallback
         session counts for that cycle (the pool re-records them in the
         parent metrics so thread and process shards report alike)."""
         with self.lock:
-            batches = self.hub.feed_many(chunks)
+            rows = self.hub.feed_many(chunks)
             fused = self.hub.last_fused
-        return (
-            {sid: _summarize(batch) for sid, batch in batches.items()},
-            fused,
-        )
+        return rows.counters(), fused
 
     def finish(self, session_id) -> CloseResult:
         with self.lock:
@@ -171,14 +148,10 @@ def _shard_worker(conn):  # pragma: no cover - exercised in a child process
                     scheduler, universe, w, session_id=session_id
                 )))
             elif op == "feed_many":
-                batches = hub.feed_many(msg[1])
-                conn.send(("ok", (
-                    {
-                        sid: _summarize(batch)
-                        for sid, batch in batches.items()
-                    },
-                    hub.last_fused,
-                )))
+                # A pickled FeedRows is its counters: ids and five
+                # arrays, no per-step arrays.
+                rows = hub.feed_many(msg[1])
+                conn.send(("ok", (rows, hub.last_fused)))
             elif op == "finish":
                 conn.send(("ok", hub.finish(msg[1])))
             elif op == "metrics":
@@ -382,23 +355,24 @@ class ShardPool:
 
     def feed_shard(
         self, shard: int, chunks: dict[str, np.ndarray]
-    ) -> dict[str, BatchSummary]:
+    ) -> FeedRows:
         """Advance one shard by one batched drain cycle.
 
         ``chunks`` must all belong to ``shard`` (the server's per-shard
         queues guarantee it; :meth:`feed_many` partitions for you).
         The whole cycle crosses to a process shard as a single pickled
-        message.
+        message.  Returns the cycle's counters-only
+        :class:`~repro.engine.stream.FeedRows`.
         """
         if not chunks:
-            return {}
+            return FeedRows.concat(())
         start = time.perf_counter()
         out = self._feed_shard(shard, chunks)
         elapsed = time.perf_counter() - start
-        steps = sum(s.steps for s in out.values())
+        steps = int(out.steps.sum())
         self.metrics.record_stream(
             steps=steps,
-            hypers=sum(s.hypers for s in out.values()),
+            hypers=int(out.hypers.sum()),
             seconds=elapsed,
             drain_shard=shard,
         )
@@ -412,7 +386,7 @@ class ShardPool:
             )
         return out
 
-    def _feed_shard(self, shard, chunks) -> dict[str, BatchSummary]:
+    def _feed_shard(self, shard, chunks) -> FeedRows:
         """One shard drain cycle, no latency metrics (callers time
         themselves); the cycle's fused/fallback counts are folded into
         the pool metrics here, where both shard kinds converge."""
@@ -433,18 +407,20 @@ class ShardPool:
             )
         return out
 
-    def feed_many(self, chunks) -> dict[str, BatchSummary]:
+    def feed_many(self, chunks) -> FeedRows:
         """Serve one chunk per session, shards advanced concurrently.
 
-        The cycle's *wall* time (not the sum of per-shard busy times)
-        lands in the metrics, so the steps/s row reflects what
-        sharding actually buys.
+        Returns the cycle's counters-only
+        :class:`~repro.engine.stream.FeedRows`, shard by shard (each
+        shard's rows in the caller's order).  The cycle's *wall* time
+        (not the sum of per-shard busy times) lands in the metrics, so
+        the steps/s row reflects what sharding actually buys.
         """
         per_shard: dict[int, dict[str, object]] = {}
         for sid, masks in chunks.items():
             per_shard.setdefault(self.shard_of(sid), {})[sid] = masks
         if not per_shard:
-            return {}
+            return FeedRows.concat(())
         start = time.perf_counter()
         if len(per_shard) == 1:
             ((shard, shard_chunks),) = per_shard.items()
@@ -454,12 +430,10 @@ class ShardPool:
                 self._executor.submit(self._feed_shard, shard, shard_chunks)
                 for shard, shard_chunks in per_shard.items()
             ]
-            out = {}
-            for future in futures:
-                out.update(future.result())
+            out = FeedRows.concat(future.result() for future in futures)
         self.metrics.record_stream(
-            steps=sum(s.steps for s in out.values()),
-            hypers=sum(s.hypers for s in out.values()),
+            steps=int(out.steps.sum()),
+            hypers=int(out.hypers.sum()),
             seconds=time.perf_counter() - start,
         )
         return out

@@ -123,7 +123,8 @@ class TestTrustedLaneValidation:
     def test_hub_names_the_offending_session_and_serves_nothing(self, fused):
         """One bad chunk in a fused group, whose members differ in
         width but not in lane count, fails the whole call before any
-        session moves."""
+        session moves — also when the hub serves every chunk on the
+        per-session path (``fused=False``)."""
         hub = StreamHub(fused=fused)
         widths = {"wide": 100, "narrow": 65, "other": 100}
         for sid, width in widths.items():
@@ -135,13 +136,48 @@ class TestTrustedLaneValidation:
         bad = masks_to_lanes([1 << 80, 3], 100)
         with pytest.raises(ValueError, match="65-switch universe") as info:
             hub.feed_many({"wide": bad, "narrow": bad, "other": bad})
-        if fused:
-            assert "'narrow'" in str(info.value)
-            assert all(hub.session(sid).steps == 0 for sid in widths)
+        assert "'narrow'" in str(info.value)
+        assert all(hub.session(sid).steps == 0 for sid in widths)
         # The same group with a fitting narrow chunk is served whole.
         ok = masks_to_lanes([1, 1 << 64], 65)
         out = hub.feed_many({"wide": bad, "narrow": ok, "other": bad})
         assert [batch.steps for batch in out.values()] == [2, 2, 2]
+
+    @pytest.mark.parametrize("fused", [True, False])
+    def test_plain_chunks_are_checked_before_any_session_moves(self, fused):
+        """Mask iterables, a scalar-cursor session and a finished
+        session take the per-session path; a bad chunk among them,
+        fed after good ones, still fails the call with nothing
+        served."""
+        hub = StreamHub(fused=fused)
+        universe = SwitchUniverse.of_size(8)
+        for sid, scheduler in (
+            ("lanes", RentOrBuyScheduler(3.0)),
+            ("masks", WindowScheduler(k=2)),
+            ("scalar", ScalarOnly(RentOrBuyScheduler(3.0))),
+            ("done", RentOrBuyScheduler(3.0)),
+        ):
+            hub.open(scheduler, universe, 3.0, session_id=sid)
+        hub.finish("done")
+        good = {
+            "lanes": masks_to_lanes([1, 2, 3], 8),
+            "masks": [1, 2, 3],
+            "scalar": masks_to_lanes([1, 2, 3], 8),
+        }
+        for sid, bad, match in (
+            ("masks", [1, 1 << 9], "out of universe range"),
+            ("scalar", masks_to_lanes([1, 1 << 9], 16), "8-switch"),
+        ):
+            with pytest.raises(ValueError, match=match) as info:
+                hub.feed_many({**good, sid: bad})
+            assert f"session {sid!r}" in str(info.value)
+            assert all(hub.session(s).steps == 0 for s in good)
+        with pytest.raises(KeyError):
+            hub.feed_many({**good, "done": [1]})
+        assert all(hub.session(s).steps == 0 for s in good)
+        rows = hub.feed_many(good)
+        assert list(rows.steps) == [3, 3, 3]
+        assert hub.total_steps == 9
 
 
 def _drift_rounds(seed, sessions, rounds, chunk=64):

@@ -16,16 +16,20 @@ the history rows stacked above it, the O(1)
 tunables, and shard-placement independence through the fused path.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.packed import PackedStream, masks_to_lanes
 from repro.core.switches import SwitchUniverse
-from repro.engine.stream import StreamHub, StreamSession
+from repro.engine.stream import FeedRows, StreamHub, StreamSession
 from repro.serve.shard import ShardPool
 from repro.solvers import online
-from repro.solvers.online import RentOrBuyScheduler, WindowScheduler
+from repro.solvers.online import (
+    RentOrBuyScheduler, ScalarOnly, WindowScheduler,
+)
 from repro.util.rng import make_rng
 
 #: Universe sizes straddling the uint64 lane boundary.
@@ -793,3 +797,145 @@ class TestShardPlacementIndependence:
                 reference = costs
             else:
                 assert costs == reference
+
+
+class TestFeedRows:
+    """``StreamHub.feed_many`` books a call as rows: ids plus five
+    counter arrays, in the caller's order, with each session's
+    :class:`StreamBatch` built from the group's sweep arrays only when
+    it is read."""
+
+    WIDTH = 96
+
+    def _fleet(self):
+        """Both fused cursor kinds, a scalar-cursor session and a
+        session fed mask iterables, in an order the grouping would
+        reorder: sid → (scheduler, masks)."""
+        w = float(self.WIDTH)
+        kinds = [
+            ("rob-a", RentOrBuyScheduler(w, alpha=2.0, memory=4)),
+            ("win-a", WindowScheduler(k=9)),
+            ("scalar", ScalarOnly(RentOrBuyScheduler(w))),
+            ("rob-b", RentOrBuyScheduler(w, alpha=0.5, memory=4)),
+            ("iterable", RentOrBuyScheduler(w, alpha=1.0, memory=3)),
+            ("win-b", WindowScheduler(k=9)),
+        ]
+        return {
+            sid: (scheduler, _drift_masks(self.WIDTH, 400, seed=s, phase=30))
+            for s, (sid, scheduler) in enumerate(kinds)
+        }
+
+    def _chunks(self, fleet, pos, lengths):
+        """Ragged chunks: lanes, except mask lists for ``iterable``."""
+        out = {}
+        for (sid, (_sched, masks)), n in zip(fleet.items(), lengths):
+            part = masks[pos[sid] : pos[sid] + n]
+            pos[sid] += n
+            out[sid] = (
+                part if sid == "iterable"
+                else masks_to_lanes(part, self.WIDTH)
+            )
+        return out
+
+    def _hub(self, fleet):
+        hub = StreamHub()
+        universe = SwitchUniverse.of_size(self.WIDTH)
+        for sid, (scheduler, _masks) in fleet.items():
+            hub.open(scheduler, universe, float(self.WIDTH), session_id=sid)
+        return hub
+
+    @staticmethod
+    def _counters(rows):
+        return {
+            sid: (
+                int(rows.start[i]), int(rows.steps[i]), int(rows.hypers[i]),
+                float(rows.cost[i]), float(rows.cumulative_cost[i]),
+            )
+            for i, sid in enumerate(rows.ids)
+        }
+
+    def test_rows_equal_batches_and_live_counters(self, stream_oracle):
+        fleet = self._fleet()
+        hub = self._hub(fleet)
+        pos = dict.fromkeys(fleet, 0)
+        batches = {sid: [] for sid in fleet}
+        hypers = dict.fromkeys(fleet, 0)
+        for lengths in ([50, 37, 64, 1, 20, 64], [64, 64, 3, 64, 64, 9]):
+            chunks = self._chunks(fleet, pos, lengths)
+            rows = hub.feed_many(chunks)
+            assert rows.ids == tuple(chunks) == tuple(rows)
+            assert list(rows.steps) == lengths
+            assert hub.last_fused[:2] == (4, 2)  # 4 fused, 2 plain
+            for i, sid in enumerate(rows.ids):
+                batch = rows[sid]
+                assert (
+                    batch.start, batch.steps, batch.hypers, batch.cost,
+                    batch.cumulative_cost,
+                ) == self._counters(rows)[sid]
+                assert len(batch.hyper_flags) == len(batch.sizes) == (
+                    lengths[i]
+                )
+                assert batch.hypers == int(np.count_nonzero(batch.hyper_flags))
+                session = hub.session(sid)
+                hypers[sid] += batch.hypers
+                assert batch.start + batch.steps == session.steps == pos[sid]
+                assert batch.cumulative_cost == session.cost
+                assert hypers[sid] == session.hyper_count
+                batches[sid].append(batch)
+            assert "nobody" not in rows
+            with pytest.raises(KeyError):
+                rows["nobody"]
+            with pytest.raises(ValueError):
+                rows.steps[0] = 0  # read-only counters
+        closes = hub.finish_all()
+        for sid, (scheduler, masks) in fleet.items():
+            if isinstance(scheduler, ScalarOnly):  # the oracle wraps it
+                scheduler = scheduler._scheduler
+            stream_oracle(
+                scheduler, SwitchUniverse.of_size(self.WIDTH),
+                float(self.WIDTH), masks[: pos[sid]], closes[sid],
+                batches[sid],
+            )
+
+    def test_pickled_rows_carry_no_per_step_arrays(self):
+        """A shard's reply crosses a process pipe pickled: its size
+        does not grow with the chunk length, and the unpickled rows
+        hold the same counters with no per-step arrays."""
+        sizes, counters = [], []
+        for n in (16, 400):
+            fleet = self._fleet()
+            rows = self._hub(fleet).feed_many(
+                self._chunks(fleet, dict.fromkeys(fleet, 0), [n] * 6)
+            )
+            data = pickle.dumps(rows)
+            back = pickle.loads(data)
+            sizes.append(len(data))
+            assert self._counters(back) == self._counters(rows)
+            assert back["win-a"].hyper_flags is None
+            assert back["scalar"].sizes is None
+            assert rows.counters()["rob-b"].hyper_flags is None
+            counters.append(back)
+        assert sizes[0] == sizes[1]
+        merged = FeedRows.concat(counters)
+        assert len(merged) == 12 and merged.ids == counters[0].ids * 2
+        assert list(merged.steps) == [16] * 6 + [400] * 6
+
+    def test_two_shard_pool_returns_the_single_hub_counters(self):
+        fleet = self._fleet()
+        hub = self._hub(fleet)
+        hub_pos = dict.fromkeys(fleet, 0)
+        pool_pos = dict.fromkeys(fleet, 0)
+        universe = SwitchUniverse.of_size(self.WIDTH)
+        with ShardPool(2) as pool:
+            for sid, (scheduler, _masks) in self._fleet().items():
+                pool.open(
+                    scheduler, universe, float(self.WIDTH), session_id=sid
+                )
+            assert len({pool.shard_of(sid) for sid in fleet}) == 2
+            for lengths in ([50, 37, 64, 1, 20, 64], [64, 64, 3, 64, 64, 9]):
+                want = hub.feed_many(self._chunks(fleet, hub_pos, lengths))
+                got = pool.feed_many(self._chunks(fleet, pool_pos, lengths))
+                assert isinstance(got, FeedRows)
+                assert self._counters(got) == self._counters(want)
+                assert pool.metrics.stream_steps == hub.total_steps
+            assert pool.finish_all() == hub.finish_all()

@@ -11,10 +11,10 @@ in *one* process instead, so both sides see the same machine state:
   as a set of ``sys.modules`` entries; before each side's call its
   entries are swapped into ``sys.modules``, so lazy imports inside the
   package resolve to the right tree;
-* every pass opens the ``hub_hectic`` fleet on one hub per side (the
-  inputs come from ``perfbench/inputs.py``; the fleet shape mirrors
-  ``perfbench/hub_hectic.py``), feeds one untimed warm-up round, then
-  times ``feed_many`` round by round, alternating which side goes
+* every pass opens the ``hub_hectic`` fleet on one hub per side (its
+  shape, inputs and schedulers are taken from ``perfbench/hub_hectic.py``
+  itself), feeds one untimed warm-up round, then times ``feed_many``
+  over the workload's ``ROUNDS`` rounds, alternating which side goes
   first every round;
 * after every pass both hubs must agree on every session's cost, steps
   and hyperreconfigurations, or the script fails.
@@ -22,7 +22,8 @@ in *one* process instead, so both sides see the same machine state:
 A pass's ratio is the ref's summed round time over the working tree's
 (above 1: the working tree serves more steps per second).  The script
 prints one JSON line: the median ratio, its quartiles, the pass count,
-how many passes read above 1, and a host fingerprint.
+how many passes read above 1, and the host fingerprint perfbench
+records (``common.host_fingerprint``).
 
 Usage::
 
@@ -37,8 +38,6 @@ import gc
 import importlib
 import importlib.util
 import json
-import os
-import platform
 import subprocess
 import sys
 import tempfile
@@ -50,23 +49,41 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _load_inputs():
-    """``perfbench/inputs.py`` (the fleet generator), loaded by path so
-    nothing is added to ``sys.path``."""
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_inputs", ROOT / "perfbench" / "inputs.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+def _load_perfbench() -> dict:
+    """``perfbench/hub_hectic.py`` and the sibling modules it imports
+    (``inputs``, ``common``, …), by name.
+
+    They load with ``perfbench`` on ``sys.path`` only while they import,
+    and leave ``sys.modules`` again afterwards.  The fleet's shape, its
+    inputs, its scheduler mix and the host fingerprint all come from
+    there, so this tool measures exactly the ``hub_hectic`` workload.
+    ``hub_hectic._scheduler`` imports ``repro`` lazily, so it builds the
+    schedulers of whichever side is active.
+    """
+    bench = ROOT / "perfbench"
+    before = set(sys.modules)
+    sys.path.insert(0, str(bench))
+    try:
+        spec = importlib.util.spec_from_file_location(
+            "hub_hectic", bench / "hub_hectic.py"
+        )
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(bench))
+        loaded = {}
+        for name in set(sys.modules) - before:
+            origin = getattr(sys.modules[name], "__file__", None) or ""
+            if Path(origin).resolve().parent == bench:
+                loaded[name] = sys.modules.pop(name)
+    loaded["hub_hectic"] = module
+    return loaded
 
 
-inputs = _load_inputs()
-
-#: The hub_hectic fleet: 256 sessions at width 96 take 64-step chunks
-#: of streams drifting every 48 steps at staggered offsets.
-SESSIONS, WIDTH, CHUNK, PHASE, STAGGER, NOISE = 256, 96, 64, 48, 131, 3e-4
-ROUNDS = 96
+_perfbench = _load_perfbench()
+hub_hectic, inputs, common = (
+    _perfbench[name] for name in ("hub_hectic", "inputs", "common")
+)
 
 
 def _is_repro(name: str) -> bool:
@@ -124,16 +141,12 @@ def sides(trees: dict[str, Path]):
 
 def _open_fleet(side: Side, sessions: int):
     side.activate()
-    online = side.module("repro.solvers.online")
     switches = side.module("repro.core.switches")
-    universe = switches.SwitchUniverse.of_size(WIDTH)
+    universe = switches.SwitchUniverse.of_size(hub_hectic.WIDTH)
     hub = side.module("repro.engine.stream").StreamHub()
-    w = float(WIDTH)
+    w = float(hub_hectic.WIDTH)
     for s in range(sessions):
-        scheduler = (
-            online.WindowScheduler(k=32) if s % 4 == 3
-            else online.RentOrBuyScheduler(w, alpha=2.0, memory=8)
-        )
+        scheduler = hub_hectic._scheduler(s, w)
         hub.open(scheduler, universe, w, session_id=f"u{s}")
     return hub
 
@@ -150,8 +163,8 @@ def run_ab(
     trees: dict[str, Path],
     *,
     seed: int = 1,
-    sessions: int = SESSIONS,
-    rounds: int = ROUNDS,
+    sessions: int = hub_hectic.SESSIONS,
+    rounds: int = hub_hectic.ROUNDS,
     passes: int = 20,
 ) -> dict:
     """Time ``passes`` alternating passes of the fleet on both trees.
@@ -159,22 +172,27 @@ def run_ab(
     ``trees`` maps two labels to ``src`` directories; the first is the
     side under test, the second the reference.  Returns the summary
     the script prints, with the per-pass ratios under ``"ratios"``.
+    ``sessions`` and ``rounds`` default to the workload's own; smaller
+    values only serve a quick self-test.
     """
     if len(trees) != 2:
         raise ValueError("an A/B needs exactly two trees")
+    chunk = hub_hectic.CHUNK
     fleet = inputs.fleet_lanes(
-        seed, sessions, WIDTH, CHUNK * (rounds + 1), phase=PHASE,
-        noise=NOISE, stagger=STAGGER,
+        seed, sessions, hub_hectic.WIDTH, chunk * (rounds + 1),
+        phase=hub_hectic.PHASE, noise=hub_hectic.NOISE,
+        stagger=hub_hectic.STAGGER,
     )
     ids = [f"u{s}" for s in range(sessions)]
     plan = [
         {
-            sid: fleet[s][r * CHUNK:(r + 1) * CHUNK]
+            sid: fleet[s][r * chunk:(r + 1) * chunk]
             for s, sid in enumerate(ids)
         }
         for r in range(rounds + 1)
     ]
     ratios = []
+    ticks = common.cpu_ticks()
     with sides(trees) as (test, ref):
         for p in range(passes):
             hubs = {}
@@ -215,24 +233,8 @@ def run_ab(
         "passes": len(ratios),
         "above_1": sum(r > 1.0 for r in ratios),
         "min_ratio": min(ratios),
-        "host": host_fingerprint(),
+        "host": common.host_fingerprint(ticks),
         "ratios": ratios,
-    }
-
-
-def host_fingerprint() -> dict:
-    cpu = platform.processor()
-    with contextlib.suppress(OSError):
-        for line in Path("/proc/cpuinfo").read_text().splitlines():
-            if line.startswith("model name"):
-                cpu = line.split(":", 1)[1].strip()
-                break
-    return {
-        "cpu": cpu,
-        "cpus": os.cpu_count(),
-        "machine": platform.machine(),
-        "python": platform.python_version(),
-        "numpy": np.__version__,
     }
 
 
@@ -270,13 +272,12 @@ def main(argv: list[str] | None = None) -> int:
         help="git ref to compare the working tree against (default: HEAD)",
     )
     parser.add_argument("--passes", type=int, default=20)
-    parser.add_argument("--rounds", type=int, default=ROUNDS)
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
     with worktree(args.ref) as (path, commit):
         summary = run_ab(
             {"tree": ROOT / "src", "ref": path / "src"},
-            seed=args.seed, rounds=args.rounds, passes=args.passes,
+            seed=args.seed, passes=args.passes,
         )
     summary["ref"] = f"{args.ref} ({commit[:12]})"
     print(json.dumps(summary))

@@ -814,8 +814,10 @@ class StreamHub:
                     continue
             try:
                 plain.append((row, session._prepare(chunk)))
-            except (ValueError, RuntimeError) as exc:
-                raise type(exc)(f"session {ids[row]!r}: {exc}") from None
+            except ValueError as exc:
+                raise ValueError(f"session {ids[row]!r}: {exc}") from exc
+            except RuntimeError as exc:
+                raise RuntimeError(f"session {ids[row]!r}: {exc}") from exc
         stacks = [
             (
                 key[0], rows, group,

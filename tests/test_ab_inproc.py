@@ -65,3 +65,21 @@ def test_an_accounting_mismatch_fails_the_pass(ab, monkeypatch):
     src = _ROOT / "src"
     with pytest.raises(AssertionError, match="session 'u0'"):
         ab.run_ab({"tree": src, "ref": src}, sessions=4, rounds=1, passes=1)
+
+
+def test_the_fleet_is_the_hub_hectic_workload_itself(ab):
+    """The fleet's shape, inputs and schedulers come from
+    ``perfbench/hub_hectic.py``, whose sibling modules are not left
+    behind in ``sys.modules``."""
+    bench = _ROOT / "perfbench"
+    assert pathlib.Path(ab.hub_hectic.__file__) == bench / "hub_hectic.py"
+    assert pathlib.Path(ab.inputs.__file__) == bench / "inputs.py"
+    assert ab.hub_hectic.inputs is ab.inputs
+    defaults = ab.run_ab.__kwdefaults__
+    assert defaults["sessions"] == ab.hub_hectic.SESSIONS
+    assert defaults["rounds"] == ab.hub_hectic.ROUNDS
+    for name in ("hub_hectic", "inputs", "common", "layers", "spans"):
+        module = sys.modules.get(name)
+        assert module is None or not str(
+            getattr(module, "__file__", "")
+        ).startswith(str(bench))

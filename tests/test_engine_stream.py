@@ -171,6 +171,8 @@ class TestTrustedLaneValidation:
             with pytest.raises(ValueError, match=match) as info:
                 hub.feed_many({**good, sid: bad})
             assert f"session {sid!r}" in str(info.value)
+            # The session's own error stays attached as the cause.
+            assert isinstance(info.value.__cause__, ValueError)
             assert all(hub.session(s).steps == 0 for s in good)
         with pytest.raises(KeyError):
             hub.feed_many({**good, "done": [1]})

@@ -39,17 +39,21 @@ def _start_rows(m: int, n: int, seed: int) -> list[list[bool]]:
 
 
 def _record_trace(system, seqs, rows, m, n, moves, seed):
-    """Greedy-accept annealing-style trace: list of (move, accepted)."""
+    """Greedy-accept annealing-style trace: list of (changes, accepted),
+    each move the decoded bit changes the annealing loop applies."""
     rng = make_rng(seed)
     params = AnnealParams()
     evaluator = make_evaluator(system, seqs, rows, use_delta=True)
     cost = evaluator.cost
     trace = []
     while len(trace) < moves:
-        move = mt_annealing._propose(evaluator.rows, m, n, rng, params)
+        move = mt_annealing._propose(
+            evaluator.rows, m, n, rng.random, rng.integers,
+            params.p_flip, params.p_flip + params.p_align,
+        )
         if move is None:
             continue
-        cand = evaluator.apply(move)
+        cand = evaluator.apply_changes(move)
         accept = cand <= cost
         if accept:
             cost = cand
@@ -62,7 +66,7 @@ def _record_trace(system, seqs, rows, m, n, moves, seed):
 def _replay(evaluator, trace):
     start = time.perf_counter()
     for move, accept in trace:
-        evaluator.apply(move)
+        evaluator.apply_changes(move)
         if not accept:
             evaluator.revert()
     return time.perf_counter() - start, evaluator.cost

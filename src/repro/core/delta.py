@@ -16,8 +16,16 @@ it perturbs:
   running cost bit-identical to the reference instead of drifting).
   A flip/align/shift only invalidates the block(s) of the touched
   task(s), i.e. the window between the enclosing hyperreconfiguration
-  steps; everything outside that window is reused.  Changeover hyper costs and the public-global pseudo-row
-  are supported; an arbitrary whole-matrix replacement
+  steps; everything outside that window is reused.  The window is
+  re-swept in one pass with one popcount per block, its steps are
+  recomputed without looking at changeover/public terms that are not
+  configured, and the undo record is the window's old slices, so a
+  single-task move (a flip or shift) builds no dict, set or sorted
+  list.  ``apply`` decodes a :class:`Move` into ``(task, step,
+  new_value)`` bit changes; callers that decode their own moves (the
+  annealing loop) hand those to ``apply_changes`` directly.
+  Changeover hyper costs and the public-global pseudo-row are
+  supported; an arbitrary whole-matrix replacement
   (:class:`SetRowsMove`) falls back to a full re-evaluation and is
   counted as such.
 * :class:`FullEvaluator` — the same interface backed by the reference
@@ -67,7 +75,6 @@ from repro.core.packed import (
 from repro.core.schedule import MultiTaskSchedule, ScheduleError
 from repro.core.sync_cost import PublicGlobalPlan
 from repro.core.task import TaskSystem
-from repro.util.bitset import bit_count
 
 __all__ = [
     "FlipMove",
@@ -144,6 +151,30 @@ def _coerce_rows(rows_or_schedule) -> list[list[bool]]:
     if isinstance(rows_or_schedule, MultiTaskSchedule):
         return [list(r) for r in rows_or_schedule.indicators]
     return [[bool(x) for x in row] for row in rows_or_schedule]
+
+
+def _resweep(row, masks, unions, sizes, lo: int, hi: int) -> None:
+    """Recompute one task's block unions and sizes over steps ``[lo, hi)``.
+
+    ``lo`` is a hyperreconfiguration step of the task and ``hi`` the
+    next one after the edited region (or ``n``), so the window is
+    self-contained.  One forward pass ORs each block's masks together
+    and writes the block's union and its one popcount over the block.
+    """
+    start = lo
+    union = masks[lo]
+    for i in range(lo + 1, hi):
+        if row[i]:
+            span = i - start
+            unions[start:i] = [union] * span
+            sizes[start:i] = [union.bit_count()] * span
+            start = i
+            union = masks[i]
+        else:
+            union |= masks[i]
+    span = hi - start
+    unions[start:hi] = [union] * span
+    sizes[start:hi] = [union.bit_count()] * span
 
 
 class _EvaluatorBase:
@@ -223,6 +254,38 @@ class _EvaluatorBase:
                     "this machine hyperreconfigures all tasks at a time; "
                     f"the move changes only a task subset at step {i}"
                 )
+
+    # -- applying ----------------------------------------------------------
+
+    def apply(self, move: Move) -> float:
+        """Apply ``move`` and return the new cost.
+
+        The previous pending move (if any) is committed.  A
+        :class:`SetRowsMove` replaces the matrix through a counted full
+        re-evaluation (still revertible); every other move is decoded
+        and validated into bit changes for :meth:`apply_changes`.
+        """
+        if isinstance(move, SetRowsMove):
+            return self._apply_set_rows(move)
+        return self.apply_changes(self._move_changes(move))
+
+    def apply_changes(self, changes: Sequence[tuple[int, int, bool]]) -> float:
+        """Apply decoded ``(task, step, new_value)`` bit changes.
+
+        The entry point for callers that decode their own moves against
+        :attr:`rows` (the annealing loop): each change must flip its
+        bit, name a task in range and a step in ``[1, n)``, and no bit
+        may appear twice — :meth:`apply` checks all of that for a
+        :class:`Move`, this method does not.  An empty list is a counted
+        no-op.  Revertible like :meth:`apply`.
+        """
+        if not changes:
+            self._n_noops += 1
+            self._undo = ("noop", self._cost)
+            return self._cost
+        if not self._partial_hyper_ok:
+            self._check_column_uniformity(changes)
+        return self._apply_changes(changes)
 
 
 # ---------------------------------------------------------------------------
@@ -356,24 +419,6 @@ class DeltaEvaluator(_EvaluatorBase):
             changeover_fixed=self._changeover_fixed,
         )
 
-    def apply(self, move: Move) -> float:
-        """Apply ``move`` and return the new cost.
-
-        The previous pending move (if any) is committed.  A
-        :class:`SetRowsMove` cannot be delta-evaluated and falls back to
-        a counted full re-evaluation (still revertible).
-        """
-        if isinstance(move, SetRowsMove):
-            return self._apply_set_rows(move)
-        changes = self._move_changes(move)
-        if not changes:
-            self._n_noops += 1
-            self._undo = ("noop", self._cost)
-            return self._cost
-        if not self._partial_hyper_ok:
-            self._check_column_uniformity(changes)
-        return self._apply_changes(changes)
-
     def _apply_set_rows(self, move: SetRowsMove) -> float:
         old = (
             self._rows,
@@ -390,53 +435,74 @@ class DeltaEvaluator(_EvaluatorBase):
         self._undo = ("full", old)
         return self._cost
 
-    def _apply_changes(self, changes: list[tuple[int, int, bool]]) -> float:
+    def _apply_changes(self, changes: Sequence[tuple[int, int, bool]]) -> float:
         rows, n = self._rows, self._n
-        per_task: dict[int, list[tuple[int, bool]]] = {}
-        for j, i, val in changes:
-            per_task.setdefault(j, []).append((i, val))
+        j0 = changes[0][0]
+        if len(changes) == 1 or all(change[0] == j0 for change in changes):
+            groups = ((j0, changes),)
+        else:
+            per_task: dict[int, list[tuple[int, int, bool]]] = {}
+            for change in changes:
+                per_task.setdefault(change[0], []).append(change)
+            groups = per_task.items()
 
         union_undo = []
-        affected: set[int] = set()
-        for j, edits in per_task.items():
+        windows = []
+        for j, edits in groups:
             row = rows[j]
-            s_min = min(i for i, _ in edits)
-            s_max = max(i for i, _ in edits)
-            lo = s_min - 1
+            if len(edits) == 1:
+                first = last = edits[0][1]
+            else:
+                steps = [i for _, i, _ in edits]
+                first, last = min(steps), max(steps)
+            # The window runs from the task's hyperreconfiguration before
+            # the first edit to its next one after the last edit (or n):
+            # block unions outside it are unaffected.
+            lo = first - 1
             while not row[lo]:
                 lo -= 1
-            hi = s_max + 1
+            hi = last + 1
             while hi < n and not row[hi]:
                 hi += 1
+            unions, sizes = self._unions[j], self._sizes[j]
             union_undo.append(
-                (
-                    j,
-                    lo,
-                    hi,
-                    [(i, row[i]) for i, _ in edits],
-                    self._unions[j][lo:hi],
-                    self._sizes[j][lo:hi],
-                )
+                (row, edits, unions, sizes, lo, hi, unions[lo:hi], sizes[lo:hi])
             )
-            for i, val in edits:
+            for _, i, val in edits:
                 row[i] = val
-            self._resweep_task(j, lo, hi)
-            affected.update(range(lo, hi))
-            if self._changeover and hi < n:
-                # The hyper cost at the next hyper step depends on the
-                # union of the step before it, which just changed.
-                affected.add(hi)
+            _resweep(row, self._masks[j], unions, sizes, lo, hi)
+            # Under changeover the hyper cost at the next hyper step
+            # depends on the union of the step before it, which just
+            # changed.
+            windows.append((lo, hi + 1 if self._changeover and hi < n else hi))
 
-        step_undo = []
-        for i in sorted(affected):
-            step_undo.append(
-                (i, self._step_hyper[i], self._step_reconf[i], self._step_total[i])
+        if len(windows) == 1:
+            runs = windows
+            recomputed = windows[0][1] - windows[0][0]
+        else:
+            affected = sorted(
+                set().union(*(range(lo, hi) for lo, hi in windows))
             )
-            self._recompute_step(i)
+            recomputed = len(affected)
+            runs = []
+            for i in affected:
+                if runs and runs[-1][1] == i:
+                    runs[-1] = (runs[-1][0], i + 1)
+                else:
+                    runs.append((i, i + 1))
+        hyper, reconf, total = (
+            self._step_hyper, self._step_reconf, self._step_total
+        )
+        step_undo = []
+        for lo, hi in runs:
+            step_undo.append(
+                (lo, hi, hyper[lo:hi], reconf[lo:hi], total[lo:hi])
+            )
+            self._recompute_steps(lo, hi)
         old_cost = self._cost
-        self._cost = float(self._w + sum(self._step_total))
+        self._cost = float(self._w + sum(total))
         self._n_applies += 1
-        self._steps_recomputed += len(affected)
+        self._steps_recomputed += recomputed
         self._undo = ("delta", union_undo, step_undo, old_cost)
         return self._cost
 
@@ -462,81 +528,73 @@ class DeltaEvaluator(_EvaluatorBase):
             ) = undo[1]
             return self._cost
         _, union_undo, step_undo, old_cost = undo
-        for i, hyper, reconf, total in step_undo:
-            self._step_hyper[i] = hyper
-            self._step_reconf[i] = reconf
-            self._step_total[i] = total
-        for j, lo, hi, old_bits, old_unions, old_sizes in union_undo:
-            for i, val in old_bits:
-                self._rows[j][i] = val
-            self._unions[j][lo:hi] = old_unions
-            self._sizes[j][lo:hi] = old_sizes
+        hyper, reconf, total = (
+            self._step_hyper, self._step_reconf, self._step_total
+        )
+        for lo, hi, old_hyper, old_reconf, old_total in step_undo:
+            hyper[lo:hi] = old_hyper
+            reconf[lo:hi] = old_reconf
+            total[lo:hi] = old_total
+        for row, edits, unions, sizes, lo, hi, old_unions, old_sizes in (
+            union_undo
+        ):
+            for _, i, val in edits:
+                row[i] = not val
+            unions[lo:hi] = old_unions
+            sizes[lo:hi] = old_sizes
         self._cost = old_cost
         return self._cost
 
     # -- internals ---------------------------------------------------------
 
-    def _resweep_task(self, j: int, lo: int, hi: int) -> None:
-        """Recompute task ``j``'s block unions over steps ``[lo, hi)``.
-
-        ``lo`` is a hyperreconfiguration step of the task and ``hi`` the
-        next one after the edited region (or ``n``), so the window is
-        self-contained: unions outside it are unaffected.
-        """
-        row = self._rows[j]
-        masks = self._masks[j]
-        unions = self._unions[j]
-        sizes = self._sizes[j]
-        span = hi - lo
-        suffix = [0] * span
-        acc = 0
-        for i in range(hi - 1, lo - 1, -1):
-            acc |= masks[i]
-            suffix[i - lo] = acc
-            if row[i]:
-                acc = 0
-        current = 0
-        for i in range(lo, hi):
-            if row[i]:
-                current = suffix[i - lo]
-            unions[i] = current
-            sizes[i] = bit_count(current)
-
-    def _recompute_step(self, i: int) -> None:
-        """Recompute one step's cost terms, mirroring the reference
-        arithmetic (same task order, same float-summation order)."""
+    def _recompute_steps(self, lo: int, hi: int) -> None:
+        """Recompute the cost terms of steps ``[lo, hi)``, mirroring the
+        reference arithmetic (same task order, same float-summation
+        order).  The changeover and public-row terms are only looked at
+        when they are configured."""
         rows = self._rows
+        sizes = self._sizes
+        step_hyper = self._step_hyper
+        step_reconf = self._step_reconf
+        step_total = self._step_total
+        hyper_of = max if self._hyper_parallel else sum
+        reconf_of = max if self._reconf_parallel else sum
+        if not self._changeover and self._pub_sizes is None:
+            task_v = list(zip(self._v, rows))
+            for i in range(lo, hi):
+                costs = [v for v, row in task_v if row[i]]
+                hyper = float(hyper_of(costs)) if costs else 0.0
+                reconf = float(reconf_of([size[i] for size in sizes]))
+                step_hyper[i] = hyper
+                step_reconf[i] = reconf
+                step_total[i] = hyper + reconf
+            return
         m = self._m
-        hyper_costs: list[float] = []
-        for j in range(m):
-            if not rows[j][i]:
-                continue
+        unions = self._unions
+        cfix = self._changeover_fixed
+        pub_hyper, pub_sizes = self._pub_hyper, self._pub_sizes
+        for i in range(lo, hi):
             if self._changeover:
-                cfix = self._changeover_fixed
-                fixed = cfix[j] if cfix else 0.0
-                prev = self._unions[j][i - 1] if i > 0 else 0
-                hyper_costs.append(fixed + bit_count(self._unions[j][i] ^ prev))
+                costs = []
+                for j in range(m):
+                    if rows[j][i]:
+                        fixed = cfix[j] if cfix else 0.0
+                        prev = unions[j][i - 1] if i > 0 else 0
+                        costs.append(fixed + (unions[j][i] ^ prev).bit_count())
             else:
-                hyper_costs.append(self._v[j])
-        if self._pub_hyper is not None and i in self._pub_hyper:
-            hyper_costs.append(self._pub_v)
-        if hyper_costs:
-            hyper = max(hyper_costs) if self._hyper_parallel else sum(hyper_costs)
-        else:
-            hyper = 0.0
-        sizes = [self._sizes[j][i] for j in range(m)]
-        if self._reconf_parallel:
-            reconf = float(max(sizes))
-            if self._pub_sizes is not None:
-                reconf = max(reconf, float(self._pub_sizes[i]))
-        else:
-            reconf = float(sum(sizes))
-            if self._pub_sizes is not None:
-                reconf += float(self._pub_sizes[i])
-        hyper = float(hyper)
-        self._step_hyper[i] = hyper
-        self._step_reconf[i] = reconf
-        self._step_total[i] = hyper + reconf
+                costs = [self._v[j] for j in range(m) if rows[j][i]]
+            if pub_hyper is not None and i in pub_hyper:
+                costs.append(self._pub_v)
+            hyper = float(hyper_of(costs)) if costs else 0.0
+            reconf = float(reconf_of([size[i] for size in sizes]))
+            if pub_sizes is not None:
+                if self._reconf_parallel:
+                    reconf = max(reconf, float(pub_sizes[i]))
+                else:
+                    reconf += float(pub_sizes[i])
+            step_hyper[i] = hyper
+            step_reconf[i] = reconf
+            step_total[i] = hyper + reconf
 
     # -- introspection -----------------------------------------------------
 
@@ -635,22 +693,16 @@ class FullEvaluator(_EvaluatorBase):
     def reference_cost(self) -> float:
         return self._evaluate()
 
-    def apply(self, move: Move) -> float:
-        if isinstance(move, SetRowsMove):
-            old = (self._rows, self._cost, self._n)
-            self._rows = _coerce_rows(move.rows)
-            self._n = len(self._rows[0]) if self._rows else 0
-            self._n_full += 1
-            self._cost = self._evaluate()
-            self._undo = ("full", old)
-            return self._cost
-        changes = self._move_changes(move)
-        if not changes:
-            self._n_noops += 1
-            self._undo = ("noop", self._cost)
-            return self._cost
-        if not self._partial_hyper_ok:
-            self._check_column_uniformity(changes)
+    def _apply_set_rows(self, move: SetRowsMove) -> float:
+        old = (self._rows, self._cost, self._n)
+        self._rows = _coerce_rows(move.rows)
+        self._n = len(self._rows[0]) if self._rows else 0
+        self._n_full += 1
+        self._cost = self._evaluate()
+        self._undo = ("full", old)
+        return self._cost
+
+    def _apply_changes(self, changes: Sequence[tuple[int, int, bool]]) -> float:
         old_bits = [(j, i, self._rows[j][i]) for j, i, _ in changes]
         for j, i, val in changes:
             self._rows[j][i] = val

@@ -14,10 +14,11 @@ that replaces the private kernels:
 * :class:`PackedProblem` compiles a :class:`~repro.core.task.TaskSystem`
   plus per-task requirement sequences into an ``(m, n, L)`` matrix and
   evaluates whole schedules — or whole populations of schedules — with
-  NumPy sweeps + SWAR popcounts.  Window unions, popcounts and the
-  symmetric differences of the changeover variant are all expressible,
-  which is what unlocks the GA's batched changeover and public-global
-  paths;
+  one segmented OR (``bitwise_or.reduceat`` over the blocks of every
+  chromosome at once, no loop over steps) and one popcount per block.
+  Block unions, popcounts and the symmetric differences of the
+  changeover variant are all expressible, which is what unlocks the
+  GA's batched changeover and public-global paths;
 * :class:`PackedSequence` is the single-task (m = 1) counterpart used
   by the Section 2 cost-model fast paths;
 * :class:`PackedWindows` is an O(n log n) sparse table answering
@@ -34,7 +35,8 @@ that replaces the private kernels:
 correctness oracle; every evaluator here reproduces their arithmetic
 *operation by operation* — same float-summation order (task-sequential
 sums accumulate task by task, the grand total re-sums per-step totals
-left to right), same ``max``/``sum`` choices — so packed costs are
+left to right with a sequential ``cumsum``), same ``max``/``sum``
+choices — so packed costs are
 bit-identical to the reference, not approximately equal.  The
 equivalence is enforced by a randomized property suite across universe
 sizes that cross the 64/128-bit lane boundaries
@@ -414,30 +416,34 @@ class PackedProblem:
     # -- sweeps --------------------------------------------------------------
 
     def _sweep(self, pop: np.ndarray, keep_unions: bool):
-        """Block-union sweeps: ``(sizes (P,m,n), unions (P,m,n,L)|None)``.
+        """Block-union sweep: ``(sizes (P,m,n), unions (P,m,n,L)|None)``.
 
-        Backward pass accumulates suffix unions up to each block end,
-        forward pass holds the union from each block start — the
-        vectorized form of
-        :meth:`~repro.core.schedule.MultiTaskSchedule.block_union_masks`.
+        One segmented OR over the whole population, the vectorized form
+        of :meth:`~repro.core.schedule.MultiTaskSchedule.block_union_masks`:
+        every set indicator starts a block of the flattened ``(P·m·n)``
+        rows (step 0 of every row is pinned, so no block crosses a row),
+        ``bitwise_or.reduceat`` unions each block's requirement lanes,
+        one popcount sizes it, and ``cumsum(flat) - 1`` maps every step
+        back to the block holding it.
         """
         P, m, n = pop.shape
         L = self.lane_count
-        req = self.lanes
-        per_step = np.empty((P, m, n, L), dtype=np.uint64)
-        acc = np.zeros((P, m, L), dtype=np.uint64)
-        for i in range(n - 1, -1, -1):
-            acc = acc | req[None, :, i, :]
-            per_step[:, :, i, :] = acc
-            acc = np.where(pop[:, :, i, None], _U64_ZERO, acc)
-        unions = np.empty((P, m, n, L), dtype=np.uint64) if keep_unions else None
-        sizes = np.empty((P, m, n), dtype=np.int64)
-        cur = np.zeros((P, m, L), dtype=np.uint64)
-        for i in range(n):
-            cur = np.where(pop[:, :, i, None], per_step[:, :, i, :], cur)
-            if keep_unions:
-                unions[:, :, i, :] = cur
-            sizes[:, :, i] = popcount_u64(cur).sum(axis=2, dtype=np.int64)
+        flat = pop.reshape(-1)
+        if not flat.size:
+            sizes = np.zeros((P, m, n), dtype=np.int64)
+            unions = (
+                np.zeros((P, m, n, L), dtype=np.uint64) if keep_unions else None
+            )
+            return sizes, unions
+        starts = np.flatnonzero(flat)
+        lanes = np.broadcast_to(self.lanes, (P, m, n, L)).reshape(-1, L)
+        block_unions = np.bitwise_or.reduceat(lanes, starts, axis=0)
+        block_sizes = popcount_u64(block_unions).sum(axis=1, dtype=np.int64)
+        block = np.cumsum(flat) - 1
+        sizes = block_sizes[block].reshape(P, m, n)
+        unions = (
+            block_unions[block].reshape(P, m, n, L) if keep_unions else None
+        )
         return sizes, unions
 
     def block_union_lanes(self, pop) -> np.ndarray:
@@ -528,13 +534,13 @@ class PackedProblem:
                 hyper = hyper + np.where(pub.hyper[None, :], pub.v, 0.0)
 
         step_total = hyper + reconf
-        # Grand total in the reference's order: left-to-right over steps,
-        # then w added on the left — bit-identical to
-        # ``float(w + sum(s.total for s in steps))``.
-        totals = np.zeros(P, dtype=np.float64)
-        for i in range(n):
-            totals = totals + step_total[:, i]
-        totals = float(w) + totals
+        # Grand total in the reference's order: left-to-right over steps
+        # (``cumsum`` accumulates sequentially), then w added on the
+        # left — bit-identical to ``float(w + sum(s.total for s in steps))``.
+        if n:
+            totals = float(w) + np.cumsum(step_total, axis=1)[:, -1]
+        else:
+            totals = float(w) + np.zeros(P, dtype=np.float64)
         return totals, hyper, reconf, sizes, unions
 
     def population_cost(

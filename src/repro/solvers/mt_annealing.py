@@ -17,7 +17,11 @@ Neighborhood moves (picked with fixed probabilities):
 Cost deltas come from :class:`repro.core.delta.DeltaEvaluator`, which
 updates only the block(s) a move perturbs — O(affected steps × m)
 mask work plus an O(n) float re-sum, instead of a full O(m·n)
-re-evaluation per iteration (benchmark E14).
+re-evaluation per iteration (benchmark E14).  A proposal is drawn
+straight as the ``(task, step, new_value)`` bit changes it makes and
+handed to the evaluator's ``apply_changes``: no move object is built
+and decoded again, and the restart binds its RNG's ``random`` and
+``integers`` once, drawing in the same order with the same arguments.
 ``AnnealParams(use_delta=False)`` switches back to full reference
 evaluation per move; both paths are bit-identical for a fixed seed,
 and the returned best is always cross-checked against the reference
@@ -41,17 +45,12 @@ from __future__ import annotations
 
 import math
 import multiprocessing
+from itertools import compress, islice
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.core.context import RequirementSequence
-from repro.core.delta import (
-    AlignMove,
-    FlipMove,
-    ShiftMove,
-    make_evaluator,
-    merge_evaluator_stats,
-)
+from repro.core.delta import make_evaluator, merge_evaluator_stats
 from repro.core.machine import MachineModel
 from repro.core.packed import PackedProblem
 from repro.core.schedule import MultiTaskSchedule
@@ -94,38 +93,42 @@ class AnnealParams:
             raise ValueError("restart_workers must be positive")
 
 
-def _propose(rows, m, n, rng, params):
-    """Draw one candidate move; ``None`` marks a no-op proposal.
+def _propose(rows, m, n, random, integers, p_flip, p_align_end):
+    """Draw one candidate move as decoded ``(task, step, new_value)``
+    bit changes for :meth:`~repro.core.delta.DeltaEvaluator.apply_changes`;
+    ``None`` marks a no-op proposal.
 
     ``rows`` is read, never mutated — the evaluator owns the state.
+    ``random`` and ``integers`` are the restart RNG's bound methods.
     The RNG consumption per branch is fixed, so proposal streams are
     reproducible across evaluation back ends.
     """
-    u = rng.random()
-    if u < params.p_flip or n == 1:
-        j = int(rng.integers(0, m))
-        i = int(rng.integers(1, n)) if n > 1 else 0
+    u = random()
+    if u < p_flip or n == 1:
+        # flip: toggle one indicator bit
+        j = int(integers(0, m))
+        i = int(integers(1, n)) if n > 1 else 0
         if i == 0:
             return None  # step 0 is pinned; nothing to flip on n == 1
-        return FlipMove(task=j, step=i)
-    if u < params.p_flip + params.p_align:
-        i = int(rng.integers(1, n))
-        j = int(rng.integers(0, m))
+        return [(j, i, not rows[j][i])]
+    if u < p_align_end:
+        # align: copy one task's indicator at a step to every task
+        i = int(integers(1, n))
+        j = int(integers(0, m))
         value = rows[j][i]
-        if all(rows[k][i] == value for k in range(m)):
-            return None  # column already aligned
-        return AlignMove(step=i, source=j)
+        changes = [(k, i, value) for k in range(m) if rows[k][i] != value]
+        return changes or None  # None: column already aligned
     # shift: move one hyper of one task by ±1
-    j = int(rng.integers(0, m))
-    hypers = [i for i in range(1, n) if rows[j][i]]
+    j = int(integers(0, m))
+    row = rows[j]
+    hypers = list(compress(range(1, n), islice(row, 1, None)))
     if not hypers:
         return None
-    i = hypers[int(rng.integers(0, len(hypers)))]
-    direction = 1 if rng.random() < 0.5 else -1
-    target = i + direction
-    if target < 1 or target >= n or rows[j][target]:
+    i = hypers[int(integers(0, len(hypers)))]
+    target = i + 1 if random() < 0.5 else i - 1
+    if target < 1 or target >= n or row[target]:
         return None
-    return ShiftMove(task=j, src=i, dst=target)
+    return [(j, i, False), (j, target, True)]
 
 
 def _start_rows(system, seqs, model, params, m, n, rng, restart):
@@ -177,22 +180,30 @@ def _run_restart(
         1.0 / max(1, params.iterations - 1)
     )
     temperature = params.t_start
+    # ``apply_changes`` and ``revert`` edit the evaluator's rows in
+    # place, so one binding serves the whole trajectory.
+    rows = evaluator.rows
+    random, integers = rng.random, rng.integers
+    apply, revert = evaluator.apply_changes, evaluator.revert
+    p_flip = params.p_flip
+    p_align_end = params.p_flip + params.p_align
+    exp = math.exp
     for _ in range(params.iterations):
-        move = _propose(evaluator.rows, m, n, rng, params)
-        if move is None:
+        changes = _propose(rows, m, n, random, integers, p_flip, p_align_end)
+        if changes is None:
             noops += 1
             temperature *= cooling
             continue
-        cand = evaluator.apply(move)
+        cand = apply(changes)
         delta = cand - cost
-        if delta <= 0 or rng.random() < math.exp(-delta / temperature):
+        if delta <= 0 or random() < exp(-delta / temperature):
             cost = cand
             accepted += 1
             if cost < best_cost:
                 best_cost = cost
-                best_rows = [list(r) for r in evaluator.rows]
+                best_rows = [list(r) for r in rows]
         else:
-            evaluator.revert()
+            revert()
         temperature *= cooling
     return best_rows, best_cost, accepted, noops, evaluator
 

@@ -83,3 +83,38 @@ def test_the_fleet_is_the_hub_hectic_workload_itself(ab):
         assert module is None or not str(
             getattr(module, "__file__", "")
         ).startswith(str(bench))
+
+
+def test_batch_waves_agree_on_the_same_tree(ab):
+    src = _ROOT / "src"
+    summary = ab.run_ab_batch(
+        {"tree": src, "ref": src}, waves=2, passes=1
+    )
+    assert summary["workload"] == "batch_mixed"
+    assert summary["metric"] == "solves_per_s ratio (tree / ref)"
+    assert summary["passes"] == 1
+    assert all(math.isfinite(r) and r > 0 for r in summary["ratios"])
+    assert sys.modules["repro.engine.stream"] is repro.engine.stream
+    # The waves are the batch_mixed workload's own.
+    bench = _ROOT / "perfbench"
+    assert pathlib.Path(ab.batch_mixed.__file__) == bench / "batch_mixed.py"
+    assert ab.run_ab_batch.__kwdefaults__["waves"] == ab.batch_mixed.WAVES
+
+
+def test_a_differing_batch_answer_fails_the_pass(ab, monkeypatch):
+    """Every pass compares both sides' costs, schedules and cached flags."""
+    real = ab._answers
+    calls = []
+
+    def skewed(results):
+        rows = real(results)
+        calls.append(1)
+        if len(calls) == 2:  # the second side's first wave
+            ok, cached, *rest = rows[0]
+            rows[0] = (ok, not cached, *rest)
+        return rows
+
+    monkeypatch.setattr(ab, "_answers", skewed)
+    src = _ROOT / "src"
+    with pytest.raises(AssertionError, match="wave 0 request 0"):
+        ab.run_ab_batch({"tree": src, "ref": src}, waves=1, passes=1)

@@ -26,7 +26,8 @@ from repro.core.machine import MachineClass, MachineModel, SyncMode, UploadMode
 from repro.core.schedule import MultiTaskSchedule, ScheduleError
 from repro.core.switches import SwitchUniverse
 from repro.core.sync_cost import PublicGlobalPlan, sync_switch_cost
-from repro.core.task import TaskSystem
+from repro.core.task import Task, TaskSystem
+from repro.solvers.mt_annealing import _propose
 from repro.util.rng import make_rng
 
 UPLOAD_MODELS = [
@@ -277,6 +278,87 @@ class TestFullEvaluatorParity:
         assert delta.rows == full.rows
         assert full.stats["delta_applies"] == 0
         assert full.stats["delta_full_evals"] > 0
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        st.sampled_from([24, 64, 65, 129, 150]),
+        st.integers(min_value=1, max_value=3),
+        st.integers(min_value=2, max_value=18),
+        st.sampled_from(UPLOAD_MODELS),
+        st.sampled_from(["plain", "changeover", "public"]),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_random_streams_take_the_same_trajectory(
+        self, width, m, n, model, variant, seed
+    ):
+        """Flip, align, shift, column, set-rows and decoded-change
+        streams with random reverts, on one to three lanes: the delta
+        evaluator reads every cost and rows of the full evaluator."""
+        rng = make_rng(seed)
+        universe = SwitchUniverse.of_size(width)
+        carved = TaskSystem.from_contiguous(universe, [width // m] * m)
+        system = TaskSystem(universe, [
+            Task(t.name, t.local, init_cost=float(rng.uniform(0.1, 9.0)))
+            for t in carved.tasks
+        ])
+        seqs = [
+            RequirementSequence(universe, [
+                int.from_bytes(rng.bytes(19), "little")
+                & int(rng.integers(0, 2**62))
+                & system.tasks[j].local_mask
+                for _ in range(n)
+            ])
+            for j in range(m)
+        ]
+        kwargs = {"w": float(rng.uniform(0.0, 3.0))}
+        if variant == "changeover":
+            kwargs.update(
+                changeover=True,
+                changeover_fixed=[float(x) for x in rng.uniform(0, 4, m)],
+            )
+        elif variant == "public":
+            kwargs["public"] = PublicGlobalPlan(
+                seq=RequirementSequence(universe, [
+                    int(rng.integers(0, 2**min(width, 62))) for _ in range(n)
+                ]),
+                hyper_steps=tuple(
+                    [0] + [i for i in range(1, n) if rng.random() < 0.3]
+                ),
+                v=float(rng.uniform(0.1, 9.0)),
+            )
+        start = _random_rows(m, n, rng)
+        delta = make_evaluator(system, seqs, start, model, **kwargs)
+        full = make_evaluator(
+            system, seqs, start, model, use_delta=False, **kwargs
+        )
+        assert delta.cost == full.cost
+        for _ in range(50):
+            kind = int(rng.integers(0, 6))
+            if kind == 5:
+                # The annealing loop's entry: decoded bit changes.
+                changes = _propose(
+                    delta.rows, m, n, rng.random, rng.integers, 0.6, 0.8
+                )
+                if changes is None:
+                    continue
+                ca = delta.apply_changes(changes)
+                cb = full.apply_changes(changes)
+            else:
+                if kind == 3:
+                    move = ColumnFlipMove(step=int(rng.integers(1, n)))
+                elif kind == 4:
+                    move = SetRowsMove.of(_random_rows(m, n, rng))
+                else:
+                    move = _random_move(delta.rows, m, n, rng)
+                if move is None:
+                    continue
+                ca, cb = delta.apply(move), full.apply(move)
+            assert ca == cb
+            assert delta.rows == full.rows
+            if rng.random() < 0.4:
+                assert delta.revert() == full.revert()
+                assert delta.rows == full.rows
+        assert delta.cost == delta.reference_cost()
 
 
 class TestPopulationEvaluator:

@@ -41,7 +41,7 @@ from repro.core.sync_cost import (
     sync_cost_breakdown,
     sync_switch_cost,
 )
-from repro.core.task import TaskSystem
+from repro.core.task import Task, TaskSystem
 from repro.util import bitset
 from repro.util.rng import make_rng
 
@@ -238,6 +238,94 @@ class TestPackedProblemEquivalence:
         assert not packed.matches(system, seqs, ALL_MODELS[3])
 
 
+# Widths of the sweep property: one lane, both sides of the 64- and
+# 128-bit boundaries, and a fourth lane.
+SWEEP_WIDTHS = [1, 63, 64, 65, 128, 129, 200]
+
+
+@st.composite
+def populations(draw):
+    """Random ``(system, seqs, pop)``: up to 8 chromosomes over up to 4
+    tasks and 40 steps, task costs that are not whole numbers."""
+    width = draw(st.sampled_from(SWEEP_WIDTHS))
+    universe = SwitchUniverse.of_size(width)
+    m = draw(st.integers(min_value=1, max_value=min(4, width)))
+    n = draw(st.integers(min_value=1, max_value=40))
+    P = draw(st.integers(min_value=1, max_value=8))
+    rng = make_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    carved = TaskSystem.from_contiguous(
+        universe, [width // m + (1 if k < width % m else 0) for k in range(m)]
+    )
+    system = TaskSystem(universe, [
+        Task(task.name, task.local, init_cost=float(rng.uniform(0.1, 9.0)))
+        for task in carved.tasks
+    ])
+    density = draw(st.sampled_from([0.05, 0.3, 0.9]))
+
+    def mask():
+        bits = rng.random(width) < density
+        return sum(1 << int(b) for b in np.flatnonzero(bits))
+
+    seqs = [
+        RequirementSequence(universe, [mask() for _ in range(n)])
+        for _ in range(m)
+    ]
+    pop = rng.random((P, m, n)) < draw(st.sampled_from([0.1, 0.4, 0.8]))
+    pop[:, :, 0] = True
+    return system, seqs, pop, rng
+
+
+class TestLoopFreeSweep:
+    @settings(deadline=None, max_examples=40)
+    @given(populations())
+    def test_block_unions_match_the_schedule_oracle(self, drawn):
+        system, seqs, pop, _ = drawn
+        packed = PackedProblem.compile(system, seqs)
+        unions = packed.block_union_lanes(pop)
+        assert unions.shape == pop.shape + (packed.lane_count,)
+        for p in range(len(pop)):
+            schedule = MultiTaskSchedule(pop[p].tolist())
+            assert lanes_to_masks(unions[p]) == schedule.block_union_masks(seqs)
+
+    @settings(deadline=None, max_examples=30)
+    @given(populations(), st.data())
+    def test_population_cost_is_the_reference_bit_for_bit(self, drawn, data):
+        """Every upload-mode combination, plain, changeover with fixed
+        costs and with a public row."""
+        system, seqs, pop, rng = drawn
+        m, n = system.m, len(seqs[0])
+        universe = system.universe
+        cfix = tuple(float(x) for x in rng.uniform(0.0, 5.0, m))
+        public = PublicGlobalPlan(
+            seq=RequirementSequence(universe, [
+                int(rng.integers(0, 2**min(universe.size, 62)))
+                for _ in range(n)
+            ]),
+            hyper_steps=tuple(
+                [0] + [i for i in range(1, n) if rng.random() < 0.3]
+            ),
+            v=float(rng.uniform(0.1, 9.0)),
+        )
+        variant = data.draw(st.sampled_from(["plain", "changeover", "public"]))
+        kwargs = {
+            "plain": {},
+            "changeover": dict(changeover=True, changeover_fixed=cfix),
+            "public": dict(public=public),
+        }[variant]
+        w = float(rng.uniform(0.0, 4.0))
+        for model in ALL_MODELS:
+            packed = PackedProblem.compile(system, seqs, model)
+            got = packed.population_cost(pop, w=w, **kwargs)
+            want = [
+                sync_switch_cost(
+                    system, seqs, MultiTaskSchedule(chrom.tolist()), model,
+                    w=w, **kwargs,
+                )
+                for chrom in pop
+            ]
+            assert got.tolist() == want
+
+
 class TestDeltaOnPackedInit:
     def test_delta_trajectory_bit_identical_beyond_64_switches(self):
         """DeltaEvaluator seeded from the packed compiler stays exact on
@@ -269,11 +357,14 @@ class TestDeltaOnPackedInit:
         params = AnnealParams()
         applied = 0
         while applied < 60:
-            move = _propose(fast.rows, 3, n, rng, params)
-            if move is None:
+            changes = _propose(
+                fast.rows, 3, n, rng.random, rng.integers,
+                params.p_flip, params.p_flip + params.p_align,
+            )
+            if changes is None:
                 continue
             applied += 1
-            a, b = fast.apply(move), slow.apply(move)
+            a, b = fast.apply_changes(changes), slow.apply_changes(changes)
             assert a == b
             if applied % 3 == 0:
                 fast.revert(), slow.revert()

@@ -307,8 +307,8 @@ def test_bench_stream_fused_hub(
             return WindowScheduler(k=window_k)
         return RentOrBuyScheduler(w, alpha=alpha, memory=8)
 
-    def run(fused):
-        hub = StreamHub(fused=fused)
+    def run_fused():
+        hub = StreamHub()
         for s, sid in enumerate(lane_traces):
             hub.open(scheduler_for(s), universe, w, session_id=sid)
         hub.feed_many(
@@ -325,15 +325,32 @@ def test_bench_stream_fused_hub(
         costs = {sid: r.cost for sid, r in hub.finish_all().items()}
         return fleet * chunk * rounds / elapsed, costs, hub.metrics
 
+    def run_sequential():
+        """The baseline: bare sessions fed back to back, chunk by chunk
+        (each chunk one ``sweep_many`` call at S = 1)."""
+        sessions = {
+            sid: StreamSession(scheduler_for(s), universe, w)
+            for s, sid in enumerate(lane_traces)
+        }
+        for sid, session in sessions.items():
+            session.feed_many(lane_traces[sid][:chunk])
+        t0 = time.perf_counter()
+        for r in range(1, rounds + 1):
+            lo = r * chunk
+            for sid, session in sessions.items():
+                session.feed_many(lane_traces[sid][lo:lo + chunk])
+        elapsed = time.perf_counter() - t0
+        costs = {sid: session.cost for sid, session in sessions.items()}
+        return fleet * chunk * rounds / elapsed, costs
+
     # Best of three per path — ratios of noisy timings are noisy.
     seq_rate = fused_rate = 0.0
     for _rep in range(3):
-        rate, seq_costs, seq_metrics = run(fused=False)
+        rate, seq_costs = run_sequential()
         seq_rate = max(seq_rate, rate)
-        rate, fused_costs, fused_metrics = run(fused=True)
+        rate, fused_costs, fused_metrics = run_fused()
         fused_rate = max(fused_rate, rate)
     assert fused_costs == seq_costs
-    assert seq_metrics.stream_fused == 0
     fused_n = fused_metrics.stream_fused
     fallback_n = fused_metrics.stream_fused_fallback
     # Epoch replay keeps every eligible chunk inside the kernel.
@@ -395,16 +412,16 @@ def test_bench_stream_fused_hub(
             epochs_n,
             triggers_n,
         ]],
-        title="E16: fused epoch sweep vs sequential hub "
+        title="E16: fused epoch sweep vs bare sessions back to back "
               f"(mixed policies, staggered drift every {phase} steps)",
     ))
     assert speedup >= min_speedup
 
 
 #: Kernel crossover grid: stack sizes × chunk lengths at which the
-#: epoch kernel and per-cursor ``step_many`` are timed against each
-#: other (``SMALL_STACK_SESSIONS`` is set from this table).
-CROSSOVER_SESSIONS = (4, 8, 16, 32)
+#: epoch kernel and the galloping per-cursor kernel are timed against
+#: each other (``SMALL_STACK_SESSIONS`` is set from this table).
+CROSSOVER_SESSIONS = (1, 2, 4, 8, 16, 32)
 CROSSOVER_CHUNKS = (64, 256)
 
 
@@ -412,17 +429,18 @@ CROSSOVER_CHUNKS = (64, 256)
 def test_bench_kernel_crossover(
     benchmark, smoke, bench_artifact, monkeypatch, regime
 ):
-    """Epoch kernel vs per-cursor ``step_many`` across (S, C).
+    """Epoch kernel vs the galloping per-cursor kernel across (S, C).
 
-    ``sweep_many`` hands a group of at most ``SMALL_STACK_SESSIONS``
-    sessions to one ``step_many`` call per cursor instead of the epoch
-    kernel.  This grid times both plans on the same rent-or-buy fleet
-    of ``S`` sessions fed ``C``-step chunks: the threshold is pinned to
-    0 (always the kernel) and to ``S`` (always ``step_many``), best of
-    a few alternating runs each.  A calm fleet drifts every 600 steps,
-    a hectic one every 48, staggered per session.  Both plans must
-    produce identical costs; the ``speedup`` column (kernel over
-    ``step_many``) locates the crossover.
+    ``sweep_many`` serves a group of at most ``SMALL_STACK_SESSIONS``
+    sessions with each cursor's galloping kernel (``step_many``)
+    instead of the epoch kernel.  This grid times both plans on the
+    same rent-or-buy fleet of ``S`` sessions fed ``C``-step chunks: the
+    threshold is pinned to 0 (always the epoch kernel) and to ``S``
+    (always the per-cursor kernel), best of a few alternating runs
+    each.  A calm fleet drifts every 600 steps, a hectic one every 48,
+    staggered per session.  Both plans must produce identical costs;
+    the ``speedup`` column (epoch over per-cursor) locates the
+    crossover.
     """
     from repro.solvers import online
 
@@ -509,20 +527,23 @@ def test_bench_kernel_crossover(
     bench_artifact.record("e16", "kernel_crossover", rows)
     print()
     print(format_table(
-        ["sessions", "chunk", "kernel steps/s", "step_many steps/s",
+        ["sessions", "chunk", "epoch steps/s", "per-cursor steps/s",
          "speedup"],
         table,
-        title=f"E16: epoch kernel vs per-cursor step_many ({regime}, "
+        title=f"E16: epoch kernel vs per-cursor kernel ({regime}, "
               f"rent-or-buy, drift every {phase} steps)",
     ))
 
 
-def test_bench_scan_bounds_sweep(benchmark, smoke, bench_artifact):
-    """Galloping-scan bound sweep — tune the fallback path with data.
+def test_bench_scan_bounds_sweep(
+    benchmark, smoke, bench_artifact, monkeypatch
+):
+    """Galloping-scan bound sweep — tune the scan with data.
 
-    A triggering chunk replays through ``step_many``, whose galloping
-    scan doubles from ``scan_min`` up to ``scan_max``; those bounds
-    set the fused fallback cost.  The sweep runs a hectic stream (the
+    A lone session's chunk runs the galloping per-cursor kernel, whose
+    scan doubles from ``_SCAN_MIN`` up to ``_SCAN_MAX`` (class
+    constants of the rent-or-buy cursor, set here per cell); those
+    bounds set the per-segment cost.  The sweep runs a hectic stream (the
     trigger-heavy regime where the scan restarts often) and a calm one
     across bound settings: costs must be identical everywhere — the
     scan is a search strategy, never an answer — and the table shows
@@ -536,6 +557,7 @@ def test_bench_scan_bounds_sweep(benchmark, smoke, bench_artifact):
     universe = SwitchUniverse.of_size(width)
     w = float(width)
     grid = [(1, 64), (8, 512), (32, 2048), (128, 4096), (512, 4096)]
+    cursor_cls = type(RentOrBuyScheduler(w).batched_cursor(width))
 
     rows = []
     trajectory = []
@@ -544,13 +566,12 @@ def test_bench_scan_bounds_sweep(benchmark, smoke, bench_artifact):
         lanes = masks_to_lanes(masks, width)
         baseline_cost = None
         for scan_min, scan_max in grid:
+            monkeypatch.setattr(cursor_cls, "_SCAN_MIN", scan_min)
+            monkeypatch.setattr(cursor_cls, "_SCAN_MAX", scan_max)
             best = float("inf")
             for _rep in range(reps):
                 session = StreamSession(
-                    RentOrBuyScheduler(
-                        w, alpha=2.0, memory=8,
-                        scan_min=scan_min, scan_max=scan_max,
-                    ),
+                    RentOrBuyScheduler(w, alpha=2.0, memory=8),
                     universe, w,
                 )
                 t0 = time.perf_counter()
@@ -574,10 +595,10 @@ def test_bench_scan_bounds_sweep(benchmark, smoke, bench_artifact):
             })
 
     def once():
+        monkeypatch.setattr(cursor_cls, "_SCAN_MIN", 1)
+        monkeypatch.setattr(cursor_cls, "_SCAN_MAX", 64)
         session = StreamSession(
-            RentOrBuyScheduler(w, alpha=2.0, memory=8, scan_min=1,
-                               scan_max=64),
-            universe, w,
+            RentOrBuyScheduler(w, alpha=2.0, memory=8), universe, w,
         )
         session.feed_many(masks_to_lanes(
             _drifting_masks(width, chunk, seed=3), width

@@ -29,6 +29,18 @@ of ``perfbench/batch_mixed.py``, alternating which side runs each wave
 first.  After every pass both sides must have returned the same costs,
 schedules and cached flags, or the script fails.
 
+``--workload small_stacks`` times the small stacks ``sweep_many``
+serves with the galloping per-cursor kernel: one hub of S ∈ {1, 2, 4,
+8, 16} sessions at ``serve_calm``'s drift, noise, chunk length and
+policy, the same at ``hub_hectic``'s (its scheduler mix included), and
+one bare ``StreamSession.feed_many`` at ``serve_calm``'s drift with
+16-, 64- and 256-step chunks.  Every cell of every pass feeds an
+untimed warm-up round, then alternates which side goes first every
+round, and fails unless both sides end with the same cost, steps and
+hyperreconfigurations per session.  The script prints a table of each
+cell's median ratio, quartiles and passes above 1, then the JSON line
+with the same figures per cell.
+
 A pass's ratio is the ref's summed time over the working tree's (above
 1: the working tree serves more steps, or solves, per second).  The
 script prints one JSON line: the median ratio, its quartiles, the pass
@@ -39,6 +51,7 @@ Usage::
 
     python scripts/ab_inproc.py HEAD~1 --passes 20
     python scripts/ab_inproc.py HEAD~1 --workload batch_mixed --passes 10
+    python scripts/ab_inproc.py HEAD~1 --workload small_stacks --passes 10
 """
 
 from __future__ import annotations
@@ -60,11 +73,14 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 
 
-WORKLOADS = ("hub_hectic", "batch_mixed")
+WORKLOADS = ("hub_hectic", "batch_mixed", "small_stacks")
+
+#: The ``perfbench`` workload modules the workloads above read.
+BENCH_MODULES = ("hub_hectic", "batch_mixed", "serve_calm")
 
 
 def _load_perfbench() -> dict:
-    """The ``WORKLOADS`` modules of ``perfbench`` and the sibling
+    """The ``BENCH_MODULES`` of ``perfbench`` and the sibling
     modules they import (``inputs``, ``common``, …), by name.
 
     They load with ``perfbench`` on ``sys.path`` only while they import,
@@ -79,7 +95,7 @@ def _load_perfbench() -> dict:
     sys.path.insert(0, str(bench))
     loaded = {}
     try:
-        for name in WORKLOADS:
+        for name in BENCH_MODULES:
             spec = importlib.util.spec_from_file_location(
                 name, bench / f"{name}.py"
             )
@@ -95,9 +111,9 @@ def _load_perfbench() -> dict:
 
 
 _perfbench = _load_perfbench()
-hub_hectic, batch_mixed, inputs, common = (
+hub_hectic, batch_mixed, serve_calm, inputs, common = (
     _perfbench[name]
-    for name in ("hub_hectic", "batch_mixed", "inputs", "common")
+    for name in ("hub_hectic", "batch_mixed", "serve_calm", "inputs", "common")
 )
 
 
@@ -256,7 +272,7 @@ def run_ab(
     }
 
 
-def _summary(ratios: list[float], ticks) -> dict:
+def _stats(ratios: list[float]) -> dict:
     q1, median, q3 = np.percentile(ratios, [25, 50, 75]).tolist()
     return {
         "median_ratio": median,
@@ -264,9 +280,144 @@ def _summary(ratios: list[float], ticks) -> dict:
         "passes": len(ratios),
         "above_1": sum(r > 1.0 for r in ratios),
         "min_ratio": min(ratios),
-        "host": common.host_fingerprint(ticks),
         "ratios": ratios,
     }
+
+
+def _summary(ratios: list[float], ticks) -> dict:
+    return {**_stats(ratios), "host": common.host_fingerprint(ticks)}
+
+
+#: Hub sizes and bare-session chunk lengths of ``small_stacks``.
+SMALL_STACK_SIZES = (1, 2, 4, 8, 16)
+BARE_CHUNKS = (16, 64, 256)
+#: Timed steps per side, cell and pass (rounds scale with S·C, at
+#: least four).
+SMALL_STACK_STEPS = 8192
+
+
+def _small_stack_cells(sizes, chunks) -> list[tuple]:
+    """``(name, workload module, sessions, chunk, bare)`` per cell."""
+    cells = [
+        (f"{bench.__name__} S={S}", bench, S, bench.CHUNK, False)
+        for bench in (serve_calm, hub_hectic)
+        for S in sizes
+    ]
+    cells += [
+        (f"session C={C}", serve_calm, 1, C, True) for C in chunks
+    ]
+    return cells
+
+
+def _open_cell(side: Side, bench, sessions: int, bare: bool):
+    """A hub of ``sessions`` (or one bare session) on ``side``, with
+    the workload's schedulers built from that side's modules."""
+    side.activate()
+    universe = side.module("repro.core.switches").SwitchUniverse.of_size(
+        bench.WIDTH
+    )
+    stream = side.module("repro.engine.stream")
+    w = float(bench.WIDTH)
+    if bench is hub_hectic:
+        schedulers = [hub_hectic._scheduler(s, w) for s in range(sessions)]
+    else:
+        protocol = importlib.import_module("repro.serve.protocol")
+        schedulers = [
+            protocol.policy_from_spec(serve_calm.POLICY, w, {})
+            for _ in range(sessions)
+        ]
+    if bare:
+        return stream.StreamSession(schedulers[0], universe, w)
+    hub = stream.StreamHub()
+    for s, scheduler in enumerate(schedulers):
+        hub.open(scheduler, universe, w, session_id=f"u{s}")
+    return hub
+
+
+def run_ab_small_stacks(
+    trees: dict[str, Path],
+    *,
+    seed: int = 1,
+    sizes=SMALL_STACK_SIZES,
+    chunks=BARE_CHUNKS,
+    steps: int = SMALL_STACK_STEPS,
+    passes: int = 10,
+) -> dict:
+    """Time ``passes`` alternating passes of every small-stack cell.
+
+    ``trees`` as for :func:`run_ab`.  Returns the summary the script
+    prints, with one :func:`_stats` entry per cell under ``"cells"``;
+    smaller ``sizes``, ``chunks`` and ``steps`` only serve a quick
+    self-test.
+    """
+    if len(trees) != 2:
+        raise ValueError("an A/B needs exactly two trees")
+    cells = _small_stack_cells(sizes, chunks)
+    plans = {}
+    for name, bench, S, C, bare in cells:
+        rounds = max(4, steps // (S * C))
+        fleet = inputs.fleet_lanes(
+            seed, S, bench.WIDTH, C * (rounds + 1), phase=bench.PHASE,
+            noise=bench.NOISE, stagger=bench.STAGGER,
+        )
+        plans[name] = [
+            fleet[0][r * C:(r + 1) * C] if bare else {
+                f"u{s}": lanes[r * C:(r + 1) * C]
+                for s, lanes in enumerate(fleet)
+            }
+            for r in range(rounds + 1)
+        ]
+    ratios = {name: [] for name, *_rest in cells}
+    ticks = common.cpu_ticks()
+    with sides(trees) as (test, ref):
+        for p in range(passes):
+            for name, bench, S, _C, bare in cells:
+                plan = plans[name]
+                targets = {}
+                for side in (test, ref):
+                    targets[side.label] = _open_cell(side, bench, S, bare)
+                    targets[side.label].feed_many(plan[0])
+                spent = {test.label: 0.0, ref.label: 0.0}
+                for r, chunk in enumerate(plan[1:]):
+                    order = (test, ref) if (p + r) % 2 == 0 else (ref, test)
+                    for side in order:
+                        side.activate()
+                        target = targets[side.label]
+                        t0 = time.perf_counter()
+                        target.feed_many(chunk)
+                        spent[side.label] += time.perf_counter() - t0
+                got, want = (
+                    [(t.cost, t.steps, t.hyper_count)] if bare
+                    else _accounting(t, [f"u{s}" for s in range(S)])
+                    for t in (targets[test.label], targets[ref.label])
+                )
+                if got != want:
+                    raise AssertionError(
+                        f"pass {p}: cell {name!r} accounting differs: "
+                        f"{test.label} {got} vs {ref.label} {want}"
+                    )
+                ratios[name].append(spent[ref.label] / spent[test.label])
+            gc.collect()
+    return {
+        "workload": "small_stacks",
+        "seed": seed,
+        "metric": "steps_per_s ratio (" + " / ".join(trees) + ")",
+        "passes": passes,
+        "host": common.host_fingerprint(ticks),
+        "cells": {name: _stats(r) for name, r in ratios.items()},
+    }
+
+
+def format_cells(summary: dict) -> str:
+    """A text table of a ``small_stacks`` summary's cells."""
+    lines = [f"{'cell':<18} {'median':>7} {'q1':>7} {'q3':>7}  above 1"]
+    for name, cell in summary["cells"].items():
+        q1, q3 = cell["iqr"]
+        lines.append(
+            f"{name:<18} {cell['median_ratio']:>7.3f} {q1:>7.3f} "
+            f"{q3:>7.3f}  {cell['above_1']}/{cell['passes']}"
+        )
+    return "\n".join(lines)
 
 
 def _answers(results) -> list[tuple]:
@@ -395,13 +546,19 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--passes", type=int, default=20)
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
-    run = run_ab if args.workload == "hub_hectic" else run_ab_batch
+    run = {
+        "hub_hectic": run_ab,
+        "batch_mixed": run_ab_batch,
+        "small_stacks": run_ab_small_stacks,
+    }[args.workload]
     with worktree(args.ref) as (path, commit):
         summary = run(
             {"tree": ROOT / "src", "ref": path / "src"},
             seed=args.seed, passes=args.passes,
         )
     summary["ref"] = f"{args.ref} ({commit[:12]})"
+    if "cells" in summary:
+        print(format_cells(summary))
     print(json.dumps(summary))
     return 0
 

@@ -81,9 +81,11 @@ from repro.solvers import (
 
 # 2.0.0: the serving-engine release; breaking — WindowScheduler lost
 # its unused ``w`` parameter and now predicts from the previous window.
-# 2.1.0: the streaming release — lane-packed online cursors
-# (step_many), StreamSession.feed_many, StreamHub multiplexing, and
-# shared-memory lane fan-out in BatchEngine; fully backward compatible.
+# 2.1.0: the streaming release — lane-packed online cursors, whose
+# batched contract is now the one classmethod sweep_many (stacks of at
+# most 8 cursors run the per-cursor galloping kernel inside it),
+# StreamSession.feed_many, StreamHub multiplexing, and shared-memory
+# lane fan-out in BatchEngine.
 __version__ = "2.1.0"
 
 __all__ = [

@@ -52,9 +52,6 @@ not approximate.  All evaluators expose uniform ``stats`` counters
 (``delta_applies``, ``delta_full_evals``, ``delta_hit_rate``, …) that
 the solvers surface through their result ``stats`` and the serving
 engine aggregates into its metrics report.
-
-``pack_mask_lanes`` and ``population_switch_cost`` are kept as thin
-aliases over :mod:`repro.core.packed` for PR-2 callers.
 """
 
 from __future__ import annotations
@@ -66,12 +63,7 @@ import numpy as np
 
 from repro.core.context import RequirementSequence
 from repro.core.machine import MachineModel
-from repro.core.packed import (
-    PackedProblem,
-    PackedPublic,
-    pack_mask_lanes,
-    population_switch_cost,
-)
+from repro.core.packed import PackedProblem, PackedPublic
 from repro.core.schedule import MultiTaskSchedule, ScheduleError
 from repro.core.sync_cost import PublicGlobalPlan
 from repro.core.task import TaskSystem
@@ -86,8 +78,6 @@ __all__ = [
     "FullEvaluator",
     "make_evaluator",
     "PopulationEvaluator",
-    "pack_mask_lanes",
-    "population_switch_cost",
     "merge_evaluator_stats",
 ]
 

@@ -67,8 +67,6 @@ __all__ = [
     "masks_to_u64",
     "u64_to_mask",
     "pack_requirements",
-    "pack_mask_lanes",
-    "population_switch_cost",
     "PackedEvaluation",
     "PackedProblem",
     "PackedPublic",
@@ -809,11 +807,8 @@ class PackedStream:
     start exactly as the scalar cursors' deques do.
 
     * :meth:`extend` commits one ``(C, L)`` chunk;
-    * :meth:`push` returns the chunk prefixed with the retained rows
-      (what a per-session cursor needs to form working-set windows
-      that cross the chunk boundary) and commits it;
-    * :meth:`extend_many` commits one chunk per stream off the fused
-      sweep's history-prefixed block in one gather.
+    * :meth:`extend_many` commits one chunk per stream off a
+      ``sweep_many`` call's history-prefixed block in one gather.
 
     The rows are never written in place: every commit installs a new
     read-only array, so a fused sweep can recognize history that
@@ -845,13 +840,6 @@ class PackedStream:
         """The last ``history`` rows, oldest first, zero rows in front
         while ``n < history`` (read-only ``(history, L)``)."""
         return self._hist
-
-    def tail_rows(self, count: int) -> np.ndarray:
-        """The last ``min(count, n, history)`` rows, oldest first."""
-        if count < 0:
-            raise ValueError("count must be non-negative")
-        count = min(count, self.n, self.history)
-        return self._hist[self.history - count :]
 
     # -- appending ---------------------------------------------------------
 
@@ -933,26 +921,6 @@ class PackedStream:
             st.n += n_s
             st._hist = hist[s]
 
-    def push(self, lanes: np.ndarray) -> tuple[np.ndarray, int]:
-        """Commit a chunk; return ``(ext, off)`` for batched cursors.
-
-        ``ext`` stacks the retained history rows (the state *before*
-        this chunk) above the chunk itself and ``off`` is the chunk's
-        row offset into ``ext`` — window unions ending at chunk row
-        ``t`` are ORs over ``ext[max(0, off + t - k + 1) : off + t + 1]``
-        even when the window crosses the chunk boundary.
-        """
-        lanes = np.ascontiguousarray(lanes, dtype=np.uint64)
-        if lanes.ndim != 2 or lanes.shape[1] != self._L:
-            raise ValueError(f"chunk must have shape (C, {self._L})")
-        tail = self.tail_rows(self.history)
-        if tail.shape[0]:
-            ext = np.concatenate([tail, lanes], axis=0)
-        else:
-            ext = lanes
-        self.extend(lanes)
-        return ext, tail.shape[0]
-
     def __len__(self) -> int:
         return self.n
 
@@ -961,44 +929,3 @@ class PackedStream:
             f"PackedStream(n={self.n}, width={self.width}, "
             f"history={self.history})"
         )
-
-
-# ---------------------------------------------------------------------------
-# Legacy kernel entry points (PR 2 public names)
-# ---------------------------------------------------------------------------
-
-
-def pack_mask_lanes(seqs: Sequence) -> np.ndarray:
-    """Legacy ``(L, m, n)`` lane layout of :func:`pack_requirements`.
-
-    Kept for PR-2 callers (``repro.core.delta`` re-exports it); new code
-    should use :class:`PackedProblem` / :func:`pack_requirements`.
-    """
-    return np.ascontiguousarray(np.moveaxis(pack_requirements(seqs), 2, 0))
-
-
-def population_switch_cost(
-    pop: np.ndarray,
-    lanes: np.ndarray,
-    v: np.ndarray,
-    *,
-    hyper_parallel: bool = True,
-    reconf_parallel: bool = True,
-) -> np.ndarray:
-    """Legacy batched-kernel entry point over ``(L, m, n)`` lanes.
-
-    Delegates to :class:`PackedProblem`; in the move it *gained* strict
-    bit-identity with the reference cost (the old private kernel summed
-    per-step terms in a different float order and was only equal up to
-    rounding).
-    """
-    req = np.ascontiguousarray(
-        np.moveaxis(np.asarray(lanes, dtype=np.uint64), 0, 2)
-    )
-    problem = PackedProblem(
-        req,
-        np.asarray(v, dtype=np.float64),
-        hyper_parallel=hyper_parallel,
-        reconf_parallel=reconf_parallel,
-    )
-    return problem.population_cost(np.asarray(pop, dtype=bool))

@@ -11,12 +11,12 @@ reconfiguration step at a time.  Two serving APIs cover that mode:
   hyperreconfiguration plus ``|h|`` switch-writes per served step —
   incrementally, so a dashboard can read the running total at any
   point.  Policies exposing the *batched cursor* contract
-  (``batched_cursor``/``step_many``, see :mod:`repro.solvers.online`)
-  run on lane-packed NumPy state: a chunk of steps advances in a few
-  vectorized sweeps, and the per-step accounting comes off the returned
-  arrays (benchmark E16 measures the speedup over the scalar cursor).
-  Schedulers without the batched contract fall back to the scalar
-  ``cursor()`` path transparently.
+  (``batched_cursor`` and the cursor class's ``sweep_many``, see
+  :mod:`repro.solvers.online`) run on lane-packed NumPy state: a chunk
+  of steps advances in a few vectorized sweeps, booked by the same
+  function that books a hub's fused groups (benchmark E16 measures the
+  speedup over the scalar cursor).  Schedulers without the batched
+  contract fall back to the scalar ``cursor()`` path transparently.
 
 * :class:`StreamHub` multiplexes many concurrent sessions — one per
   user/machine — under string session ids, with per-session policy,
@@ -47,6 +47,7 @@ close.
 
 from __future__ import annotations
 
+import math
 import time
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, replace
@@ -173,8 +174,11 @@ class StreamSession:
     """
 
     def __init__(self, scheduler, universe: SwitchUniverse, w: float):
-        if w <= 0:
-            raise ValueError("hyperreconfiguration cost w must be positive")
+        # NaN fails every comparison, so finiteness is checked first.
+        if not math.isfinite(w) or w <= 0:
+            raise ValueError(
+                "hyperreconfiguration cost w must be positive and finite"
+            )
         self.scheduler = scheduler
         self.universe = universe
         self.w = float(w)
@@ -187,9 +191,7 @@ class StreamSession:
             self._cursor = scheduler.cursor()
         # Session-invariant half of the fused group key, precomputed so
         # the hub's per-chunk eligibility test only inspects the chunk.
-        if self._batched is not None and hasattr(
-            type(self._batched), "sweep_many"
-        ):
+        if self._batched is not None:
             stream = self._batched.stream
             self._fuse_key = (
                 type(self._batched), stream.lane_width, stream.history
@@ -241,9 +243,7 @@ class StreamSession:
             raise RuntimeError("session already finished")
         (mask,) = self._check_masks([mask])
         if self._batched is not None:
-            batch = self._apply_lanes(
-                masks_to_lanes([mask], self.universe.size)
-            )
+            batch = self._serve(masks_to_lanes([mask], self.universe.size))
             return StreamEvent(
                 step=batch.start,
                 hyper=bool(batch.hyper_flags[0]),
@@ -276,29 +276,6 @@ class StreamSession:
             step_cost=step_cost,
             cumulative_cost=self._cost,
         )
-
-    def _apply_lanes(self, lanes: np.ndarray) -> StreamBatch:
-        """Advance the batched cursor by a pre-validated lane chunk."""
-        batch = self._batched.step_many(lanes)
-        # Per-step charge w·hyper + |h|, accumulated in the scalar
-        # session's order: seed the cumulative sum with the running
-        # total so float rounding matches step-by-step accumulation.
-        step_costs = np.where(batch.hyper, self.w, 0.0) + batch.sizes
-        cum = np.cumsum(np.concatenate(([self._cost], step_costs)))
-        new_cost = float(cum[-1])
-        out = StreamBatch(
-            start=self._n,
-            steps=batch.steps,
-            hypers=int(np.count_nonzero(batch.hyper)),
-            cost=new_cost - self._cost,
-            cumulative_cost=new_cost,
-            hyper_flags=batch.hyper,
-            sizes=batch.sizes,
-        )
-        self._n += out.steps
-        self._hypers += out.hypers
-        self._cost = new_cost
-        return out
 
     def feed_many(self, masks) -> StreamBatch:
         """Serve a chunk of requirements in one vectorized call.
@@ -336,9 +313,21 @@ class StreamSession:
         return int_masks
 
     def _serve(self, prepared) -> StreamBatch:
-        """Serve a chunk :meth:`_prepare` returned."""
-        if self._batched is not None:
-            return self._apply_lanes(prepared)
+        """Serve a chunk :meth:`_prepare` returned.  An empty chunk
+        books zero counters without a kernel call."""
+        if self._batched is not None and len(prepared):
+            sweep, (start,), (before,), (after,) = _sweep_group(
+                [self], prepared[None], None
+            )
+            return StreamBatch(
+                start=start,
+                steps=len(prepared),
+                hypers=sweep.triggers,
+                cost=after - before,
+                cumulative_cost=after,
+                hyper_flags=sweep.hyper[0],
+                sizes=sweep.sizes[0],
+            )
         start = self._n
         cost_before = self._cost
         hypers_before = self._hypers
@@ -503,6 +492,46 @@ class FeedRows(Mapping):
         return len(self.ids)
 
 
+def _sweep_group(group: list, block: np.ndarray, lengths):
+    """Advance batched sessions of one group key through their cursor
+    kind's ``sweep_many``, and book the accounting.
+
+    ``block`` is the group's ``(S, Cmax, L)`` stack (``lengths`` as
+    ``sweep_many`` takes it).  The accounting is arrays: one seeded
+    cost cumsum, row-wise exactly the scalar session's step-by-step
+    accumulation (padding columns add 0.0, so the final column is
+    every ragged session's total); steps are the chunk lengths and
+    hypers the sweep's install counts.  Returns ``(sweep, start,
+    before, after)``: the sweep, then per session (as lists) its first
+    step index and its total before and after the chunk.
+    """
+    sweep = group[0]._fuse_key[0].sweep_many(
+        [session._batched for session in group], block, lengths=lengths
+    )
+    start = [session._n for session in group]
+    before = [session._cost for session in group]
+    costs = np.empty((len(group), block.shape[1] + 1), dtype=np.float64)
+    costs[:, 0] = before
+    np.add(
+        np.where(
+            sweep.hyper, np.array([session.w for session in group])[:, None],
+            0.0,
+        ),
+        sweep.sizes,
+        out=costs[:, 1:],
+    )
+    np.add.accumulate(costs, axis=1, out=costs)  # np.cumsum, sans wrapper
+    after = costs[:, -1].tolist()
+    for session, n_s, h_s, c_s in zip(
+        group, sweep.lengths.tolist(), sweep.installed_counts.tolist(),
+        after,
+    ):
+        session._n += n_s
+        session._hypers += h_s
+        session._cost = c_s
+    return sweep, start, before, after
+
+
 def _stack_group(
     ids: tuple[str, ...], rows: list[int], group: list, lanes: list,
     counts: list[int], L: int,
@@ -550,7 +579,6 @@ class StreamHub:
         metrics: EngineMetrics | None = None,
         retain_runs: bool = True,
         tracer=None,
-        fused: bool = True,
     ):
         """``retain_runs=False`` drops close records after handing them
         to the caller (and releases their session ids for reuse) — the
@@ -558,14 +586,10 @@ class StreamHub:
         every closed id forever would grow without bound.
         ``tracer`` is an optional
         :class:`~repro.obs.trace.TraceRecorder`; the hub records
-        open/feed/close spans into it.  ``fused=False`` disables the
-        fused multi-session sweep and advances sessions back to back —
-        the sequential baseline benchmark E16 measures the fused path
-        against (answers are bit-identical either way)."""
+        open/feed/close spans into it."""
         self.metrics = metrics if metrics is not None else EngineMetrics()
         self.retain_runs = retain_runs
         self.tracer = tracer
-        self.fused = fused
         self._sessions: dict[str, StreamSession] = {}
         self._runs: dict[str, CloseResult] = {}
         self._auto_id = count()
@@ -654,16 +678,14 @@ class StreamHub:
         :meth:`StreamSession.feed_many` accepts (mask iterables or
         lane-packed arrays).  Every chunk is converted and validated
         first: a bad one fails the call, naming its session, before
-        any session moves.  With :attr:`fused` (the default) the hub
-        groups compatible lane chunks — same cursor kind, lane width
-        and history; chunk lengths may be ragged — and advances each
-        group through the policy's epoch-synchronous ``sweep_many``
-        kernel: quiet sessions complete in the first struct-of-arrays
-        epoch, and triggering sessions stay stacked through batched
-        trigger replay instead of ejecting to per-session Python
-        (bit-identical decisions either way).  A group is booked as
-        arrays — steps, hypers and one seeded cost cumsum straight off
-        the sweep — and the returned rows build a session's
+        any session moves.  The hub groups the non-empty chunks of
+        batched sessions by cursor kind, lane width and history —
+        chunk lengths may be ragged — and advances each group through
+        the policy's ``sweep_many`` (bit-identical decisions to the
+        scalar oracle).  A group is booked as arrays by the function
+        that books a lone :class:`StreamSession` chunk — steps, hypers
+        and one seeded cost cumsum straight off the sweep — and the
+        returned rows build a session's
         :class:`StreamBatch` only when it is read.  The call's wall
         time, aggregate step/hyper counts, fused/fallback session
         counts and replay-epoch/trigger totals land in the hub metrics.
@@ -688,45 +710,19 @@ class StreamHub:
             source_of[row] = len(sources)
             sources.append((batch.hyper_flags[None], batch.sizes[None]))
         epochs = triggers = 0
-        for cursor_cls, rows, group, block, lengths in stacks:
-            sweep = cursor_cls.sweep_many(
-                [session._batched for session in group], block,
-                lengths=lengths,
+        for rows, group, block, lengths in stacks:
+            rows = np.array(rows, dtype=np.intp)
+            sweep, start[rows], before, cumulative[rows] = _sweep_group(
+                group, block, lengths
             )
             epochs += sweep.epochs
             triggers += sweep.triggers
-            # The whole group's accounting as arrays: one seeded cost
-            # cumsum (row-wise it is exactly the scalar session's
-            # concatenate-and-cumsum — padding columns add 0.0, so the
-            # final column is every ragged session's total); steps are
-            # the chunk lengths and hypers the sweep's install counts.
-            S = len(group)
-            w_vec = np.fromiter(
-                (session.w for session in group), count=S, dtype=np.float64
-            )
-            costs = np.empty((S, block.shape[1] + 1), dtype=np.float64)
-            costs[:, 0] = [session._cost for session in group]
-            costs[:, 1:] = sweep.sizes + np.where(
-                sweep.hyper, w_vec[:, None], 0.0
-            )
-            cum = np.cumsum(costs, axis=1)
-            totals = cum[:, -1]
-            rows = np.array(rows, dtype=np.intp)
-            start[rows] = [session._n for session in group]
+            cost[rows] = cumulative[rows] - before
             steps[rows] = lengths
             hypers[rows] = sweep.installed_counts
-            cost[rows] = totals - cum[:, 0]
-            cumulative[rows] = totals
             source_of[rows] = len(sources)
-            member_of[rows] = np.arange(S)
+            member_of[rows] = np.arange(len(group))
             sources.append((sweep.hyper, sweep.sizes))
-            for session, n_s, h_s, c_s in zip(
-                group, lengths.tolist(), sweep.installed_counts.tolist(),
-                totals.tolist(),
-            ):
-                session._n += n_s
-                session._hypers += h_s
-                session._cost = c_s
         out = FeedRows(
             ids, start, steps, hypers, cost, cumulative,
             per_step=(sources, source_of, member_of),
@@ -736,9 +732,9 @@ class StreamHub:
         elapsed = time.perf_counter() - start_time
         self._live_steps += total_steps
         self._live_hypers += total_hypers
-        fallback = len(plain) if self.fused else 0
-        fused = n - len(plain)
-        group_sizes = tuple(len(stack[2]) for stack in stacks)
+        fallback = len(plain)
+        fused = n - fallback
+        group_sizes = tuple(len(stack[1]) for stack in stacks)
         self._last_fused = (fused, fallback, group_sizes, epochs, triggers)
         self.metrics.record_stream(
             steps=total_steps,
@@ -772,55 +768,57 @@ class StreamHub:
         """First pass of :meth:`feed_many`: convert and check every
         chunk, moving no session.
 
-        With :attr:`fused`, eligible chunks (lane-packed, on a
-        batched-cursor session) are grouped by ``(cursor kind, lane
-        width, history)`` — ragged chunk lengths fuse into one
-        zero-padded stack, so sessions that differ only in chunk length
-        share a sweep; history equality pins ``memory``/``k``, while
-        ``w``/``alpha`` may vary inside a group (the sweep gathers them
-        as vectors) — and each group is stacked and range-checked.
-        Every other chunk — all of them without :attr:`fused`; mask
-        iterables, empty chunks and non-batched cursors otherwise — is
-        prepared for the per-session path.  Returns the stacks
-        ``(cursor kind, rows, sessions, block, lengths)`` and the
-        plain ``(row, prepared chunk)`` pairs; rows index ``ids``.
+        Chunks of batched-cursor sessions are converted to lanes — a
+        lane-packed ``uint64`` array as it stands, to be range-checked
+        on its group's stacked block; mask iterables and
+        :class:`~repro.core.context.RequirementSequence` chunks
+        through :meth:`StreamSession._prepare` — and the non-empty ones
+        are grouped by ``(cursor kind, lane width, history)``: ragged
+        chunk lengths fuse into one zero-padded stack, history equality
+        pins ``memory``/``k``, while ``w``/``alpha`` may vary inside a
+        group (the sweep gathers them as vectors).  Chunks of scalar
+        cursors and empty chunks are prepared for the per-session
+        path.  Returns the stacks ``(rows, sessions, block, lengths)``
+        and the plain ``(row, prepared chunk)`` pairs; rows index
+        ``ids``.
         """
         groups: dict[tuple, tuple[list, list, list, list]] = {}
         plain: list[tuple[int, object]] = []
-        fused = self.fused
         for row, (session, chunk) in enumerate(
             zip(sessions, chunks.values())
         ):
             key = session._fuse_key
-            # No ascontiguousarray here: the stacked group block copies
-            # the rows into owned storage anyway.
-            if (
-                fused
-                and key is not None
+            # No ascontiguousarray for ready lanes: the stacked group
+            # block copies the rows into owned storage anyway.
+            if not (
+                key is not None
                 and not session._finished
                 and isinstance(chunk, np.ndarray)
                 and chunk.dtype == _U64
                 and chunk.ndim == 2
+                and chunk.shape[1] == key[1]
             ):
-                C, L = chunk.shape
-                if C and L == key[1]:
-                    members = groups.get(key)
-                    if members is None:
-                        members = groups[key] = ([], [], [], [])
-                    members[0].append(row)
-                    members[1].append(session)
-                    members[2].append(chunk)
-                    members[3].append(C)
-                    continue
-            try:
-                plain.append((row, session._prepare(chunk)))
-            except ValueError as exc:
-                raise ValueError(f"session {ids[row]!r}: {exc}") from exc
-            except RuntimeError as exc:
-                raise RuntimeError(f"session {ids[row]!r}: {exc}") from exc
+                try:
+                    chunk = session._prepare(chunk)
+                except ValueError as exc:
+                    raise ValueError(f"session {ids[row]!r}: {exc}") from exc
+                except RuntimeError as exc:
+                    raise RuntimeError(
+                        f"session {ids[row]!r}: {exc}"
+                    ) from exc
+            if key is None or not len(chunk):
+                plain.append((row, chunk))
+                continue
+            members = groups.get(key)
+            if members is None:
+                members = groups[key] = ([], [], [], [])
+            members[0].append(row)
+            members[1].append(session)
+            members[2].append(chunk)
+            members[3].append(len(chunk))
         stacks = [
             (
-                key[0], rows, group,
+                rows, group,
                 *_stack_group(ids, rows, group, lanes, counts, key[1]),
             )
             for key, (rows, group, lanes, counts) in groups.items()

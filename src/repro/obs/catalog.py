@@ -122,7 +122,7 @@ CATALOG: tuple[Metric, ...] = (
     Metric("stream_hypers_total", "counter", "engine.stream.hypers", "Hyperreconfigurations while streaming", attr="stream_hypers"),
     Metric("", "counter", "engine.stream.wall_time_s", "Wall time of the feed calls", attr="stream_time"),
     Metric("stream_fused_sessions_total", "counter", "engine.stream.fused_sessions", "Session-chunks completed in the fused sweep", attr="stream_fused", core=True),
-    Metric("stream_fused_fallback_total", "counter", "engine.stream.fused_fallback", "Session-chunks served outside the fused sweep", attr="stream_fused_fallback", core=True),
+    Metric("stream_fused_fallback_total", "counter", "engine.stream.fused_fallback", "Chunks served without a sweep: scalar-cursor sessions and empty chunks", attr="stream_fused_fallback", core=True),
     Metric("stream_replay_epochs_total", "counter", "engine.stream.replay_epochs", "Trigger epochs the fused sweep iterated", attr="stream_replay_epochs", core=True),
     Metric("stream_replay_triggers_total", "counter", "engine.stream.replay_triggers", "Triggers resolved by batched replay", attr="stream_replay_triggers", core=True),
     # -- serve: wire protocols (json and bin rows exist from the start)

@@ -102,6 +102,7 @@ from __future__ import annotations
 import base64
 import binascii
 import json
+import math
 import struct
 import threading
 import zlib
@@ -703,8 +704,10 @@ def parse_request(
         if width < 1:
             raise ProtocolError("open.width must be at least 1")
         w = _require(obj, "w", (int, float), op=op)
-        if w <= 0:
-            raise ProtocolError("open.w must be positive")
+        # json.loads accepts NaN and Infinity; NaN fails every
+        # comparison, so finiteness is checked first.
+        if not math.isfinite(w) or w <= 0:
+            raise ProtocolError("open.w must be positive and finite")
         session = obj.get("session")
         if session is not None and not isinstance(session, str):
             raise ProtocolError("open.session must be a string")

@@ -35,27 +35,32 @@ Both policies expose two entry points over the same decision logic:
   they cannot satisfy).
 
 Both policies additionally expose :meth:`batched_cursor` — the
-lane-packed contract for high-rate streaming.  A batched cursor's
-``step_many(lanes)`` advances a whole ``(C, L)`` uint64 chunk of
-requirement rows in vectorized NumPy over a
-:class:`~repro.core.packed.PackedStream` and returns a
-:class:`CursorBatch` of per-step hyper flags, hypercontext sizes and
-installed hypercontexts.  The decisions are *bit-identical* to driving
+lane-packed contract for high-rate streaming.  A batched cursor class
+has one entry point, the classmethod ``sweep_many(cursors, block,
+lengths)``: it advances a stack of cursors over one ``(C, L)`` uint64
+requirement chunk each and returns a :class:`FusedSweep` of per-step
+hyper flags, hypercontext sizes and installed hypercontexts.  Stacks
+of more than ``SMALL_STACK_SESSIONS`` (8) cursors run the
+epoch-synchronous kernel; smaller ones run each cursor's galloping
+per-cursor kernel over the same history-prefixed block, which is
+faster below that size.  The decisions are *bit-identical* to driving
 the scalar cursor step by step (the scalar cursors stay as the
-correctness oracle; ``tests/test_stream_packed.py`` enforces the
-equivalence on randomized sequences across the 64-switch lane
-boundary): inside a chunk the batched cursor solves for whole
-*no-hyper segments* at a time — prefix unions and popcounts locate the
-next trigger (misfit or regret/cadence), then the working-set window is
-read off the packed history — so its cost is O(segments) NumPy sweeps
-instead of O(steps) Python calls.
+correctness oracle; ``tests/test_stream_packed.py`` and
+``tests/test_stream_fused.py`` enforce the equivalence on randomized
+sequences across the 64-switch lane boundary): inside a chunk the
+kernels solve for whole *no-hyper segments* at a time — prefix unions
+and popcounts locate the next trigger (misfit or regret/cadence), then
+the working-set window is read off the packed history — so their cost
+is O(segments) NumPy sweeps instead of O(steps) Python calls.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,7 +76,6 @@ from repro.solvers.single_dp import solve_single_switch
 from repro.util.bitset import popcount_u64
 
 __all__ = [
-    "CursorBatch",
     "FusedSweep",
     "OnlineRun",
     "RentOrBuyScheduler",
@@ -112,46 +116,14 @@ class OnlineRun:
     solver: str
 
 
-@dataclass(frozen=True)
-class CursorBatch:
-    """Result of advancing a batched cursor by one requirement chunk.
+class FusedSweep(NamedTuple):
+    """Result of one ``sweep_many`` call over stacked chunks.
 
-    Attributes
-    ----------
-    hyper:
-        ``(C,)`` bool — True where the policy hyperreconfigured before
-        serving the step.
-    sizes:
-        ``(C,)`` int64 — popcount of the hypercontext that served each
-        step (``|h|``, the per-step switch-write charge).
-    installed:
-        ``(H, L)`` uint64 — the installed hypercontext lanes of the
-        ``H`` flagged steps, in step order.
-    """
-
-    hyper: np.ndarray
-    sizes: np.ndarray
-    installed: np.ndarray
-
-    @property
-    def steps(self) -> int:
-        return int(self.hyper.shape[0])
-
-    @property
-    def hyper_count(self) -> int:
-        return int(self.installed.shape[0])
-
-
-@dataclass(frozen=True)
-class FusedSweep:
-    """Result of a fused multi-cursor sweep over stacked chunks.
-
-    ``sweep_many`` is an epoch-synchronous resumable kernel: *every*
-    cursor in the stack completes its chunk here — quiet ones in the
-    first epoch, triggering ones through as many trigger epochs as the
-    densest chunk needs — so there is no per-session replay path left.
-    Cursor and stream state are committed on return; the caller only
-    books per-session accounting off the arrays below.
+    *Every* cursor in the stack completes its chunk in the call —
+    through the epoch kernel's trigger epochs or, for a small stack,
+    each cursor's galloping kernel — so there is no per-session replay
+    path left.  Cursor and stream state are committed on return; the
+    caller only books per-session accounting off the arrays below.
 
     Attributes
     ----------
@@ -173,7 +145,9 @@ class FusedSweep:
         zero-padded to ``Cmax``; columns at or past a session's length
         are dead).
     epochs:
-        Trigger-epoch iterations the kernel ran for this stack.
+        Trigger-epoch iterations the kernel ran for this stack (for a
+        small stack, the densest cursor's install count — what the
+        epoch kernel would have iterated).
     """
 
     hyper: np.ndarray
@@ -240,21 +214,26 @@ def _escapes(acc: np.ndarray, cur: np.ndarray) -> np.ndarray:
 
 
 class _EpochSweep:
-    """Struct-of-arrays state shared by both ``sweep_many`` kernels.
+    """The block and commit shared by both ``sweep_many`` branches, and
+    the epoch kernel's struct-of-arrays state.
 
-    Holds every session's frozen hypercontext (``cur``/``cur_size``),
-    its resume offset ``pos`` into its chunk and the install records;
-    the kernels only supply their policy's trigger test.  The chunks
-    sit in one *history-prefixed* block ``ext`` of shape ``(S, H +
-    Cmax, L)``: each session's last ``H`` stream rows, oldest first
-    (zero rows in front for streams younger than ``H``), then its
+    The chunks sit in one *history-prefixed* block ``ext`` of shape
+    ``(S, H + Cmax, L)``: each session's last ``H`` stream rows, oldest
+    first (zero rows in front for streams younger than ``H``), then its
     chunk.  Chunk step ``t`` is block row ``H + t``, so every
-    working-set window ``t-H .. t`` lies inside the session's own
-    block row.  Each epoch reads one window per live row, starting at
-    the row's *own* offset — no row pays for another row's dead prefix
-    — and the per-step ``sizes`` are filled once at the end, by
-    forward-filling the install records, instead of scattered epoch by
-    epoch.
+    working-set window ``t-H .. t`` is rows ``t .. t+H`` of the
+    session's own block row — for the small-stack branch
+    (:meth:`gallop`) and the epoch kernel alike — and
+    :meth:`PackedStream.extend_many` commits every stream off it.
+
+    For the epoch kernel, :meth:`start` adds every session's frozen
+    hypercontext (``cur``/``cur_size``), its resume offset ``pos`` into
+    its chunk and the install records; the kernels only supply their
+    policy's trigger test.  Each epoch reads one window per live row,
+    starting at the row's *own* offset — no row pays for another row's
+    dead prefix — and the per-step ``sizes`` are filled once at the
+    end, by forward-filling the install records, instead of scattered
+    epoch by epoch.
     """
 
     def __init__(self, cursors, block: np.ndarray, lengths, history: int):
@@ -263,7 +242,7 @@ class _EpochSweep:
         self.cursors = cursors
         if H:
             # History that extend_many left behind is reused as it
-            # stands when no per-session call replaced it.
+            # stands when no other call replaced it.
             ext = np.empty((S, H + Cmax, L), dtype=np.uint64)
             ext[:, :H] = _stack_rows(
                 cursors, "stream.history_rows", (S, H, L)
@@ -272,11 +251,44 @@ class _EpochSweep:
         else:
             ext = block
         self.ext = ext
-        self.row_len = H + Cmax
-        self.flat = ext.reshape(S * self.row_len, L)
-        self.lengths = _sweep_lengths(S, Cmax, lengths)
         self.H = H
-        self.window = np.arange(H + 1)
+        self.row_len = H + Cmax
+        self.lengths = _sweep_lengths(S, Cmax, lengths)
+        self.ragged = lengths is not None and int(self.lengths.min()) != Cmax
+
+    def gallop(self) -> FusedSweep:
+        """Serve a small stack one cursor at a time.
+
+        Each cursor's galloping kernel (``step_many``) reads its
+        windows off its row of the block and writes its row of the
+        ``(S, Cmax)`` arrays; installs come back session-major and in
+        step order.
+        """
+        S, _, L = self.ext.shape
+        Cmax = self.row_len - self.H
+        hyper = np.zeros((S, Cmax), dtype=bool)
+        sizes = np.zeros((S, Cmax), dtype=np.int64)
+        counts = []
+        installed: list[np.ndarray] = []
+        for s, (c, n) in enumerate(zip(self.cursors, self.lengths.tolist())):
+            rows = c.step_many(self, s, n, hyper[s], sizes[s])
+            counts.append(len(rows))
+            installed += rows
+        installed = (
+            np.asarray(installed, dtype=np.uint64) if installed
+            else np.zeros((0, L), dtype=np.uint64)
+        )
+        return self.commit(
+            hyper, sizes, installed, np.array(counts, dtype=np.int64),
+            max(counts),
+        )
+
+    def start(self) -> None:
+        """Set up the epoch kernel's state."""
+        cursors = self.cursors
+        S, _, L = self.ext.shape
+        self.flat = self.ext.reshape(S * self.row_len, L)
+        self.window = np.arange(self.H + 1)
         self.cur = _stack_rows(cursors, "_cur", (S, L))
         self.cur_size = np.fromiter(
             (c._cur_size for c in cursors), count=S, dtype=np.int64
@@ -372,7 +384,7 @@ class _EpochSweep:
         self.active[rows] = self.pos[rows] < self.lengths[rows]
 
     def finish(self) -> FusedSweep:
-        """Commit cursor and stream state; build the sweep's arrays.
+        """Commit the epoch kernel's cursor state; build its arrays.
 
         ``sizes`` is a forward fill: each step serves at the size of
         its row's latest install at or before it (the pre-chunk size
@@ -381,17 +393,12 @@ class _EpochSweep:
         lengths = self.lengths
         S, _, L = self.ext.shape
         Cmax = self.row_len - self.H
-        streams = []
-        cur_sizes = self.cur_size.tolist()
-        for s, (c, size) in enumerate(zip(self.cursors, cur_sizes)):
+        for s, (c, size) in enumerate(
+            zip(self.cursors, self.cur_size.tolist())
+        ):
             c._cur = self.cur[s]
             c._cur_size = size
             c._row = s
-            streams.append(c.stream)
-        ragged = int(lengths.min()) != Cmax
-        PackedStream.extend_many(
-            streams, self.ext, lengths=lengths if ragged else None
-        )
         hyper = np.zeros((S, Cmax), dtype=bool)
         latest = np.zeros((S, Cmax), dtype=np.intp)
         latest[:, 0] = np.arange(S)
@@ -413,128 +420,87 @@ class _EpochSweep:
             values = self.size0
             counts = np.zeros(S, dtype=np.int64)
         sizes = values[np.maximum.accumulate(latest, axis=1)]
-        if ragged:
+        if self.ragged:
             sizes[np.arange(Cmax) >= lengths[:, None]] = 0
-        hyper.setflags(write=False)
-        sizes.setflags(write=False)
-        installed.setflags(write=False)
+        return self.commit(hyper, sizes, installed, counts, self.epochs)
+
+    def commit(self, hyper, sizes, installed, counts, epochs) -> FusedSweep:
+        """Commit every stream off the block; freeze the arrays."""
+        lengths = self.lengths
+        PackedStream.extend_many(
+            [c.stream for c in self.cursors], self.ext,
+            lengths=lengths if self.ragged else None,
+        )
+        for arr in (hyper, sizes, installed):
+            arr.setflags(write=False)
         return FusedSweep(
             hyper=hyper,
             sizes=sizes,
             installed=installed,
             installed_counts=counts,
             lengths=lengths,
-            epochs=self.epochs,
+            epochs=epochs,
         )
 
 
-#: Stack-size crossover for ``sweep_many``: groups at or below this
-#: many sessions are served by one scalar-batched ``step_many`` call
-#: per cursor instead of the epoch kernel.  The kernel's win is
-#: amortizing per-epoch NumPy spans over many rows.  E16's
-#: ``kernel_crossover`` table (rent-or-buy, calm and hectic, 64- and
-#: 256-step chunks) has the kernel at 0.6-0.8× of ``step_many`` at
-#: S=4, at parity or better from S=8 (1.0-1.7× over two runs) and at
-#: 1.7-2.3× by S=32, at both chunk lengths, so one threshold fits
-#: every chunk length.  Decisions are bit-identical either way; the
-#: equivalence suite pins the constant to 0 to keep the epoch kernel
-#: under adversarial coverage at every fleet size.
+#: Stack-size crossover for ``sweep_many``: stacks of at most this many
+#: sessions run each cursor's galloping kernel instead of the epoch
+#: kernel, whose win is amortizing per-epoch NumPy spans over many
+#: rows.  Epoch ÷ per-cursor speed through ``StreamHub.feed_many`` on
+#: perfbench's ``fleet_lanes`` fleet (width 96, median of 5; both
+#: policies, calm and hectic drift, 64- and 256-step chunks: eight
+#: cells per stack size), lowest to highest cell:
+#:
+#:     S:      1     2     4     8     16    32
+#:     low:  0.33  0.30  0.55  0.58  0.77  1.13
+#:     high: 0.62  0.56  0.68  0.93  1.43  1.98
+#:
+#: The per-cursor kernel wins every cell up to 8 sessions, the epoch
+#: kernel 5 of 8 cells at 16 and all of them at 32.  Decisions are
+#: bit-identical either way; the equivalence suites run with the
+#: constant at 0 and at its default.
 SMALL_STACK_SESSIONS = 8
-
-
-def _sweep_small(cursors, block: np.ndarray, lengths) -> FusedSweep:
-    """Serve a small stack with one ``step_many`` call per cursor.
-
-    Same decisions as the epoch kernel, repackaged as a
-    :class:`FusedSweep`; installs are already session-major and in
-    step order.  The densest cursor's install count stands in for the
-    epoch count — exactly what the kernel would have iterated.
-    """
-    S, Cmax, L = block.shape
-    lengths = _sweep_lengths(S, Cmax, lengths)
-    hyper = np.zeros((S, Cmax), dtype=bool)
-    sizes = np.zeros((S, Cmax), dtype=np.int64)
-    counts = np.zeros(S, dtype=np.int64)
-    installed = []
-    epochs = 0
-    for s, c in enumerate(cursors):
-        n = int(lengths[s])
-        batch = c.step_many(block[s, :n])
-        hyper[s, :n] = batch.hyper
-        sizes[s, :n] = batch.sizes
-        counts[s] = batch.installed.shape[0]
-        installed.append(batch.installed)
-        epochs = max(epochs, int(counts[s]))
-    installed = (
-        np.concatenate(installed, axis=0) if installed
-        else np.zeros((0, L), dtype=np.uint64)
-    )
-    for arr in (hyper, sizes, installed):
-        arr.setflags(write=False)
-    return FusedSweep(
-        hyper=hyper,
-        sizes=sizes,
-        installed=installed,
-        installed_counts=counts,
-        lengths=lengths,
-        epochs=epochs,
-    )
 
 
 def _sweep_lengths(S: int, Cmax: int, lengths) -> np.ndarray:
     if lengths is None:
-        return np.full(S, Cmax, dtype=np.int64)
+        return np.array([Cmax] * S, dtype=np.int64)
     lengths = np.asarray(lengths, dtype=np.int64)
     if lengths.shape != (S,) or (lengths < 1).any() or (lengths > Cmax).any():
         raise ValueError("lengths must hold one value in [1, Cmax] per chunk")
     return lengths
 
 
-def _empty_batch(L: int) -> CursorBatch:
-    return CursorBatch(
-        hyper=np.zeros(0, dtype=bool),
-        sizes=np.zeros(0, dtype=np.int64),
-        installed=np.zeros((0, L), dtype=np.uint64),
-    )
-
-
 def plan_with_cursor(cursor, seq: RequirementSequence) -> SingleTaskSchedule:
-    """Drive a policy cursor over a whole sequence.
+    """Drive a scalar policy cursor over a whole sequence.
 
     Every cursor hyperreconfigures at step 0 and afterwards whenever a
     requirement does not fit, so the recorded masks already cover their
     blocks; they are still widened by the block unions as a safety net
     (a no-op for well-behaved cursors, and the cheapest way to keep the
-    "explicit masks must cover" invariant unconditionally true).
-
-    Cursors honoring the batched contract (``step_many``) are advanced
-    in one vectorized call; scalar cursors step per requirement.  The
-    block-union widening runs on packed lanes either way (one
-    ``bitwise_or.reduceat`` instead of a per-step Python union loop).
+    "explicit masks must cover" invariant unconditionally true).  The
+    widening runs on packed lanes (one ``bitwise_or.reduceat`` instead
+    of a per-step Python union loop).
     """
     masks = seq.masks
     n = len(masks)
     if n == 0:
         return SingleTaskSchedule(n=0, hyper_steps=())
-    width = seq.universe.size
-    lanes = masks_to_lanes(masks, width)
-    if hasattr(cursor, "step_many"):
-        batch = cursor.step_many(lanes)
-        hyper_steps = [int(i) for i in np.flatnonzero(batch.hyper)]
-        installed_lanes = batch.installed
-    else:
-        hyper_steps = []
-        hyper_masks = []
-        for i, req in enumerate(masks):
-            installed = cursor.step(i, req)
-            if installed is not None:
-                hyper_steps.append(i)
-                hyper_masks.append(installed)
-        installed_lanes = masks_to_lanes(hyper_masks, width)
+    hyper_steps = []
+    hyper_masks = []
+    for i, req in enumerate(masks):
+        installed = cursor.step(i, req)
+        if installed is not None:
+            hyper_steps.append(i)
+            hyper_masks.append(installed)
     if hyper_steps:
-        starts = np.asarray(hyper_steps, dtype=np.intp)
-        unions = np.bitwise_or.reduceat(lanes, starts, axis=0)
-        widened = lanes_to_masks(installed_lanes | unions)
+        width = seq.universe.size
+        unions = np.bitwise_or.reduceat(
+            masks_to_lanes(masks, width),
+            np.asarray(hyper_steps, dtype=np.intp),
+            axis=0,
+        )
+        widened = lanes_to_masks(masks_to_lanes(hyper_masks, width) | unions)
     else:  # a degenerate custom cursor that never installs
         widened = []
     return SingleTaskSchedule(
@@ -587,7 +553,8 @@ class _BatchedRentOrBuyCursor:
     """Lane-packed rent-or-buy cursor (:class:`_RentOrBuyCursor` is the
     scalar oracle; decisions here are bit-identical).
 
-    ``step_many`` processes a chunk *segment by segment*: between two
+    Its galloping kernel (``step_many``, run by ``sweep_many`` for
+    small stacks) processes a chunk *segment by segment*: between two
     hyperreconfigurations the hypercontext is frozen, so the served
     union is a prefix union over the segment, the regret a cumulative
     sum of popcount differences, and the next trigger (misfit or
@@ -602,62 +569,44 @@ class _BatchedRentOrBuyCursor:
         "alpha",
         "memory",
         "stream",
-        "scan_min",
-        "scan_max",
         "multi_trigger_hits",
         "_cur",
         "_cur_size",
         "_served",
         "_regret",
+        "_saturated",
         "_row",
     )
 
-    #: Galloping sweep bounds: prefix unions are recomputed from each
-    #: segment start, so an unbounded sweep would be O(chunk²) when
-    #: hypers are frequent — and a large fixed window wastes compute
-    #: past the trigger when they are.  Each segment starts with a
-    #: small sweep that doubles while no trigger is found (total rows
-    #: touched stay within ~2× the segment length either way).  State
-    #: carries across sweep windows exactly as it does across chunks,
-    #: so the bounds only shape the work, never the decisions.  The
-    #: class attributes are defaults; per-scheduler tunables
-    #: (``RentOrBuyScheduler(scan_min=..., scan_max=...)``) override
-    #: them per cursor — bench E16 sweeps the grid.
+    #: Galloping sweep bounds of both kernels: prefix unions are
+    #: recomputed from each segment start, so an unbounded sweep would
+    #: be O(chunk²) when hypers are frequent — and a large fixed window
+    #: wastes compute past the trigger when they are.  Each segment
+    #: starts with a small sweep that doubles while no trigger is found
+    #: (total rows touched stay within ~2× the segment length either
+    #: way).  State carries across sweep windows exactly as it does
+    #: across chunks, so the bounds only shape the work, never the
+    #: decisions; tests shrink them to reach the continuation paths,
+    #: and bench E16 sweeps the grid.
     _SCAN_MIN = 128
     _SCAN_MAX = 4096
 
-    def __init__(
-        self,
-        w: float,
-        alpha: float,
-        memory: int,
-        width: int,
-        *,
-        scan_min: int | None = None,
-        scan_max: int | None = None,
-    ):
+    def __init__(self, w: float, alpha: float, memory: int, width: int):
         self.w = w
         self.alpha = alpha
         self.memory = memory
-        self.scan_max = self._SCAN_MAX if scan_max is None else int(scan_max)
-        if scan_min is None:
-            # A lone small scan_max implies the window ceiling; don't
-            # make the caller restate the floor to satisfy min ≤ max.
-            self.scan_min = min(self._SCAN_MIN, self.scan_max)
-        else:
-            self.scan_min = int(scan_min)
-        if self.scan_min < 1:
-            raise ValueError("scan_min must be at least 1")
-        if self.scan_max < self.scan_min:
-            raise ValueError("scan_max must be at least scan_min")
         self.stream = PackedStream(width, history=memory - 1)
         L = self.stream.lane_width
         self._cur = np.zeros(L, dtype=np.uint64)
         self._cur_size = 0
         self._served = np.zeros(L, dtype=np.uint64)
         self._regret = 0.0
-        #: Row index this cursor held in the last fused sweep's
-        #: struct-of-arrays (see ``_stack_rows``); -1 before any sweep.
+        #: True only when the served union is known to equal the
+        #: hypercontext (the galloping kernel finds out for free; the
+        #: epoch kernel resets it to False, which is always safe).
+        self._saturated = False
+        #: Row index this cursor held in the last sweep's block (see
+        #: ``_stack_rows``); -1 before any sweep.
         self._row = -1
         #: Triggers resolved by the multi-trigger fast path (hectic
         #: streams resolve several misfits per sweep window without
@@ -669,54 +618,82 @@ class _BatchedRentOrBuyCursor:
         """Current hypercontext as an int mask (cursor contract)."""
         return lanes_to_masks(self._cur)
 
-    def step_many(self, lanes: np.ndarray) -> CursorBatch:
-        """Advance the cursor over a ``(C, L)`` uint64 requirement chunk."""
-        lanes = np.ascontiguousarray(lanes, dtype=np.uint64)
-        C = lanes.shape[0]
-        L = self.stream.lane_width
-        if C == 0:
-            return _empty_batch(L)
-        first_forced = self.stream.n == 0
-        ext, off = self.stream.push(lanes)
-        hyper = np.zeros(C, dtype=bool)
-        sizes = np.empty(C, dtype=np.int64)
+    def step_many(
+        self, sweep: _EpochSweep, s: int, C: int, hyper, sizes
+    ) -> list:
+        """Galloping kernel: serve row ``s`` (``C`` steps) of a small
+        stack.
+
+        The private body of ``sweep_many``'s small-stack branch (named
+        as ``perfbench/layers.py`` wraps it).  Reads the chunk and its
+        working-set windows off ``sweep``'s history-prefixed block,
+        writes the row's ``hyper``/``sizes`` and returns the installed
+        lanes in step order; the stream is committed by the sweep.
+        """
+        H = sweep.H
+        ext = sweep.ext[s]
+        lanes = ext[H : H + C]
         installed: list[np.ndarray] = []
         threshold = self.alpha * self.w
+        first_forced = self.stream.n == 0
         cur, cur_size = self._cur, self._cur_size
         served, regret = self._served, self._regret
+        saturated = self._saturated
+        scan_min = self._SCAN_MIN
+        scan_max = self._SCAN_MAX
         pos = 0
-        scan = self.scan_min
+        scan = scan_min
         ncur = ~cur
         while pos < C:
             stop = min(C, pos + scan)
-            rest = lanes[pos:stop]
-            acc = np.bitwise_or.accumulate(rest, axis=0)
+            forced = first_forced and pos == 0
+            if saturated and not forced and not np.count_nonzero(
+                np.bitwise_or.reduce(lanes[pos:stop], axis=0) & ncur
+            ):
+                # served == cur: while nothing escapes cur every prefix
+                # union is cur, so the regret holds still and one union
+                # of the window decides it.
+                sizes[pos:stop] = cur_size
+                pos = stop
+                scan = min(scan * 2, scan_max)
+                continue
+            acc = np.bitwise_or.accumulate(lanes[pos:stop], axis=0)
             np.bitwise_or(acc, served, out=acc)
             # served ⊆ cur, so the prefix union escapes cur exactly
             # where the first unservable requirement sits (monotone).
-            misfit = (acc & ncur).any(axis=1)
-            pc = popcount_u64(acc).sum(axis=1, dtype=np.int64)
-            csum = np.cumsum(cur_size - pc, dtype=np.float64)
-            if regret:  # exact either way; skips an add per quiet sweep
+            # Without an escape every regret addend |cur| − |union| is
+            # a non-negative integer: the regret peaks at the window's
+            # last step, at the carried regret plus one exact integer
+            # sum, so a quiet window needs no per-step pass.
+            if not forced and not np.count_nonzero(acc[-1] & ncur):
+                gain = (stop - pos) * cur_size - int(
+                    np.add.reduce(popcount_u64(acc), axis=None)
+                )
+                peak = regret + float(gain)
+                if peak <= threshold:
+                    sizes[pos:stop] = cur_size
+                    served = acc[-1]
+                    regret = peak
+                    # Every addend 0: each union, the last one included,
+                    # is cur itself.
+                    saturated = gain == 0
+                    pos = stop
+                    scan = min(scan * 2, scan_max)
+                    continue
+            saturated = False  # the trigger below resets served
+            pc = np.add.reduce(popcount_u64(acc), axis=1, dtype=np.int64)
+            csum = np.add.accumulate(cur_size - pc, dtype=np.float64)
+            if regret:  # exact either way; skips an add per sweep
                 csum = regret + csum
-            trigger = misfit | (csum > threshold)
-            if first_forced and pos == 0:
+            trigger = (acc & ncur).any(axis=1) | (csum > threshold)
+            if forced:
                 trigger[0] = True
-            hit = int(np.argmax(trigger))
-            if not trigger[hit]:
-                sizes[pos:stop] = cur_size
-                served = acc[-1]
-                regret = float(csum[-1])
-                pos = stop
-                scan = min(scan * 2, self.scan_max)
-                continue
-            t = pos + hit
-            scan = self.scan_min
+            t = pos + int(np.argmax(trigger))
+            scan = scan_min
             sizes[pos:t] = cur_size
-            # Working set = this requirement ∪ the last (memory-1) ones,
-            # read off the history-prefixed chunk.
-            lo = max(0, off + t - (self.memory - 1))
-            ws = np.bitwise_or.reduce(ext[lo : off + t + 1], axis=0)
+            # Working set = this requirement ∪ the last (memory-1) ones:
+            # block rows t .. t+H.
+            ws = np.bitwise_or.reduce(ext[t : t + H + 1], axis=0)
             cur = ws
             ncur = ~cur
             cur_size = int(popcount_u64(ws).sum(dtype=np.int64))
@@ -773,8 +750,7 @@ class _BatchedRentOrBuyCursor:
                         if rtrig[rh]:
                             t = pos + rh
                 sizes[pos:t] = cur_size
-                lo = max(0, off + t - (self.memory - 1))
-                ws = np.bitwise_or.reduce(ext[lo : off + t + 1], axis=0)
+                ws = np.bitwise_or.reduce(ext[t : t + H + 1], axis=0)
                 cur = ws
                 ncur = ~cur
                 cur_size = int(popcount_u64(ws).sum(dtype=np.int64))
@@ -787,23 +763,25 @@ class _BatchedRentOrBuyCursor:
                 pos = t + 1
         self._cur, self._cur_size = cur, cur_size
         self._served, self._regret = served, regret
-        if installed:
-            installed_arr = np.asarray(installed, dtype=np.uint64)
-        else:  # pragma: no cover - a chunk always installs on first feed
-            installed_arr = np.zeros((0, L), dtype=np.uint64)
-        return CursorBatch(hyper=hyper, sizes=sizes, installed=installed_arr)
+        self._saturated = saturated
+        self._row = s
+        return installed
 
     @classmethod
     def sweep_many(cls, cursors, block: np.ndarray, lengths=None) -> FusedSweep:
-        """Advance every cursor over its whole chunk, epoch by epoch.
+        """Advance every cursor over its whole chunk; the one entry
+        point of the batched contract.
 
         ``block`` stacks one ``(C_s, L)`` chunk per cursor into
         ``(S, Cmax, L)`` (ragged chunks zero-padded on the right, their
         true lengths in ``lengths``); all cursors must share the lane
         width and ``memory`` — the hub's group key guarantees it, while
-        ``w``/``alpha`` may vary and are gathered as vectors.
+        ``w``/``alpha`` may vary and are gathered as vectors.  A stack
+        of at most ``SMALL_STACK_SESSIONS`` cursors runs each cursor's
+        galloping kernel (``step_many``) over the block instead of the
+        epoch kernel below; the decisions are the same.
 
-        The kernel is *resumable*: per-session offsets ``pos`` track
+        The epoch kernel is *resumable*: per-session offsets ``pos`` track
         how far each chunk has been served.  Each epoch reads one
         window per live session, starting at that session's own offset
         (:class:`_EpochSweep`), so one prefix accumulate from window
@@ -820,7 +798,7 @@ class _BatchedRentOrBuyCursor:
         outer loop therefore runs once per *trigger epoch* (bounded by
         the densest chunk), never per session × step.
 
-        Exactness mirrors ``step_many``: the regret cumsum adds only
+        Exactness mirrors the galloping kernel: the regret cumsum adds only
         integers (exactly representable in float64) to the carried
         float regret, so any summation order reproduces the scalar
         sequential accumulation bit for bit.  Cells past a chunk's end
@@ -830,9 +808,10 @@ class _BatchedRentOrBuyCursor:
         left to replay.
         """
         S, _, L = block.shape
-        if S <= SMALL_STACK_SESSIONS:
-            return _sweep_small(cursors, block, lengths)
         sweep = _EpochSweep(cursors, block, lengths, cursors[0].memory - 1)
+        if S <= SMALL_STACK_SESSIONS:
+            return sweep.gallop()
+        sweep.start()
         cur, cur_size = sweep.cur, sweep.cur_size
         served = _stack_rows(cursors, "_served", (S, L))
         regret = np.fromiter(
@@ -841,8 +820,8 @@ class _BatchedRentOrBuyCursor:
         threshold = np.fromiter(
             (c.alpha * c.w for c in cursors), count=S, dtype=np.float64
         )
-        scan_min = cursors[0].scan_min
-        scan_max = max(cursors[0].scan_max, scan_min)
+        scan_min = cls._SCAN_MIN
+        scan_max = cls._SCAN_MAX
         scan = scan_min
         while (epoch := sweep.next_epoch(scan)) is not None:
             a, pa, _cols, sub, live, n = epoch
@@ -887,6 +866,7 @@ class _BatchedRentOrBuyCursor:
         for s, (c, r) in enumerate(zip(cursors, regret.tolist())):
             c._served = served[s]
             c._regret = r
+            c._saturated = False
         return sweep.finish()
 
 
@@ -908,31 +888,17 @@ class RentOrBuyScheduler:
         *,
         alpha: float = 1.0,
         memory: int = 4,
-        scan_min: int | None = None,
-        scan_max: int | None = None,
     ):
-        if w <= 0:
-            raise ValueError("w must be positive")
-        if alpha <= 0:
-            raise ValueError("alpha must be positive")
+        # NaN fails every comparison, so finiteness is checked first.
+        if not math.isfinite(w) or w <= 0:
+            raise ValueError("w must be positive and finite")
+        if not math.isfinite(alpha) or alpha <= 0:
+            raise ValueError("alpha must be positive and finite")
         if memory < 1:
             raise ValueError("memory must be at least 1")
-        if scan_min is not None and scan_min < 1:
-            raise ValueError("scan_min must be at least 1")
-        if (
-            scan_min is not None
-            and scan_max is not None
-            and scan_max < scan_min
-        ):
-            raise ValueError("scan_max must be at least scan_min")
         self.w = w
         self.alpha = alpha
         self.memory = memory
-        #: Galloping sweep bounds for the batched cursor; ``None``
-        #: defers to the cursor-class defaults.  Pure performance
-        #: tunables — decisions never depend on them.
-        self.scan_min = scan_min
-        self.scan_max = scan_max
         self.name = f"rent_or_buy(alpha={alpha}, memory={memory})"
 
     def cursor(self) -> _RentOrBuyCursor:
@@ -941,12 +907,7 @@ class RentOrBuyScheduler:
     def batched_cursor(self, width: int) -> _BatchedRentOrBuyCursor:
         """Lane-packed cursor over a ``width``-switch universe."""
         return _BatchedRentOrBuyCursor(
-            self.w,
-            self.alpha,
-            self.memory,
-            width,
-            scan_min=self.scan_min,
-            scan_max=self.scan_max,
+            self.w, self.alpha, self.memory, width
         )
 
     def plan(self, seq: RequirementSequence) -> SingleTaskSchedule:
@@ -983,7 +944,8 @@ class _BatchedWindowCursor:
     splits into spans of at most ``k`` steps; within a span the only
     possible trigger is a misfit, located with one vectorized AND-any.
     The installed estimate is the rolling ``k+1``-wide window union read
-    off the history-prefixed chunk.
+    off the history-prefixed block.  ``step_many`` runs this for small
+    stacks; ``sweep_many``'s epoch kernel batches it for larger ones.
     """
 
     __slots__ = ("k", "stream", "_cur", "_cur_size", "_row")
@@ -1000,20 +962,17 @@ class _BatchedWindowCursor:
         """Current hypercontext as an int mask (cursor contract)."""
         return lanes_to_masks(self._cur)
 
-    def step_many(self, lanes: np.ndarray) -> CursorBatch:
-        """Advance the cursor over a ``(C, L)`` uint64 requirement chunk."""
-        lanes = np.ascontiguousarray(lanes, dtype=np.uint64)
-        C = lanes.shape[0]
-        L = self.stream.lane_width
-        if C == 0:
-            return _empty_batch(L)
+    def step_many(
+        self, sweep: _EpochSweep, s: int, C: int, hyper, sizes
+    ) -> list:
+        """Per-cursor kernel: serve row ``s`` (``C`` steps) of a small
+        stack (see :meth:`_BatchedRentOrBuyCursor.step_many`)."""
+        k = self.k
+        ext = sweep.ext[s]
+        lanes = ext[k : k + C]
         i0 = self.stream.n  # global index of the chunk's first step
-        ext, off = self.stream.push(lanes)
-        hyper = np.zeros(C, dtype=bool)
-        sizes = np.empty(C, dtype=np.int64)
         installed: list[np.ndarray] = []
         cur, cur_size = self._cur, self._cur_size
-        k = self.k
         pos = 0
         while pos < C:
             rem = (i0 + pos) % k
@@ -1029,13 +988,13 @@ class _BatchedWindowCursor:
                 elif next_cad < C:
                     t = next_cad
                 else:
-                    sizes[pos:] = cur_size
+                    sizes[pos:C] = cur_size
                     break
             sizes[pos:t] = cur_size
             # Estimate = this requirement ∪ the previous window (the
-            # last min(i, k) requirements), stale bits included.
-            lo = max(0, off + t - k)
-            estimate = np.bitwise_or.reduce(ext[lo : off + t + 1], axis=0)
+            # last min(i, k) requirements, block rows t .. t+k), stale
+            # bits included.
+            estimate = np.bitwise_or.reduce(ext[t : t + k + 1], axis=0)
             cur = estimate
             cur_size = int(popcount_u64(estimate).sum(dtype=np.int64))
             hyper[t] = True
@@ -1043,19 +1002,18 @@ class _BatchedWindowCursor:
             sizes[t] = cur_size
             pos = t + 1
         self._cur, self._cur_size = cur, cur_size
-        if installed:
-            installed_arr = np.asarray(installed, dtype=np.uint64)
-        else:  # pragma: no cover - a chunk always installs on first feed
-            installed_arr = np.zeros((0, L), dtype=np.uint64)
-        return CursorBatch(hyper=hyper, sizes=sizes, installed=installed_arr)
+        self._row = s
+        return installed
 
     @classmethod
     def sweep_many(cls, cursors, block: np.ndarray, lengths=None) -> FusedSweep:
-        """Advance every cursor over its whole chunk, epoch by epoch.
+        """Advance every cursor over its whole chunk; the one entry
+        point of the batched contract.
 
         ``block`` is ``(S, Cmax, L)``, one zero-padded chunk per cursor
         (true lengths in ``lengths``); all cursors share the lane width
-        and cadence ``k`` (hub group key pins both).  Same resumable
+        and cadence ``k`` (hub group key pins both).  Small stacks run
+        ``step_many`` per cursor, as for rent-or-buy.  Same resumable
         shape as the rent-or-buy kernel, with the policy's two trigger
         kinds instead: cadence boundaries sit at known global indices
         (one modular arithmetic pass per window) and misfits are
@@ -1069,10 +1027,11 @@ class _BatchedWindowCursor:
         the kernel.
         """
         S = block.shape[0]
-        if S <= SMALL_STACK_SESSIONS:
-            return _sweep_small(cursors, block, lengths)
         k = cursors[0].k
         sweep = _EpochSweep(cursors, block, lengths, k)
+        if S <= SMALL_STACK_SESSIONS:
+            return sweep.gallop()
+        sweep.start()
         cur = sweep.cur
         # Cadence boundaries are at most k apart, so a 2k window always
         # catches every session's next one regardless of phase; wider

@@ -118,3 +118,32 @@ def test_a_differing_batch_answer_fails_the_pass(ab, monkeypatch):
     src = _ROOT / "src"
     with pytest.raises(AssertionError, match="wave 0 request 0"):
         ab.run_ab_batch({"tree": src, "ref": src}, waves=1, passes=1)
+
+
+def test_small_stacks_agree_on_the_same_tree(ab):
+    """Every small-stack cell — hubs at both workloads' drift and a
+    bare session — runs on both sides and reads a finite ratio; the
+    drift constants are the perfbench workloads' own."""
+    src = _ROOT / "src"
+    summary = ab.run_ab_small_stacks(
+        {"tree": src, "ref": src}, sizes=(1, 2), chunks=(16,), steps=64,
+        passes=1,
+    )
+    assert list(summary["cells"]) == [
+        "serve_calm S=1", "serve_calm S=2", "hub_hectic S=1",
+        "hub_hectic S=2", "session C=16",
+    ]
+    for cell in summary["cells"].values():
+        assert cell["passes"] == 1
+        assert all(math.isfinite(r) and r > 0 for r in cell["ratios"])
+    assert "session C=16" in ab.format_cells(summary)
+    assert pathlib.Path(ab.serve_calm.__file__) == (
+        _ROOT / "perfbench" / "serve_calm.py"
+    )
+    cells = ab._small_stack_cells((4,), (64,))
+    assert [(bench, S, C) for _name, bench, S, C, _bare in cells] == [
+        (ab.serve_calm, 4, ab.serve_calm.CHUNK),
+        (ab.hub_hectic, 4, ab.hub_hectic.CHUNK),
+        (ab.serve_calm, 1, 64),
+    ]
+    assert sys.modules["repro.engine.stream"] is repro.engine.stream

@@ -119,13 +119,11 @@ class TestTrustedLaneValidation:
             with pytest.raises(ValueError, match="12-switch universe"):
                 session.feed_many(np.zeros((2, 2), dtype=np.uint64))
 
-    @pytest.mark.parametrize("fused", [True, False])
-    def test_hub_names_the_offending_session_and_serves_nothing(self, fused):
+    def test_hub_names_the_offending_session_and_serves_nothing(self):
         """One bad chunk in a fused group, whose members differ in
         width but not in lane count, fails the whole call before any
-        session moves — also when the hub serves every chunk on the
-        per-session path (``fused=False``)."""
-        hub = StreamHub(fused=fused)
+        session moves."""
+        hub = StreamHub()
         widths = {"wide": 100, "narrow": 65, "other": 100}
         for sid, width in widths.items():
             hub.open(
@@ -143,13 +141,12 @@ class TestTrustedLaneValidation:
         out = hub.feed_many({"wide": bad, "narrow": ok, "other": bad})
         assert [batch.steps for batch in out.values()] == [2, 2, 2]
 
-    @pytest.mark.parametrize("fused", [True, False])
-    def test_plain_chunks_are_checked_before_any_session_moves(self, fused):
-        """Mask iterables, a scalar-cursor session and a finished
-        session take the per-session path; a bad chunk among them,
-        fed after good ones, still fails the call with nothing
-        served."""
-        hub = StreamHub(fused=fused)
+    def test_plain_chunks_are_checked_before_any_session_moves(self):
+        """Mask iterables are converted to lanes when validated, a
+        scalar-cursor session's chunk and a finished session's take
+        the per-session path; a bad chunk among them, fed after good
+        ones, still fails the call with nothing served."""
+        hub = StreamHub()
         universe = SwitchUniverse.of_size(8)
         for sid, scheduler in (
             ("lanes", RentOrBuyScheduler(3.0)),

@@ -19,7 +19,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import delta as delta_mod
 from repro.core import packed as packed_mod
 from repro.core.context import RequirementSequence
 from repro.core.cost_single import switch_cost, switch_cost_changeover
@@ -458,15 +457,9 @@ class TestPackedSequenceAndWindows:
 
 
 class TestCompatibilityAliases:
-    """Satellite: PR-2 public names stay importable and behaviorally
-    pinned as thin aliases over repro.core.packed."""
-
-    def test_delta_reexports_are_packed_objects(self):
-        assert delta_mod.pack_mask_lanes is packed_mod.pack_mask_lanes
-        assert (
-            delta_mod.population_switch_cost
-            is packed_mod.population_switch_cost
-        )
+    """The bitset helpers delegate to repro.core.packed, and the packed
+    problem keeps the lane layout and values the batched GA kernel was
+    first pinned to."""
 
     def test_bitset_u64_helpers_delegate(self):
         masks = [0, 5, (1 << 64) - 1]
@@ -492,13 +485,13 @@ class TestCompatibilityAliases:
             )
             for _ in range(2)
         ]
-        lanes = packed_mod.pack_mask_lanes(seqs)
-        assert lanes.shape == (2, 2, n)  # legacy (L, m, n) orientation
+        lanes = packed_mod.pack_requirements(seqs)
+        assert lanes.shape == (2, n, 2)  # (m, n, L) orientation
         pop = rng.random((4, 2, n)) < 0.4
         pop[:, :, 0] = True
-        costs = packed_mod.population_switch_cost(
-            pop, lanes, np.asarray(system.v)
-        )
+        costs = packed_mod.PackedProblem(
+            lanes, np.asarray(system.v)
+        ).population_cost(pop)
         for k in range(4):
             assert costs[k] == sync_switch_cost(
                 system, seqs, MultiTaskSchedule(pop[k].tolist())

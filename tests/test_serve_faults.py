@@ -127,6 +127,42 @@ class TestHostileInput:
             assert client._recv_reply()["replies"][0]["steps"] == 3
             assert client.stats()["server"]["feeds"] == 1
 
+    def test_non_finite_w_and_alpha_are_refused(self, server):
+        """``json.loads`` reads the bare tokens ``NaN`` and
+        ``Infinity``: an open carrying one as ``w`` or ``alpha`` gets an
+        error reply, the connection keeps serving, and no later reply
+        carries a cost that is not JSON.  The policy and session
+        constructors refuse the values too."""
+        from repro.solvers.online import RentOrBuyScheduler
+
+        frames = [
+            b'{"op":"open","policy":"rent_or_buy","width":8,"w":NaN}',
+            b'{"op":"open","policy":"rent_or_buy","width":8,"w":Infinity}',
+            b'{"op":"open","policy":"window","width":8,"w":-Infinity}',
+            b'{"op":"open","policy":"rent_or_buy","width":8,"w":2.0,'
+            b'"alpha":NaN}',
+            b'{"op":"open","policy":"rent_or_buy","width":8,"w":2.0,'
+            b'"alpha":Infinity}',
+        ]
+        with ServeClient(*server, proto="json") as client:
+            for frame in frames:
+                client._send(frame + b"\n")
+                reply = client._recv_reply()
+                assert reply["ok"] is False, frame
+                assert "finite" in reply["error"], reply
+            sid = client.open(policy="rent_or_buy", width=8, w=2.0)
+            assert client.feed(sid, [1, 2, 3]).steps == 3
+            close = client.close_session(sid)
+            assert close.steps == 3 and np.isfinite(close.cost)
+        universe = SwitchUniverse.of_size(8)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                RentOrBuyScheduler(bad)
+            with pytest.raises(ValueError, match="finite"):
+                RentOrBuyScheduler(2.0, alpha=bad)
+            with pytest.raises(ValueError, match="finite"):
+                StreamSession(RentOrBuyScheduler(2.0), universe, bad)
+
 
 def _traces(n: int, steps: int = 120) -> dict[str, list[int]]:
     return {

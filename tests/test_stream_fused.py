@@ -3,8 +3,9 @@
 The scalar cursors remain the correctness oracle; the fused
 ``sweep_many`` path — epoch-synchronous struct-of-arrays sweeps over
 whole fleets inside :meth:`StreamHub.feed_many`, batched trigger
-replay included — must reproduce the sequential per-session path (and
-therefore the scalar oracle) *bit for bit*: across mixed universe
+replay included — must reproduce bare sessions fed back to back, which
+run the galloping per-cursor kernel (and therefore the scalar oracle)
+*bit for bit*: across mixed universe
 widths straddling the lane boundary, mixed policies and
 hyper-parameters, chunkings from single steps to 4096-step blocks,
 ragged per-session chunk lengths, and adversarial trigger-every-step
@@ -13,10 +14,13 @@ PRs: batched ``PackedStream.extend_many`` vs per-stream ``extend``
 (ragged lengths included), installs near a chunk's front that read
 the history rows stacked above it, the O(1)
 ``total_steps``/``total_hypers`` counters, the galloping-scan bound
-tunables, and shard-placement independence through the fused path.
+constants, fallback counting, and shard-placement independence
+through the fused path.
 """
 
+import contextlib
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -35,17 +39,29 @@ from repro.util.rng import make_rng
 #: Universe sizes straddling the uint64 lane boundary.
 BOUNDARY_WIDTHS = [63, 64, 65]
 
+#: The production small-stack crossover, read before any test pins it.
+DEFAULT_CROSSOVER = online.SMALL_STACK_SESSIONS
+
 
 @pytest.fixture(autouse=True)
 def force_epoch_kernel(request, monkeypatch):
     """Pin the small-stack crossover to 0 so every fleet in this suite
     drives the epoch kernel — the adversarial cases exist to cover it,
-    and production fleets below ``SMALL_STACK_SESSIONS`` would
-    otherwise delegate to per-cursor ``step_many``.  Tests marked
-    ``default_crossover`` keep the production threshold."""
+    and production fleets of at most ``SMALL_STACK_SESSIONS`` would
+    otherwise run the galloping per-cursor kernel.  Tests marked
+    ``default_crossover`` keep the production threshold; the
+    equivalence tests also run their reference at it."""
     if "default_crossover" in request.keywords:
         return
     monkeypatch.setattr(online, "SMALL_STACK_SESSIONS", 0)
+
+
+@contextlib.contextmanager
+def _crossover(value):
+    """Run the body with ``SMALL_STACK_SESSIONS`` set to ``value``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(online, "SMALL_STACK_SESSIONS", value)
+        yield
 
 
 def _drift_masks(width, n, seed, *, phase=40, flip=0.05):
@@ -78,10 +94,31 @@ def _mixed_scheduler(idx, w, k=5):
     )
 
 
-def _run_hub(fleet, *, fused, chunk_sizes):
+def _run_sessions(fleet, *, chunk_sizes):
+    """The sequential reference: one bare :class:`StreamSession` per
+    session, fed the same chunking back to back at the production
+    crossover (so each chunk runs the galloping per-cursor kernel);
+    returns the close records and per-chunk batches as
+    :func:`_run_hub` does."""
+    closes, batches = {}, {}
+    with _crossover(DEFAULT_CROSSOVER):
+        for sid, (universe, w, scheduler, _masks, lanes) in fleet.items():
+            session = StreamSession(scheduler, universe, w)
+            batches[sid] = []
+            pos = 0
+            for size in chunk_sizes:
+                if pos >= len(lanes):
+                    break
+                batches[sid].append(session.feed_many(lanes[pos : pos + size]))
+                pos += size
+            closes[sid] = replace(session.finish(), session=sid)
+    return closes, batches
+
+
+def _run_hub(fleet, *, chunk_sizes):
     """Feed every session the same chunking; return the close records,
     every session's per-chunk batches, and the hub."""
-    hub = StreamHub(fused=fused)
+    hub = StreamHub()
     for sid, (universe, w, scheduler, _masks, lanes) in fleet.items():
         hub.open(scheduler, universe, w, session_id=sid)
     pos = {sid: 0 for sid in fleet}
@@ -168,21 +205,23 @@ class TestFusedHubEquivalence:
     @settings(deadline=None, max_examples=60)
     @given(fused_fleets())
     def test_fused_equals_sequential_equals_scalar(self, stream_oracle, case):
-        """Costs and hyper schedules are identical on the fused path,
-        the per-session path, and the scalar oracle, for every fleet
-        mix and chunking hypothesis finds."""
+        """Costs and hyper schedules are identical on the epoch kernel,
+        on the hub at the production crossover, on bare sessions fed
+        back to back, and on the scalar oracle, for every fleet mix and
+        chunking hypothesis finds."""
         fleet, sizes = case
         # Pad the chunking so every session's stream is fully consumed.
         total = max(len(m) for *_rest, m, _l in
                     ((u, w, s, m, l) for u, w, s, m, l in fleet.values()))
         sizes = list(sizes) + [total]
-        fused_closes, fused_batches, _ = _run_hub(
-            fleet, fused=True, chunk_sizes=sizes
-        )
-        seq_closes, seq_batches, _ = _run_hub(
-            fleet, fused=False, chunk_sizes=sizes
-        )
-        assert fused_closes == seq_closes
+        fused_closes, fused_batches, _ = _run_hub(fleet, chunk_sizes=sizes)
+        with _crossover(DEFAULT_CROSSOVER):
+            small_closes, small_batches, _ = _run_hub(
+                fleet, chunk_sizes=sizes
+            )
+        seq_closes, seq_batches = _run_sessions(fleet, chunk_sizes=sizes)
+        assert fused_closes == small_closes == seq_closes
+        assert _per_step(fused_batches) == _per_step(small_batches)
         assert _per_step(fused_batches) == _per_step(seq_batches)
         _check_fleet(stream_oracle, fleet, fused_closes, fused_batches)
 
@@ -214,7 +253,7 @@ class TestFusedHubEquivalence:
                 masks_to_lanes(masks, width),
             )
         sizes = [chunk] * ((n + chunk - 1) // chunk)
-        closes, batches, hub = _run_hub(fleet, fused=True, chunk_sizes=sizes)
+        closes, batches, hub = _run_hub(fleet, chunk_sizes=sizes)
         _check_fleet(stream_oracle, fleet, closes, batches)
         # The kernel actually engaged somewhere on calm stretches
         # (wide chunks on drifting streams always trigger; narrow
@@ -248,7 +287,7 @@ class TestFusedHubEquivalence:
                 masks_to_lanes(masks, width),
             )
         sizes = [chunk] * (n // chunk)
-        closes, batches, hub = _run_hub(fleet, fused=True, chunk_sizes=sizes)
+        closes, batches, hub = _run_hub(fleet, chunk_sizes=sizes)
         assert hub.metrics.stream_fused == len(fleet) * len(sizes)
         assert hub.metrics.stream_fused_fallback == 0
         assert hub.metrics.stream_replay_epochs > 0
@@ -259,24 +298,57 @@ class TestFusedHubEquivalence:
         total_installs = sum(c.hypers for c in closes.values())
         assert hub.metrics.stream_replay_triggers == total_installs
 
-    def test_fused_flag_off_never_records_fused(self):
+    def test_fallback_counts_scalar_and_empty_chunks(self, monkeypatch):
+        """Mask-iterable chunks on batched sessions are converted to
+        lanes and served in their fused group; only a scalar-cursor
+        session's chunk and an empty chunk count as fallback, and an
+        empty chunk is answered with zero counters and no kernel
+        call."""
         width = 66
         universe = SwitchUniverse.of_size(width)
         w = 3.0
         masks = _drift_masks(width, 40, seed=5)
-        lanes = masks_to_lanes(masks, width)
-        hub = StreamHub(fused=False)
+        scheduler = RentOrBuyScheduler(w, alpha=1.0, memory=2)
+        hub = StreamHub()
         for idx in range(3):
-            hub.open(
-                RentOrBuyScheduler(w, alpha=1.0, memory=2),
-                universe,
-                w,
-                session_id=f"u{idx}",
-            )
-        hub.feed_many({f"u{idx}": lanes for idx in range(3)})
-        assert hub.metrics.stream_fused == 0
+            hub.open(scheduler, universe, w, session_id=f"u{idx}")
+        hub.open(ScalarOnly(scheduler), universe, w, session_id="scalar")
+        calls = []
+        cursor_cls = type(hub.session("u0")._batched)
+        real = cursor_cls.sweep_many.__func__
+
+        def counted(cls, cursors, block, lengths=None):
+            calls.append(len(cursors))
+            return real(cls, cursors, block, lengths)
+
+        monkeypatch.setattr(cursor_cls, "sweep_many", classmethod(counted))
+        hub.feed_many({f"u{idx}": masks[:20] for idx in range(3)})
+        assert calls == [3]
+        assert hub.last_fused[:3] == (3, 0, (3,))
         assert hub.metrics.stream_fused_fallback == 0
-        assert hub.last_fused == (0, 0, (), 0, 0)
+        empty = np.zeros((0, 2), dtype=np.uint64)
+        rows = hub.feed_many({
+            "u0": masks[20:], "u1": [], "u2": empty, "scalar": masks,
+        })
+        assert calls == [3, 1]
+        assert hub.last_fused[:3] == (1, 3, (1,))
+        for sid in ("u1", "u2"):
+            batch = rows[sid]
+            assert (batch.start, batch.steps, batch.hypers, batch.cost) == (
+                20, 0, 0, 0.0,
+            )
+            assert batch.cumulative_cost == hub.session(sid).cost
+        rows = hub.feed_many({"u1": empty})
+        assert calls == [3, 1]
+        assert hub.last_fused[:3] == (0, 1, ())
+        assert rows["u1"].steps == 0
+        assert hub.metrics.stream_fused == 4
+        assert hub.metrics.stream_fused_fallback == 4
+        for sid, fed in (("u0", masks), ("u1", masks[:20]),
+                         ("scalar", masks)):
+            oracle = StreamSession(ScalarOnly(scheduler), universe, w)
+            oracle.feed_many(fed)
+            assert hub.session(sid).cost == oracle.cost
 
 
 class TestBatchedTriggerReplay:
@@ -303,7 +375,7 @@ class TestBatchedTriggerReplay:
                 masks_to_lanes(masks, width),
             )
         sizes = [chunk] * (n // chunk)
-        closes, batches, hub = _run_hub(fleet, fused=True, chunk_sizes=sizes)
+        closes, batches, hub = _run_hub(fleet, chunk_sizes=sizes)
         assert hub.metrics.stream_fused == len(fleet) * len(sizes)
         assert hub.metrics.stream_fused_fallback == 0
         # k=1 cadence fires every step.
@@ -336,12 +408,8 @@ class TestBatchedTriggerReplay:
                 masks_to_lanes(masks, width),
             )
         sizes = [chunk] * (n // chunk)
-        fused_closes, fused_batches, hub = _run_hub(
-            fleet, fused=True, chunk_sizes=sizes
-        )
-        seq_closes, seq_batches, _ = _run_hub(
-            fleet, fused=False, chunk_sizes=sizes
-        )
+        fused_closes, fused_batches, hub = _run_hub(fleet, chunk_sizes=sizes)
+        seq_closes, seq_batches = _run_sessions(fleet, chunk_sizes=sizes)
         assert fused_closes == seq_closes
         assert _per_step(fused_batches) == _per_step(seq_batches)
         assert hub.metrics.stream_fused == len(fleet) * len(sizes)
@@ -372,8 +440,8 @@ class TestBatchedTriggerReplay:
                 masks,
                 masks_to_lanes(masks, width),
             )
-        for fused in (True, False):
-            hub = StreamHub(fused=fused)
+        for crossover in (0, DEFAULT_CROSSOVER):
+            hub = StreamHub()
             for sid, (u, _w, s, _m, _l) in fleet.items():
                 hub.open(s, u, w, session_id=sid)
             pos = {sid: 0 for sid in fleet}
@@ -390,14 +458,15 @@ class TestBatchedTriggerReplay:
                         continue
                     chunks[sid] = ln[lo : lo + strides[idx]]
                     pos[sid] = lo + len(chunks[sid])
-                for sid, batch in hub.feed_many(chunks).items():
+                with _crossover(crossover):
+                    rows = hub.feed_many(chunks)
+                for sid, batch in rows.items():
                     batches[sid].append(batch)
-            if fused:
-                assert hub.metrics.stream_fused > 0
-                assert hub.metrics.stream_fused_fallback == 0
-                # The final round is a lone leftover session — the old
-                # singleton short-circuit would have skipped it.
-                assert max(hub.last_fused[2], default=0) >= 1
+            assert hub.metrics.stream_fused > 0
+            assert hub.metrics.stream_fused_fallback == 0
+            # The final round is a lone leftover session — the old
+            # singleton short-circuit would have skipped it.
+            assert max(hub.last_fused[2], default=0) >= 1
             _check_fleet(stream_oracle, fleet, hub.finish_all(), batches)
 
     def test_lone_session_group_fuses(self, stream_oracle):
@@ -408,7 +477,7 @@ class TestBatchedTriggerReplay:
         w = 3.0
         masks = _drift_masks(width, 200, seed=3, phase=25)
         lanes = masks_to_lanes(masks, width)
-        hub = StreamHub(fused=True)
+        hub = StreamHub()
         scheduler = RentOrBuyScheduler(w, alpha=1.0, memory=2)
         sid = hub.open(scheduler, universe, w)
         batches = [
@@ -421,8 +490,8 @@ class TestBatchedTriggerReplay:
 
     @pytest.mark.default_crossover
     def test_small_stack_crossover_is_equivalent(self, stream_oracle):
-        """At the production threshold, small groups delegate to
-        per-cursor ``step_many`` inside the sweep contract: the hub
+        """At the production threshold, small groups run the galloping
+        per-cursor kernel inside the sweep contract: the hub
         still reports every session fused (no fallback branch), replay
         telemetry still counts real installs, and decisions match the
         oracle bit for bit."""
@@ -442,7 +511,7 @@ class TestBatchedTriggerReplay:
                 masks_to_lanes(masks, width),
             )
         sizes = [chunk] * (n // chunk)
-        closes, batches, hub = _run_hub(fleet, fused=True, chunk_sizes=sizes)
+        closes, batches, hub = _run_hub(fleet, chunk_sizes=sizes)
         assert hub.metrics.stream_fused == len(fleet) * len(sizes)
         assert hub.metrics.stream_fused_fallback == 0
         total_installs = sum(c.hypers for c in closes.values())
@@ -450,9 +519,91 @@ class TestBatchedTriggerReplay:
         assert hub.metrics.stream_replay_epochs > 0
         _check_fleet(stream_oracle, fleet, closes, batches)
 
+    @pytest.mark.default_crossover
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_sessions_move_between_kernels(self, stream_oracle, seed):
+        """At the production threshold a session's chunks alternate
+        between the epoch kernel (the whole fleet) and the galloping
+        kernel (a few sessions): the state each branch leaves behind —
+        history rows, served union, regret — carries the other branch
+        on, bit-identical to the scalar oracle."""
+        width = 65
+        universe = SwitchUniverse.of_size(width)
+        rng = make_rng(seed)
+        sessions = DEFAULT_CROSSOVER + 4
+        fleet = {}
+        for idx in range(sessions):
+            w = float(2 + idx % 5)
+            masks = _drift_masks(
+                width, 600, seed=seed * 100 + idx, phase=(9, 60, 200)[idx % 3],
+                flip=0.02,
+            )
+            fleet[f"u{idx}"] = (
+                universe, w, _mixed_scheduler(idx, w, k=4), masks,
+                masks_to_lanes(masks, width),
+            )
+        hub = StreamHub()
+        for sid, (u, w, scheduler, _m, _l) in fleet.items():
+            hub.open(scheduler, u, w, session_id=sid)
+        pos = dict.fromkeys(fleet, 0)
+        batches = {sid: [] for sid in fleet}
+        ids = list(fleet)
+        for r in range(40):
+            if r % 2:
+                picked = rng.choice(sessions, size=3, replace=False).tolist()
+                chosen = [ids[i] for i in picked]
+            else:
+                chosen = ids
+            chunks = {}
+            for sid in chosen:
+                n = int(rng.integers(1, 40))
+                chunks[sid] = fleet[sid][4][pos[sid] : pos[sid] + n]
+                pos[sid] += len(chunks[sid])
+            chunks = {sid: c for sid, c in chunks.items() if len(c)}
+            for sid, batch in hub.feed_many(chunks).items():
+                batches[sid].append(batch)
+        closes = hub.finish_all()
+        for sid, (u, w, scheduler, masks, _l) in fleet.items():
+            stream_oracle(
+                scheduler, u, w, masks[: pos[sid]], closes[sid], batches[sid]
+            )
+
+    @pytest.mark.default_crossover
+    def test_a_saturated_session_leaves_it_behind_in_the_epoch_kernel(
+        self, stream_oracle
+    ):
+        """A session whose served union reached its hypercontext on the
+        galloping kernel, then hyperreconfigured in an epoch sweep, must
+        accrue regret again on its next galloping chunk: here the
+        regret of the stale switches fires an install at once."""
+        width = 20
+        universe = SwitchUniverse.of_size(width)
+        a, b = 0b1111, 0b11 << 8
+        scheduler = RentOrBuyScheduler(1.0, alpha=1.0, memory=4)
+        hub = StreamHub()
+        ids = [f"u{idx}" for idx in range(DEFAULT_CROSSOVER + 1)]
+        for sid in ids:
+            hub.open(scheduler, universe, 1.0, session_id=sid)
+        plan = [
+            {"u0": [a] * 30},  # galloping kernel: served reaches cur
+            {sid: [b] if sid == "u0" else [a] for sid in ids},  # epoch
+            {"u0": [b] * 5},  # galloping kernel again
+        ]
+        batches = []
+        for chunks in plan:
+            batches.append(hub.feed_many(chunks)["u0"])
+        assert [batch.hypers for batch in batches[:2]] == [1, 1]
+        assert batches[2].hypers  # the stale switches' regret fires
+        stream_oracle(
+            scheduler, universe, 1.0, [a] * 30 + [b] * 6, hub.finish("u0"),
+            batches,
+        )
+
 
 class TestRowAlignedEpochs:
-    """``sweep_many`` rows against per-cursor ``step_many`` rows.
+    """The epoch kernel's ``sweep_many`` rows against the galloping
+    per-cursor kernel's (``step_many``, which small stacks run) on the
+    same stacks.
 
     Long ragged chunks and tiny galloping bounds make every epoch read
     per-row windows from scattered resume offsets, gallop across quiet
@@ -487,7 +638,6 @@ class TestRowAlignedEpochs:
                 return WindowScheduler(k=history)
             return RentOrBuyScheduler(
                 w * (1 + s % 3), alpha=(0.5, 2.0)[s % 2], memory=history,
-                scan_min=scan_min, scan_max=scan_min + scan_extra,
             )
 
         fused = [scheduler(s).batched_cursor(width) for s in range(sessions)]
@@ -501,32 +651,41 @@ class TestRowAlignedEpochs:
         ]
         pos = [0] * sessions
         cls = type(fused[0])
-        for lengths in rounds:
-            lengths = np.asarray(lengths[:sessions], dtype=np.int64)
-            block = np.zeros(
-                (sessions, int(lengths.max()), streams[0].shape[1]),
-                dtype=np.uint64,
-            )
-            chunks = []
-            for s in range(sessions):
-                chunks.append(streams[s][pos[s] : pos[s] + lengths[s]])
-                block[s, : lengths[s]] = chunks[s]
-                pos[s] += int(lengths[s])
-            sweep = cls.sweep_many(fused, block, lengths=lengths)
-            offsets = np.concatenate([[0], np.cumsum(sweep.installed_counts)])
-            for s in range(sessions):
-                n = int(lengths[s])
-                batch = solo[s].step_many(chunks[s])
-                np.testing.assert_array_equal(sweep.hyper[s, :n], batch.hyper)
-                np.testing.assert_array_equal(sweep.sizes[s, :n], batch.sizes)
-                assert not sweep.hyper[s, n:].any()
-                assert not sweep.sizes[s, n:].any()
-                np.testing.assert_array_equal(
-                    sweep.installed[offsets[s] : offsets[s + 1]],
-                    batch.installed,
+        with pytest.MonkeyPatch.context() as mp:
+            rob = online._BatchedRentOrBuyCursor
+            mp.setattr(rob, "_SCAN_MIN", scan_min)
+            mp.setattr(rob, "_SCAN_MAX", scan_min + scan_extra)
+            for lengths in rounds:
+                lengths = np.asarray(lengths[:sessions], dtype=np.int64)
+                block = np.zeros(
+                    (sessions, int(lengths.max()), streams[0].shape[1]),
+                    dtype=np.uint64,
                 )
+                for s in range(sessions):
+                    block[s, : lengths[s]] = (
+                        streams[s][pos[s] : pos[s] + lengths[s]]
+                    )
+                    pos[s] += int(lengths[s])
+                sweep = cls.sweep_many(fused, block, lengths=lengths)
+                with _crossover(sessions):
+                    small = cls.sweep_many(solo, block, lengths=lengths)
+                np.testing.assert_array_equal(sweep.hyper, small.hyper)
+                np.testing.assert_array_equal(sweep.sizes, small.sizes)
+                np.testing.assert_array_equal(
+                    sweep.installed_counts, small.installed_counts
+                )
+                np.testing.assert_array_equal(
+                    sweep.installed, small.installed
+                )
+                dead = np.arange(block.shape[1]) >= lengths[:, None]
+                assert not sweep.hyper[dead].any()
+                assert not sweep.sizes[dead].any()
         for f, c in zip(fused, solo):
             assert f.current == c.current
+            assert f.stream.n == c.stream.n
+            np.testing.assert_array_equal(
+                f.stream.history_rows, c.stream.history_rows
+            )
             if kind == "rent_or_buy":
                 assert f._regret == c._regret
                 np.testing.assert_array_equal(f._served, c._served)
@@ -582,10 +741,6 @@ class TestExtendMany:
             np.testing.assert_array_equal(
                 batched[s].history_rows, solo[s].history_rows
             )
-            for k in range(history + 2):
-                np.testing.assert_array_equal(
-                    batched[s].tail_rows(k), solo[s].tail_rows(k)
-                )
 
 
 def _front_drift_chunks(rng, width, history, lengths):
@@ -717,38 +872,34 @@ class TestTotalsCounters:
 
 
 class TestScanBoundTunables:
-    def test_scan_bounds_never_change_decisions(self, stream_oracle):
+    def test_scan_bounds_never_change_decisions(
+        self, stream_oracle, monkeypatch
+    ):
+        """The galloping bounds (class constants of the rent-or-buy
+        cursor) shape the work of both kernels, never a decision."""
         width = 72
         universe = SwitchUniverse.of_size(width)
         w = float(width)
         masks = _drift_masks(width, 600, seed=9, phase=37)
         lanes = masks_to_lanes(masks, width)
+        rob = online._BatchedRentOrBuyCursor
         for scan_min, scan_max in [
-            (None, None), (1, 1), (1, 8), (5, 4096), (4096, 4096),
+            (rob._SCAN_MIN, rob._SCAN_MAX), (1, 1), (1, 8), (5, 4096),
+            (4096, 4096),
         ]:
-            scheduler = RentOrBuyScheduler(
-                w, alpha=1.5, memory=3,
-                scan_min=scan_min, scan_max=scan_max,
-            )
-            session = StreamSession(scheduler, universe, w)
-            batches = [
-                session.feed_many(lanes[lo : lo + 50])
-                for lo in range(0, len(lanes), 50)
-            ]
-            stream_oracle(
-                scheduler, universe, w, masks, session.finish(), batches
-            )
-
-    def test_scan_bound_validation(self):
-        with pytest.raises(ValueError):
-            RentOrBuyScheduler(4.0, scan_min=0)
-        with pytest.raises(ValueError):
-            RentOrBuyScheduler(4.0, scan_min=16, scan_max=8)
-        # A lone small scan_max caps scan_min implicitly.
-        scheduler = RentOrBuyScheduler(4.0, scan_max=2)
-        cursor = scheduler.batched_cursor(64)
-        assert cursor.scan_max == 2
-        assert cursor.scan_min <= 2
+            monkeypatch.setattr(rob, "_SCAN_MIN", scan_min)
+            monkeypatch.setattr(rob, "_SCAN_MAX", scan_max)
+            scheduler = RentOrBuyScheduler(w, alpha=1.5, memory=3)
+            for crossover in (0, DEFAULT_CROSSOVER):
+                session = StreamSession(scheduler, universe, w)
+                with _crossover(crossover):
+                    batches = [
+                        session.feed_many(lanes[lo : lo + 50])
+                        for lo in range(0, len(lanes), 50)
+                    ]
+                stream_oracle(
+                    scheduler, universe, w, masks, session.finish(), batches
+                )
 
 
 class TestShardPlacementIndependence:
@@ -865,7 +1016,8 @@ class TestFeedRows:
             rows = hub.feed_many(chunks)
             assert rows.ids == tuple(chunks) == tuple(rows)
             assert list(rows.steps) == lengths
-            assert hub.last_fused[:2] == (4, 2)  # 4 fused, 2 plain
+            # The mask iterable joins its group; the scalar is plain.
+            assert hub.last_fused[:2] == (5, 1)
             for i, sid in enumerate(rows.ids):
                 batch = rows[sid]
                 assert (

@@ -52,6 +52,12 @@ def stream_instances(draw, max_n=60):
     return universe, masks, scheduler
 
 
+def _sweep_one(cursor, lanes):
+    """One cursor's chunk through its kind's ``sweep_many`` (S = 1, the
+    galloping per-cursor kernel)."""
+    return type(cursor).sweep_many([cursor], lanes[None])
+
+
 def _chunkings(draw_sizes, n):
     """Split [0, n) into chunks with the given size stream."""
     cuts = []
@@ -68,8 +74,8 @@ class TestBatchedCursorEquivalence:
     @given(stream_instances(), st.data())
     def test_step_many_bit_identical_to_scalar_cursor(self, instance, data):
         """hyper flags, per-step hypercontext sizes, installed masks and
-        the final cursor state all equal the scalar oracle, for every
-        chunking of the same sequence."""
+        the final cursor state of ``sweep_many`` at S = 1 all equal the
+        scalar oracle, for every chunking of the same sequence."""
         universe, masks, scheduler = instance
         n = len(masks)
         scalar = scheduler.cursor()
@@ -87,10 +93,10 @@ class TestBatchedCursorEquivalence:
         pos = 0
         while pos < n:
             step = data.draw(st.integers(min_value=1, max_value=n))
-            batch = batched.step_many(lanes[pos : pos + step])
-            got_hyper.extend(bool(h) for h in batch.hyper)
-            got_sizes.extend(int(s) for s in batch.sizes)
-            got_installed.extend(lanes_to_masks(batch.installed))
+            sweep = _sweep_one(batched, lanes[pos : pos + step])
+            got_hyper.extend(bool(h) for h in sweep.hyper[0])
+            got_sizes.extend(int(s) for s in sweep.sizes[0])
+            got_installed.extend(lanes_to_masks(sweep.installed))
             pos += step
 
         assert got_hyper == ref_hyper
@@ -127,8 +133,8 @@ class TestBatchedCursorEquivalence:
                 step = data.draw(
                     st.integers(min_value=1, max_value=len(masks))
                 )
-                batch = batched.step_many(lanes[pos : pos + step])
-                got_hyper.extend(bool(h) for h in batch.hyper)
+                sweep = _sweep_one(batched, lanes[pos : pos + step])
+                got_hyper.extend(bool(h) for h in sweep.hyper[0])
                 pos += step
             assert got_hyper == [h for h, _cur in ref]
             if masks:
@@ -203,8 +209,8 @@ class TestBatchedCursorEquivalence:
         pos = 0
         while pos < len(masks):
             step = data.draw(st.integers(min_value=1, max_value=len(masks)))
-            batch = batched.step_many(lanes[pos : pos + step])
-            got.extend(bool(h) for h in batch.hyper)
+            sweep = _sweep_one(batched, lanes[pos : pos + step])
+            got.extend(bool(h) for h in sweep.hyper[0])
             pos += step
         assert got == ref
         if masks:
@@ -241,18 +247,27 @@ class TestBatchedCursorEquivalence:
     @settings(deadline=None, max_examples=30)
     @given(stream_instances())
     def test_plan_with_batched_cursor_equals_scalar_plan(self, instance):
-        """plan() (scalar oracle) and a batched-cursor plan agree on
-        hyper steps and explicit masks."""
+        """plan() (scalar oracle) and the plan a batched cursor's
+        ``sweep_many`` makes of the whole sequence agree on hyper steps
+        and explicit masks (the scalar plan widens its masks by the
+        block unions; the installed masks already cover them)."""
         from repro.solvers.online import plan_with_cursor
 
         universe, masks, scheduler = instance
         seq = RequirementSequence(universe, masks)
         scalar_plan = plan_with_cursor(scheduler.cursor(), seq)
-        batched_plan = plan_with_cursor(
-            scheduler.batched_cursor(universe.size), seq
+        if not masks:
+            assert scalar_plan.hyper_steps == ()
+            return
+        sweep = _sweep_one(
+            scheduler.batched_cursor(universe.size),
+            masks_to_lanes(masks, universe.size),
         )
-        assert batched_plan.hyper_steps == scalar_plan.hyper_steps
-        assert batched_plan.explicit_masks == scalar_plan.explicit_masks
+        hyper_steps = tuple(np.flatnonzero(sweep.hyper[0]).tolist())
+        assert hyper_steps == scalar_plan.hyper_steps
+        assert tuple(lanes_to_masks(sweep.installed)) == (
+            scalar_plan.explicit_masks
+        )
 
 
 class TestPackedStream:
@@ -264,10 +279,10 @@ class TestPackedStream:
         st.data(),
     )
     def test_history_matches_deque(self, size, history, streams, data):
-        """Any mix of extend, push and extend_many leaves every
-        stream's count and tail rows equal to a ``deque(maxlen=
-        history)`` of the masks it was fed: ragged lengths, chunks
-        shorter and longer than ``history``, and ``history`` 0."""
+        """Any mix of extend and extend_many leaves every stream's count
+        and history rows equal to a ``deque(maxlen=history)`` of the
+        masks it was fed: ragged lengths, chunks shorter and longer
+        than ``history``, and ``history`` 0."""
         universe = SwitchUniverse.of_size(size)
         mask_st = st.integers(min_value=0, max_value=universe.full_mask)
         chunk_st = st.lists(mask_st, min_size=0, max_size=2 * history + 3)
@@ -275,7 +290,7 @@ class TestPackedStream:
         oracle = [deque(maxlen=history) for _ in range(streams)]
         fed = [0] * streams
         for _ in range(data.draw(st.integers(min_value=1, max_value=8))):
-            op = data.draw(st.sampled_from(["extend", "push", "extend_many"]))
+            op = data.draw(st.sampled_from(["extend", "extend_many"]))
             if op == "extend_many":
                 chunks = [data.draw(chunk_st) for _ in range(streams)]
                 cmax = max(len(c) for c in chunks)
@@ -297,49 +312,31 @@ class TestPackedStream:
                 s = data.draw(st.integers(min_value=0, max_value=streams - 1))
                 chunks = [[] for _ in range(streams)]
                 chunks[s] = data.draw(chunk_st)
-                lanes = masks_to_lanes(chunks[s], size)
-                if op == "extend":
-                    group[s].extend(lanes)
-                else:
-                    ext, off = group[s].push(lanes)
-                    assert off == len(oracle[s])
-                    assert lanes_to_masks(ext) == [*oracle[s], *chunks[s]]
+                group[s].extend(masks_to_lanes(chunks[s], size))
             for s, chunk in enumerate(chunks):
                 oracle[s].extend(chunk)
                 fed[s] += len(chunk)
             for s, stream in enumerate(group):
                 assert stream.n == len(stream) == fed[s]
-                for k in range(history + 2):
-                    kept = list(oracle[s])
-                    expect = kept[len(kept) - min(k, len(kept)) :]
-                    assert lanes_to_masks(stream.tail_rows(k)) == expect
                 padded = [0] * (history - len(oracle[s])) + list(oracle[s])
                 assert lanes_to_masks(stream.history_rows) == padded
 
     def test_tail_rows_oldest_first(self):
+        """The history rows are the stream's last rows, oldest first."""
         stream = PackedStream(70, history=3)
         masks = [1 << 69, 3, 1 << 64, 5, 9]
         for m in masks:
             stream.extend(masks_to_lanes([m], 70))
-        tail = stream.tail_rows(3)
+        tail = stream.history_rows
         assert tail.shape == (3, 2)
         assert [int(t[0]) | (int(t[1]) << 64) for t in tail] == masks[-3:]
         assert not tail.flags.writeable
-
-    def test_push_returns_history_prefixed_chunk(self):
-        stream = PackedStream(10, history=2)
-        stream.extend(masks_to_lanes([1, 2, 4], 10))
-        ext, off = stream.push(masks_to_lanes([8, 16], 10))
-        assert off == 2
-        assert [int(row[0]) for row in ext] == [2, 4, 8, 16]
-        assert stream.n == 5
 
     def test_history_zero_keeps_counts_only(self):
         stream = PackedStream(8)
         stream.extend(masks_to_lanes([1, 2], 8))
         assert stream.n == 2
         assert stream.history_rows.shape == (0, 1)
-        assert stream.tail_rows(5).shape == (0, 1)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -349,8 +346,6 @@ class TestPackedStream:
         stream = PackedStream(8, history=2)
         with pytest.raises(ValueError):
             stream.extend(np.zeros((1, 2), dtype=np.uint64))
-        with pytest.raises(ValueError):
-            stream.tail_rows(-1)
         other = PackedStream(8, history=3)
         with pytest.raises(ValueError, match="equal lane width"):
             PackedStream.extend_many(

@@ -512,6 +512,8 @@ def _sweep_group(group: list, block: np.ndarray, lengths):
     before = [session._cost for session in group]
     costs = np.empty((len(group), block.shape[1] + 1), dtype=np.float64)
     costs[:, 0] = before
+    # Built and accumulated in place: no temporaries per call, which
+    # a lone session's small chunks feel.
     np.add(
         np.where(
             sweep.hyper, np.array([session.w for session in group])[:, None],
@@ -520,7 +522,7 @@ def _sweep_group(group: list, block: np.ndarray, lengths):
         sweep.sizes,
         out=costs[:, 1:],
     )
-    np.add.accumulate(costs, axis=1, out=costs)  # np.cumsum, sans wrapper
+    np.add.accumulate(costs, axis=1, out=costs)
     after = costs[:, -1].tolist()
     for session, n_s, h_s, c_s in zip(
         group, sweep.lengths.tolist(), sweep.installed_counts.tolist(),

@@ -60,7 +60,6 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import NamedTuple
 
 import numpy as np
 
@@ -116,7 +115,8 @@ class OnlineRun:
     solver: str
 
 
-class FusedSweep(NamedTuple):
+@dataclass(frozen=True)
+class FusedSweep:
     """Result of one ``sweep_many`` call over stacked chunks.
 
     *Every* cursor in the stack completes its chunk in the call —
@@ -170,13 +170,13 @@ def _stack_rows(cursors, attr: str, shape: tuple) -> np.ndarray:
     """Stack one array per cursor (``attr`` is a dotted attribute
     path) into ``shape``, whose first axis counts the cursors.
 
-    A sweep epilogue leaves each cursor's state — and its stream's
-    history — as a row view of one struct-of-arrays (and stamps
-    ``_row``); when the same group returns with every view intact —
-    the steady serving state — the previous array IS the stack, so it
-    is reused instead of rebuilt.  Any per-session step in between
-    replaces the cursor's row with a fresh array, which defeats the
-    aliasing check and falls back to a fresh ``np.stack``.
+    The epoch kernel's epilogue leaves each cursor's state — and its
+    stream's history — as a row view of one struct-of-arrays and
+    stamps ``_row``; nothing else sets ``_row`` to a row index, and a
+    small-stack sweep clears it.  When the same group returns in the
+    same order with every view intact — the steady serving state —
+    the previous array IS the stack, so it is reused instead of
+    rebuilt; anything else falls back to a fresh copy.
     """
     get = attrgetter(attr)
     base = get(cursors[0]).base
@@ -186,7 +186,7 @@ def _stack_rows(cursors, attr: str, shape: tuple) -> np.ndarray:
                 break
         else:
             return base
-    return np.stack([get(c) for c in cursors])
+    return np.array([get(c) for c in cursors])
 
 
 def _lane_popcount(x: np.ndarray) -> np.ndarray:
@@ -262,7 +262,11 @@ class _EpochSweep:
         Each cursor's galloping kernel (``step_many``) reads its
         windows off its row of the block and writes its row of the
         ``(S, Cmax)`` arrays; installs come back session-major and in
-        step order.
+        step order.  The kernel leaves per-cursor state, not rows of
+        one stack, so every cursor's ``_row`` is cleared: a later
+        sweep restacks rather than trust a row this call did not
+        stamp (its histories are rows of this call's commit, and a
+        stale ``_row`` could match them in a different order).
         """
         S, _, L = self.ext.shape
         Cmax = self.row_len - self.H
@@ -272,6 +276,7 @@ class _EpochSweep:
         installed: list[np.ndarray] = []
         for s, (c, n) in enumerate(zip(self.cursors, self.lengths.tolist())):
             rows = c.step_many(self, s, n, hyper[s], sizes[s])
+            c._row = -1
             counts.append(len(rows))
             installed += rows
         installed = (
@@ -464,6 +469,7 @@ SMALL_STACK_SESSIONS = 8
 
 def _sweep_lengths(S: int, Cmax: int, lengths) -> np.ndarray:
     if lengths is None:
+        # Cheaper than np.full at the stack sizes small chunks use.
         return np.array([Cmax] * S, dtype=np.int64)
     lengths = np.asarray(lengths, dtype=np.int64)
     if lengths.shape != (S,) or (lengths < 1).any() or (lengths > Cmax).any():
@@ -605,8 +611,8 @@ class _BatchedRentOrBuyCursor:
         #: hypercontext (the galloping kernel finds out for free; the
         #: epoch kernel resets it to False, which is always safe).
         self._saturated = False
-        #: Row index this cursor held in the last sweep's block (see
-        #: ``_stack_rows``); -1 before any sweep.
+        #: Row index this cursor held in the last epoch sweep (see
+        #: ``_stack_rows``); -1 before one and after a small-stack sweep.
         self._row = -1
         #: Triggers resolved by the multi-trigger fast path (hectic
         #: streams resolve several misfits per sweep window without
@@ -666,6 +672,9 @@ class _BatchedRentOrBuyCursor:
             # last step, at the carried regret plus one exact integer
             # sum, so a quiet window needs no per-step pass.
             if not forced and not np.count_nonzero(acc[-1] & ncur):
+                # The ufunc methods here and below skip the
+                # ndarray.sum/np.cumsum wrappers: this loop runs once
+                # per scan window, which a lone session's chunks feel.
                 gain = (stop - pos) * cur_size - int(
                     np.add.reduce(popcount_u64(acc), axis=None)
                 )
@@ -764,7 +773,6 @@ class _BatchedRentOrBuyCursor:
         self._cur, self._cur_size = cur, cur_size
         self._served, self._regret = served, regret
         self._saturated = saturated
-        self._row = s
         return installed
 
     @classmethod
@@ -1002,7 +1010,6 @@ class _BatchedWindowCursor:
             sizes[t] = cur_size
             pos = t + 1
         self._cur, self._cur_size = cur, cur_size
-        self._row = s
         return installed
 
     @classmethod

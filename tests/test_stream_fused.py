@@ -569,6 +569,69 @@ class TestBatchedTriggerReplay:
             )
 
     @pytest.mark.default_crossover
+    @pytest.mark.parametrize("kind", ["rent_or_buy", "window"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_reordered_groups_keep_their_own_state(
+        self, stream_oracle, kind, seed
+    ):
+        """One group key, fed in shuffled orders: the whole fleet (the
+        epoch kernel), then a few sessions (the galloping kernel),
+        then the whole fleet again in the small call's order.  A
+        cursor's hypercontext, served union and history rows belong to
+        the cursor, not to the position it held in an earlier call, so
+        no call may reuse another call's stacked state for the wrong
+        session."""
+        width = 65
+        universe = SwitchUniverse.of_size(width)
+        rng = make_rng(seed)
+        sessions = DEFAULT_CROSSOVER + 2
+        fleet = {}
+        for idx in range(sessions):
+            w = float(2 + idx % 5)
+            scheduler = (
+                WindowScheduler(k=4) if kind == "window"
+                else RentOrBuyScheduler(w, alpha=(0.5, 2.0)[idx % 2], memory=3)
+            )
+            masks = _drift_masks(
+                width, 900, seed=seed * 100 + idx, phase=(9, 60, 200)[idx % 3],
+                flip=0.02,
+            )
+            fleet[f"u{idx}"] = (
+                universe, w, scheduler, masks, masks_to_lanes(masks, width)
+            )
+        hub = StreamHub()
+        for sid, (u, w, scheduler, _m, _l) in fleet.items():
+            hub.open(scheduler, u, w, session_id=sid)
+        pos = dict.fromkeys(fleet, 0)
+        batches = {sid: [] for sid in fleet}
+        ids = list(fleet)
+        order = ids
+        for r in range(60):
+            if r % 4 == 0:
+                order = [ids[i] for i in rng.permutation(sessions)]
+                chosen = order
+            elif r % 4 == 1:
+                # Swap two sessions of the last order: each lands on
+                # the row the other held.
+                chosen = [order[1], order[0]]
+            elif r % 4 == 2:
+                chosen = order[:2]  # back on their full-fleet rows
+            else:
+                chosen = [order[1], order[0]] + order[2:]
+            chunks = {}
+            for sid in chosen:
+                n = int(rng.integers(1, 30))
+                chunks[sid] = fleet[sid][4][pos[sid] : pos[sid] + n]
+                pos[sid] += len(chunks[sid])
+            for sid, batch in hub.feed_many(chunks).items():
+                batches[sid].append(batch)
+        closes = hub.finish_all()
+        for sid, (u, w, scheduler, masks, _l) in fleet.items():
+            stream_oracle(
+                scheduler, u, w, masks[: pos[sid]], closes[sid], batches[sid]
+            )
+
+    @pytest.mark.default_crossover
     def test_a_saturated_session_leaves_it_behind_in_the_epoch_kernel(
         self, stream_oracle
     ):

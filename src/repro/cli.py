@@ -194,7 +194,7 @@ def _batch_requests(apps, *, naive: bool, solver: str, solver_kwargs=None):
 def _anneal_kwargs(args) -> dict:
     """Solver kwargs for the annealing multistart flags (empty unless
     the selected solver actually anneals)."""
-    if args.solver not in ("mt_annealing", "mt_annealing_multistart"):
+    if args.solver != "mt_annealing":
         return {}
     if args.anneal_restarts == 1 and args.anneal_restart_workers == 1:
         return {}

@@ -5,7 +5,7 @@ into a service.  Components (each its own module):
 
 * :mod:`repro.engine.registry` — declarative solver registry with
   capability tags; the single source of truth for "which solver can do
-  what" (used by auto-dispatch, the CLI and the batch executor);
+  what" (used by the portfolio, the CLI and the batch executor);
 * :mod:`repro.engine.requests` — :class:`SolveRequest` /
   :class:`EngineResult` value types plus structural canonicalization
   (task permutations, renamed switches and repeated traces share one

@@ -59,6 +59,10 @@ from repro.engine.requests import (
 __all__ = ["BatchEngine", "SolveTimeout"]
 
 
+#: Capacity of the per-problem :class:`PackedProblem` compile cache.
+PACKED_CACHE_SIZE = 128
+
+
 class SolveTimeout(Exception):
     """A request exceeded its per-request time budget."""
 
@@ -124,17 +128,12 @@ def _execute(registry, request, timeout, packed=None):
 
 
 def _solve_chunk(payload):
-    """Worker entry: solve a chunk of (index, request, packed) triples.
-
-    ``registry=None`` falls back to this worker process's default
-    registry (kept for forward compatibility; the engine normally
-    ships the registry it was built with).  ``packed`` is the parent's
+    """Worker entry: solve a chunk of (index, request, packed) triples
+    with the registry the engine shipped.  ``packed`` is the parent's
     precompiled :class:`~repro.core.packed.PackedProblem` (or None),
     pickled with the chunk.
     """
     items, timeout, registry = payload
-    if registry is None:
-        registry = default_registry()
     return [
         (index, *_execute(registry, request, timeout, packed))
         for index, request, packed in items
@@ -154,15 +153,9 @@ class BatchEngine:
         identical code paths (baseline measurements).
     workers:
         Process count for :meth:`solve_batch`; ``1`` solves inline.
-    chunk_size:
-        Requests per worker task; default balances ~4 chunks per
-        worker.
     timeout:
         Per-request solve budget in seconds (enforced inside workers
         via SIGALRM where available).
-    packed_cache_size:
-        Capacity of the per-problem :class:`PackedProblem` compile
-        cache (``0`` disables reuse; every request compiles afresh).
     tracer:
         Optional :class:`~repro.obs.trace.TraceRecorder`; one ``solve``
         span per solved request (solver name, latency, error flag).
@@ -186,24 +179,19 @@ class BatchEngine:
         cache: ResultCache | None = None,
         cache_size: int = 1024,
         workers: int = 1,
-        chunk_size: int | None = None,
         timeout: float | None = None,
         metrics: EngineMetrics | None = None,
-        packed_cache_size: int = 128,
         tracer=None,
         portfolio_learn: bool = True,
         portfolio_state=None,
     ):
         if workers < 1:
             raise ValueError("workers must be at least 1")
-        if chunk_size is not None and chunk_size < 1:
-            raise ValueError("chunk_size must be at least 1")
         if timeout is not None and timeout <= 0:
             raise ValueError("timeout must be positive")
         self.registry = registry if registry is not None else default_registry()
         self.cache = cache if cache is not None else ResultCache(cache_size)
         self.workers = workers
-        self.chunk_size = chunk_size
         self.timeout = timeout
         self.metrics = metrics if metrics is not None else EngineMetrics()
         self.tracer = tracer
@@ -212,7 +200,7 @@ class BatchEngine:
         # Lane-packed compiles, keyed on the problem structure (solver
         # and parameters excluded): one compile serves every solver and
         # every batch that asks about the same instance.
-        self._packed_cache: ResultCache = ResultCache(packed_cache_size)
+        self._packed_cache: ResultCache = ResultCache(PACKED_CACHE_SIZE)
 
     # -- single request ----------------------------------------------------
 
@@ -462,7 +450,7 @@ class BatchEngine:
         # reference, so this is cheap for the built-in zoo.
         registry_arg = self.registry
         nproc = min(workers, len(indices))
-        chunk = self.chunk_size or max(1, math.ceil(len(indices) / (nproc * 4)))
+        chunk = max(1, math.ceil(len(indices) / (nproc * 4)))
         payloads = []
         payload_sizes: dict[int, int] = {}  # id(obj) -> pickled bytes
         shipped_bytes = 0

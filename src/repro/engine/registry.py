@@ -1,14 +1,10 @@
 """Declarative solver registry with capability tags.
 
-Before the engine existed, knowledge about *which* solver fits *which*
-instance was duplicated ad hoc: :mod:`repro.solvers.auto` hard-coded
-its candidate list, :mod:`repro.cli` imported individual solve
-functions, and every experiment driver picked solvers by module path.
-The registry centralizes that knowledge: each solver is described once
-by a :class:`SolverSpec` — its kind (single/multi-task), whether it
-certifies optimality, its cost model, and free-form capability tags —
-and every consumer (auto-dispatch, CLI, batch engine, benchmarks)
-selects by declared capability instead of by import.
+Each solver is described once by a :class:`SolverSpec` — its kind
+(single/multi-task), whether it certifies optimality, its cost model,
+and free-form capability tags — and every consumer (the portfolio, the
+CLI, the batch engine, benchmarks) selects by name or declared
+capability instead of by import.
 
 All registered entry points are module-level functions, so specs
 pickle by reference and travel to :mod:`multiprocessing` workers
@@ -136,8 +132,8 @@ class SolverRegistry:
         :meth:`names`, :meth:`select`, :meth:`describe` — is sorted by
         solver name, never by registration order.  Consumers that
         tie-break between equivalent solvers (the portfolio's
-        deterministic rankings, ``auto``'s candidate walk) rely on this
-        being stable across processes and registration histories.
+        deterministic rankings) rely on this being stable across
+        processes and registration histories.
         """
         return tuple(
             sorted(
@@ -280,21 +276,6 @@ def _mt_annealing(system, seqs, model=None, **params):
     return solve_mt_annealing(system, seqs, model, **params)
 
 
-def _mt_annealing_multistart(system, seqs, model=None, **params):
-    from repro.solvers.mt_annealing import AnnealParams, solve_mt_annealing
-
-    params.setdefault(
-        "params", AnnealParams(restarts=4, restart_workers=4)
-    )
-    return solve_mt_annealing(system, seqs, model, **params)
-
-
-def _mt_auto(system, seqs, model=None, **params):
-    from repro.solvers.auto import solve_mt_auto
-
-    return solve_mt_auto(system, seqs, model, **params)
-
-
 def _mt_portfolio(system, seqs, model=None, **params):
     from repro.portfolio.engine import solve_mt_portfolio
 
@@ -365,23 +346,6 @@ _DEFAULT_SPECS = (
         exact=False,
         tags=frozenset({TAG_HEURISTIC, TAG_STOCHASTIC, TAG_PACKED}),
         description="simulated annealing over indicator matrices",
-    ),
-    SolverSpec(
-        name="mt_annealing_multistart",
-        kind="multi",
-        fn=_mt_annealing_multistart,
-        exact=False,
-        tags=frozenset({TAG_HEURISTIC, TAG_STOCHASTIC, TAG_PACKED}),
-        description="annealing preset: 4 restarts fanned across 4 processes",
-    ),
-    SolverSpec(
-        name="auto",
-        kind="multi",
-        fn=_mt_auto,
-        exact=False,
-        # Stochastic: the heuristic tier forwards the seed parameter.
-        tags=frozenset({TAG_META, TAG_STOCHASTIC}),
-        description="tiered dispatch: exhaustive → exact DP → heuristics",
     ),
     SolverSpec(
         name="portfolio",

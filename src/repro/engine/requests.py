@@ -112,7 +112,10 @@ class SolveRequest:
         ``"single"`` or ``"multi"``.
     solver:
         Registry name of the solver to run (e.g. ``"single_dp"``,
-        ``"auto"``).
+        ``"mt_greedy"``).  :meth:`multi` defaults to ``"portfolio"``,
+        which picks a solver per instance: the exact DP while it is
+        affordable, the GA above that, and learned choices once the
+        portfolio has seen similar instances.
     seq, w:
         Single-task payload (requirement sequence and hyper cost).
     system, seqs, model:
@@ -157,7 +160,7 @@ class SolveRequest:
         seqs: Sequence[RequirementSequence],
         model: MachineModel | None = None,
         *,
-        solver: str = "auto",
+        solver: str = "portfolio",
         **params,
     ) -> "SolveRequest":
         seqs = tuple(seqs)

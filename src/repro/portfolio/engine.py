@@ -9,10 +9,14 @@
    stochastic solvers is drawn from a generator seeded by ``(seed,
    decision index)``, so decision sequences are bit-reproducible;
 3. executes the decision — ``pick`` walks the ranking front to back,
-   ``race`` runs the top-k under a wall-clock budget (parallel via a
-   throwaway :class:`~repro.engine.batch.BatchEngine` where the
-   platform allows, sequential with early exit inside daemonic
-   multiprocessing workers) with capped budget-doubling restarts;
+   each candidate the model has timed under a budget of
+   :data:`PICK_BUDGET_FACTOR` times its predicted runtime (at least
+   :data:`PICK_MIN_BUDGET` seconds; cold candidates and the last one
+   run unbounded); ``race`` runs the top-k under a wall-clock budget
+   (parallel via a throwaway :class:`~repro.engine.batch.BatchEngine`
+   where the platform allows, sequential with early exit inside
+   daemonic multiprocessing workers) with capped budget-doubling
+   restarts, then falls back to the same walk over the whole pool;
 4. re-verifies the winning schedule against the scalar
    :func:`~repro.core.sync_cost.sync_switch_cost` oracle — an answer
    that does not verify is treated as a *failure* of that solver and
@@ -66,6 +70,12 @@ ORACLE_RTOL = 1e-6
 
 #: Format of :meth:`PortfolioState.save` files (1 was the run ledger).
 STATE_VERSION = 2
+
+#: A walked candidate with a predicted runtime may take this many times
+#: that prediction, and never less than :data:`PICK_MIN_BUDGET` seconds,
+#: before it counts as a timed-out run and the walk moves on.
+PICK_BUDGET_FACTOR = 10.0
+PICK_MIN_BUDGET = 1.0
 
 
 class PortfolioState:
@@ -217,31 +227,24 @@ def _attempt(registry, name, system, seqs, model, *, timeout, solver_seed):
     return _execute(registry, request, timeout)
 
 
-def _race_round(
-    registry, chosen, system, seqs, model, *, budget, solver_seed, workers
-):
+def _race_round(registry, chosen, system, seqs, model, *, budget, solver_seed):
     """One race round; returns name → (value, error, timed_out, elapsed).
 
-    Parallel when asked for and allowed (daemonic multiprocessing
-    workers cannot spawn a pool); the sequential path walks the rank
-    order and stops at the first finisher, which selects the same
-    winner the parallel race would (rank order decides, not wall-clock
-    order).
+    Parallel, one process per raced solver, where allowed (daemonic
+    multiprocessing workers cannot spawn a pool); the sequential path
+    walks the rank order and stops at the first finisher, which selects
+    the same winner the parallel race would (rank order decides, not
+    wall-clock order).
     """
     outcomes = {}
-    parallel = (
-        workers > 1
-        and len(chosen) > 1
-        and not multiprocessing.current_process().daemon
-    )
-    if parallel:
+    if len(chosen) > 1 and not multiprocessing.current_process().daemon:
         from repro.engine.batch import BatchEngine
         from repro.engine.requests import SolveRequest
 
         engine = BatchEngine(
             registry,
             cache_size=0,
-            workers=min(workers, len(chosen)),
+            workers=len(chosen),
             timeout=budget,
             portfolio_learn=False,
         )
@@ -285,7 +288,6 @@ def solve_mt_portfolio(
     candidates=None,
     state: PortfolioState | None = None,
     registry=None,
-    race_workers: int = 0,
     prefix: int = FEATURE_PREFIX_STEPS,
 ) -> MTSolveResult:
     """Adaptively pick (or race) a solver for one MT-Switch instance.
@@ -294,9 +296,7 @@ def solve_mt_portfolio(
     :func:`~repro.portfolio.strategy.make_strategy`) or a
     :class:`~repro.portfolio.strategy.Strategy` instance.
     ``candidates`` restricts the solver pool (default: every concrete
-    multi-task switch-cost solver in the registry).  ``race_workers``
-    caps the process count of a :class:`DeadlineRace` round (0 = one
-    process per raced solver).
+    multi-task switch-cost solver in the registry).
 
     Raises ``RuntimeError`` only when every candidate failed; the
     returned answer is always oracle-verified.
@@ -359,37 +359,33 @@ def solve_mt_portfolio(
         winner_name, winner, oracle_cost = name, value, oracle
         return True
 
+    ranking = decision.chosen
     if decision.mode == "race":
         budget = decision.budget or 1.0
-        workers = race_workers if race_workers > 0 else len(decision.chosen)
         for round_no in range(decision.restarts + 1):
             outcomes = _race_round(
                 registry, decision.chosen, system, seqs, model,
                 budget=budget * (2**round_no),
                 solver_seed=solver_seed,
-                workers=workers,
             )
             for name in decision.chosen:  # rank order decides
                 if name in outcomes and consider(name, outcomes[name]):
                     break
             if winner is not None:
                 break
-        if winner is None:
-            # Last resort: unbounded sequential walk over the full pool.
-            for name in (*decision.chosen,
-                         *(s for s in sorted(pool)
-                           if s not in decision.chosen)):
-                outcome = _attempt(
-                    registry, name, system, seqs, model,
-                    timeout=None, solver_seed=solver_seed,
+        # Last resort: walk the full pool.
+        ranking += tuple(s for s in sorted(pool) if s not in ranking)
+    if winner is None:
+        for rank, name in enumerate(ranking, 1):
+            predicted = state.model.predict_runtime(name, features)
+            timeout = None  # cold or last: unbounded, so an answer comes
+            if predicted.support and rank < len(ranking):
+                timeout = max(
+                    PICK_MIN_BUDGET, PICK_BUDGET_FACTOR * predicted.value
                 )
-                if consider(name, outcome):
-                    break
-    else:
-        for name in decision.chosen:
             outcome = _attempt(
                 registry, name, system, seqs, model,
-                timeout=None, solver_seed=solver_seed,
+                timeout=timeout, solver_seed=solver_seed,
             )
             if consider(name, outcome):
                 break

@@ -11,6 +11,10 @@ Determinism is a contract: candidates are always considered in sorted
 name order and ties break by name.  Two calls with equal model state,
 features and candidates return identical decisions — replayable
 offline via ``repro portfolio replay``.
+
+Solvers the model has never seen are ranked by a fixed size prior, the
+paper's rule: the exact DP where its state space is affordable, the GA
+above that.
 """
 
 from __future__ import annotations
@@ -28,6 +32,20 @@ __all__ = [
     "make_strategy",
     "rank_candidates",
 ]
+
+#: Cold-start prior: ``mt_exact`` goes first while the pessimistic
+#: window-commitment state estimate ``n · (n(n+1)/2)^m`` (per task up
+#: to n(n+1)/2 windows, coupled across tasks per round) fits this
+#: budget, and last otherwise; ``mt_genetic`` comes next.
+EXACT_STATE_BUDGET = 400_000
+
+
+def _cold_order(cold: list[str], features: WorkloadFeatures) -> list[str]:
+    """Cold solvers by the size prior, the rest by name."""
+    m, n = features.m, features.n
+    exact_fits = n * (n * (n + 1) / 2) ** m <= EXACT_STATE_BUDGET
+    prior = {"mt_exact": 0 if exact_fits else 3, "mt_genetic": 1}
+    return sorted(cold, key=lambda name: (prior.get(name, 2), name))
 
 
 @dataclass(frozen=True)
@@ -63,9 +81,11 @@ def rank_candidates(
     first — those within ``cost_tolerance`` of the best predicted cost
     ordered by predicted runtime (the latency win the portfolio is
     after), costlier ones after by predicted cost.  Cold solvers (no
-    observations at any bucket resolution) follow in name order, and
-    known-flaky solvers (failure rate above ``max_failure_rate``) go
-    last.  Ties always break by name.
+    observations at any bucket resolution) follow in the size prior's
+    order: ``mt_exact`` first while its state estimate fits
+    :data:`EXACT_STATE_BUDGET` (last otherwise), then ``mt_genetic``,
+    then the rest by name.  Known-flaky solvers (failure rate above
+    ``max_failure_rate``) go last.  Ties always break by name.
     """
     names = sorted(candidates)
     if not names:
@@ -92,7 +112,7 @@ def rank_candidates(
         acceptable.sort(key=lambda row: (row[2], row[0]))
         rest.sort(key=lambda row: (row[1], row[2], row[0]))
         ordered.extend(name for name, _c, _r in acceptable + rest)
-    ordered.extend(cold)
+    ordered.extend(_cold_order(cold, features))
     ordered.extend(name for _f, name in sorted(flaky))
     return tuple(ordered)
 

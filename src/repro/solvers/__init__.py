@@ -45,7 +45,6 @@ from repro.solvers.private_global import solve_private_global
 from repro.solvers.mt_async import solve_mt_async, async_vs_sync_gap
 from repro.solvers.mt_annealing import AnnealParams, solve_mt_annealing
 from repro.solvers.mt_branch_bound import solve_mt_branch_bound
-from repro.solvers.auto import solve_mt_auto
 from repro.solvers.online import (
     RentOrBuyScheduler,
     WindowScheduler,
@@ -82,7 +81,6 @@ __all__ = [
     "AnnealParams",
     "solve_mt_annealing",
     "solve_mt_branch_bound",
-    "solve_mt_auto",
     "RentOrBuyScheduler",
     "WindowScheduler",
     "run_online",

@@ -64,7 +64,7 @@ class TestSolversCommand:
     def test_lists_the_zoo(self, capsys):
         assert main(["solvers"]) == 0
         out = capsys.readouterr().out
-        for name in ("single_dp", "mt_exact", "mt_greedy", "auto"):
+        for name in ("single_dp", "mt_exact", "mt_greedy", "portfolio"):
             assert name in out
         assert "registered solvers" in out
 
@@ -128,7 +128,3 @@ class TestAnnealFlags:
         assert main(["batch", "parity", "--solver", "mt_annealing",
                      "--anneal-restarts", "0", "--repeat", "1"]) == 2
         assert "Traceback" not in capsys.readouterr().err
-
-    def test_multistart_preset_registered(self, capsys):
-        assert main(["solvers"]) == 0
-        assert "mt_annealing_multistart" in capsys.readouterr().out

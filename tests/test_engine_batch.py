@@ -42,8 +42,6 @@ class TestBatchEngineBasics:
         with pytest.raises(ValueError):
             BatchEngine(workers=0)
         with pytest.raises(ValueError):
-            BatchEngine(chunk_size=0)
-        with pytest.raises(ValueError):
             BatchEngine(timeout=0)
 
     def test_results_align_with_input_order(self):
@@ -175,41 +173,31 @@ class TestTimerRestoration:
             signal.signal(signal.SIGALRM, previous)
 
 
-class TestSparseRegistryAuto:
-    def test_auto_falls_through_missing_tiers(self):
-        """A custom registry holding only a heuristic still serves
-        solver='auto' (tiers with unregistered solvers are skipped)."""
-        from repro.engine.registry import TAG_META, _mt_auto, _mt_greedy
+class TestSparseRegistryPortfolio:
+    def test_portfolio_with_only_greedy(self):
+        """A custom registry holding only a heuristic still serves the
+        default solver: the cold prior's absent solvers are skipped."""
+        from repro.engine.registry import _mt_greedy, default_registry
 
         reg = SolverRegistry()
         reg.register(SolverSpec(
             name="mt_greedy", kind="multi", fn=_mt_greedy, exact=False,
         ))
-        reg.register(SolverSpec(
-            name="auto", kind="multi", fn=_mt_auto, exact=False,
-            tags=frozenset({TAG_META}),
-        ))
+        reg.register(default_registry().get("portfolio"))
         system, seqs = make_instance(2, 6, 4, seed=0)  # tiny instance
-        res = BatchEngine(reg).solve(
-            SolveRequest.multi(system, seqs, solver="auto")
-        )
+        res = BatchEngine(reg).solve(SolveRequest.multi(system, seqs))
         assert res.ok
-        assert res.value.solver == "auto[mt_greedy_merge]"
+        assert res.value.solver == "portfolio[mt_greedy]"
 
-    def test_auto_with_empty_pool_errors_cleanly(self):
-        from repro.engine.registry import TAG_META, _mt_auto
+    def test_portfolio_with_empty_pool_errors_cleanly(self):
+        from repro.engine.registry import default_registry
 
         reg = SolverRegistry()
-        reg.register(SolverSpec(
-            name="auto", kind="multi", fn=_mt_auto, exact=False,
-            tags=frozenset({TAG_META}),
-        ))
+        reg.register(default_registry().get("portfolio"))
         system, seqs = make_instance(2, 6, 4, seed=0)
-        res = BatchEngine(reg).solve(
-            SolveRequest.multi(system, seqs, solver="auto")
-        )
+        res = BatchEngine(reg).solve(SolveRequest.multi(system, seqs))
         assert not res.ok
-        assert "no usable solver" in res.error
+        assert "no candidate solvers" in res.error
 
 
 class TestParallelWorkers:

@@ -89,9 +89,11 @@ class TestDefaultRegistry:
             "mt_genetic",
             "mt_annealing",
             "mt_branch_bound",
-            "auto",
+            "portfolio",
         ):
             assert name in reg
+        for gone in ("auto", "mt_annealing_multistart"):
+            assert gone not in reg
 
     def test_select_by_capability(self):
         reg = default_registry()
@@ -103,9 +105,7 @@ class TestDefaultRegistry:
             kind="multi", exact=True, without_tags={TAG_TINY_ONLY}
         )
         assert all(s.name != "mt_exhaustive" for s in scalable_exact)
-        assert {s.name for s in reg.select(tags={TAG_META})} == {
-            "auto", "portfolio",
-        }
+        assert {s.name for s in reg.select(tags={TAG_META})} == {"portfolio"}
 
     def test_multi_solve_matches_direct_call(self):
         reg = default_registry()
@@ -136,46 +136,42 @@ class TestDefaultRegistry:
     def test_tag_constants_consistent(self):
         """Every exact solver carries TAG_EXACT (so tag-based selection
         never silently drops one), and seed-dependent solvers —
-        including the auto dispatcher, which forwards its seed to the
-        heuristic tier — carry TAG_STOCHASTIC."""
+        including the portfolio, which forwards its seed to the
+        stochastic solvers it runs — carry TAG_STOCHASTIC."""
         reg = default_registry()
         for spec in reg.select(exact=True):
             assert TAG_EXACT in spec.tags, spec.name
         assert "single_dp" in {s.name for s in reg.select(tags={TAG_EXACT})}
         stochastic = {s.name for s in reg.select(tags={"stochastic"})}
-        assert {"mt_genetic", "mt_annealing", "auto"} <= stochastic
+        assert {"mt_genetic", "mt_annealing", "portfolio"} <= stochastic
 
     def test_meta_solver_uses_invoking_registry(self):
-        """'auto' must draw candidates from the registry it was
+        """'portfolio' must draw candidates from the registry it was
         dispatched through, not silently fall back to the built-ins."""
-        from repro.engine.registry import TAG_META, _mt_auto
+        from repro.portfolio import PortfolioState
 
         calls = []
 
-        def tracking_greedy(system, seqs, model=None, **params):
-            calls.append("custom-greedy")
-            from repro.solvers.mt_greedy import solve_mt_greedy_merge
+        def tracking_genetic(system, seqs, model=None, **params):
+            calls.append("custom-genetic")
+            from repro.solvers.mt_genetic import solve_mt_genetic
 
-            return solve_mt_greedy_merge(system, seqs, model, **params)
+            return solve_mt_genetic(system, seqs, model, **params)
 
         reg = SolverRegistry()
-        for name in ("mt_exhaustive", "mt_exact", "mt_genetic",
-                     "mt_annealing"):
+        for name in ("mt_exact", "mt_greedy", "mt_annealing", "portfolio"):
             reg.register(default_registry().get(name))
         reg.register(SolverSpec(
-            name="mt_greedy", kind="multi", fn=tracking_greedy, exact=False,
+            name="mt_genetic", kind="multi", fn=tracking_genetic,
+            exact=False,
         ))
-        reg.register(SolverSpec(
-            name="auto", kind="multi", fn=_mt_auto, exact=False,
-            tags=frozenset({TAG_META}),
-        ))
-        # Large enough to land in the heuristic tier (greedy runs).
+        # Too large for the exact DP: a cold portfolio runs the GA.
         from repro.analysis.sweeps import make_instance
 
         system, seqs = make_instance(4, 60, 8, seed=1)
-        res = reg.solve_multi("auto", system, seqs)
-        assert calls == ["custom-greedy"]
-        assert res.solver.startswith("auto[")
+        res = reg.solve_multi("portfolio", system, seqs, state=PortfolioState())
+        assert calls == ["custom-genetic"]
+        assert res.solver == "portfolio[mt_genetic]"
 
     def test_names_and_select_sorted_by_name(self):
         """The documented ordering contract: names(), select() and
@@ -207,7 +203,6 @@ class TestDefaultRegistry:
         candidates = portfolio_candidates(reg)
         assert candidates == tuple(sorted(candidates))
         assert "portfolio" not in candidates
-        assert "auto" not in candidates
         assert {"mt_greedy", "mt_genetic", "mt_annealing"} <= set(candidates)
 
     def test_registry_picklable_without_lock(self):

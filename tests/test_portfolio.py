@@ -2,12 +2,17 @@
 
 import json
 import math
+import time
 from pathlib import Path
 
 import pytest
 
 from repro.analysis.sweeps import make_instance
 from repro.cli import main
+from repro.core.context import RequirementSequence
+from repro.core.machine import MachineClass, MachineModel
+from repro.core.switches import SwitchUniverse
+from repro.core.task import TaskSystem
 from repro.engine.batch import BatchEngine
 from repro.engine.metrics import EngineMetrics
 from repro.engine.registry import (
@@ -34,6 +39,8 @@ from repro.portfolio import (
 )
 from repro.portfolio.features import FEATURE_PREFIX_STEPS, single_features
 from repro.solvers.base import MTSolveResult
+from repro.solvers.exhaustive import solve_mt_exhaustive
+from repro.solvers.mt_exact import solve_mt_exact
 from repro.solvers.mt_greedy import solve_mt_greedy_merge
 
 
@@ -71,6 +78,12 @@ def _bad_cost_solver(system, seqs, model=None, **params):
 
 def _boom_solver(system, seqs, model=None, **params):
     raise RuntimeError("boom")
+
+
+def _sleepy_solver(system, seqs, model=None, **params):
+    """Far slower than its learned runtime says."""
+    time.sleep(3.0)
+    return solve_mt_greedy_merge(system, seqs, model)
 
 
 def _zoo_with(name, fn):
@@ -215,6 +228,33 @@ class TestStrategies:
         ranking = rank_candidates(model, f, ("mt_genetic", "mt_greedy"))
         assert ranking[-1] == "mt_greedy"
 
+    def test_rank_cold_by_size_prior(self):
+        """Cold solvers: mt_exact first while its state estimate fits
+        the budget and last otherwise, then mt_genetic, then the rest
+        by name; known solvers still lead."""
+        pool = ("mt_annealing", "mt_branch_bound", "mt_exact",
+                "mt_genetic", "mt_greedy")
+        model = PortfolioModel()
+        small = multi_features(*make_instance(2, 14, 4, seed=0))
+        large = multi_features(*make_instance(3, 16, 4, seed=0))
+        assert rank_candidates(model, small, pool) == (
+            "mt_exact", "mt_genetic", "mt_annealing", "mt_branch_bound",
+            "mt_greedy",
+        )
+        assert rank_candidates(model, large, pool) == (
+            "mt_genetic", "mt_annealing", "mt_branch_bound", "mt_greedy",
+            "mt_exact",
+        )
+        # absent names are skipped; a known solver still goes first
+        assert rank_candidates(model, large, ("mt_annealing", "mt_exact")) == (
+            "mt_annealing", "mt_exact",
+        )
+        known, f = self._model_with([("mt_branch_bound", 0.01, 40.0, True)])
+        assert rank_candidates(known, f, pool) == (
+            "mt_branch_bound", "mt_genetic", "mt_annealing", "mt_greedy",
+            "mt_exact",
+        )
+
     def test_race_decision_shape(self):
         model, f = self._model_with([])
         d = DeadlineRace(budget=0.5, top_k=2).decide(
@@ -310,6 +350,33 @@ class TestSolvePortfolio:
         direct = solve_mt_greedy_merge(system, seqs, None)
         assert res.cost == pytest.approx(direct.cost)
 
+    def test_walk_bounds_a_timed_candidate(self):
+        """A solver the model has timed at 1 ms (here at a coarser
+        bucket) gets a 1 s budget; when it overruns, the timeout is
+        learned as a failure and the next candidate answers."""
+        system, seqs = _instance()
+        reg = _zoo_with("aa_sleepy", _sleepy_solver)
+        state = PortfolioState()
+        other = multi_features(*_instance(n=40, seed=5))  # shares multi/m3
+        f = multi_features(system, seqs)
+        assert other.bucket() != f.bucket()
+        state.record(RunRecord(
+            features=other, solver="aa_sleepy", runtime=0.001, cost=40.0,
+            ok=True,
+        ))
+        start = time.perf_counter()
+        res = solve_mt_portfolio(
+            system, seqs, state=state, registry=reg,
+            candidates=("aa_sleepy", "mt_greedy"),
+        )
+        assert time.perf_counter() - start < 2.0
+        assert res.solver == "portfolio[mt_greedy]"
+        p = res.stats["portfolio"]
+        assert p["ranking"] == ["aa_sleepy", "mt_greedy"]
+        sleepy = [r for r in p["records"] if r["solver"] == "aa_sleepy"]
+        assert [(r["ok"], r["error"]) for r in sleepy] == [(False, "timeout")]
+        assert state.model.failure_rate("aa_sleepy", f) == 1.0
+
     def test_all_fail_raises(self):
         system, seqs = _instance()
         reg = _zoo_with("aa_boom", _boom_solver)
@@ -321,11 +388,81 @@ class TestSolvePortfolio:
 
     def test_default_candidates_exclude_meta(self):
         pool = portfolio_candidates(default_registry())
-        assert "portfolio" not in pool and "auto" not in pool
+        assert "portfolio" not in pool
         meta_names = {
             s.name for s in default_registry().select(tags={TAG_META})
         }
         assert not meta_names & set(pool)
+
+
+U8 = SwitchUniverse.of_size(8)
+
+
+class TestColdStart:
+    """An unwarmed portfolio follows the size prior: the exact DP
+    while it is affordable, the GA above that."""
+
+    def test_tiny_goes_exact(self):
+        system = TaskSystem.from_contiguous(U8, [4, 4])
+        seqs = [
+            RequirementSequence(U8, [1, 2, 3]),
+            RequirementSequence(U8, [16, 32, 48]),
+        ]
+        res = solve_mt_portfolio(system, seqs)
+        assert res.solver == "portfolio[mt_exact]"
+        assert res.optimal
+        assert res.cost == pytest.approx(solve_mt_exhaustive(system, seqs).cost)
+
+    def test_small_goes_exact(self):
+        system, seqs = make_instance(2, 14, 4, seed=0)
+        res = solve_mt_portfolio(system, seqs)
+        assert res.solver == "portfolio[mt_exact]"
+        assert res.optimal
+        assert res.cost == pytest.approx(solve_mt_exact(system, seqs).cost)
+
+    def test_large_goes_genetic(self):
+        system, seqs = make_instance(4, 60, 8, seed=1)
+        res = solve_mt_portfolio(system, seqs)
+        assert res.solver == "portfolio[mt_genetic]"
+        assert not res.optimal
+        greedy = solve_mt_greedy_merge(system, seqs)
+        assert res.cost <= greedy.cost + 1e-9
+
+    def test_ga_refusal_falls_through(self):
+        """Without partial hyperreconfiguration the GA (and annealing,
+        next by name) refuse at once, the refusals are learned, and
+        the first candidate that applies answers."""
+        model = MachineModel(machine_class=MachineClass.PARTIALLY_RECONFIGURABLE)
+        system, seqs = make_instance(3, 20, 6, seed=0)
+        state = PortfolioState()
+        res = solve_mt_portfolio(system, seqs, model, state=state)
+        p = res.stats["portfolio"]
+        assert p["ranking"][:3] == [
+            "mt_genetic", "mt_annealing", "mt_branch_bound",
+        ]
+        assert res.solver == "portfolio[mt_branch_bound]"
+        assert p["attempts"] == 3
+        refused = [r for r in p["records"] if not r["ok"]]
+        assert [r["solver"] for r in refused] == ["mt_genetic", "mt_annealing"]
+        assert all(r["runtime"] < 1.0 for r in refused)
+        f = multi_features(system, seqs)
+        assert state.model.failure_rate("mt_genetic", f) == 1.0
+        greedy = solve_mt_greedy_merge(system, seqs, model)
+        assert res.cost <= greedy.cost + 1e-9
+
+    def test_empty_instance(self):
+        system = TaskSystem.from_contiguous(U8, [4, 4])
+        seqs = [RequirementSequence(U8, []), RequirementSequence(U8, [])]
+        assert solve_mt_portfolio(system, seqs).cost == 0.0
+
+    def test_counter_instance_heuristic_quality(
+        self, mt_system, counter_task_seqs
+    ):
+        """On the paper instance the cold pick must match greedy at
+        least."""
+        res = solve_mt_portfolio(mt_system, counter_task_seqs, seed=0)
+        greedy = solve_mt_greedy_merge(mt_system, counter_task_seqs)
+        assert res.cost <= greedy.cost + 1e-9
 
 
 class TestBatchIntegration:

@@ -561,7 +561,7 @@ class TestPickledFanOut:
                 SolveRequest.multi(system, seqs, solver="mt_greedy")
             )
         inline = BatchEngine(workers=1, cache_size=0)
-        pooled = BatchEngine(workers=2, chunk_size=1, cache_size=0)
+        pooled = BatchEngine(workers=2, cache_size=0)
         base = inline.solve_batch(requests)
         fanned = pooled.solve_batch(requests)
         for a, b in zip(base, fanned):
